@@ -12,18 +12,17 @@ from .model import (Battery, Decision, Instance, NonSchedulableAppliance,
                     PriceSignal, PrivacyPolicy, PrivacyScenario,
                     ReferenceSource, ScenarioSet, SchedulableAppliance,
                     SystemState, TimeGrid, aggregated_load, appliance_load,
-                    expected_scenario_load, privacy_gap, scenario_load,
-                    slot_cost, step_battery, step_remaining)
+                    privacy_gap, scenario_load, slot_cost, step_battery,
+                    step_remaining)
 from .table import (ScheduleSolution, ScheduleTable, SolveConfig, TableEntry,
                     backward_recursion, enumerate_states, expected_total_cost,
                     extract_schedule, feasible_decisions, load_table,
                     model_fingerprint, read_table_header, save_table,
-                    state_count, terminal_value)
+                    state_count)
 from .oracle import OracleResult, OracleTrajectory, brute_force_solve
 from .scenarios import (IterationRecord, IterationTrace, ScenarioSolveOptions,
                         ScenarioSolveResult, candidate_scenarios,
-                        feasible_region_shrinks, find_worst_scenario,
-                        solve_with_scenarios)
+                        find_worst_scenario, solve_with_scenarios)
 from .simulate import (EventScript, ScriptedStart, SimulationReport,
                        SlotRecord, SweepPoint, runtime_lookup, simulate,
                        sweep_battery)
@@ -40,16 +39,16 @@ __all__ = [
     "PriceSignal", "ReferenceSource", "PrivacyPolicy", "SystemState",
     "Decision", "PrivacyScenario", "ScenarioSet", "Instance",
     "step_remaining", "appliance_load", "step_battery", "scenario_load",
-    "aggregated_load", "privacy_gap", "slot_cost", "expected_scenario_load",
+    "aggregated_load", "privacy_gap", "slot_cost",
     "SolveConfig", "ScheduleTable", "TableEntry", "ScheduleSolution",
     "model_fingerprint", "state_count", "enumerate_states",
-    "feasible_decisions", "terminal_value", "backward_recursion",
+    "feasible_decisions", "backward_recursion",
     "extract_schedule", "expected_total_cost", "save_table", "load_table",
     "read_table_header",
     "OracleResult", "OracleTrajectory", "brute_force_solve",
     "ScenarioSolveOptions", "ScenarioSolveResult", "IterationRecord",
     "IterationTrace", "candidate_scenarios", "find_worst_scenario",
-    "feasible_region_shrinks", "solve_with_scenarios",
+    "solve_with_scenarios",
     "EventScript", "ScriptedStart", "SlotRecord", "SimulationReport",
     "SweepPoint", "runtime_lookup", "simulate", "sweep_battery",
     "InstanceConfig", "parse_config", "load_config", "serialize",

@@ -74,13 +74,17 @@ def _load_scenario_file(path: Path, n_ns: int) -> ScenarioSet:
 
 def _table_config_from_header(instance, header: dict,
                               state_cap: int) -> SolveConfig:
-    omega = ScenarioSet(tuple(PrivacyScenario(starts=tuple(row))
-                              for row in header["omega"]))
-    weights = tuple(header["weights"]) if header["weights"] else None
-    return SolveConfig(instance=instance, scenarios=omega,
-                       scenario_weights=weights,
-                       objective_mode=header["objective_mode"],
-                       state_cap=state_cap)
+    try:
+        omega = ScenarioSet(tuple(PrivacyScenario(starts=tuple(row))
+                                  for row in header["omega"]))
+        weights = tuple(header["weights"]) if header["weights"] else None
+        return SolveConfig(instance=instance, scenarios=omega,
+                           scenario_weights=weights,
+                           objective_mode=header["objective_mode"],
+                           state_cap=state_cap)
+    except (TypeError, ModelError) as err:
+        raise IntegrityError(
+            f"table header does not fit this model: {err}") from None
 
 
 def _solution_payload(result: ScenarioSolveResult, name: str,
@@ -144,7 +148,7 @@ def cmd_build_table(args: argparse.Namespace) -> int:
                          objective_mode=cfg.options.objective_mode,
                          state_cap=cfg.state_cap)
     table = backward_recursion(config)
-    save_table(table, args.out, args.format)
+    save_table(table, args.out)
     n = state_count(inst.appliances, inst.battery)
     print(f"table written to {args.out}: {n} states x {inst.grid.tau} slots, "
           f"|omega|={len(omega)}, hash {table.model_hash[:12]}")
@@ -163,7 +167,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     report = simulate(result.table, EventScript.scripted(()), result.config)
     (out / "report.csv").write_text(report.csv_text(), encoding="utf-8")
     if args.table:
-        save_table(result.table, args.table, args.format)
+        save_table(result.table, args.table)
 
     sol = result.solution
     total = expected_total_cost(result.config, sol.controllable_cost)
@@ -309,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True,
                    help="preset name or config JSON path")
     p.add_argument("--out", required=True, help="table dump destination")
-    p.add_argument("--format", choices=("json", "binary"), default="json")
     p.add_argument("--scenarios",
                    help="JSON file with one start array per scenario")
     p.set_defaults(func=cmd_build_table)
@@ -318,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="artifact directory")
     p.add_argument("--table", help="also dump the final table here")
-    p.add_argument("--format", choices=("json", "binary"), default="json")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="replay a table against events")

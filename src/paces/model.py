@@ -478,14 +478,3 @@ def slot_cost(load_w: float, price_per_wh: float, slot_hours: float) -> float:
     """Billed cost of one slot; negative when the meter runs backwards."""
     return price_per_wh * load_w * slot_hours
 
-
-def expected_scenario_load(scenarios: Sequence[PrivacyScenario],
-                           weights: Sequence[float],
-                           ns_appliances: Sequence[NonSchedulableAppliance],
-                           t: int) -> float:
-    """Weighted mean non-schedulable draw at slot ``t``."""
-    if len(scenarios) != len(weights):
-        raise ModelError(
-            f"{len(scenarios)} scenarios but {len(weights)} weights")
-    return float(sum(wgt * scenario_load(sc, ns_appliances, t)
-                     for sc, wgt in zip(scenarios, weights)))

@@ -186,33 +186,6 @@ def find_worst_scenario(solution: ScheduleSolution,
     return best_sc, best_score - pol.lambda_w
 
 
-def feasible_region_shrinks(omega_prev: ScenarioSet, omega_next: ScenarioSet,
-                            sample_profiles: Sequence[Sequence[float]],
-                            instance: Instance) -> bool:
-    """Check set inclusion of the privacy-feasible base-load profiles.
-
-    True iff every sampled profile that satisfies the privacy band for
-    all of ``omega_next`` also satisfies it for all of ``omega_prev``.
-    """
-    for sc in omega_prev:
-        if sc not in omega_next:
-            raise ModelError("omega_prev must be a subset of omega_next")
-
-    def fits(profile: Sequence[float], omega: ScenarioSet) -> bool:
-        pol = instance.policy
-        for t in range(1, instance.grid.tau + 1):
-            for sc in omega:
-                dev = (profile[t - 1]
-                       + scenario_load(sc, instance.ns_appliances, t)
-                       - pol.l_bar_w)
-                if abs(dev) > pol.lambda_w:
-                    return False
-        return True
-
-    return all(fits(p, omega_prev) or not fits(p, omega_next)
-               for p in sample_profiles)
-
-
 def _solve_once(instance: Instance, omega: ScenarioSet, objective_mode: str,
                 state_cap: int) -> tuple[ScheduleTable, ScheduleSolution,
                                          SolveConfig]:

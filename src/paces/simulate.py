@@ -9,8 +9,6 @@ not something to round away.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -242,27 +240,12 @@ class SweepPoint:
     message: str = ""
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("PACES_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"PACES_THREADS must be a positive integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(
-            f"PACES_THREADS must be a positive integer, got {raw!r}")
-    return max(1, min(threads, n_jobs))
-
-
 def sweep_battery(instance: Instance, capacities: Sequence[float],
                   options: Optional[ScenarioSolveOptions] = None,
                   state_cap: int = DEFAULT_STATE_CAP) -> list[SweepPoint]:
     """Re-run the whole pipeline at each capacity, in ascending order.
 
-    Infeasible capacities are recorded, not fatal.  Worker parallelism is
-    capped by the ``PACES_THREADS`` environment variable; results are
-    assembled in capacity order either way.
+    Infeasible capacities are recorded, not fatal.
     """
     if not capacities:
         raise ConfigError("sweep needs at least one capacity")
@@ -297,8 +280,4 @@ def sweep_battery(instance: Instance, capacities: Sequence[float],
             expected_total_cost=expected_total_cost(result.config, controllable),
             solves=len(result.trace.records) if result.trace.records else 1)
 
-    workers = _worker_count(len(capacities))
-    if workers == 1:
-        return [run(cap) for cap in capacities]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, capacities))
+    return [run(cap) for cap in capacities]

@@ -22,7 +22,6 @@ import hashlib
 import itertools
 import json
 import math
-import pickle
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -268,12 +267,14 @@ class _Engine:
             if options is None:
                 continue
             best_v = values[r_i]
-            best_n = np.full(self.m, 1 << 30, dtype=np.int64)
-            best_absk = np.full(self.m, 1 << 30, dtype=np.int64)
-            best_skey = np.full(self.m, 1 << 30, dtype=np.int64)
-            best_k = np.full(self.m, 1 << 30, dtype=np.int64)
+            best_n = np.zeros(self.m, dtype=np.int64)
+            best_absk = np.zeros(self.m, dtype=np.int64)
             best_mask = dec_mask[r_i]
-            for mask, skey, n_starts, y, r_next_idx in options:
+            # visiting options by (n_starts, skey) settles the start-count
+            # and start-vector tie-breaks by order: a later option can win
+            # a tie only with as many starts and a smaller battery move
+            for mask, skey, n_starts, y, r_next_idx in sorted(
+                    options, key=lambda o: (o[2], o[1])):
                 k_lo, k_hi = self.k_window(t, y)
                 if k_lo > k_hi:
                     continue
@@ -288,21 +289,14 @@ class _Engine:
                 vals = cand[b_idx, col]
                 k_pick = ks[col]
                 finite = np.isfinite(vals)
-                tie = finite & (vals == best_v) & (
-                    (n_starts < best_n)
-                    | ((n_starts == best_n) & (np.abs(k_pick) < best_absk))
-                    | ((n_starts == best_n) & (np.abs(k_pick) == best_absk)
-                       & (skey < best_skey))
-                    | ((n_starts == best_n) & (np.abs(k_pick) == best_absk)
-                       & (skey == best_skey) & (k_pick < best_k)))
+                tie = (finite & (vals == best_v) & (n_starts == best_n)
+                       & (np.abs(k_pick) < best_absk))
                 take = (finite & (vals < best_v)) | tie
                 if not take.any():
                     continue
                 best_v[take] = vals[take]
                 best_n[take] = n_starts
                 best_absk[take] = np.abs(k_pick[take])
-                best_skey[take] = skey
-                best_k[take] = k_pick[take]
                 best_mask[take] = mask
                 dec_step[r_i][take] = k_pick[take]
         return values, dec_mask, dec_step
@@ -342,14 +336,14 @@ class TableEntry:
 class ScheduleTable:
     """Per-slot mapping from system state to optimal decision and value."""
 
-    def __init__(self, config: SolveConfig, values: np.ndarray,
+    def __init__(self, engine: _Engine, values: np.ndarray,
                  dec_mask: np.ndarray, dec_step: np.ndarray):
-        self.config = config
-        self._engine = _Engine(config)
+        self.config = engine.config
+        self._engine = engine
         self.values = values
         self.dec_mask = dec_mask
         self.dec_step = dec_step
-        self.model_hash = model_fingerprint(config)
+        self.model_hash = model_fingerprint(self.config)
 
     @property
     def tau(self) -> int:
@@ -425,22 +419,6 @@ def feasible_decisions(state: SystemState, t: int,
     return out
 
 
-def terminal_value(state: SystemState, config: SolveConfig) -> TableEntry:
-    """Last-slot cell: every appliance must be done once the slot ends."""
-    eng = _Engine(config)
-    values, dec_mask, dec_step = eng.solve_slot(eng.tau,
-                                                eng.terminal_continuation())
-    r_idx, b_idx = eng.state_indices(state)
-    mask = int(dec_mask[r_idx, b_idx])
-    value = float(values[r_idx, b_idx])
-    if mask < 0:
-        return TableEntry(decision=None, value=value, feasible=False)
-    starts = tuple(bool(mask >> i & 1) for i in range(eng.n_app))
-    delta = float(dec_step[r_idx, b_idx] * eng.step)
-    return TableEntry(decision=Decision(starts=starts, battery_delta_wh=delta),
-                      value=value, feasible=True)
-
-
 def backward_recursion(config: SolveConfig) -> ScheduleTable:
     """Build the full table; raises when the initial state cannot finish."""
     eng = _Engine(config)
@@ -454,7 +432,7 @@ def backward_recursion(config: SolveConfig) -> ScheduleTable:
         dec_mask[t - 1] = mask_t
         dec_step[t - 1] = step_t
         f_next = f_t
-    table = ScheduleTable(config, values, dec_mask, dec_step)
+    table = ScheduleTable(eng, values, dec_mask, dec_step)
     init = config.instance.initial_state()
     if not table.entry(1, init).feasible:
         dead = _earliest_dead_slot(eng, values)
@@ -620,30 +598,26 @@ def _table_payload(table: ScheduleTable) -> dict:
 
 
 def save_table(table: ScheduleTable, path: str, format: str = "json") -> None:
-    """Write the table with its model-hash header, as JSON or pickle."""
-    payload = _table_payload(table)
-    if format == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-    elif format == "binary":
-        with open(path, "wb") as fh:
-            fh.write(pickle.dumps(payload, protocol=4))
-    else:
-        raise ConfigError(f"unknown table format {format!r}, "
-                          f"expected 'json' or 'binary'")
+    """Write the table with its model-hash header as one line of JSON."""
+    if format != "json":
+        raise ConfigError(f"unknown table format {format!r}, expected 'json'")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_table_payload(table), fh, sort_keys=True,
+                  separators=(",", ":"))
+        fh.write("\n")
+
+
+_HEADER_KEYS = ("format", "version", "model_hash", "tau", "slot_hours",
+                "grid_step_wh", "b_max_wh", "durations", "omega", "weights",
+                "objective_mode")
+_ARRAY_KEYS = ("values", "dec_mask", "dec_step")
 
 
 def _read_payload(path: str) -> dict:
     with open(path, "rb") as fh:
-        head = fh.read(1)
-        fh.seek(0)
         try:
-            if head == b"{":
-                payload = json.loads(fh.read().decode("utf-8"))
-            else:
-                payload = pickle.loads(fh.read())
-        except Exception:
+            payload = json.loads(fh.read().decode("utf-8"))
+        except ValueError:
             raise IntegrityError(f"{path} is not a schedule-table dump") from None
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT_NAME:
         raise IntegrityError(f"{path} is not a schedule-table dump")
@@ -651,28 +625,50 @@ def _read_payload(path: str) -> dict:
         raise IntegrityError(
             f"table version {payload.get('version')!r} unsupported, "
             f"expected {_FORMAT_VERSION}")
+    missing = [k for k in _HEADER_KEYS + _ARRAY_KEYS if k not in payload]
+    if missing:
+        raise IntegrityError(f"{path} is truncated: no {', '.join(missing)}")
     return payload
 
 
 def read_table_header(path: str) -> dict:
     """Model hash, scenario set and grid summary of a table dump."""
     payload = _read_payload(path)
-    return {k: payload[k]
-            for k in ("format", "version", "model_hash", "tau", "slot_hours",
-                      "grid_step_wh", "b_max_wh", "durations", "omega",
-                      "weights", "objective_mode")}
+    return {k: payload[k] for k in _HEADER_KEYS}
 
 
 def load_table(path: str, config: SolveConfig) -> ScheduleTable:
-    """Read a table dump and bind it to ``config``; refuses stale dumps."""
+    """Read a table dump and bind it to ``config``.
+
+    Refuses, with :class:`IntegrityError`, a dump built for another model
+    and one whose arrays do not have the engine's ``(tau, n_r, m)`` shape,
+    hold non-numeric cells or decisions outside the engine's range.
+    """
     payload = _read_payload(path)
     expected = model_fingerprint(config)
     if payload["model_hash"] != expected:
         raise IntegrityError(
             "table was built for a different model: hash "
-            f"{payload['model_hash'][:12]}... != config {expected[:12]}...")
-    values = np.array([[[np.inf if v is None else v for v in row]
-                        for row in slab] for slab in payload["values"]])
-    dec_mask = np.array(payload["dec_mask"], dtype=np.int32)
-    dec_step = np.array(payload["dec_step"], dtype=np.int32)
-    return ScheduleTable(config, values, dec_mask, dec_step)
+            f"{str(payload['model_hash'])[:12]}... != config {expected[:12]}...")
+    eng = _Engine(config)
+    shape = (eng.tau, eng.n_r, eng.m)
+    try:
+        values = np.array([[[np.inf if v is None else v for v in row]
+                            for row in slab] for slab in payload["values"]])
+        dec_mask = np.array(payload["dec_mask"])
+        dec_step = np.array(payload["dec_step"])
+    except (TypeError, ValueError):
+        raise IntegrityError(
+            f"{path}: table arrays are ragged or malformed") from None
+    for name, arr, kinds, what in (("values", values, "fi", "numbers"),
+                                   ("dec_mask", dec_mask, "i", "integers"),
+                                   ("dec_step", dec_step, "i", "integers")):
+        if arr.shape != shape or arr.dtype.kind not in kinds:
+            raise IntegrityError(
+                f"{path}: {name} holds {arr.dtype} cells of shape "
+                f"{arr.shape}, expected shape {shape} of {what}")
+    if (dec_mask.min() < -1 or dec_mask.max() >= 1 << eng.n_app
+            or dec_step.min() < eng.k_rate_lo or dec_step.max() > eng.k_rate_hi):
+        raise IntegrityError(f"{path}: a decision cell is out of range")
+    return ScheduleTable(eng, values.astype(np.float64),
+                         dec_mask.astype(np.int32), dec_step.astype(np.int32))

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 import csv
 import json
+import pickle
 
 import pytest
 
@@ -136,17 +137,6 @@ class TestBuildAndSimulate:
         assert first == second
         assert first[0] == 0
 
-    def test_binary_tables_round_trip(self, tmp_path, capsys):
-        table = tmp_path / "table.bin"
-        code, _, _ = run(capsys, "build-table", "--config",
-                         "motivating-example", "--out", str(table),
-                         "--format", "binary")
-        assert code == 0
-        code, out, _ = run(capsys, "simulate", "--table", str(table),
-                           "--config", "motivating-example")
-        assert code == 0
-        assert "events: none" in out
-
     def test_missing_tables_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--table",
                            str(tmp_path / "nope.json"),
@@ -163,6 +153,52 @@ class TestBuildAndSimulate:
                            "--config", "motivating-example")
         assert code == 4
         assert "different model" in err
+
+    def simulate_corrupted(self, capsys, tmp_path, corrupt):
+        table, _ = self.build(capsys, tmp_path)
+        payload = json.loads(table.read_text())
+        corrupt(payload)
+        table.write_text(json.dumps(payload))
+        return run(capsys, "simulate", "--table", str(table),
+                   "--config", "motivating-example")
+
+    def test_truncated_tables_exit_4(self, tmp_path, capsys):
+        def cut_last_slot(payload):
+            for key in ("values", "dec_mask", "dec_step"):
+                payload[key].pop()
+
+        code, _, err = self.simulate_corrupted(capsys, tmp_path,
+                                               cut_last_slot)
+        assert code == 4
+        assert "expected shape (4, 12, 3)" in err
+
+    def test_ragged_tables_exit_4(self, tmp_path, capsys):
+        code, _, err = self.simulate_corrupted(
+            capsys, tmp_path, lambda payload: payload["dec_step"][0][0].pop())
+        assert code == 4
+        assert "ragged" in err
+
+    def test_crafted_pickles_exit_4_without_being_unpickled(self, tmp_path,
+                                                            capsys):
+        class Exploit:
+            def __init__(self, marker):
+                self.marker = marker
+
+            def __reduce__(self):
+                return open, (str(self.marker), "w")
+
+        probe = tmp_path / "probe"
+        pickle.loads(pickle.dumps(Exploit(probe))).close()
+        assert probe.exists()  # the payload runs when unpickled
+
+        marker = tmp_path / "marker"
+        table = tmp_path / "table.bin"
+        table.write_bytes(pickle.dumps(Exploit(marker)))
+        code, _, err = run(capsys, "simulate", "--table", str(table),
+                           "--config", "motivating-example")
+        assert code == 4
+        assert "not a schedule-table dump" in err
+        assert not marker.exists()
 
     def test_malformed_scenario_files_exit_2(self, tmp_path, capsys):
         scenarios = tmp_path / "omega.json"

@@ -9,8 +9,8 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    PacesError, PriceSignal, PrivacyPolicy, PrivacyScenario,
                    ReferenceSource, ScenarioSet, SchedulableAppliance,
                    StateSpaceError, SystemState, TimeGrid, aggregated_load,
-                   appliance_load, expected_scenario_load, privacy_gap,
-                   scenario_load, slot_cost, step_battery, step_remaining)
+                   appliance_load, privacy_gap, scenario_load, slot_cost,
+                   step_battery, step_remaining)
 
 
 def make_instance(tau=4, appliances=None, ns=None, battery=None, prices=None,
@@ -303,13 +303,6 @@ class TestLoadsAndCosts:
         assert slot_cost(100.0, 0.2, 1.0) == 20.0
         assert slot_cost(100.0, 0.2, 0.5) == 10.0
         assert slot_cost(-100.0, 0.2, 1.0) == -20.0
-
-    def test_expected_scenario_load_weights_scenarios(self):
-        ns = (NonSchedulableAppliance(id="n1", power_w=10.0, runtime_slots=1,
-                                      zone=(1, 2)),)
-        scs = [PrivacyScenario(starts=(1,)), PrivacyScenario(starts=(2,))]
-        assert expected_scenario_load(scs, [0.25, 0.75], ns, 1) == 2.5
-        assert expected_scenario_load(scs, [0.25, 0.75], ns, 2) == 7.5
 
 
 class TestRandomWalkProperties:

@@ -7,9 +7,9 @@ from paces import (Battery, InfeasibleError, Instance, ModelError,
                    PrivacyScenario, ScenarioSet, ScenarioSolveOptions,
                    SchedulableAppliance, ScheduleSolution, SolveConfig,
                    TimeGrid, backward_recursion, candidate_scenarios,
-                   expected_total_cost, extract_schedule,
-                   feasible_region_shrinks, find_worst_scenario, load_config,
-                   random_small_instance, scenario_load, solve_with_scenarios)
+                   expected_total_cost, extract_schedule, find_worst_scenario,
+                   load_config, random_small_instance, scenario_load,
+                   solve_with_scenarios)
 
 
 def ns(name, power=50.0, runtime=1, zone=(1, 2), start_prob=None):
@@ -134,28 +134,6 @@ class TestFindWorstScenario:
             scores.append(max(devs) - pol.lambda_w)
         assert violation == pytest.approx(max(scores), abs=1e-9)
         assert scenario == cands[int(np.argmax(scores))]
-
-
-class TestFeasibleRegionShrinks:
-    def test_growing_sets_only_remove_profiles(self):
-        inst = make_instance(tau=3, ns_appliances=(ns("n", zone=(1, 3)),),
-                             lam=60.0, l_bar=50.0)
-        rng = np.random.default_rng(7)
-        profiles = rng.uniform(-50.0, 150.0, size=(50, 3)).tolist()
-        omega = ScenarioSet((PrivacyScenario.inactive(1),))
-        for sc in candidate_scenarios(inst.ns_appliances, inst.grid):
-            bigger = omega.with_scenario(sc)
-            assert feasible_region_shrinks(omega, bigger, profiles, inst)
-            assert feasible_region_shrinks(ScenarioSet.empty(), bigger,
-                                           profiles, inst)
-            omega = bigger
-
-    def test_rejects_non_nested_sets(self):
-        inst = make_instance(tau=2, ns_appliances=(ns("n"),))
-        prev = ScenarioSet((PrivacyScenario((1,)),))
-        nxt = ScenarioSet((PrivacyScenario((2,)),))
-        with pytest.raises(ModelError, match="subset"):
-            feasible_region_shrinks(prev, nxt, [(0.0, 0.0)], inst)
 
 
 class TestSolveOptions:

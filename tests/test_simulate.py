@@ -251,18 +251,3 @@ class TestSweepBattery:
             assert p.expected_total_cost is None
             assert p.solves == 0
             assert "privacy bound unattainable" in p.message
-
-    def test_thread_pool_matches_sequential_results(self, monkeypatch):
-        inst = motivating()
-        capacities = (10000.0, 20000.0, 30000.0, 40000.0)
-        monkeypatch.delenv("PACES_THREADS", raising=False)
-        sequential = sweep_battery(inst, capacities)
-        monkeypatch.setenv("PACES_THREADS", "4")
-        threaded = sweep_battery(inst, capacities)
-        assert threaded == sequential
-
-    @pytest.mark.parametrize("raw", ["zero?", "0", "-2"])
-    def test_rejects_bad_thread_counts(self, monkeypatch, raw):
-        monkeypatch.setenv("PACES_THREADS", raw)
-        with pytest.raises(ConfigError, match="PACES_THREADS"):
-            sweep_battery(motivating(), (10000.0,))

@@ -17,7 +17,7 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    feasible_decisions, load_config, load_table,
                    model_fingerprint, privacy_gap, random_small_instance,
                    read_table_header, save_table, slot_cost, state_count,
-                   step_battery, step_remaining, terminal_value)
+                   step_battery, step_remaining)
 
 
 def app(name, power, duration):
@@ -152,10 +152,14 @@ class TestTerminalValue:
             prices=(0.2,))
         return SolveConfig(instance=inst)
 
+    def last_slot_entry(self, config, state):
+        return backward_recursion(config).entry(config.instance.grid.tau,
+                                                state)
+
     def test_forced_last_start_picks_cheapest_battery_move(self):
         config = self.one_slot_config()
-        entry = terminal_value(SystemState(battery_wh=50.0, remaining=(1,)),
-                               config)
+        entry = self.last_slot_entry(
+            config, SystemState(battery_wh=50.0, remaining=(1,)))
         # grid search over the three reachable battery moves
         best = min(0.2 * (100.0 + k * 50.0) for k in (-1, 0, 1))
         assert entry.feasible
@@ -165,8 +169,8 @@ class TestTerminalValue:
 
     def test_finished_work_still_drains_the_battery(self):
         config = self.one_slot_config()
-        entry = terminal_value(SystemState(battery_wh=50.0, remaining=(0,)),
-                               config)
+        entry = self.last_slot_entry(
+            config, SystemState(battery_wh=50.0, remaining=(0,)))
         assert entry.feasible
         assert entry.value == pytest.approx(-10.0, abs=1e-12)
         assert entry.decision == Decision(starts=(False,),
@@ -174,8 +178,8 @@ class TestTerminalValue:
 
     def test_unstarted_long_appliance_is_infeasible_at_the_horizon(self):
         config = SolveConfig(instance=make_instance(tau=2))
-        entry = terminal_value(SystemState(battery_wh=0.0, remaining=(2,)),
-                               config)
+        entry = self.last_slot_entry(
+            config, SystemState(battery_wh=0.0, remaining=(2,)))
         assert not entry.feasible
         assert entry.decision is None
         assert np.isinf(entry.value)
@@ -385,6 +389,60 @@ class TestBackwardRecursion:
             (False,), (False,), (True,), (False,)]
         assert all(d.battery_delta_wh == 0.0 for d in solution.decisions)
 
+    # about one seed in twenty-five has a tie that only the battery-move
+    # rank settles between two start sets of the same size
+    @pytest.mark.parametrize("seed", range(64))
+    def test_every_cell_holds_the_tie_broken_minimum(self, seed):
+        # integer powers, levels and a constant integer tariff keep every
+        # value exact, so ties are real ties and compare with ==
+        rng = np.random.default_rng(seed)
+        tau = int(rng.integers(2, 5))
+        appliances = [app(f"a{i}", float(rng.integers(1, 4)),
+                          int(rng.integers(1, 3)))
+                      for i in range(int(rng.integers(2, 4)))]
+        battery = Battery(b_max_wh=float(rng.integers(1, 4)),
+                          b_init_wh=0.0,
+                          z_discharge_max_wh=float(rng.integers(1, 3)),
+                          z_charge_max_wh=float(rng.integers(1, 3)),
+                          grid_step_wh=1.0)
+        inst = make_instance(tau=tau, appliances=appliances, battery=battery,
+                             prices=(float(rng.integers(1, 4)),) * tau,
+                             lam=float(rng.integers(2, 8)),
+                             l_bar=float(rng.integers(0, 6)))
+        config = SolveConfig(instance=inst,
+                             scenarios=band_set(0) if seed % 2 else
+                             ScenarioSet.empty())
+        table = backward_recursion(config)
+        done = (0,) * len(appliances)
+
+        def ranked(state, t):
+            for d in feasible_decisions(state, t, config):
+                nxt = SystemState(
+                    battery_wh=state.battery_wh + d.battery_delta_wh,
+                    remaining=step_remaining(state, d, inst.durations))
+                if t < tau:
+                    cont = table.value(t + 1, nxt)
+                else:
+                    cont = 0.0 if nxt.remaining == done else np.inf
+                value = slot_cost(
+                    appliance_load(state.remaining, nxt.remaining,
+                                   inst.powers_w) + d.battery_delta_wh,
+                    inst.price.at(t), 1.0) + cont
+                if np.isfinite(value):
+                    k = int(d.battery_delta_wh)
+                    yield (value, d.n_starts, abs(k), d.starts, k), d
+
+        for t in range(1, tau + 1):
+            for state in table.states():
+                entry = table.entry(t, state)
+                best = min(ranked(state, t), default=None,
+                           key=lambda pair: pair[0])
+                if best is None:
+                    assert not entry.feasible, (t, state)
+                else:
+                    assert entry.decision == best[1], (t, state)
+                    assert entry.value == best[0][0], (t, state)
+
     def test_rebuild_is_bit_identical(self):
         inst = motivating_instance()
         config = SolveConfig(instance=inst, scenarios=full_omega(inst))
@@ -470,7 +528,8 @@ class TestPersistence:
         config = SolveConfig(instance=inst, scenarios=band_set(1))
         return config, backward_recursion(config)
 
-    @pytest.mark.parametrize("format", ["json", "binary"])
+    # save_table keeps its format keyword; "json" is the only value
+    @pytest.mark.parametrize("format", ["json"])
     def test_round_trip_preserves_every_cell(self, tmp_path, format):
         config, table = self.build()
         path = str(tmp_path / f"table.{format}")
