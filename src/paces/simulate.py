@@ -184,11 +184,14 @@ def _nearest_feasible(table: ScheduleTable, state: SystemState,
 def simulate(table: ScheduleTable, script: EventScript,
              config: SolveConfig) -> SimulationReport:
     """Replay the table under one event script, slot by slot."""
-    if model_fingerprint(config) != table.model_hash:
-        raise IntegrityError(
-            "table/model mismatch: the supplied configuration hashes to "
-            f"{model_fingerprint(config)[:12]}..., the table was built for "
-            f"{table.model_hash[:12]}...")
+    # the table's own config was hashed when the table was built or loaded
+    if config is not table.config:
+        expected = model_fingerprint(config)
+        if expected != table.model_hash:
+            raise IntegrityError(
+                "table/model mismatch: the supplied configuration hashes to "
+                f"{expected[:12]}..., the table was built for "
+                f"{table.model_hash[:12]}...")
     inst = config.instance
     scenario = script.resolve(inst)
     pol = inst.policy

@@ -7,6 +7,12 @@ decision (appliance starts x grid-exact battery move), keeps the
 cheapest continuation, and stores value and argmin decision.  Entries
 with no feasible continuation hold an infinity sentinel.
 
+A slot is solved in one batch: every start option of every remaining
+vector is one row, evaluated against all battery levels at once, one
+battery move at a time (see :class:`_Engine`).  The start options depend
+on the appliances and the horizon only, so they are enumerated once per
+instance shape and shared by every build of it.
+
 The minimized objective is the controllable part of the bill: price
 times appliance-plus-battery energy.  Non-schedulable consumption is
 decision independent for a fixed scenario set and is reported
@@ -18,6 +24,7 @@ smallest start vector, then the smaller signed battery move.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -147,8 +154,114 @@ def enumerate_states(appliances: Sequence[SchedulableAppliance],
 # Decision machinery shared by the sweep, the per-state API and diagnostics
 
 
+@dataclass(frozen=True)
+class _SlotOptions:
+    """Admissible start sets of every remaining vector at one slot.
+
+    One row per option: vectors ascending, each vector's options by
+    start-set size, then lexicographically.  ``rank`` is the row's visit
+    position inside its vector, by ``(n_starts, skey)`` where ``skey``
+    reads the start mask with the first appliance as the most significant
+    bit.  ``spans[r]`` is the slice of vector ``r``'s rows, or ``None``
+    when some unstarted appliance can no longer meet the deadline, which
+    dooms every continuation from that vector.  All arrays are read-only.
+    """
+
+    r_idx: np.ndarray
+    mask: np.ndarray
+    n_starts: np.ndarray
+    y_w: np.ndarray
+    r_next: np.ndarray
+    rank: np.ndarray
+    spans: tuple[Optional[slice], ...]
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=16)
+def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
+                   tau: int) -> tuple[_SlotOptions, ...]:
+    """Start options of slots ``1..tau``, at index ``t - 1``.
+
+    They depend on the appliances and the horizon only, so every build
+    of one instance shape shares them: the refinement loop, each sweep
+    capacity and each probe of the lambda bisection.
+    """
+    n_app = len(durations)
+    r_combos = list(itertools.product(*[range(d + 1) for d in durations]))
+    r_index = {combo: i for i, combo in enumerate(r_combos)}
+    # per vector: the last slot it is not doomed at, and its option rows
+    # (r_idx, mask, n_starts, y_w, r_next, rank)
+    per_vector = []
+    for r_i, combo in enumerate(r_combos):
+        startable = []
+        last = tau
+        running_y = 0.0
+        for i, (r, dur, p) in enumerate(zip(combo, durations, powers)):
+            if 0 < r < dur:
+                running_y += p
+            elif r == dur:
+                startable.append(i)
+                last = min(last, tau - dur + 1)
+        options = []
+        for size in range(len(startable) + 1):
+            for subset in itertools.combinations(startable, size):
+                y = running_y + sum(powers[i] for i in subset)
+                nxt = []
+                for i, (r, dur) in enumerate(zip(combo, durations)):
+                    running = i in subset or 0 < r < dur
+                    nxt.append(r - 1 if running and r > 0 else r)
+                mask = sum(1 << i for i in subset)
+                skey = sum(1 << (n_app - 1 - i) for i in subset)
+                options.append((r_i, mask, size, y, r_index[tuple(nxt)], skey))
+        visit = sorted(range(len(options)),
+                       key=lambda j: (options[j][2], options[j][5]))
+        rank = {j: pos for pos, j in enumerate(visit)}
+        per_vector.append((last, [opt[:5] + (rank[j],)
+                                  for j, opt in enumerate(options)]))
+
+    # the all-done vector is never doomed, so no slot is empty
+    slots = []
+    for t in range(1, tau + 1):
+        live, spans = [], []
+        for last, rows in per_vector:
+            if t > last:
+                spans.append(None)
+            else:
+                spans.append(slice(len(live), len(live) + len(rows)))
+                live.extend(rows)
+        cols = list(zip(*live))
+        slots.append(_SlotOptions(
+            r_idx=_read_only(cols[0], np.intp),
+            mask=_read_only(cols[1], np.int32),
+            n_starts=_read_only(cols[2], np.int64),
+            y_w=_read_only(cols[3], np.float64),
+            r_next=_read_only(cols[4], np.intp),
+            rank=_read_only(cols[5], np.int64),
+            spans=tuple(spans)))
+    return tuple(slots)
+
+
 class _Engine:
-    """Precomputed instance geometry for one solve."""
+    """Precomputed instance geometry for one solve.
+
+    :meth:`solve_slot` evaluates a whole slot at once.  The start options
+    come from :func:`_option_tables`, built once per instance shape on
+    first use, so making an engine (as ``load_table`` does) builds none.
+    The continuation is padded with ``inf`` by the rate limit on both
+    sides, so each battery move ``k`` is one column shift of it.  Moves
+    are scanned in ``(|k|, k)`` order with a strict ``<`` running minimum,
+    which keeps the first minimum exactly as a per-option ``argmin`` over
+    the same order would.  The affine form ``-c*step*b + min_j (f[j] +
+    c*step*j)`` (a sliding-window minimum) would save the move loop but
+    adds the price term in another order, which changes the rounding of
+    the values and so which moves tie.  The tie-break then walks each
+    vector's options by visit rank, all vectors at once.
+    """
 
     def __init__(self, config: SolveConfig):
         inst = config.instance
@@ -162,7 +275,6 @@ class _Engine:
         bat = inst.battery
         self.step = bat.grid_step_wh
         self.m = bat.n_levels
-        self.levels = np.asarray(bat.levels())
         self.k_rate_lo = -self._snap_floor(bat.z_discharge_max_wh, self.step)
         self.k_rate_hi = self._snap_floor(bat.z_charge_max_wh, self.step)
 
@@ -186,68 +298,35 @@ class _Engine:
                 self.w_min[t] = min(draws)
                 self.w_max[t] = max(draws)
 
-        self._moves_cache: dict[tuple[int, int], list[tuple]] = {}
-
     @staticmethod
     def _snap_floor(value: float, step: float) -> int:
         q = value / step
         return math.floor(q + _SNAP_EPS * max(1.0, abs(q)))
 
-    @staticmethod
-    def _snap_ceil(value: float, step: float) -> int:
-        q = value / step
-        return math.ceil(q - _SNAP_EPS * max(1.0, abs(q)))
+    def options(self, t: int) -> _SlotOptions:
+        """Start options at slot ``t``, shared with every same-shape engine."""
+        return _option_tables(self.durations, self.powers, self.tau)[t - 1]
 
-    def k_window(self, t: int, y_w: float) -> tuple[int, int]:
-        """Battery-step range allowed by rate and privacy bounds at slot t."""
-        k_lo, k_hi = self.k_rate_lo, self.k_rate_hi
+    def k_windows(self, t: int, y_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Battery-step range allowed by rate and privacy bounds at slot t.
+
+        One ``(k_lo, k_hi)`` pair per appliance draw in ``y_w``.  Privacy
+        bounds are clamped to one step past the rate range, so an empty
+        window stays empty and every bound fits an integer.
+        """
+        k_lo = np.full(len(y_w), self.k_rate_lo, dtype=np.int64)
+        k_hi = np.full(len(y_w), self.k_rate_hi, dtype=np.int64)
         if self.has_privacy:
             pol = self.inst.policy
             lo_w = pol.l_bar_w - pol.lambda_w - y_w - self.w_min[t]
             hi_w = pol.l_bar_w + pol.lambda_w - y_w - self.w_max[t]
-            k_lo = max(k_lo, self._snap_ceil(lo_w * self.h, self.step))
-            k_hi = min(k_hi, self._snap_floor(hi_w * self.h, self.step))
+            q = lo_w * self.h / self.step
+            q = np.ceil(q - _SNAP_EPS * np.maximum(1.0, np.abs(q)))
+            k_lo = np.clip(q, self.k_rate_lo, self.k_rate_hi + 1).astype(np.int64)
+            q = hi_w * self.h / self.step
+            q = np.floor(q + _SNAP_EPS * np.maximum(1.0, np.abs(q)))
+            k_hi = np.clip(q, self.k_rate_lo - 1, self.k_rate_hi).astype(np.int64)
         return k_lo, k_hi
-
-    def start_options(self, r_combo: tuple[int, ...], t: int) -> Optional[list]:
-        """Admissible start sets at slot ``t`` for one remaining vector.
-
-        Returns ``None`` when some unstarted appliance can no longer meet
-        the deadline, which dooms every continuation from this vector.
-        Each option is ``(mask, skey, n_starts, y_w, r_next_idx)``.
-        """
-        key = (self.r_index[r_combo], t)
-        if key in self._moves_cache:
-            return self._moves_cache[key]
-
-        startable = []
-        doomed = False
-        running_y = 0.0
-        for i, (r, dur, p) in enumerate(zip(r_combo, self.durations, self.powers)):
-            if 0 < r < dur:
-                running_y += p
-            elif r == dur:
-                if t + dur - 1 <= self.tau:
-                    startable.append(i)
-                else:
-                    doomed = True
-        if doomed:
-            self._moves_cache[key] = None
-            return None
-
-        options = []
-        for size in range(len(startable) + 1):
-            for subset in itertools.combinations(startable, size):
-                y = running_y + sum(self.powers[i] for i in subset)
-                nxt = []
-                for i, (r, dur) in enumerate(zip(r_combo, self.durations)):
-                    running = i in subset or 0 < r < dur
-                    nxt.append(r - 1 if running and r > 0 else r)
-                mask = sum(1 << i for i in subset)
-                skey = sum(1 << (self.n_app - 1 - i) for i in subset)
-                options.append((mask, skey, size, y, self.r_index[tuple(nxt)]))
-        self._moves_cache[key] = options
-        return options
 
     def solve_slot(self, t: int, f_next: np.ndarray):
         """One backward step: value and argmin decision for every state.
@@ -260,45 +339,50 @@ class _Engine:
         values = np.full((self.n_r, self.m), np.inf)
         dec_mask = np.full((self.n_r, self.m), -1, dtype=np.int32)
         dec_step = np.zeros((self.n_r, self.m), dtype=np.int32)
-        b_idx = np.arange(self.m)
+        opts = self.options(t)
 
-        for r_i, combo in enumerate(self.r_combos):
-            options = self.start_options(combo, t)
-            if options is None:
+        # cheapest move per (option, level), first hit in (|k|, k) order
+        k_lo, k_hi = self.k_windows(t, opts.y_w)
+        pad = -self.k_rate_lo
+        padded = np.full((self.n_r, pad + self.m + self.k_rate_hi), np.inf)
+        padded[:, pad:pad + self.m] = f_next
+        cont = padded[opts.r_next]
+        y_h = opts.y_w * self.h
+        best = np.full((len(opts.r_idx), self.m), np.inf)
+        best_k = np.zeros(best.shape, dtype=np.int64)
+        cand = np.empty(best.shape)
+        better = np.empty(best.shape, dtype=bool)
+        for k in sorted(range(self.k_rate_lo, self.k_rate_hi + 1),
+                        key=lambda k: (abs(k), k)):
+            inside = (k_lo <= k) & (k <= k_hi)
+            if not inside.any():
                 continue
-            best_v = values[r_i]
-            best_n = np.zeros(self.m, dtype=np.int64)
-            best_absk = np.zeros(self.m, dtype=np.int64)
-            best_mask = dec_mask[r_i]
-            # visiting options by (n_starts, skey) settles the start-count
-            # and start-vector tie-breaks by order: a later option can win
-            # a tie only with as many starts and a smaller battery move
-            for mask, skey, n_starts, y, r_next_idx in sorted(
-                    options, key=lambda o: (o[2], o[1])):
-                k_lo, k_hi = self.k_window(t, y)
-                if k_lo > k_hi:
-                    continue
-                ks = np.array(sorted(range(k_lo, k_hi + 1),
-                                     key=lambda k: (abs(k), k)), dtype=np.int64)
-                stage = c_t * (y * self.h + ks * self.step)
-                succ = b_idx[:, None] + ks[None, :]
-                valid = (succ >= 0) & (succ < self.m)
-                cont = f_next[r_next_idx][np.clip(succ, 0, self.m - 1)]
-                cand = np.where(valid, stage[None, :] + cont, np.inf)
-                col = np.argmin(cand, axis=1)  # first hit wins: |k| then k order
-                vals = cand[b_idx, col]
-                k_pick = ks[col]
-                finite = np.isfinite(vals)
-                tie = (finite & (vals == best_v) & (n_starts == best_n)
-                       & (np.abs(k_pick) < best_absk))
-                take = (finite & (vals < best_v)) | tie
-                if not take.any():
-                    continue
-                best_v[take] = vals[take]
-                best_n[take] = n_starts
-                best_absk[take] = np.abs(k_pick[take])
-                best_mask[take] = mask
-                dec_step[r_i][take] = k_pick[take]
+            stage = np.where(inside, c_t * (y_h + k * self.step), np.inf)
+            np.add(stage[:, None], cont[:, pad + k:pad + k + self.m], out=cand)
+            np.less(cand, best, out=better)
+            np.copyto(best, cand, where=better)
+            np.copyto(best_k, k, where=better)
+
+        # visiting options by (n_starts, skey) settles the start-count and
+        # start-vector tie-breaks by order: a later option can win a tie
+        # only with as many starts and a smaller battery move
+        finite = np.isfinite(best)
+        abs_k = np.abs(best_k)
+        best_n = np.zeros((self.n_r, self.m), dtype=np.int64)
+        best_absk = np.zeros((self.n_r, self.m), dtype=np.int64)
+        for rank in range(int(opts.rank.max()) + 1):
+            rows = np.flatnonzero(opts.rank == rank)
+            r = opts.r_idx[rows]
+            vals, held = best[rows], values[r]
+            n_starts = opts.n_starts[rows][:, None]
+            take = finite[rows] & (
+                (vals < held) | ((vals == held) & (n_starts == best_n[r])
+                                 & (abs_k[rows] < best_absk[r])))
+            values[r] = np.where(take, vals, held)
+            best_n[r] = np.where(take, n_starts, best_n[r])
+            best_absk[r] = np.where(take, abs_k[rows], best_absk[r])
+            dec_mask[r] = np.where(take, opts.mask[rows][:, None], dec_mask[r])
+            dec_step[r] = np.where(take, best_k[rows], dec_step[r])
         return values, dec_mask, dec_step
 
     def terminal_continuation(self) -> np.ndarray:
@@ -337,13 +421,13 @@ class ScheduleTable:
     """Per-slot mapping from system state to optimal decision and value."""
 
     def __init__(self, engine: _Engine, values: np.ndarray,
-                 dec_mask: np.ndarray, dec_step: np.ndarray):
+                 dec_mask: np.ndarray, dec_step: np.ndarray, model_hash: str):
         self.config = engine.config
         self._engine = engine
         self.values = values
         self.dec_mask = dec_mask
         self.dec_step = dec_step
-        self.model_hash = model_fingerprint(self.config)
+        self.model_hash = model_hash
 
     @property
     def tau(self) -> int:
@@ -397,12 +481,13 @@ def feasible_decisions(state: SystemState, t: int,
     if not 1 <= t <= eng.tau:
         raise ModelError(f"slot {t} outside horizon 1..{eng.tau}")
     r_idx, b_idx = eng.state_indices(state)
-    options = eng.start_options(eng.r_combos[r_idx], t)
-    if options is None:
+    opts = eng.options(t)
+    rows = opts.spans[r_idx]
+    if rows is None:
         return []
     pol = config.instance.policy
     out = []
-    for mask, skey, n_starts, y, r_next_idx in options:
+    for mask in opts.mask[rows].tolist():
         starts = tuple(bool(mask >> i & 1) for i in range(eng.n_app))
         k_cands = [k for k in range(eng.k_rate_lo, eng.k_rate_hi + 1)
                    if 0 <= b_idx + k < eng.m]
@@ -432,7 +517,8 @@ def backward_recursion(config: SolveConfig) -> ScheduleTable:
         dec_mask[t - 1] = mask_t
         dec_step[t - 1] = step_t
         f_next = f_t
-    table = ScheduleTable(eng, values, dec_mask, dec_step)
+    table = ScheduleTable(eng, values, dec_mask, dec_step,
+                          model_fingerprint(config))
     init = config.instance.initial_state()
     if not table.entry(1, init).feasible:
         dead = _earliest_dead_slot(eng, values)
@@ -450,15 +536,18 @@ def _earliest_dead_slot(eng: _Engine, values: np.ndarray) -> int:
     for t in range(1, eng.tau + 1):
         if all(not np.isfinite(values[t - 1, r, b]) for r, b in reach):
             return t
+        opts = eng.options(t)
+        k_lo, k_hi = (k.tolist() for k in eng.k_windows(t, opts.y_w))
+        r_next = opts.r_next.tolist()
         nxt = set()
         for r_i, b_i in reach:
-            options = eng.start_options(eng.r_combos[r_i], t)
-            if options is None:
+            rows = opts.spans[r_i]
+            if rows is None:
                 continue
-            for mask, skey, n_starts, y, r_next_idx in options:
-                k_lo, k_hi = eng.k_window(t, y)
-                for k in range(max(k_lo, -b_i), min(k_hi, eng.m - 1 - b_i) + 1):
-                    nxt.add((r_next_idx, b_i + k))
+            for row in range(rows.start, rows.stop):
+                for k in range(max(k_lo[row], -b_i),
+                               min(k_hi[row], eng.m - 1 - b_i) + 1):
+                    nxt.add((r_next[row], b_i + k))
         reach = nxt
     return eng.tau
 
@@ -671,4 +760,5 @@ def load_table(path: str, config: SolveConfig) -> ScheduleTable:
             or dec_step.min() < eng.k_rate_lo or dec_step.max() > eng.k_rate_hi):
         raise IntegrityError(f"{path}: a decision cell is out of range")
     return ScheduleTable(eng, values.astype(np.float64),
-                         dec_mask.astype(np.int32), dec_step.astype(np.int32))
+                         dec_mask.astype(np.int32), dec_step.astype(np.int32),
+                         expected)

@@ -1,0 +1,269 @@
+"""The slot-batched backward pass against a per-option reference loop."""
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paces import (Battery, Instance, NonSchedulableAppliance, PriceSignal,
+                   PrivacyPolicy, PrivacyScenario, ScenarioSet,
+                   SchedulableAppliance, SolveConfig, TimeGrid,
+                   candidate_scenarios, load_config, sweep_battery)
+from paces.table import _SNAP_EPS, _Engine, _option_tables
+
+
+# ---------------------------------------------------------------------------
+# Reference: one option at a time, one numpy pass per option
+
+
+def reference_options(eng, r_combo, t):
+    """Start options ``(mask, skey, n_starts, y_w, r_next)``, or ``None``."""
+    startable = []
+    running_y = 0.0
+    for i, (r, dur, p) in enumerate(zip(r_combo, eng.durations, eng.powers)):
+        if 0 < r < dur:
+            running_y += p
+        elif r == dur:
+            if t + dur - 1 > eng.tau:
+                return None
+            startable.append(i)
+    options = []
+    for size in range(len(startable) + 1):
+        for subset in itertools.combinations(startable, size):
+            y = running_y + sum(eng.powers[i] for i in subset)
+            nxt = []
+            for i, (r, dur) in enumerate(zip(r_combo, eng.durations)):
+                running = i in subset or 0 < r < dur
+                nxt.append(r - 1 if running and r > 0 else r)
+            mask = sum(1 << i for i in subset)
+            skey = sum(1 << (eng.n_app - 1 - i) for i in subset)
+            options.append((mask, skey, size, y, eng.r_index[tuple(nxt)]))
+    return options
+
+
+def reference_window(eng, t, y_w):
+    k_lo, k_hi = eng.k_rate_lo, eng.k_rate_hi
+    if eng.has_privacy:
+        pol = eng.inst.policy
+        lo_w = pol.l_bar_w - pol.lambda_w - y_w - eng.w_min[t]
+        hi_w = pol.l_bar_w + pol.lambda_w - y_w - eng.w_max[t]
+        q = lo_w * eng.h / eng.step
+        k_lo = max(k_lo, math.ceil(q - _SNAP_EPS * max(1.0, abs(q))))
+        q = hi_w * eng.h / eng.step
+        k_hi = min(k_hi, math.floor(q + _SNAP_EPS * max(1.0, abs(q))))
+    return k_lo, k_hi
+
+
+def reference_solve_slot(eng, t, f_next):
+    c_t = eng.inst.price.at(t)
+    values = np.full((eng.n_r, eng.m), np.inf)
+    dec_mask = np.full((eng.n_r, eng.m), -1, dtype=np.int32)
+    dec_step = np.zeros((eng.n_r, eng.m), dtype=np.int32)
+    b_idx = np.arange(eng.m)
+    for r_i, combo in enumerate(eng.r_combos):
+        options = reference_options(eng, combo, t)
+        if options is None:
+            continue
+        best_v = values[r_i]
+        best_n = np.zeros(eng.m, dtype=np.int64)
+        best_absk = np.zeros(eng.m, dtype=np.int64)
+        best_mask = dec_mask[r_i]
+        for mask, skey, n_starts, y, r_next_idx in sorted(
+                options, key=lambda o: (o[2], o[1])):
+            k_lo, k_hi = reference_window(eng, t, y)
+            if k_lo > k_hi:
+                continue
+            ks = np.array(sorted(range(k_lo, k_hi + 1),
+                                 key=lambda k: (abs(k), k)), dtype=np.int64)
+            stage = c_t * (y * eng.h + ks * eng.step)
+            succ = b_idx[:, None] + ks[None, :]
+            valid = (succ >= 0) & (succ < eng.m)
+            cont = f_next[r_next_idx][np.clip(succ, 0, eng.m - 1)]
+            cand = np.where(valid, stage[None, :] + cont, np.inf)
+            col = np.argmin(cand, axis=1)
+            vals = cand[b_idx, col]
+            k_pick = ks[col]
+            finite = np.isfinite(vals)
+            tie = (finite & (vals == best_v) & (n_starts == best_n)
+                   & (np.abs(k_pick) < best_absk))
+            take = (finite & (vals < best_v)) | tie
+            best_v[take] = vals[take]
+            best_n[take] = n_starts
+            best_absk[take] = np.abs(k_pick[take])
+            best_mask[take] = mask
+            dec_step[r_i][take] = k_pick[take]
+    return values, dec_mask, dec_step
+
+
+def assert_bit_identical(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def assert_every_slot_matches(config, f_rng):
+    """Random continuations at each slot, then the chained recursion."""
+    eng = _Engine(config)
+    for t in range(1, eng.tau + 1):
+        f_next = random_continuation(f_rng, (eng.n_r, eng.m))
+        assert_bit_identical(eng.solve_slot(t, f_next),
+                             reference_solve_slot(eng, t, f_next))
+    f_next = eng.terminal_continuation()
+    for t in range(eng.tau, 0, -1):
+        want = reference_solve_slot(eng, t, f_next)
+        assert_bit_identical(eng.solve_slot(t, f_next), want)
+        f_next = want[0]
+
+
+def random_continuation(rng, shape):
+    """inf, small integers (ties) and arbitrary floats, mixed."""
+    kind = rng.integers(0, 3, size=shape)
+    return np.where(kind == 0, np.inf,
+                    np.where(kind == 1, rng.integers(0, 4, size=shape),
+                             rng.uniform(-5.0, 5.0, size=shape)))
+
+
+# ---------------------------------------------------------------------------
+# Random instances
+
+
+def real_or_integer(lo, hi):
+    return st.one_of(st.integers(math.ceil(lo), int(hi)).map(float),
+                     st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def instances(draw):
+    tau = draw(st.integers(1, 4))
+    appliances = []
+    for i in range(draw(st.integers(0, 3))):
+        power = draw(real_or_integer(0.5, 300.0))
+        duration = draw(st.integers(1, min(tau, 3)))
+        appliances.append(SchedulableAppliance(
+            id=f"a{i}", power_w=power, workload_wh=power * duration,
+            duration_slots=duration))
+    ns = []
+    for j in range(draw(st.integers(0, 2))):
+        lo = draw(st.integers(1, tau))
+        hi = draw(st.integers(lo, tau))
+        ns.append(NonSchedulableAppliance(
+            id=f"n{j}", power_w=draw(real_or_integer(0.5, 200.0)),
+            runtime_slots=draw(st.integers(1, hi - lo + 1)), zone=(lo, hi)))
+    step = draw(st.sampled_from([0.5, 1.0, 2.5, 7.3, 33.3, 50.0]))
+    battery = Battery(
+        b_max_wh=step * draw(st.integers(0, 4)), b_init_wh=0.0,
+        z_discharge_max_wh=step * draw(st.sampled_from([0.0, 0.4, 1.0, 2.7])),
+        z_charge_max_wh=step * draw(st.sampled_from([0.0, 1.0, 1.6, 3.0])),
+        grid_step_wh=step)
+    inst = Instance(
+        grid=TimeGrid(tau=tau, slot_hours=draw(st.sampled_from([1.0, 0.5]))),
+        appliances=tuple(appliances), ns_appliances=tuple(ns),
+        battery=battery,
+        price=PriceSignal(tuple(draw(real_or_integer(0.0, 3.0))
+                                for _ in range(tau))),
+        policy=PrivacyPolicy(lambda_w=draw(real_or_integer(0.0, 400.0)),
+                             l_bar_w=draw(real_or_integer(0.0, 400.0))))
+    omega = ScenarioSet.empty()
+    if draw(st.booleans()):
+        omega = ScenarioSet((PrivacyScenario.inactive(len(ns)),))
+        for sc in candidate_scenarios(inst.ns_appliances, inst.grid):
+            if draw(st.booleans()):
+                omega = omega.with_scenario(sc)
+    return SolveConfig(instance=inst, scenarios=omega)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=instances(), seed=st.integers(0, 2**32 - 1))
+def test_batched_slot_matches_the_per_option_loop(config, seed):
+    assert_every_slot_matches(config, np.random.default_rng(seed))
+
+
+def edge_case(name):
+    two = (SchedulableAppliance(id="a", power_w=1.5, workload_wh=3.0,
+                                duration_slots=2),
+           SchedulableAppliance(id="b", power_w=2.25, workload_wh=6.75,
+                                duration_slots=3))
+    battery = Battery(b_max_wh=7.5, b_init_wh=0.0, z_discharge_max_wh=5.0,
+                      z_charge_max_wh=7.5, grid_step_wh=2.5)
+    policy = PrivacyPolicy(lambda_w=0.5, l_bar_w=2.0)
+    if name == "zero-rate":
+        battery = Battery(b_max_wh=7.5, b_init_wh=0.0, z_discharge_max_wh=0.0,
+                          z_charge_max_wh=0.0, grid_step_wh=2.5)
+    inst = Instance(grid=TimeGrid(tau=3), appliances=two, ns_appliances=(),
+                    battery=battery, price=PriceSignal((0.3, 0.1, 0.2)),
+                    policy=policy)
+    scenarios = (ScenarioSet.empty() if name == "doomed"
+                 else ScenarioSet((PrivacyScenario.inactive(0),)))
+    return SolveConfig(instance=inst, scenarios=scenarios)
+
+
+@pytest.mark.parametrize("name", ["empty-window", "doomed", "zero-rate"])
+def test_batched_slot_matches_on_edge_cases(name):
+    config = edge_case(name)
+    eng = _Engine(config)
+    if name == "empty-window":
+        windows = [reference_window(eng, t, option[3])
+                   for t in range(1, eng.tau + 1) for combo in eng.r_combos
+                   for option in reference_options(eng, combo, t) or ()]
+        assert any(lo > hi for lo, hi in windows)
+    elif name == "doomed":
+        assert any(reference_options(eng, combo, eng.tau) is None
+                   for combo in eng.r_combos)
+        assert None in eng.options(eng.tau).spans
+    else:
+        assert eng.k_rate_lo == eng.k_rate_hi == 0
+    assert_every_slot_matches(config, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# Option tables
+
+
+def test_option_tables_are_built_once_per_instance_shape():
+    inst = load_config("section-iv-a").instance
+    _option_tables.cache_clear()
+    # 0 Wh is infeasible and runs the lambda bisection
+    points = sweep_battery(inst, (0.0, 250.0))
+    assert [p.feasible for p in points] == [False, True]
+    info = _option_tables.cache_info()
+    assert info.misses == 1
+    assert info.hits > 0
+
+
+def test_making_an_engine_builds_no_option_tables():
+    _option_tables.cache_clear()
+    _Engine(SolveConfig(instance=load_config("section-iv-a").instance))
+    assert _option_tables.cache_info().currsize == 0
+
+
+def test_option_tables_are_read_only():
+    eng = _Engine(SolveConfig(instance=load_config("table-ii").instance))
+    opts = eng.options(1)
+    for name in ("r_idx", "mask", "n_starts", "y_w", "r_next", "rank"):
+        arr = getattr(opts, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_option_rows_keep_the_enumeration_order():
+    eng = _Engine(SolveConfig(instance=load_config("table-ii").instance))
+    for t in range(1, eng.tau + 1):
+        opts = eng.options(t)
+        for r_i, combo in enumerate(eng.r_combos):
+            want = reference_options(eng, combo, t)
+            rows = opts.spans[r_i]
+            if want is None:
+                assert rows is None
+                continue
+            got = list(zip(opts.mask[rows].tolist(),
+                           opts.n_starts[rows].tolist(),
+                           opts.y_w[rows].tolist(),
+                           opts.r_next[rows].tolist()))
+            assert got == [(m, n, y, r) for m, _, n, y, r in want]
+            visit = sorted(range(len(want)),
+                           key=lambda j: (want[j][2], want[j][1]))
+            assert [visit.index(j) for j in range(len(want))] \
+                == opts.rank[rows].tolist()

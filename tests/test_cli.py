@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 import csv
+import hashlib
 import json
 import pickle
 
@@ -67,6 +68,24 @@ class TestSolveCommand:
                            "--config", "motivating-example")
         assert code == 0
         assert "breaches 0" in out
+
+    # SHA-256 of each preset's `solve --table` dump, pinned so a change to
+    # the backward pass that moves a single value, decision or tie shows
+    @pytest.mark.parametrize("preset, digest", [
+        ("motivating-example",
+         "084980af62afafe07a8eb035f40684204b323a2c67fda60cc5fe6918d144f497"),
+        ("table-ii",
+         "92ac54e345ad3063497d6a93d2f028491696911e838b0fc88f31096e52114dbb"),
+        ("section-iv-a",
+         "9d6906a1786cb9a828ebe8ebf32b05edd9b7955adf751a57651309b7e5b1f2d2"),
+    ])
+    def test_table_dumps_keep_their_bytes(self, tmp_path, capsys, preset,
+                                          digest):
+        table = tmp_path / "final.table"
+        code, _, _ = run(capsys, "solve", "--config", preset,
+                         "--out", str(tmp_path / "run"), "--table", str(table))
+        assert code == 0
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
 
     def test_unknown_configs_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "solve", "--config", "no-such-thing",

@@ -1,5 +1,6 @@
 """Runtime replay of built tables and the battery-capacity sweep."""
 import dataclasses
+import importlib
 
 import pytest
 
@@ -7,8 +8,8 @@ from paces import (Battery, ConfigError, EventScript, Instance,
                    IntegrityError, ModelError, PriceSignal, PrivacyPolicy,
                    PrivacyScenario, ScenarioSet, ScriptedStart, SolveConfig,
                    SystemState, TimeGrid, backward_recursion, extract_schedule,
-                   load_config, runtime_lookup, simulate, solve_with_scenarios,
-                   sweep_battery)
+                   load_config, load_table, runtime_lookup, save_table,
+                   simulate, solve_with_scenarios, sweep_battery)
 
 
 def motivating():
@@ -203,6 +204,52 @@ class TestSimulate:
         assert report.negative_load_slots == 2
         assert report.total_cost == pytest.approx(-15.0, abs=1e-12)
         assert report.final_battery_wh == 0.0
+
+    def count_fingerprints(self, monkeypatch):
+        # the package re-exports the function `simulate` under the module's name
+        modules = [importlib.import_module(name)
+                   for name in ("paces.table", "paces.simulate")]
+        calls = []
+        original = modules[0].model_fingerprint
+
+        def counted(config):
+            calls.append(config)
+            return original(config)
+
+        for module in modules:
+            monkeypatch.setattr(module, "model_fingerprint", counted)
+        return calls
+
+    def test_a_loaded_table_is_hashed_once(self, tmp_path, monkeypatch):
+        table, config = solved_motivating()
+        path = str(tmp_path / "table.json")
+        save_table(table, path)
+        calls = self.count_fingerprints(monkeypatch)
+        loaded = load_table(path, config)
+        assert len(calls) == 1
+        simulate(loaded, EventScript.scripted(()), config)
+        simulate(loaded, EventScript.sampled(3), config)
+        assert len(calls) == 1
+
+    def test_an_equal_config_is_rehashed_and_accepted(self, monkeypatch):
+        table, config = solved_motivating()
+        calls = self.count_fingerprints(monkeypatch)
+        twin = dataclasses.replace(config)
+        report = simulate(table, EventScript.scripted(()), twin)
+        assert calls == [twin]
+        assert report.breach_count == 0
+
+    def test_a_loaded_table_refuses_a_different_config(self, tmp_path):
+        table, config = solved_motivating()
+        path = str(tmp_path / "table.json")
+        save_table(table, path)
+        loaded = load_table(path, config)
+        other = dataclasses.replace(
+            config, instance=dataclasses.replace(
+                config.instance,
+                policy=PrivacyPolicy(lambda_w=50000.0, l_bar_w=35000.0)))
+        with pytest.raises(IntegrityError, match="table/model mismatch"):
+            simulate(loaded, EventScript.scripted(()), other)
 
     def test_foreign_tables_are_refused(self):
         table, _ = solved_motivating()
