@@ -17,15 +17,14 @@ from .model import (Battery, Decision, Instance, NonSchedulableAppliance,
 from .table import (ScheduleSolution, ScheduleTable, SolveConfig, TableEntry,
                     backward_recursion, enumerate_states, expected_total_cost,
                     extract_schedule, feasible_decisions, load_table,
-                    model_fingerprint, read_table_header, save_table,
-                    state_count)
+                    model_fingerprint, read_table_header, runtime_lookup,
+                    save_table, state_count)
 from .oracle import OracleResult, OracleTrajectory, brute_force_solve
 from .scenarios import (IterationRecord, IterationTrace, ScenarioSolveOptions,
                         ScenarioSolveResult, candidate_scenarios,
                         find_worst_scenario, solve_with_scenarios)
 from .simulate import (EventScript, ScriptedStart, SimulationReport,
-                       SlotRecord, SweepPoint, runtime_lookup, simulate,
-                       sweep_battery)
+                       SlotRecord, SweepPoint, simulate, sweep_battery)
 from .config import (InstanceConfig, load_config, load_event_script,
                      load_historical_load_csv, load_price_csv, parse_config,
                      preset_names, random_small_instance, serialize)

@@ -186,16 +186,6 @@ def find_worst_scenario(solution: ScheduleSolution,
     return best_sc, best_score - pol.lambda_w
 
 
-def _solve_once(instance: Instance, omega: ScenarioSet, objective_mode: str,
-                state_cap: int) -> tuple[ScheduleTable, ScheduleSolution,
-                                         SolveConfig]:
-    config = SolveConfig(instance=instance, scenarios=omega,
-                         objective_mode=objective_mode, state_cap=state_cap)
-    table = backward_recursion(config)
-    solution = extract_schedule(table, instance.initial_state())
-    return table, solution, config
-
-
 def solve_with_scenarios(instance: Instance,
                          options: Optional[ScenarioSolveOptions] = None,
                          state_cap: int = DEFAULT_STATE_CAP
@@ -217,12 +207,13 @@ def solve_with_scenarios(instance: Instance,
         len(instance.ns_appliances)),))
 
     def solve(omega: ScenarioSet):
+        config = SolveConfig(instance=instance, scenarios=omega,
+                             objective_mode=options.objective_mode,
+                             state_cap=state_cap)
         try:
-            return _solve_once(instance, omega, options.objective_mode,
-                               state_cap)
+            table = backward_recursion(config)
         except InfeasibleError as err:
-            hint = _smallest_feasible_lambda(instance, omega,
-                                             options.objective_mode, state_cap)
+            hint = _smallest_feasible_lambda(instance, omega, state_cap)
             if hint is None:
                 raise InfeasibleError(
                     f"{err}; no privacy bound makes this instance feasible, "
@@ -234,6 +225,7 @@ def solve_with_scenarios(instance: Instance,
                 f"is about {hint:.1f} W",
                 earliest_dead_slot=err.earliest_dead_slot,
                 lambda_hint_w=hint) from None
+        return table, extract_schedule(table, instance.initial_state()), config
 
     table, solution, config = solve(base_omega)
     trace = IterationTrace()
@@ -284,7 +276,6 @@ def solve_with_scenarios(instance: Instance,
 
 
 def _smallest_feasible_lambda(instance: Instance, omega: ScenarioSet,
-                              objective_mode: str,
                               state_cap: int) -> Optional[float]:
     """Bisection probe: smallest privacy bound the scenario set admits.
 
@@ -298,7 +289,8 @@ def _smallest_feasible_lambda(instance: Instance, omega: ScenarioSet,
         policy = dataclasses.replace(inst.policy, lambda_w=lam)
         probe = dataclasses.replace(inst, policy=policy)
         try:
-            _solve_once(probe, omega, objective_mode, state_cap)
+            backward_recursion(SolveConfig(instance=probe, scenarios=omega,
+                                           state_cap=state_cap))
             return True
         except InfeasibleError:
             return False

@@ -1,10 +1,11 @@
 """Replay a built table against concrete appliance events, and capacity sweeps.
 
-The simulator is the runtime half of the system: each slot it reads the
-current state, looks the decision up in the table and applies it, while
-scripted or sampled non-schedulable events add their draw on top.  It
-never improvises: an off-grid or infeasible state is an integrity error,
-not something to round away.
+The simulator is the runtime half of the system: it walks the table
+forward with :func:`~paces.table.extract_schedule`, the same walk that
+reads a solved schedule, while scripted or sampled non-schedulable
+events add their draw on top.  It never improvises: an off-grid or
+infeasible state, or a decision that cannot be applied, is an integrity
+error, not something to round away.
 """
 from __future__ import annotations
 
@@ -15,13 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, IntegrityError, ModelError
-from .model import (Decision, Instance, PrivacyScenario, SystemState,
-                    aggregated_load, privacy_gap, scenario_load, slot_cost,
-                    step_remaining)
-from .scenarios import (ScenarioSolveOptions, ScenarioSolveResult,
-                        solve_with_scenarios)
+from .model import Instance, PrivacyScenario, scenario_load
+from .scenarios import ScenarioSolveOptions, solve_with_scenarios
 from .table import (DEFAULT_STATE_CAP, ScheduleTable, SolveConfig,
-                    expected_total_cost, model_fingerprint)
+                    expected_total_cost, extract_schedule, model_fingerprint)
 
 
 @dataclass(frozen=True)
@@ -143,44 +141,6 @@ class SimulationReport:
         return "\n".join(lines) + "\n"
 
 
-def runtime_lookup(table: ScheduleTable, state: SystemState, t: int) -> Decision:
-    """Decision stored for ``(state, t)``; off-table states are fatal.
-
-    The diagnostic names the nearest feasible tabulated state, which is
-    usually enough to spot meter drift or a mis-scaled battery reading.
-    """
-    try:
-        entry = table.entry(t, state)
-    except ModelError as err:
-        nearest = _nearest_feasible(table, state, t)
-        raise IntegrityError(
-            f"state {state!r} is not on the table grid at slot {t}: {err}; "
-            f"nearest tabulated feasible state is {nearest!r}") from None
-    if not entry.feasible:
-        nearest = _nearest_feasible(table, state, t)
-        raise IntegrityError(
-            f"state {state!r} has no feasible decision at slot {t}; nearest "
-            f"tabulated feasible state is {nearest!r}")
-    return entry.decision
-
-
-def _nearest_feasible(table: ScheduleTable, state: SystemState,
-                      t: int) -> Optional[SystemState]:
-    step = table.config.instance.battery.grid_step_wh
-    best, best_d = None, None
-    for cand in table.states():
-        if not table.entry(t, cand).feasible:
-            continue
-        d = abs(cand.battery_wh - state.battery_wh) / step
-        if len(cand.remaining) == len(state.remaining):
-            d += sum(abs(a - b) for a, b in zip(cand.remaining, state.remaining))
-        else:
-            d += 1e9
-        if best_d is None or d < best_d:
-            best, best_d = cand, d
-    return best
-
-
 def simulate(table: ScheduleTable, script: EventScript,
              config: SolveConfig) -> SimulationReport:
     """Replay the table under one event script, slot by slot."""
@@ -194,37 +154,31 @@ def simulate(table: ScheduleTable, script: EventScript,
                 f"{table.model_hash[:12]}...")
     inst = config.instance
     scenario = script.resolve(inst)
+    solution = extract_schedule(table, inst.initial_state(), scenario)
     pol = inst.policy
     breach_tol = 1e-9 * max(1.0, pol.lambda_w, pol.l_bar_w)
 
-    state = inst.initial_state()
     rows = []
-    h = inst.grid.slot_hours
-    for t in range(1, inst.grid.tau + 1):
-        decision = runtime_lookup(table, state, t)
-        load = aggregated_load(state, decision, scenario, t, inst)
-        ns = scenario_load(scenario, inst.ns_appliances, t)
-        gap = privacy_gap(load, pol)
+    for t, (decision, state, base, load, gap, cost) in enumerate(zip(
+            solution.decisions, solution.states, solution.base_load_w,
+            solution.load_w, solution.privacy_gap_w, solution.slot_costs),
+            start=1):
         started = tuple(a.id for a, s in zip(inst.appliances, decision.starts)
                         if s)
         rows.append(SlotRecord(
-            slot=t, price_per_wh=inst.price.at(t), base_load_w=load - ns,
-            ns_load_w=ns, load_w=load, battery_wh=state.battery_wh,
+            slot=t, price_per_wh=inst.price.at(t), base_load_w=base,
+            ns_load_w=scenario_load(scenario, inst.ns_appliances, t),
+            load_w=load, battery_wh=state.battery_wh,
             battery_delta_wh=decision.battery_delta_wh, started=started,
             privacy_gap_w=gap, breach=abs(gap) > pol.lambda_w + breach_tol,
-            cost=slot_cost(load, inst.price.at(t), h)))
-        b_idx = inst.battery.level_index(state.battery_wh)
-        k = round(decision.battery_delta_wh / inst.battery.grid_step_wh)
-        state = SystemState(
-            battery_wh=(b_idx + k) * inst.battery.grid_step_wh,
-            remaining=step_remaining(state, decision, inst.durations))
+            cost=cost))
     return SimulationReport(
         rows=tuple(rows), scenario=scenario,
-        total_cost=float(sum(r.cost for r in rows)),
+        total_cost=solution.total_cost,
         max_abs_gap_w=float(max(abs(r.privacy_gap_w) for r in rows)),
         breach_count=sum(r.breach for r in rows),
         negative_load_slots=sum(r.load_w < 0 for r in rows),
-        final_battery_wh=state.battery_wh)
+        final_battery_wh=solution.states[-1].battery_wh)
 
 
 # ---------------------------------------------------------------------------

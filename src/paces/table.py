@@ -577,10 +577,55 @@ class ScheduleSolution:
     scenario: PrivacyScenario
 
 
+def runtime_lookup(table: ScheduleTable, state: SystemState, t: int) -> Decision:
+    """Decision stored for ``(state, t)``; off-table states are fatal.
+
+    The diagnostic names the nearest feasible tabulated state, which is
+    usually enough to spot meter drift or a mis-scaled battery reading.
+    """
+    try:
+        entry = table.entry(t, state)
+    except ModelError as err:
+        nearest = _nearest_feasible(table, state, t)
+        raise IntegrityError(
+            f"state {state!r} is not on the table grid at slot {t}: {err}; "
+            f"nearest tabulated feasible state is {nearest!r}") from None
+    if not entry.feasible:
+        nearest = _nearest_feasible(table, state, t)
+        raise IntegrityError(
+            f"state {state!r} has no feasible decision at slot {t}; nearest "
+            f"tabulated feasible state is {nearest!r}")
+    return entry.decision
+
+
+def _nearest_feasible(table: ScheduleTable, state: SystemState,
+                      t: int) -> Optional[SystemState]:
+    step = table.config.instance.battery.grid_step_wh
+    best, best_d = None, None
+    for cand in table.states():
+        if not table.entry(t, cand).feasible:
+            continue
+        d = abs(cand.battery_wh - state.battery_wh) / step
+        if len(cand.remaining) == len(state.remaining):
+            d += sum(abs(a - b) for a, b in zip(cand.remaining, state.remaining))
+        else:
+            d += 1e9
+        if best_d is None or d < best_d:
+            best, best_d = cand, d
+    return best
+
+
 def extract_schedule(table: ScheduleTable, initial_state: SystemState,
                      scenario: Optional[PrivacyScenario] = None
                      ) -> ScheduleSolution:
-    """Walk the table forward from ``initial_state`` under one scenario."""
+    """Walk the table forward from ``initial_state`` under one scenario.
+
+    This is the one forward walk over a table: ``solve`` reads its
+    schedule here and ``simulate`` replays through it.  A walk that
+    reaches an off-grid or dead state, a decision that restarts an
+    appliance or moves the battery outside ``[0, b_max]``, or work left
+    unfinished past the horizon raises :class:`IntegrityError`.
+    """
     config = table.config
     inst = config.instance
     if scenario is None:
@@ -594,23 +639,24 @@ def extract_schedule(table: ScheduleTable, initial_state: SystemState,
     decisions, states = [], [state]
     base_loads, loads, gaps, costs = [], [], [], []
     h = inst.grid.slot_hours
+    bat = inst.battery
     for t in range(1, inst.grid.tau + 1):
-        entry = table.entry(t, state)
-        if not entry.feasible:
-            if t == 1:
-                raise InfeasibleError(
-                    f"initial state {state!r} has no feasible schedule",
-                    earliest_dead_slot=1)
+        decision = runtime_lookup(table, state, t)
+        try:
+            next_remaining = step_remaining(state, decision, inst.durations)
+        except ModelError as err:
             raise IntegrityError(
-                f"state {state!r} drifted onto an infeasible table entry at "
-                f"slot {t}")
-        decision = entry.decision
+                f"table decision at slot {t} cannot be applied to "
+                f"{state!r}: {err}") from None
+        b_next = (bat.level_index(state.battery_wh)
+                  + round(decision.battery_delta_wh / bat.grid_step_wh))
+        next_level = b_next * bat.grid_step_wh
+        if not 0 <= b_next < bat.n_levels:
+            raise IntegrityError(
+                f"table decision at slot {t} moves the battery to "
+                f"{next_level!r} Wh, outside [0, {bat.b_max_wh!r}]")
         load = aggregated_load(state, decision, scenario, t, inst)
         base = load - scenario_load(scenario, inst.ns_appliances, t)
-        next_remaining = step_remaining(state, decision, inst.durations)
-        b_idx = inst.battery.level_index(state.battery_wh)
-        k = round(decision.battery_delta_wh / inst.battery.grid_step_wh)
-        next_level = (b_idx + k) * inst.battery.grid_step_wh
         decisions.append(decision)
         base_loads.append(base)
         loads.append(load)

@@ -10,6 +10,23 @@ from paces import load_config, serialize
 from paces.cli import main
 
 
+# in-range edits of a motivating-example dump that no loader check sees
+def never_start(payload):
+    for key in ("dec_mask", "dec_step"):
+        payload[key] = [[[0] * len(row) for row in slab]
+                        for slab in payload[key]]
+
+
+def drain_in_the_last_slot(payload):
+    payload["dec_step"][-1] = [[-1] * len(row)
+                               for row in payload["dec_step"][-1]]
+
+
+def always_start_the_first(payload):
+    payload["dec_mask"] = [[[1 if m >= 0 else m for m in row] for row in slab]
+                           for slab in payload["dec_mask"]]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -69,6 +86,20 @@ class TestSolveCommand:
         assert code == 0
         assert "breaches 0" in out
 
+    # SHA-256 of each preset's `solve` report and of a sampled replay of
+    # its dump: they pin the non-schedulable load path of the replay bytes
+    REPLAY_DIGESTS = {
+        "motivating-example": (
+            "89111a09c462eeb773d74f4e3e2d27fb8231512dd4744de1231ba28622e85d27",
+            "405590138b8b22eeb429d32d7406c700281cfd0b9dd98aff58ea5dfb96e1ac7a"),
+        "table-ii": (
+            "a5c787633fbdd718c98c1763f9d7fd08a57ff81c5e55754298577b11c404730b",
+            "2f02bdb25303247d8d4c15034f3d063fc9c6dc51d3ed97b657e9df8d57b1657a"),
+        "section-iv-a": (
+            "96737fe1cd89c1ad4c1725140a04e532994141e39b9eeeaa4de1b633647e498b",
+            "3d0938994e3e2ccad6f60defe8df4f87bb8efd00ec4f3f56884541a92955ee3a"),
+    }
+
     # SHA-256 of each preset's `solve --table` dump, pinned so a change to
     # the backward pass that moves a single value, decision or tie shows
     @pytest.mark.parametrize("preset, digest", [
@@ -86,6 +117,15 @@ class TestSolveCommand:
                          "--out", str(tmp_path / "run"), "--table", str(table))
         assert code == 0
         assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
+        replay = tmp_path / "replay.csv"
+        code, _, _ = run(capsys, "simulate", "--table", str(table),
+                         "--config", preset, "--sample-seed", "0",
+                         "--out", str(replay))
+        assert code == 0
+        report_digest, replay_digest = self.REPLAY_DIGESTS[preset]
+        report = tmp_path / "run" / "report.csv"
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+        assert hashlib.sha256(replay.read_bytes()).hexdigest() == replay_digest
 
     def test_unknown_configs_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "solve", "--config", "no-such-thing",
@@ -196,6 +236,21 @@ class TestBuildAndSimulate:
             capsys, tmp_path, lambda payload: payload["dec_step"][0][0].pop())
         assert code == 4
         assert "ragged" in err
+
+    # the replay itself must refuse a decision it cannot apply or a
+    # schedule it cannot finish
+    @pytest.mark.parametrize("corrupt, message", [
+        (never_start, "unfinished work"),
+        (drain_in_the_last_slot, "slot 4 moves the battery to -10000.0 Wh"),
+        (always_start_the_first,
+         "cannot start an appliance with 1 of 2 slots remaining"),
+    ], ids=["never-start", "drain-below-empty", "restart"])
+    def test_unreplayable_dumps_exit_4(self, tmp_path, capsys, corrupt,
+                                       message):
+        code, _, err = self.simulate_corrupted(capsys, tmp_path, corrupt)
+        assert code == 4
+        assert "integrity error" in err
+        assert message in err
 
     def test_crafted_pickles_exit_4_without_being_unpickled(self, tmp_path,
                                                             capsys):

@@ -102,6 +102,14 @@ class TestRuntimeLookup:
             runtime_lookup(table, doomed, 4)
         assert "nearest tabulated feasible state" in str(err.value)
 
+    def test_walks_look_up_every_slot_the_same_way(self):
+        table, _ = solved_motivating()
+        bad = SystemState(battery_wh=4321.0, remaining=(2, 3))
+        with pytest.raises(IntegrityError,
+                           match="not on the table grid at slot 1") as err:
+            extract_schedule(table, bad)
+        assert "nearest tabulated feasible state" in str(err.value)
+
 
 class TestSimulate:
     def test_quiet_replay_matches_the_extracted_schedule(self):
