@@ -18,12 +18,15 @@ earlier but leaves no exhaustive guarantee.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import InfeasibleError, ModelError
 from .model import (Instance, NonSchedulableAppliance, PrivacyScenario,
-                    ScenarioSet, TimeGrid, scenario_load)
+                    ScenarioSet, TimeGrid)
 from .table import (DEFAULT_STATE_CAP, ScheduleSolution, ScheduleTable,
                     SolveConfig, backward_recursion, extract_schedule)
 
@@ -130,26 +133,9 @@ def candidate_scenarios(ns_appliances: Sequence[NonSchedulableAppliance],
             raise ModelError(
                 f"appliance {app.id}: zone {app.zone!r} leaves the "
                 f"{grid.tau}-slot horizon")
-    per_app: list[list[Optional[int]]] = []
-    for app in ns_appliances:
-        options: list[Optional[int]] = list(app.feasible_starts())
-        if include_inactive:
-            options.append(None)
-        per_app.append(options)
-    out = []
-    idx = [0] * len(per_app)
-    while True:
-        out.append(PrivacyScenario(
-            starts=tuple(per_app[j][idx[j]] for j in range(len(per_app)))))
-        j = len(per_app) - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(per_app[j]):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return out
+    tail = [None] if include_inactive else []
+    per_app = [app.feasible_starts() + tail for app in ns_appliances]
+    return [PrivacyScenario(starts=p) for p in itertools.product(*per_app)]
 
 
 def find_worst_scenario(solution: ScheduleSolution,
@@ -170,20 +156,30 @@ def find_worst_scenario(solution: ScheduleSolution,
                          f"got {metric!r}")
     if not candidates:
         return None, NO_SCENARIOS
-    pol = instance.policy
-    best_sc, best_score = None, None
-    for sc in candidates:
-        score = float("-inf")
-        for t in range(1, instance.grid.tau + 1):
-            dev = (solution.base_load_w[t - 1]
-                   + scenario_load(sc, instance.ns_appliances, t)
-                   - pol.l_bar_w)
-            mag = abs(dev) if metric == "two-sided" else dev
-            if mag > score:
-                score = mag
-        if best_score is None or score > best_score:
-            best_sc, best_score = sc, score
-    return best_sc, best_score - pol.lambda_w
+    apps = instance.ns_appliances
+    try:
+        # None becomes NaN, which no comparison accepts: an inactive
+        # appliance draws nothing
+        starts = np.array([sc.starts for sc in candidates], dtype=float)
+        starts = starts.reshape(len(candidates), len(apps))
+    except (TypeError, ValueError):
+        raise ModelError(f"every candidate scenario must place the "
+                         f"instance's {len(apps)} appliances") from None
+    slots = np.arange(1, instance.grid.tau + 1)
+    # one appliance at a time, in appliance order, so each slot's draw
+    # rounds exactly as scenario_load's sum does
+    dev = np.zeros((len(starts), len(slots)))
+    for j, app in enumerate(apps):
+        first = starts[:, j:j + 1]
+        active = (first <= slots) & (slots <= first + (app.runtime_slots - 1))
+        np.add(dev, app.power_w, out=dev, where=active)
+    dev += np.asarray(solution.base_load_w, dtype=float)
+    dev -= instance.policy.l_bar_w
+    if metric == "two-sided":
+        np.abs(dev, out=dev)
+    scores = dev.max(axis=1)
+    best = int(np.argmax(scores))
+    return candidates[best], float(scores[best]) - instance.policy.lambda_w
 
 
 def solve_with_scenarios(instance: Instance,

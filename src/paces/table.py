@@ -710,10 +710,8 @@ _FORMAT_NAME = "paces-table"
 _FORMAT_VERSION = 1
 
 
-def _table_payload(table: ScheduleTable) -> dict:
+def _table_header(table: ScheduleTable) -> dict:
     eng = table._engine
-    values = [[[None if not np.isfinite(v) else float(v) for v in row]
-               for row in slab] for slab in table.values]
     return {
         "format": _FORMAT_NAME,
         "version": _FORMAT_VERSION,
@@ -726,20 +724,46 @@ def _table_payload(table: ScheduleTable) -> dict:
         "omega": [list(sc.starts) for sc in table.config.scenarios],
         "weights": list(table.config.resolved_weights()),
         "objective_mode": table.config.objective_mode,
-        "values": values,
-        "dec_mask": table.dec_mask.tolist(),
-        "dec_step": table.dec_step.tolist(),
     }
 
 
+def _json_cells(slab: np.ndarray) -> list:
+    """One slot of a table array as nested lists; non-finite values as None."""
+    if slab.dtype.kind != "f":
+        return slab.tolist()
+    cells = slab.astype(object)
+    cells[~np.isfinite(slab)] = None
+    return cells.tolist()
+
+
 def save_table(table: ScheduleTable, path: str, format: str = "json") -> None:
-    """Write the table with its model-hash header as one line of JSON."""
+    """Write the table with its model-hash header as one line of JSON.
+
+    The keys go out sorted and each array one slot at a time, so the C
+    encoder of ``json.dumps`` does the work and the whole document is
+    never held in memory; the bytes are those of one ``json.dumps`` of
+    the full payload with ``sort_keys`` and compact separators.
+    """
     if format != "json":
         raise ConfigError(f"unknown table format {format!r}, expected 'json'")
+    fields = _table_header(table)
+    arrays = {"values": table.values, "dec_mask": table.dec_mask,
+              "dec_step": table.dec_step}
+
+    def dumps(obj) -> str:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_table_payload(table), fh, sort_keys=True,
-                  separators=(",", ":"))
-        fh.write("\n")
+        for i, key in enumerate(sorted(fields.keys() | arrays.keys())):
+            fh.write(("{" if i == 0 else ",") + dumps(key) + ":")
+            if key in fields:
+                fh.write(dumps(fields[key]))
+                continue
+            fh.write("[")
+            for t, slab in enumerate(arrays[key]):
+                fh.write(("," if t else "") + dumps(_json_cells(slab)))
+            fh.write("]")
+        fh.write("}\n")
 
 
 _HEADER_KEYS = ("format", "version", "model_hash", "tau", "slot_hours",

@@ -98,6 +98,8 @@ class TestFindWorstScenario:
         scenario, violation = find_worst_scenario(solution, cands, inst)
         assert scenario.starts == (1,)
         assert violation == pytest.approx(40.0, abs=1e-12)
+        scenario, _ = find_worst_scenario(solution, cands[::-1], inst)
+        assert scenario.starts == (2,)
 
     def test_upper_only_metric_ignores_shortfalls(self):
         inst = make_instance(tau=2, ns_appliances=(ns("n", zone=(1, 1)),),

@@ -598,6 +598,48 @@ class TestPersistence:
         with pytest.raises(IntegrityError, match="not a schedule-table dump"):
             read_table_header(str(wrong))
 
+    @staticmethod
+    def full_payload(table):
+        """The whole dump as one dict, the way it was built before the
+        writer went slot by slot."""
+        eng = table._engine
+        values = [[[None if not np.isfinite(v) else float(v) for v in row]
+                   for row in slab] for slab in table.values]
+        return {
+            "format": "paces-table",
+            "version": 1,
+            "model_hash": table.model_hash,
+            "tau": eng.tau,
+            "slot_hours": eng.h,
+            "grid_step_wh": eng.step,
+            "b_max_wh": eng.inst.battery.b_max_wh,
+            "durations": list(eng.durations),
+            "omega": [list(sc.starts) for sc in table.config.scenarios],
+            "weights": list(table.config.resolved_weights()),
+            "objective_mode": table.config.objective_mode,
+            "values": values,
+            "dec_mask": table.dec_mask.tolist(),
+            "dec_step": table.dec_step.tolist(),
+        }
+
+    @pytest.mark.parametrize("which", ["random-seed-1", "section-iv-a-5wh"])
+    def test_dump_bytes_are_one_dumps_of_the_full_payload(self, tmp_path,
+                                                         which):
+        if which == "random-seed-1":
+            inst = random_small_instance(1, ns_count=1)
+        else:
+            inst = load_config("section-iv-a").instance
+            inst = dataclasses.replace(inst, battery=dataclasses.replace(
+                inst.battery, grid_step_wh=5.0))
+        table = backward_recursion(SolveConfig(
+            instance=inst, scenarios=band_set(len(inst.ns_appliances))))
+        assert np.isinf(table.values).any()
+        path = tmp_path / "table.json"
+        save_table(table, str(path))
+        expected = json.dumps(self.full_payload(table), sort_keys=True,
+                              separators=(",", ":")) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_rejects_unknown_formats_on_save(self, tmp_path):
         _, table = self.build()
         with pytest.raises(ConfigError, match="format"):

@@ -1,0 +1,131 @@
+"""The vectorised worst-placement search against a per-candidate loop."""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paces import (Battery, Instance, ModelError, NonSchedulableAppliance,
+                   PriceSignal, PrivacyPolicy, PrivacyScenario,
+                   ScheduleSolution, TimeGrid, candidate_scenarios,
+                   find_worst_scenario, scenario_load)
+
+
+# ---------------------------------------------------------------------------
+# Reference: one candidate and one slot at a time
+
+
+def reference_worst_scenario(solution, candidates, instance, metric):
+    if not candidates:
+        return None, float("-inf")
+    pol = instance.policy
+    best_sc, best_score = None, None
+    for sc in candidates:
+        score = float("-inf")
+        for t in range(1, instance.grid.tau + 1):
+            dev = (solution.base_load_w[t - 1]
+                   + scenario_load(sc, instance.ns_appliances, t)
+                   - pol.l_bar_w)
+            mag = abs(dev) if metric == "two-sided" else dev
+            if mag > score:
+                score = mag
+        if best_score is None or score > best_score:
+            best_sc, best_score = sc, score
+    return best_sc, best_score - pol.lambda_w
+
+
+# ---------------------------------------------------------------------------
+# Instances
+
+
+def make_instance(tau, ns_appliances, lam=10.0, l_bar=0.0):
+    battery = Battery(b_max_wh=0.0, b_init_wh=0.0, z_discharge_max_wh=0.0,
+                      z_charge_max_wh=0.0, grid_step_wh=50.0)
+    return Instance(grid=TimeGrid(tau=tau), appliances=(),
+                    ns_appliances=tuple(ns_appliances), battery=battery,
+                    price=PriceSignal((0.1,) * tau),
+                    policy=PrivacyPolicy(lambda_w=lam, l_bar_w=l_bar))
+
+
+def solution_with(base_load_w):
+    n = len(base_load_w)
+    return ScheduleSolution(
+        decisions=(), states=(), base_load_w=tuple(base_load_w),
+        load_w=tuple(base_load_w), privacy_gap_w=(0.0,) * n,
+        slot_costs=(0.0,) * n, controllable_cost=0.0, total_cost=0.0,
+        scenario=PrivacyScenario.inactive(0))
+
+
+# magnitudes that absorb one another (1e16 + 1 == 1e16) and sums whose
+# rounding depends on their order (0.1 + 0.2 + 0.3)
+POWERS = (0.1, 0.2, 0.3, 1.0, 10, 50.0, 1e16)
+LOADS = (0.0, 0.1, 0.3, -0.1, -50.0, 1e16, -1e16, 60.0)
+
+
+@st.composite
+def search_cases(draw):
+    tau = draw(st.integers(1, 6))
+    # whole-horizon zones make every appliance overlap every other
+    stacked = draw(st.booleans())
+    apps = []
+    for j in range(draw(st.integers(0, 3))):
+        runtime = draw(st.integers(1, min(3, tau)))
+        lo = 1 if stacked else draw(st.integers(1, tau - runtime + 1))
+        hi = tau if stacked else draw(st.integers(lo + runtime - 1, tau))
+        # the pool twice: two draws in three come from it
+        power = draw(st.sampled_from(POWERS) | st.sampled_from(POWERS)
+                     | st.floats(0.01, 500.0))
+        apps.append(NonSchedulableAppliance(
+            id=f"ns{j}", power_w=power, runtime_slots=runtime, zone=(lo, hi)))
+    # zero base loads and reference levels keep one-ulp draw differences
+    level = st.just(0.0) | st.sampled_from(LOADS) | st.floats(-500.0, 500.0)
+    base = draw(st.lists(level, min_size=tau, max_size=tau))
+    l_bar = draw(st.just(0.0) | st.sampled_from((0.1, 60.0, 1e16))
+                 | st.floats(0.0, 500.0))
+    lam = draw(st.sampled_from((0.0, 0.3, 10.0)) | st.floats(0.0, 500.0))
+    inst = make_instance(tau, apps, lam=lam, l_bar=l_bar)
+    full = candidate_scenarios(inst.ns_appliances, inst.grid,
+                               include_inactive=draw(st.booleans()))
+    # the whole list, and any subset of it in any order, repeats included
+    picks = draw(st.lists(st.integers(0, len(full) - 1),
+                          max_size=2 * len(full))) if full else []
+    metric = draw(st.sampled_from(("two-sided", "upper-only")))
+    return inst, solution_with(base), (full, [full[i] for i in picks]), metric
+
+
+class TestAgainstTheLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(search_cases())
+    def test_same_pick_and_violation_bits(self, case):
+        inst, solution, lists, metric = case
+        for candidates in lists:
+            got = find_worst_scenario(solution, candidates, inst, metric)
+            want = reference_worst_scenario(solution, candidates, inst,
+                                            metric)
+            # identity, not equality: a repeated candidate must resolve to
+            # its first occurrence
+            assert got[0] is want[0]
+            assert type(got[1]) is float
+            assert repr(got[1]) == repr(want[1])
+
+    def test_draws_sum_in_appliance_order(self):
+        # all three overlap slot 1: (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+        apps = [NonSchedulableAppliance(id=f"n{p}", power_w=p, runtime_slots=1,
+                                        zone=(1, 1)) for p in (0.1, 0.2, 0.3)]
+        inst = make_instance(1, apps, lam=0.0)
+        cands = candidate_scenarios(inst.ns_appliances, inst.grid)
+        _, violation = find_worst_scenario(solution_with((0.0,)), cands, inst)
+        assert violation == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+
+
+class TestErrorContract:
+    # uniform lists reach the shape check, a ragged one fails in numpy
+    @pytest.mark.parametrize("starts", [[(1,)], [(1, 2, 1)], [()],
+                                        [(1, 2), (1,)]],
+                             ids=["short", "long", "empty", "ragged"])
+    def test_every_candidate_places_every_appliance(self, starts):
+        apps = [NonSchedulableAppliance(id=f"n{j}", power_w=10.0,
+                                        runtime_slots=1, zone=(1, 2))
+                for j in range(2)]
+        inst = make_instance(2, apps)
+        with pytest.raises(ModelError, match="2 appliances"):
+            find_worst_scenario(solution_with((0.0, 0.0)),
+                                [PrivacyScenario(s) for s in starts], inst)
