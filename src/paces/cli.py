@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .config import (load_config, load_event_script, preset_names,
-                     random_small_instance)
+                     random_small_instance, read_json)
 from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      PacesError)
 from .model import PrivacyScenario, ScenarioSet
@@ -52,12 +52,7 @@ def _base_scenario_set(n_ns: int) -> ScenarioSet:
 
 
 def _load_scenario_file(path: Path, n_ns: int) -> ScenarioSet:
-    if not path.exists():
-        raise ConfigError(f"scenario file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: not valid JSON: {err}") from None
+    raw = read_json(path, "scenario file")
     if (not isinstance(raw, list)
             or not all(isinstance(row, list) for row in raw)):
         raise ConfigError(f"{path}: expected a JSON array of start arrays")

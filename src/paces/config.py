@@ -8,12 +8,12 @@ everything is normalized to W/Wh/per_Wh at ingestion and stays there.
 from __future__ import annotations
 
 import copy
+import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
-
-import csv
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -254,7 +254,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".",
             objective_mode=s.get("objective", "expected"),
             max_solves=s.get("max_solves"))
         state_cap = s.get("state_cap", DEFAULT_STATE_CAP)
-    except ModelError as err:
+    except (ModelError, OverflowError) as err:
         raise ConfigError(str(err)) from None
 
     return InstanceConfig(name=raw.get("name", default_name),
@@ -273,10 +273,7 @@ def load_config(source: Union[str, Path]) -> InstanceConfig:
         raise ConfigError(
             f"config {str(source)!r} is neither a file nor a preset "
             f"(presets: {known})")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: not valid JSON: {err}") from None
+    raw = read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return parse_config(raw, base_dir=path.parent, default_name=path.stem)
@@ -326,44 +323,64 @@ def serialize(config: InstanceConfig) -> dict:
     return out
 
 
+def _read_text(path: Path, what: str) -> str:
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path}")
+    return path.read_bytes().decode("utf-8")
+
+
+def read_json(path: Union[str, Path], what: str) -> object:
+    """Parse a UTF-8 JSON input file; any unreadable content is a ConfigError."""
+    path = Path(path)
+    try:
+        return json.loads(_read_text(path, what))
+    except (ValueError, RecursionError) as err:
+        raise ConfigError(f"{path}: not valid JSON: {err}") from None
+
+
+def read_csv_rows(path: Union[str, Path], header: list[str],
+                  what: str) -> list[tuple[int, list[str]]]:
+    """Non-empty data rows of a UTF-8 CSV file under ``header``, by line."""
+    path = Path(path)
+    try:
+        rows = list(csv.reader(io.StringIO(_read_text(path, what),
+                                           newline="")))
+    except (ValueError, csv.Error) as err:
+        raise ConfigError(f"{path}: not a readable CSV file: {err}") from None
+    if not rows or rows[0] != header:
+        raise ConfigError(f"{path}: expected header {','.join(header)!r}, "
+                          f"got {rows[0] if rows else None!r}")
+    out = [(line, row) for line, row in enumerate(rows[1:], start=2) if row]
+    for line, row in out:
+        if len(row) != len(header):
+            raise ConfigError(f"{path} line {line}: expected {len(header)} "
+                              f"columns, got {len(row)}")
+    return out
+
+
 def load_price_csv(path: Union[str, Path], tau: int) -> PriceSignal:
     """Read a per-slot tariff: header ``slot,price``, exactly tau rows."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"price file not found: {path}")
     values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["slot", "price"]:
+    for line, row in read_csv_rows(path, ["slot", "price"], "price file"):
+        try:
+            slot = int(row[0])
+            price = float(row[1])
+        except ValueError:
             raise ConfigError(
-                f"{path}: expected header 'slot,price', got {header!r}")
-        line = 1
-        for row in reader:
-            line += 1
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ConfigError(
-                    f"{path} line {line}: expected 2 columns, got {len(row)}")
-            try:
-                slot = int(row[0])
-                price = float(row[1])
-            except ValueError:
-                raise ConfigError(
-                    f"{path} line {line}: non-numeric row {row!r}") from None
-            if slot != len(values) + 1:
-                raise ConfigError(
-                    f"{path} line {line}: expected slot {len(values) + 1}, "
-                    f"got {slot}")
-            if slot > tau:
-                raise ConfigError(
-                    f"{path} line {line}: slot {slot} beyond the {tau}-slot "
-                    f"horizon")
-            if price < 0:
-                raise ConfigError(
-                    f"{path} line {line}: negative price {row[1]}")
-            values.append(price)
+                f"{path} line {line}: non-numeric row {row!r}") from None
+        if slot != len(values) + 1:
+            raise ConfigError(
+                f"{path} line {line}: expected slot {len(values) + 1}, "
+                f"got {slot}")
+        if slot > tau:
+            raise ConfigError(
+                f"{path} line {line}: slot {slot} beyond the {tau}-slot "
+                f"horizon")
+        if price < 0:
+            raise ConfigError(
+                f"{path} line {line}: negative price {row[1]}")
+        values.append(price)
     if len(values) != tau:
         raise ConfigError(
             f"{path}: expected {tau} data rows, file ends after {len(values)}")
@@ -373,28 +390,14 @@ def load_price_csv(path: Union[str, Path], tau: int) -> PriceSignal:
 def load_historical_load_csv(path: Union[str, Path]) -> float:
     """Arithmetic mean of a ``timestamp,load_w`` series, in W."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"historical load file not found: {path}")
     loads: list[float] = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["timestamp", "load_w"]:
+    for line, row in read_csv_rows(path, ["timestamp", "load_w"],
+                                   "historical load file"):
+        try:
+            loads.append(float(row[1]))
+        except ValueError:
             raise ConfigError(
-                f"{path}: expected header 'timestamp,load_w', got {header!r}")
-        line = 1
-        for row in reader:
-            line += 1
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ConfigError(
-                    f"{path} line {line}: expected 2 columns, got {len(row)}")
-            try:
-                loads.append(float(row[1]))
-            except ValueError:
-                raise ConfigError(
-                    f"{path} line {line}: non-numeric load {row[1]!r}") from None
+                f"{path} line {line}: non-numeric load {row[1]!r}") from None
     if not loads:
         raise ConfigError(f"{path}: no data rows")
     return sum(loads) / len(loads)
@@ -402,13 +405,7 @@ def load_historical_load_csv(path: Union[str, Path]) -> float:
 
 def load_event_script(path: Union[str, Path]) -> EventScript:
     """Read an event script: explicit starts or a sampling seed."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"event script not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: not valid JSON: {err}") from None
+    raw = read_json(path, "event script")
     _check_schema(raw, _SCRIPT_SCHEMA, "event script")
     if "events" in raw:
         return EventScript.scripted(

@@ -10,7 +10,7 @@ scenarios, schedules, reports).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
@@ -40,8 +40,8 @@ class TimeGrid:
     def __post_init__(self):
         _require(isinstance(self.tau, int) and self.tau >= 1,
                  f"horizon must be a positive integer slot count, got {self.tau!r}")
-        _require(self.slot_hours > 0,
-                 f"slot_hours must be positive, got {self.slot_hours!r}")
+        _require(math.isfinite(self.slot_hours) and self.slot_hours > 0,
+                 f"slot_hours must be positive and finite, got {self.slot_hours!r}")
 
     @property
     def slots(self) -> range:
@@ -72,10 +72,12 @@ class SchedulableAppliance:
 
     def __post_init__(self):
         _require(bool(self.id), "appliance id must be non-empty")
-        _require(self.power_w > 0,
-                 f"appliance {self.id}: power must be positive, got {self.power_w!r}")
-        _require(self.workload_wh > 0,
-                 f"appliance {self.id}: workload must be positive, got {self.workload_wh!r}")
+        _require(math.isfinite(self.power_w) and self.power_w > 0,
+                 f"appliance {self.id}: power must be positive and finite, "
+                 f"got {self.power_w!r}")
+        _require(math.isfinite(self.workload_wh) and self.workload_wh > 0,
+                 f"appliance {self.id}: workload must be positive and finite, "
+                 f"got {self.workload_wh!r}")
         _require(isinstance(self.duration_slots, int) and self.duration_slots >= 1,
                  f"appliance {self.id}: duration must be a positive slot count, "
                  f"got {self.duration_slots!r}")
@@ -84,9 +86,15 @@ class SchedulableAppliance:
     def from_workload(cls, id: str, power_w: float, workload_wh: float,
                       slot_hours: float = 1.0) -> "SchedulableAppliance":
         """Derive the slot count as ceil(workload / (power * slot_hours))."""
-        _require(power_w > 0, f"appliance {id}: power must be positive")
-        _require(slot_hours > 0, "slot_hours must be positive")
-        duration = math.ceil(workload_wh / (power_w * slot_hours))
+        _require(math.isfinite(power_w) and power_w > 0,
+                 f"appliance {id}: power must be positive and finite")
+        _require(math.isfinite(slot_hours) and slot_hours > 0,
+                 "slot_hours must be positive and finite")
+        per_slot = power_w * slot_hours
+        _require(per_slot > 0 and math.isfinite(workload_wh / per_slot),
+                 f"appliance {id}: workload {workload_wh!r} Wh is not a finite "
+                 f"number of slots")
+        duration = math.ceil(workload_wh / per_slot)
         return cls(id=id, power_w=power_w, workload_wh=workload_wh,
                    duration_slots=duration)
 
@@ -118,8 +126,9 @@ class NonSchedulableAppliance:
 
     def __post_init__(self):
         _require(bool(self.id), "appliance id must be non-empty")
-        _require(self.power_w > 0,
-                 f"appliance {self.id}: power must be positive, got {self.power_w!r}")
+        _require(math.isfinite(self.power_w) and self.power_w > 0,
+                 f"appliance {self.id}: power must be positive and finite, "
+                 f"got {self.power_w!r}")
         lo, hi = self.zone
         _require(isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi,
                  f"appliance {self.id}: zone must be 1-based inclusive bounds, "
@@ -134,8 +143,9 @@ class NonSchedulableAppliance:
             _require(len(self.start_prob) == len(starts),
                      f"appliance {self.id}: start_prob needs {len(starts)} entries, "
                      f"got {len(self.start_prob)}")
-            _require(all(p >= 0 for p in self.start_prob),
-                     f"appliance {self.id}: start probabilities must be non-negative")
+            _require(all(math.isfinite(p) and p >= 0 for p in self.start_prob),
+                     f"appliance {self.id}: start probabilities must be finite "
+                     f"and non-negative")
             total = sum(self.start_prob)
             _require(abs(total - 1.0) <= 1e-9,
                      f"appliance {self.id}: start probabilities sum to {total}, not 1")
@@ -181,6 +191,10 @@ class Battery:
     grid_step_wh: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            _require(math.isfinite(value),
+                     f"battery {f.name} must be finite, got {value!r}")
         _require(self.grid_step_wh > 0,
                  f"battery grid step must be positive, got {self.grid_step_wh!r}")
         _require(self.b_max_wh >= 0,
@@ -188,7 +202,8 @@ class Battery:
         _require(self.z_discharge_max_wh >= 0 and self.z_charge_max_wh >= 0,
                  "battery rate bounds must be non-negative")
         steps = self.b_max_wh / self.grid_step_wh
-        _require(abs(steps - round(steps)) <= GRID_REL_TOL * max(1.0, steps),
+        _require(math.isfinite(steps)
+                 and abs(steps - round(steps)) <= GRID_REL_TOL * max(1.0, steps),
                  f"capacity {self.b_max_wh!r} is not a multiple of the grid step "
                  f"{self.grid_step_wh!r}")
         _require(0 <= self.b_init_wh <= self.b_max_wh,
@@ -225,7 +240,9 @@ class PriceSignal:
     def __post_init__(self):
         _require(len(self.values) >= 1, "price signal must cover at least one slot")
         for i, c in enumerate(self.values, start=1):
-            _require(c >= 0, f"price for slot {i} must be non-negative, got {c!r}")
+            _require(math.isfinite(c) and c >= 0,
+                     f"price for slot {i} must be finite and non-negative, "
+                     f"got {c!r}")
 
     def at(self, t: int) -> float:
         """Price during 1-based slot ``t``."""
@@ -261,10 +278,12 @@ class PrivacyPolicy:
     l_bar_source: ReferenceSource = ReferenceSource.CONFIG
 
     def __post_init__(self):
-        _require(self.lambda_w >= 0,
-                 f"privacy bound must be non-negative, got {self.lambda_w!r}")
-        _require(self.l_bar_w >= 0,
-                 f"reference load must be non-negative, got {self.l_bar_w!r}")
+        _require(math.isfinite(self.lambda_w) and self.lambda_w >= 0,
+                 f"privacy bound must be finite and non-negative, "
+                 f"got {self.lambda_w!r}")
+        _require(math.isfinite(self.l_bar_w) and self.l_bar_w >= 0,
+                 f"reference load must be finite and non-negative, "
+                 f"got {self.l_bar_w!r}")
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,8 @@ def _smallest_feasible_lambda(instance: Instance, omega: ScenarioSet,
     lo, hi = inst.policy.lambda_w, lam_cap
     while hi - lo > LAMBDA_PROBE_TOL_W:
         mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break  # no float left between the bounds at this magnitude
         if feasible(mid):
             hi = mid
         else:

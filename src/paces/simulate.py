@@ -10,6 +10,7 @@ error, not something to round away.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -209,6 +210,8 @@ def sweep_battery(instance: Instance, capacities: Sequence[float],
     step = instance.battery.grid_step_wh
     prev = None
     for cap in capacities:
+        if not math.isfinite(cap):
+            raise ConfigError(f"capacity {cap} Wh is not a finite number")
         if prev is not None and cap <= prev:
             raise ConfigError(
                 f"capacities must be strictly ascending, got {cap} after {prev}")

@@ -273,14 +273,13 @@ class _Engine:
         self.powers = inst.powers_w
         self.n_app = len(self.durations)
         bat = inst.battery
-        self.step = bat.grid_step_wh
-        self.m = bat.n_levels
-        self.k_rate_lo = -self._snap_floor(bat.z_discharge_max_wh, self.step)
-        self.k_rate_hi = self._snap_floor(bat.z_charge_max_wh, self.step)
-
         if state_count(inst.appliances, bat) > config.state_cap:
             raise StateSpaceError(state_count(inst.appliances, bat),
                                   config.state_cap)
+        self.step = bat.grid_step_wh
+        self.m = bat.n_levels
+        self.k_rate_lo = -self._rate_steps(bat.z_discharge_max_wh)
+        self.k_rate_hi = self._rate_steps(bat.z_charge_max_wh)
         self.r_combos = list(itertools.product(
             *[range(d + 1) for d in self.durations]))
         self.r_index = {combo: i for i, combo in enumerate(self.r_combos)}
@@ -298,9 +297,9 @@ class _Engine:
                 self.w_min[t] = min(draws)
                 self.w_max[t] = max(draws)
 
-    @staticmethod
-    def _snap_floor(value: float, step: float) -> int:
-        q = value / step
+    def _rate_steps(self, rate_wh: float) -> int:
+        """Grid steps one slot may move; no move crosses the whole pack."""
+        q = min(rate_wh / self.step, self.m - 1)
         return math.floor(q + _SNAP_EPS * max(1.0, abs(q)))
 
     def options(self, t: int) -> _SlotOptions:
@@ -776,7 +775,7 @@ def _read_payload(path: str) -> dict:
     with open(path, "rb") as fh:
         try:
             payload = json.loads(fh.read().decode("utf-8"))
-        except ValueError:
+        except (ValueError, RecursionError):
             raise IntegrityError(f"{path} is not a schedule-table dump") from None
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT_NAME:
         raise IntegrityError(f"{path} is not a schedule-table dump")

@@ -285,6 +285,91 @@ class TestBuildAndSimulate:
         assert "must hold 1 start slots" in err
 
 
+    def test_deeply_nested_dumps_exit_4(self, tmp_path, capsys):
+        table = tmp_path / "deep.json"
+        table.write_text("[" * 200_000)
+        code, _, err = run(capsys, "simulate", "--table", str(table),
+                           "--config", "motivating-example")
+        assert code == 4
+        assert "not a schedule-table dump" in err
+
+
+NOT_UTF8 = b"\xff\xfe{"
+DEEP = b"[" * 200_000
+
+
+def config_file(tmp_path, data):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    return ["solve", "--config", str(path), "--out", str(tmp_path / "o")]
+
+
+def event_script(tmp_path, data):
+    table = tmp_path / "t.json"
+    assert main(["build-table", "--config", "motivating-example",
+                 "--out", str(table)]) == 0
+    script = tmp_path / "script.json"
+    script.write_bytes(data)
+    return ["simulate", "--table", str(table), "--config",
+            "motivating-example", "--script", str(script)]
+
+
+def scenario_file(tmp_path, data):
+    path = tmp_path / "omega.json"
+    path.write_bytes(data)
+    return ["build-table", "--config", "motivating-example",
+            "--out", str(tmp_path / "t.json"), "--scenarios", str(path)]
+
+
+def csv_config(tmp_path, section, key, name, data):
+    (tmp_path / name).write_bytes(data)
+    raw = serialize(load_config("motivating-example"))
+    if section == "price":
+        raw["price"] = {key: name}
+    else:
+        raw["privacy"] = {"lambda": 40000, key: name}
+    return config_file(tmp_path, json.dumps(raw).encode())
+
+
+def history_csv(tmp_path, data):
+    return csv_config(tmp_path, "privacy", "reference_csv", "history.csv",
+                      data)
+
+
+def price_csv(tmp_path, data):
+    return csv_config(tmp_path, "price", "csv", "price.csv", data)
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("make_argv, data", [
+        (config_file, NOT_UTF8),
+        (config_file, DEEP),
+        (event_script, NOT_UTF8),
+        (event_script, DEEP),
+        (scenario_file, NOT_UTF8),
+        (history_csv, b"timestamp,load_w\n1,\xff\n"),
+        (price_csv, b'slot,price\n1,"' + b"0" * 200_000 + b'"\n'),
+    ], ids=["config-not-utf8", "config-deep", "script-not-utf8",
+            "script-deep", "scenarios-not-utf8", "history-not-utf8",
+            "price-huge-field"])
+    def test_exit_2(self, tmp_path, capsys, make_argv, data):
+        code, _, err = run(capsys, *make_argv(tmp_path, data))
+        assert code == 2
+        assert err.startswith("config error: ")
+
+    @pytest.mark.parametrize("section, key", [("battery", "capacity"),
+                                              ("privacy", "lambda")])
+    def test_infinite_model_values_exit_2(self, tmp_path, capsys, section,
+                                          key):
+        raw = serialize(load_config("section-iv-a"))
+        raw[section][key] = float("inf")
+        argv = config_file(tmp_path, json.dumps(raw).encode())
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "must be finite" in err
+        assert not (tmp_path / "o" / "trace.json").exists()
+
+
 class TestSweepCommand:
     def read(self, path):
         with open(path, newline="") as fh:
@@ -326,6 +411,14 @@ class TestSweepCommand:
                            "--out", str(tmp_path / "s.csv"))
         assert code == 2
         assert "comma-separated numbers" in err
+
+    @pytest.mark.parametrize("capacities", ["0,nan", "0,inf"])
+    def test_non_finite_capacities_exit_2(self, tmp_path, capsys, capacities):
+        code, _, err = run(capsys, "sweep", "--config", "section-iv-a",
+                           "--capacities", capacities,
+                           "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "is not a finite number" in err
 
 
 class TestVerifyCommand:

@@ -56,6 +56,12 @@ class TestParseAndSerialize:
         with pytest.raises(ConfigError, match="horizon"):
             parse_config(raw)
 
+    def test_integers_beyond_float_range_are_config_errors(self):
+        raw = motivating_raw()
+        raw["appliances"][0]["power"] = 10 ** 400
+        with pytest.raises(ConfigError, match="too large"):
+            parse_config(raw)
+
     def test_solver_mode_enum_is_enforced(self):
         raw = motivating_raw()
         raw["solver"]["mode"] = "hopeful"

@@ -1,4 +1,5 @@
 """Domain types and the load/battery/privacy arithmetic."""
+import functools
 import math
 
 import numpy as np
@@ -181,6 +182,57 @@ class TestPrivacyPolicy:
     def test_rejects_negative_bound(self):
         with pytest.raises(ModelError, match="privacy bound"):
             PrivacyPolicy(lambda_w=-1.0, l_bar_w=0.0)
+
+
+BATTERY = dict(b_max_wh=1.0, b_init_wh=1.0, z_discharge_max_wh=1.0,
+               z_charge_max_wh=1.0, grid_step_wh=1.0)
+
+
+def battery_with(name, x):
+    return Battery(**{**BATTERY, name: x})
+
+
+# one builder per numeric model field, each valid when given 1.0
+NUMERIC_FIELDS = {
+    "slot_hours": lambda x: TimeGrid(tau=2, slot_hours=x),
+    "power": lambda x: SchedulableAppliance(id="a", power_w=x,
+                                            workload_wh=1.0, duration_slots=1),
+    "workload": lambda x: SchedulableAppliance(id="a", power_w=1.0,
+                                               workload_wh=x,
+                                               duration_slots=1),
+    "from_workload-power": lambda x: SchedulableAppliance.from_workload(
+        "a", power_w=x, workload_wh=1.0),
+    "from_workload-workload": lambda x: SchedulableAppliance.from_workload(
+        "a", power_w=1.0, workload_wh=x),
+    "from_workload-slot_hours": lambda x: SchedulableAppliance.from_workload(
+        "a", power_w=1.0, workload_wh=1.0, slot_hours=x),
+    "ns-power": lambda x: NonSchedulableAppliance(
+        id="n", power_w=x, runtime_slots=1, zone=(1, 1)),
+    "start_prob": lambda x: NonSchedulableAppliance(
+        id="n", power_w=1.0, runtime_slots=1, zone=(1, 1), start_prob=(x,)),
+    **{f"battery-{name}": functools.partial(battery_with, name)
+       for name in BATTERY},
+    "price": lambda x: PriceSignal((0.1, x)),
+    "lambda": lambda x: PrivacyPolicy(lambda_w=x, l_bar_w=1.0),
+    "l_bar": lambda x: PrivacyPolicy(lambda_w=1.0, l_bar_w=x),
+}
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
+    def test_the_builders_accept_one(self, field):
+        NUMERIC_FIELDS[field](1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
+    def test_are_model_errors(self, field, value):
+        with pytest.raises(ModelError):
+            NUMERIC_FIELDS[field](value)
+
+    def test_a_grid_too_fine_for_floats_is_refused(self):
+        with pytest.raises(ModelError, match="multiple"):
+            Battery(**{**BATTERY, "b_max_wh": 1e308, "grid_step_wh": 1e-10})
 
 
 class TestScenarios:

@@ -8,8 +8,8 @@ from paces import (Battery, InfeasibleError, Instance, ModelError,
                    SchedulableAppliance, ScheduleSolution, SolveConfig,
                    TimeGrid, backward_recursion, candidate_scenarios,
                    expected_total_cost, extract_schedule, find_worst_scenario,
-                   load_config, random_small_instance, scenario_load,
-                   solve_with_scenarios)
+                   load_config, parse_config, random_small_instance,
+                   scenario_load, scenarios, serialize, solve_with_scenarios)
 
 
 def ns(name, power=50.0, runtime=1, zone=(1, 2), start_prob=None):
@@ -288,3 +288,22 @@ class TestRefinementLoop:
         assert 1000.0 < hint < 130000.0
         assert err.value.earliest_dead_slot == 1
         assert f"{hint:.1f}" in str(err.value)
+
+    def test_the_lambda_probe_ends_at_huge_powers(self, monkeypatch):
+        # at 1e17 W the float midpoint collapses onto a bound long before
+        # the bounds come within the probe tolerance
+        raw = serialize(load_config("section-iv-a"))
+        raw["privacy"]["lambda"] = 40.0
+        raw["ns_appliances"][0]["power"] = 1e17
+        inst = parse_config(raw).instance
+        builds = []
+
+        def counting(config):
+            builds.append(config)
+            return backward_recursion(config)
+
+        monkeypatch.setattr(scenarios, "backward_recursion", counting)
+        with pytest.raises(InfeasibleError) as err:
+            solve_with_scenarios(inst)
+        assert len(builds) <= 64
+        assert err.value.lambda_hint_w == pytest.approx(1e17, rel=1e-12)

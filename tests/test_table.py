@@ -452,6 +452,24 @@ class TestBackwardRecursion:
         assert np.array_equal(first.dec_mask, second.dec_mask)
         assert np.array_equal(first.dec_step, second.dec_step)
 
+    @pytest.mark.parametrize("rate", [1e308, 1e15])
+    def test_rates_beyond_the_pack_build_the_whole_pack_table(self, rate):
+        inst = motivating_instance()
+        omega = full_omega(inst)
+
+        def table(rate_wh):
+            battery = dataclasses.replace(inst.battery,
+                                          z_charge_max_wh=rate_wh,
+                                          z_discharge_max_wh=rate_wh)
+            return backward_recursion(SolveConfig(
+                instance=dataclasses.replace(inst, battery=battery),
+                scenarios=omega))
+
+        whole, huge = table(inst.battery.b_max_wh), table(rate)
+        assert np.array_equal(whole.values, huge.values)
+        assert np.array_equal(whole.dec_mask, huge.dec_mask)
+        assert np.array_equal(whole.dec_step, huge.dec_step)
+
     def test_infeasible_reports_the_earliest_dead_slot(self):
         inst = make_instance(
             tau=2,
