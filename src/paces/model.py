@@ -221,7 +221,8 @@ class Battery:
 
     def level_index(self, level_wh: float) -> int:
         """Index of ``level_wh`` on the grid; rejects off-grid values."""
-        idx = round(level_wh / self.grid_step_wh)
+        q = level_wh / self.grid_step_wh
+        idx = round(q) if math.isfinite(q) else -1
         snapped = idx * self.grid_step_wh
         tol = GRID_REL_TOL * max(1.0, abs(level_wh), self.grid_step_wh)
         if idx < 0 or idx >= self.n_levels or abs(snapped - level_wh) > tol:
@@ -270,7 +271,8 @@ class PrivacyPolicy:
     Attributes:
         lambda_w: half-width of the allowed band, in W.
         l_bar_w: reference load level, in W.
-        l_bar_source: where the reference came from (metadata only).
+        l_bar_source: where the reference came from.  It never changes a
+            decision, but it is part of the model fingerprint.
     """
 
     lambda_w: float
@@ -398,6 +400,21 @@ class Instance:
         _require(len(self.price) == self.grid.tau,
                  f"price signal covers {len(self.price)} slots, horizon has "
                  f"{self.grid.tau}")
+        # every energy, grid-step count and cost the solver and the reports
+        # form is bounded by one slot's largest energy, that energy in grid
+        # steps, and the horizon's cost at that energy
+        bat, h = self.battery, self.grid.slot_hours
+        slot_wh = ((sum(self.powers_w) + sum(a.power_w for a in self.ns_appliances)
+                    + self.policy.l_bar_w) * h
+                   + min(max(bat.z_charge_max_wh, bat.z_discharge_max_wh),
+                         bat.b_max_wh))
+        _require(math.isfinite(slot_wh / bat.grid_step_wh),
+                 f"the largest slot energy overflows: appliance powers and the "
+                 f"reference load over {h!r} h, in {bat.grid_step_wh!r} Wh grid "
+                 f"steps, exceed the float range")
+        _require(math.isfinite(sum(self.price.values) * slot_wh),
+                 f"the horizon cost overflows: prices times the largest slot "
+                 f"energy of {slot_wh!r} Wh exceed the float range")
 
     @property
     def durations(self) -> tuple[int, ...]:

@@ -151,7 +151,7 @@ def enumerate_states(appliances: Sequence[SchedulableAppliance],
 
 
 # ---------------------------------------------------------------------------
-# Decision machinery shared by the sweep, the per-state API and diagnostics
+# Decision machinery shared by the backward pass and the per-state API
 
 
 @dataclass(frozen=True)
@@ -516,39 +516,15 @@ def backward_recursion(config: SolveConfig) -> ScheduleTable:
         dec_mask[t - 1] = mask_t
         dec_step[t - 1] = step_t
         f_next = f_t
-    table = ScheduleTable(eng, values, dec_mask, dec_step,
-                          model_fingerprint(config))
-    init = config.instance.initial_state()
-    if not table.entry(1, init).feasible:
-        dead = _earliest_dead_slot(eng, values)
+    init_r, init_b = eng.state_indices(config.instance.initial_state())
+    if dec_mask[0, init_r, init_b] < 0:
+        # the initial state is the only one reachable at slot 1, so slot 1 is
+        # where every branch from it has died
         raise InfeasibleError(
-            f"SP infeasible under the configured scenario set: every branch "
-            f"from the initial state dies by slot {dead}",
-            earliest_dead_slot=dead)
-    return table
-
-
-def _earliest_dead_slot(eng: _Engine, values: np.ndarray) -> int:
-    """First slot at which no constraint-reachable state can still finish."""
-    init = eng.inst.initial_state()
-    reach = {eng.state_indices(init)}
-    for t in range(1, eng.tau + 1):
-        if all(not np.isfinite(values[t - 1, r, b]) for r, b in reach):
-            return t
-        opts = eng.options(t)
-        k_lo, k_hi = (k.tolist() for k in eng.k_windows(t, opts.y_w))
-        r_next = opts.r_next.tolist()
-        nxt = set()
-        for r_i, b_i in reach:
-            rows = opts.spans[r_i]
-            if rows is None:
-                continue
-            for row in range(rows.start, rows.stop):
-                for k in range(max(k_lo[row], -b_i),
-                               min(k_hi[row], eng.m - 1 - b_i) + 1):
-                    nxt.add((r_next[row], b_i + k))
-        reach = nxt
-    return eng.tau
+            "SP infeasible under the configured scenario set: every branch "
+            "from the initial state dies by slot 1", earliest_dead_slot=1)
+    return ScheduleTable(eng, values, dec_mask, dec_step,
+                         model_fingerprint(config))
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +561,8 @@ def runtime_lookup(table: ScheduleTable, state: SystemState, t: int) -> Decision
     try:
         entry = table.entry(t, state)
     except ModelError as err:
+        if not 1 <= t <= table.tau:  # a bad slot, not an off-grid state
+            raise
         nearest = _nearest_feasible(table, state, t)
         raise IntegrityError(
             f"state {state!r} is not on the table grid at slot {t}: {err}; "
@@ -599,19 +577,35 @@ def runtime_lookup(table: ScheduleTable, state: SystemState, t: int) -> Decision
 
 def _nearest_feasible(table: ScheduleTable, state: SystemState,
                       t: int) -> Optional[SystemState]:
-    step = table.config.instance.battery.grid_step_wh
-    best, best_d = None, None
-    for cand in table.states():
-        if not table.entry(t, cand).feasible:
-            continue
-        d = abs(cand.battery_wh - state.battery_wh) / step
-        if len(cand.remaining) == len(state.remaining):
-            d += sum(abs(a - b) for a, b in zip(cand.remaining, state.remaining))
-        else:
-            d += 1e9
-        if best_d is None or d < best_d:
-            best, best_d = cand, d
-    return best
+    """Feasible state of slot ``t`` nearest to ``state``, or ``None``.
+
+    The distance is grid steps of battery level plus the summed
+    differences of remaining work, or plus 1e9 when the appliance counts
+    differ.  Cells are scored battery-major, the order of
+    :func:`enumerate_states`, and the first nearest one wins, so a NaN or
+    infinite level names the first feasible state.
+    """
+    eng = table._engine
+    b_idx, r_idx = np.nonzero(table.dec_mask[t - 1].T >= 0)
+    if len(b_idx) == 0:
+        return None
+    step = eng.step
+    score = np.abs(b_idx * step - state.battery_wh) / step
+    if len(state.remaining) == eng.n_app:
+        # r_idx counts in itertools.product order, last appliance fastest;
+        # a count past the duration adds its excess exactly, as ints do
+        near = [min(r, d) for r, d in zip(state.remaining, eng.durations)]
+        work, rest = np.zeros(len(r_idx), dtype=np.int64), r_idx.copy()
+        for r, d in zip(reversed(near), reversed(eng.durations)):
+            work += np.abs(rest % (d + 1) - r)
+            rest //= d + 1
+        excess = sum(state.remaining) - sum(near)
+        score += (work.astype(object) + excess).astype(float) if excess else work
+    else:
+        score += 1e9
+    pick = int(np.argmin(score))
+    return SystemState(battery_wh=int(b_idx[pick]) * step,
+                       remaining=eng.r_combos[r_idx[pick]])
 
 
 def extract_schedule(table: ScheduleTable, initial_state: SystemState,

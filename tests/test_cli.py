@@ -370,6 +370,25 @@ class TestUnreadableInputs:
         assert not (tmp_path / "o" / "trace.json").exists()
 
 
+class TestHugeNumbers:
+    @pytest.mark.parametrize("edit, code", [
+        (lambda raw: raw["price"]["values"].__setitem__(1, 1e308), 2),
+        (lambda raw: raw["grid"].__setitem__("slot_hours", 1e308), 2),
+        (lambda raw: raw["price"]["values"].__setitem__(1, 1e300), 0),
+    ], ids=["price-1e308", "slot-hours-1e308", "price-1e300"])
+    def test_overflowing_configs_exit_2(self, tmp_path, capsys, edit, code):
+        raw = serialize(load_config("motivating-example"))
+        edit(raw)
+        got, out, err = run(capsys, *config_file(
+            tmp_path, json.dumps(raw).encode()))
+        assert got == code
+        if code:
+            assert err.startswith("config error: ")
+            assert "overflows" in err
+        else:
+            assert "controllable cost 3.0000000000000003e+304" in out
+
+
 class TestSweepCommand:
     def read(self, path):
         with open(path, newline="") as fh:

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from paces import (ConfigError, EventScript, ReferenceSource, ScriptedStart,
-                   load_config, load_event_script, load_historical_load_csv,
-                   load_price_csv, parse_config, preset_names,
-                   random_small_instance, serialize, state_count)
+                   SolveConfig, backward_recursion, load_config,
+                   load_event_script, load_historical_load_csv,
+                   load_price_csv, model_fingerprint, parse_config,
+                   preset_names, random_small_instance, serialize,
+                   state_count)
 
 
 def motivating_raw():
@@ -253,6 +255,34 @@ class TestHistoricalCsv:
         assert policy.l_bar_w == 35000.0
         assert policy.lambda_w == 40000.0
         assert policy.l_bar_source == ReferenceSource.HISTORICAL
+
+    def test_reference_source_is_hashed_only_next_to_a_constant(self,
+                                                                tmp_path):
+        def solve_config(privacy):
+            raw = motivating_raw()
+            raw["privacy"] = privacy
+            return SolveConfig(
+                instance=parse_config(raw, base_dir=tmp_path).instance)
+
+        constant = {"lambda": 40000, "reference": 35000}
+        plain = solve_config(constant)
+        tagged = solve_config({**constant,
+                               "reference_source": "historical-mean"})
+        assert tagged.instance.policy.l_bar_source == ReferenceSource.HISTORICAL
+        assert model_fingerprint(tagged) != model_fingerprint(plain)
+        assert model_fingerprint(plain) == model_fingerprint(solve_config(
+            {**constant, "reference_source": "config-constant"}))
+        # the tag changes no decision
+        a, b = backward_recursion(plain), backward_recursion(tagged)
+        assert (a.dec_mask == b.dec_mask).all()
+        assert (a.dec_step == b.dec_step).all()
+
+        self.write(tmp_path, "timestamp,load_w\nt0,30000\nt1,40000\n")
+        history = {"lambda": 40000, "reference_csv": "history.csv"}
+        for source in ("config-constant", "historical-mean"):
+            assert model_fingerprint(solve_config(history)) == \
+                model_fingerprint(solve_config({**history,
+                                                "reference_source": source}))
 
 
 class TestEventScriptLoader:

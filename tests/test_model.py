@@ -230,6 +230,14 @@ class TestNonFiniteValues:
         with pytest.raises(ModelError):
             NUMERIC_FIELDS[field](value)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, 1e308])
+    def test_levels_beyond_the_grid_are_model_errors(self, level):
+        battery = battery_with("grid_step_wh", 0.5)
+        with pytest.raises(ModelError, match="not on the 0.5 Wh grid"):
+            battery.level_index(level)
+        assert step_battery(SystemState(battery_wh=level, remaining=()), 0.0,
+                            battery) is None
+
     def test_a_grid_too_fine_for_floats_is_refused(self):
         with pytest.raises(ModelError, match="multiple"):
             Battery(**{**BATTERY, "b_max_wh": 1e308, "grid_step_wh": 1e-10})
@@ -276,6 +284,37 @@ class TestInstance:
     def test_rejects_price_length_mismatch(self):
         with pytest.raises(ModelError, match="price"):
             make_instance(tau=4, prices=(0.1, 0.1))
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(prices=(0.1, 1e308, 0.1, 0.1)), "horizon cost overflows"),
+        (dict(prices=(1e308,) * 4, appliances=(), l_bar=0.0,
+              battery=Battery(**{**BATTERY, "b_max_wh": 0.0,
+                                 "b_init_wh": 0.0})), "horizon cost overflows"),
+        (dict(l_bar=1e308, ns=(NonSchedulableAppliance(
+            id="n1", power_w=1e308, runtime_slots=1, zone=(1, 1)),)),
+         "largest slot energy overflows"),
+        # a band this far up used to read as feasible once counted in steps
+        (dict(l_bar=1e9, battery=Battery(b_max_wh=0.0, b_init_wh=0.0,
+                                         z_discharge_max_wh=0.0,
+                                         z_charge_max_wh=0.0,
+                                         grid_step_wh=1e-300)),
+         "largest slot energy overflows"),
+    ], ids=["price", "prices-sum", "loads-sum", "grid-steps"])
+    def test_huge_but_finite_numbers_are_refused(self, kwargs, match):
+        with pytest.raises(ModelError, match=match):
+            make_instance(**kwargs)
+
+    def test_huge_slots_are_refused(self):
+        with pytest.raises(ModelError, match="largest slot energy overflows"):
+            Instance(grid=TimeGrid(tau=1, slot_hours=1e308), appliances=(),
+                     ns_appliances=(), battery=Battery(**BATTERY),
+                     price=PriceSignal((0.1,)),
+                     policy=PrivacyPolicy(lambda_w=1.0, l_bar_w=2.0))
+
+    def test_huge_numbers_that_fit_are_accepted(self):
+        make_instance(prices=(0.1, 1e300, 0.1, 0.1))
+        make_instance(lam=1e308, l_bar=1e308, battery=Battery(**{
+            **BATTERY, "z_charge_max_wh": 1e308, "z_discharge_max_wh": 1e308}))
 
     def test_initial_state_has_everything_unstarted(self):
         inst = make_instance()
