@@ -17,13 +17,13 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .config import (load_config, load_event_script, preset_names,
                      random_small_instance, read_json)
 from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      PacesError)
-from .model import PrivacyScenario, ScenarioSet
+from .model import NonSchedulableAppliance, PrivacyScenario, ScenarioSet
 from .oracle import brute_force_solve
 from .scenarios import ScenarioSolveResult, candidate_scenarios, \
     solve_with_scenarios
@@ -51,17 +51,22 @@ def _base_scenario_set(n_ns: int) -> ScenarioSet:
     return ScenarioSet((PrivacyScenario.inactive(n_ns),))
 
 
-def _load_scenario_file(path: Path, n_ns: int) -> ScenarioSet:
+def _load_scenario_file(path: Path,
+                        ns_appliances: Sequence[NonSchedulableAppliance]
+                        ) -> ScenarioSet:
     raw = read_json(path, "scenario file")
     if (not isinstance(raw, list)
             or not all(isinstance(row, list) for row in raw)):
         raise ConfigError(f"{path}: expected a JSON array of start arrays")
     scenarios = []
     for i, row in enumerate(raw):
-        if len(row) != n_ns or not all(
-                s is None or isinstance(s, int) for s in row):
+        if len(row) != len(ns_appliances) or not all(
+                s is None or (isinstance(s, int) and not isinstance(s, bool)
+                              and s in app.feasible_starts())
+                for s, app in zip(row, ns_appliances)):
             raise ConfigError(
-                f"{path}: row {i} must hold {n_ns} start slots (int or null), "
+                f"{path}: row {i} must hold {len(ns_appliances)} start slots "
+                f"(null or a start that fits the appliance's zone), "
                 f"got {row!r}")
         scenarios.append(PrivacyScenario(starts=tuple(row)))
     return ScenarioSet(tuple(scenarios))
@@ -136,7 +141,7 @@ def cmd_build_table(args: argparse.Namespace) -> int:
     inst = cfg.instance
     if args.scenarios:
         omega = _load_scenario_file(Path(args.scenarios),
-                                    len(inst.ns_appliances))
+                                    inst.ns_appliances)
     else:
         omega = _base_scenario_set(len(inst.ns_appliances))
     config = SolveConfig(instance=inst, scenarios=omega,

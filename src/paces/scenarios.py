@@ -218,7 +218,7 @@ def solve_with_scenarios(instance: Instance,
             raise InfeasibleError(
                 f"privacy bound unattainable: lambda={instance.policy.lambda_w} W "
                 f"is infeasible for the current scenario set, smallest feasible "
-                f"is about {hint:.1f} W",
+                f"is about {hint!r} W",
                 earliest_dead_slot=err.earliest_dead_slot,
                 lambda_hint_w=hint) from None
         return table, extract_schedule(table, instance.initial_state()), config

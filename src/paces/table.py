@@ -24,6 +24,7 @@ smallest start vector, then the smaller signed battery move.
 """
 from __future__ import annotations
 
+import base64
 import functools
 import hashlib
 import itertools
@@ -38,7 +39,8 @@ from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      StateSpaceError)
 from .model import (Battery, Decision, Instance, PrivacyScenario, ScenarioSet,
                     SchedulableAppliance, SystemState, aggregated_load,
-                    privacy_gap, scenario_load, slot_cost, step_remaining)
+                    appliance_load, privacy_gap, scenario_load, slot_cost,
+                    step_remaining)
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -648,8 +650,9 @@ def extract_schedule(table: ScheduleTable, initial_state: SystemState,
             raise IntegrityError(
                 f"table decision at slot {t} moves the battery to "
                 f"{next_level!r} Wh, outside [0, {bat.b_max_wh!r}]")
-        load = aggregated_load(state, decision, scenario, t, inst)
-        base = load - scenario_load(scenario, inst.ns_appliances, t)
+        base = (appliance_load(state.remaining, next_remaining, inst.powers_w)
+                + decision.battery_delta_wh / h)
+        load = base + scenario_load(scenario, inst.ns_appliances, t)
         decisions.append(decision)
         base_loads.append(base)
         loads.append(load)
@@ -700,69 +703,38 @@ def expected_total_cost(config: SolveConfig, controllable_cost: float) -> float:
 # Table persistence
 
 _FORMAT_NAME = "paces-table"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
-
-def _table_header(table: ScheduleTable) -> dict:
-    eng = table._engine
-    return {
-        "format": _FORMAT_NAME,
-        "version": _FORMAT_VERSION,
-        "model_hash": table.model_hash,
-        "tau": eng.tau,
-        "slot_hours": eng.h,
-        "grid_step_wh": eng.step,
-        "b_max_wh": eng.inst.battery.b_max_wh,
-        "durations": list(eng.durations),
-        "omega": [list(sc.starts) for sc in table.config.scenarios],
-        "weights": list(table.config.resolved_weights()),
-        "objective_mode": table.config.objective_mode,
-    }
-
-
-def _json_cells(slab: np.ndarray) -> list:
-    """One slot of a table array as nested lists; non-finite values as None."""
-    if slab.dtype.kind != "f":
-        return slab.tolist()
-    cells = slab.astype(object)
-    cells[~np.isfinite(slab)] = None
-    return cells.tolist()
+#: Each array's dump dtype, little-endian, in the order ``body_sha256``
+#: hashes their bytes.
+_ARRAY_DTYPES = {"values": "<f8", "dec_mask": "<i4", "dec_step": "<i4"}
+_HEADER_KEYS = ("format", "version", "model_hash", "body_sha256", "omega",
+                "weights", "objective_mode")
 
 
 def save_table(table: ScheduleTable, path: str, format: str = "json") -> None:
-    """Write the table with its model-hash header as one line of JSON.
+    """Write the table with its header as one line of JSON, keys sorted.
 
-    The keys go out sorted and each array one slot at a time, so the C
-    encoder of ``json.dumps`` does the work and the whole document is
-    never held in memory; the bytes are those of one ``json.dumps`` of
-    the full payload with ``sort_keys`` and compact separators.
+    Each array is stored as the base64 of its little-endian, C-order
+    bytes, cells indexed ``[t][r][b]``; ``body_sha256`` covers those
+    bytes, so a loader detects a corrupted or edited body.
     """
     if format != "json":
         raise ConfigError(f"unknown table format {format!r}, expected 'json'")
-    fields = _table_header(table)
-    arrays = {"values": table.values, "dec_mask": table.dec_mask,
-              "dec_step": table.dec_step}
-
-    def dumps(obj) -> str:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
+    body = {name: getattr(table, name).astype(dtype, copy=False).tobytes()
+            for name, dtype in _ARRAY_DTYPES.items()}
+    payload = {name: base64.b64encode(raw).decode("ascii")
+               for name, raw in body.items()}
+    payload.update(
+        format=_FORMAT_NAME, version=_FORMAT_VERSION,
+        model_hash=table.model_hash,
+        body_sha256=hashlib.sha256(b"".join(body.values())).hexdigest(),
+        omega=[list(sc.starts) for sc in table.config.scenarios],
+        weights=list(table.config.resolved_weights()),
+        objective_mode=table.config.objective_mode)
     with open(path, "w", encoding="utf-8") as fh:
-        for i, key in enumerate(sorted(fields.keys() | arrays.keys())):
-            fh.write(("{" if i == 0 else ",") + dumps(key) + ":")
-            if key in fields:
-                fh.write(dumps(fields[key]))
-                continue
-            fh.write("[")
-            for t, slab in enumerate(arrays[key]):
-                fh.write(("," if t else "") + dumps(_json_cells(slab)))
-            fh.write("]")
-        fh.write("}\n")
-
-
-_HEADER_KEYS = ("format", "version", "model_hash", "tau", "slot_hours",
-                "grid_step_wh", "b_max_wh", "durations", "omega", "weights",
-                "objective_mode")
-_ARRAY_KEYS = ("values", "dec_mask", "dec_step")
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":"))
+                 + "\n")
 
 
 def _read_payload(path: str) -> dict:
@@ -777,14 +749,15 @@ def _read_payload(path: str) -> dict:
         raise IntegrityError(
             f"table version {payload.get('version')!r} unsupported, "
             f"expected {_FORMAT_VERSION}")
-    missing = [k for k in _HEADER_KEYS + _ARRAY_KEYS if k not in payload]
+    missing = [k for k in _HEADER_KEYS + tuple(_ARRAY_DTYPES)
+               if k not in payload]
     if missing:
         raise IntegrityError(f"{path} is truncated: no {', '.join(missing)}")
     return payload
 
 
 def read_table_header(path: str) -> dict:
-    """Model hash, scenario set and grid summary of a table dump."""
+    """Model hash, body hash, scenario set and objective of a table dump."""
     payload = _read_payload(path)
     return {k: payload[k] for k in _HEADER_KEYS}
 
@@ -792,9 +765,10 @@ def read_table_header(path: str) -> dict:
 def load_table(path: str, config: SolveConfig) -> ScheduleTable:
     """Read a table dump and bind it to ``config``.
 
-    Refuses, with :class:`IntegrityError`, a dump built for another model
-    and one whose arrays do not have the engine's ``(tau, n_r, m)`` shape,
-    hold non-numeric cells or decisions outside the engine's range.
+    Refuses, with :class:`IntegrityError`, a dump built for another model,
+    one whose arrays are not base64 of the engine's ``(tau, n_r, m)``
+    shape, whose body does not match ``body_sha256``, or that holds
+    decisions outside the engine's range.
     """
     payload = _read_payload(path)
     expected = model_fingerprint(config)
@@ -804,24 +778,26 @@ def load_table(path: str, config: SolveConfig) -> ScheduleTable:
             f"{str(payload['model_hash'])[:12]}... != config {expected[:12]}...")
     eng = _Engine(config)
     shape = (eng.tau, eng.n_r, eng.m)
-    try:
-        values = np.array([[[np.inf if v is None else v for v in row]
-                            for row in slab] for slab in payload["values"]])
-        dec_mask = np.array(payload["dec_mask"])
-        dec_step = np.array(payload["dec_step"])
-    except (TypeError, ValueError):
-        raise IntegrityError(
-            f"{path}: table arrays are ragged or malformed") from None
-    for name, arr, kinds, what in (("values", values, "fi", "numbers"),
-                                   ("dec_mask", dec_mask, "i", "integers"),
-                                   ("dec_step", dec_step, "i", "integers")):
-        if arr.shape != shape or arr.dtype.kind not in kinds:
+    digest = hashlib.sha256()
+    arrays = []
+    for name, dtype in _ARRAY_DTYPES.items():
+        try:
+            raw = base64.b64decode(payload[name], validate=True)
+        except (TypeError, ValueError):
+            raise IntegrityError(f"{path}: {name} is not base64") from None
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if len(raw) != size:
             raise IntegrityError(
-                f"{path}: {name} holds {arr.dtype} cells of shape "
-                f"{arr.shape}, expected shape {shape} of {what}")
+                f"{path}: {name} holds {len(raw)} bytes, expected shape "
+                f"{shape} of {dtype} ({size} bytes)")
+        digest.update(raw)
+        native = np.dtype(dtype).newbyteorder("=")
+        arrays.append(np.frombuffer(raw, dtype).astype(native).reshape(shape))
+    if payload["body_sha256"] != digest.hexdigest():
+        raise IntegrityError(
+            f"{path}: table body does not match its body_sha256")
+    values, dec_mask, dec_step = arrays
     if (dec_mask.min() < -1 or dec_mask.max() >= 1 << eng.n_app
             or dec_step.min() < eng.k_rate_lo or dec_step.max() > eng.k_rate_hi):
         raise IntegrityError(f"{path}: a decision cell is out of range")
-    return ScheduleTable(eng, values.astype(np.float64),
-                         dec_mask.astype(np.int32), dec_step.astype(np.int32),
-                         expected)
+    return ScheduleTable(eng, values, dec_mask, dec_step, expected)

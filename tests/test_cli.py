@@ -1,30 +1,66 @@
 """End-to-end command-line behavior and exit codes."""
+import base64
 import csv
+import functools
 import hashlib
 import json
 import pickle
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from paces import load_config, serialize
 from paces.cli import main
 
-
-# in-range edits of a motivating-example dump that no loader check sees
-def never_start(payload):
-    for key in ("dec_mask", "dec_step"):
-        payload[key] = [[[0] * len(row) for row in slab]
-                        for slab in payload[key]]
+# a dump's arrays in body-hash order, and the motivating example's shape:
+# 4 slots x 12 remaining-work vectors x 3 battery levels
+DUMP_DTYPES = {"values": "<f8", "dec_mask": "<i4", "dec_step": "<i4"}
+MOTIVATING_SHAPE = (4, 12, 3)
 
 
-def drain_in_the_last_slot(payload):
-    payload["dec_step"][-1] = [[-1] * len(row)
-                               for row in payload["dec_step"][-1]]
+def decode_arrays(payload):
+    return {name: np.frombuffer(base64.b64decode(payload[name]), dtype)
+            .reshape(MOTIVATING_SHAPE).copy()
+            for name, dtype in DUMP_DTYPES.items()}
 
 
-def always_start_the_first(payload):
-    payload["dec_mask"] = [[[1 if m >= 0 else m for m in row] for row in slab]
-                           for slab in payload["dec_mask"]]
+def encode_arrays(payload, arrays):
+    for name, dtype in DUMP_DTYPES.items():
+        raw = arrays[name].astype(dtype).tobytes()
+        payload[name] = base64.b64encode(raw).decode("ascii")
+
+
+def resigned(edit):
+    """A dump edit that changes the decoded arrays and then writes them
+    back with a matching ``body_sha256``, so only the checks after the
+    body hash can refuse it."""
+    def apply(payload):
+        arrays = decode_arrays(payload)
+        edit(arrays)
+        encode_arrays(payload, arrays)
+        body = b"".join(base64.b64decode(payload[name])
+                        for name in DUMP_DTYPES)
+        payload["body_sha256"] = hashlib.sha256(body).hexdigest()
+    return apply
+
+
+# in-range edits of a motivating-example dump that only the replay sees
+def never_start(arrays):
+    arrays["dec_mask"][:] = 0
+    arrays["dec_step"][:] = 0
+
+
+def drain_in_the_last_slot(arrays):
+    arrays["dec_step"][-1] = -1
+
+
+def always_start_the_first(arrays):
+    mask = arrays["dec_mask"]
+    mask[mask >= 0] = 1
 
 
 def run(capsys, *argv):
@@ -86,43 +122,38 @@ class TestSolveCommand:
         assert code == 0
         assert "breaches 0" in out
 
-    # SHA-256 of each preset's `solve` report and of a sampled replay of
-    # its dump: they pin the non-schedulable load path of the replay bytes
-    REPLAY_DIGESTS = {
+    # SHA-256 of each preset's `solve --table` dump, of its `solve` report
+    # and of a sampled replay of the dump. The dump digest shows a change
+    # to the backward pass that moves a single value, decision or tie;
+    # the replay digest pins the non-schedulable load path of the replay
+    DIGESTS = {
         "motivating-example": (
+            "16f54178471b22051f8ada0fedfb4947354bfa33bf2fae77ad0a4cf0ce4a2f6e",
             "89111a09c462eeb773d74f4e3e2d27fb8231512dd4744de1231ba28622e85d27",
             "405590138b8b22eeb429d32d7406c700281cfd0b9dd98aff58ea5dfb96e1ac7a"),
         "table-ii": (
+            "6763bafca8a30f3fd83a119436b13f1b6445522e9b00114186d0a45fc39141dc",
             "a5c787633fbdd718c98c1763f9d7fd08a57ff81c5e55754298577b11c404730b",
-            "2f02bdb25303247d8d4c15034f3d063fc9c6dc51d3ed97b657e9df8d57b1657a"),
+            "5990bd4a0311ac4009c88d0490d1b98e59f4924139af11b82300ca0ee0220453"),
         "section-iv-a": (
+            "17d85a7412a90422899b8494bf323b3a45e7158ce2a5e695fc1d1c668911987c",
             "96737fe1cd89c1ad4c1725140a04e532994141e39b9eeeaa4de1b633647e498b",
-            "3d0938994e3e2ccad6f60defe8df4f87bb8efd00ec4f3f56884541a92955ee3a"),
+            "bd86d6b3282905cf855a4b604cff1709137ba65205fa1c9dace88216bab005c9"),
     }
 
-    # SHA-256 of each preset's `solve --table` dump, pinned so a change to
-    # the backward pass that moves a single value, decision or tie shows
-    @pytest.mark.parametrize("preset, digest", [
-        ("motivating-example",
-         "084980af62afafe07a8eb035f40684204b323a2c67fda60cc5fe6918d144f497"),
-        ("table-ii",
-         "92ac54e345ad3063497d6a93d2f028491696911e838b0fc88f31096e52114dbb"),
-        ("section-iv-a",
-         "9d6906a1786cb9a828ebe8ebf32b05edd9b7955adf751a57651309b7e5b1f2d2"),
-    ])
-    def test_table_dumps_keep_their_bytes(self, tmp_path, capsys, preset,
-                                          digest):
+    @pytest.mark.parametrize("preset", sorted(DIGESTS))
+    def test_table_dumps_keep_their_bytes(self, tmp_path, capsys, preset):
         table = tmp_path / "final.table"
         code, _, _ = run(capsys, "solve", "--config", preset,
                          "--out", str(tmp_path / "run"), "--table", str(table))
         assert code == 0
-        assert hashlib.sha256(table.read_bytes()).hexdigest() == digest
+        dump_digest, report_digest, replay_digest = self.DIGESTS[preset]
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == dump_digest
         replay = tmp_path / "replay.csv"
         code, _, _ = run(capsys, "simulate", "--table", str(table),
                          "--config", preset, "--sample-seed", "0",
                          "--out", str(replay))
         assert code == 0
-        report_digest, replay_digest = self.REPLAY_DIGESTS[preset]
         report = tmp_path / "run" / "report.csv"
         assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
         assert hashlib.sha256(replay.read_bytes()).hexdigest() == replay_digest
@@ -223,8 +254,9 @@ class TestBuildAndSimulate:
 
     def test_truncated_tables_exit_4(self, tmp_path, capsys):
         def cut_last_slot(payload):
-            for key in ("values", "dec_mask", "dec_step"):
-                payload[key].pop()
+            for key in DUMP_DTYPES:
+                raw = base64.b64decode(payload[key])
+                payload[key] = base64.b64encode(raw[:len(raw) * 3 // 4]).decode()
 
         code, _, err = self.simulate_corrupted(capsys, tmp_path,
                                                cut_last_slot)
@@ -232,13 +264,55 @@ class TestBuildAndSimulate:
         assert "expected shape (4, 12, 3)" in err
 
     def test_ragged_tables_exit_4(self, tmp_path, capsys):
-        code, _, err = self.simulate_corrupted(
-            capsys, tmp_path, lambda payload: payload["dec_step"][0][0].pop())
+        def drop_one_cell(payload):
+            raw = base64.b64decode(payload["dec_step"])
+            payload["dec_step"] = base64.b64encode(raw[:-4]).decode()
+
+        code, _, err = self.simulate_corrupted(capsys, tmp_path,
+                                               drop_one_cell)
         assert code == 4
-        assert "ragged" in err
+        assert "dec_step holds 572 bytes, expected shape (4, 12, 3)" in err
+
+    def test_non_base64_arrays_exit_4(self, tmp_path, capsys):
+        def spoil(payload):
+            payload["dec_mask"] = payload["dec_mask"][:-4] + "!!!!"
+
+        code, _, err = self.simulate_corrupted(capsys, tmp_path, spoil)
+        assert code == 4
+        assert "dec_mask is not base64" in err
+
+    def test_version_1_dumps_exit_4(self, tmp_path, capsys):
+        def downgrade(payload):
+            payload["version"] = 1
+
+        code, _, err = self.simulate_corrupted(capsys, tmp_path, downgrade)
+        assert code == 4
+        assert "table version 1 unsupported, expected 2" in err
+
+    def test_edited_bodies_exit_4(self, tmp_path, capsys):
+        # start both appliances and charge at slot 1: every cell stays in
+        # range and the walk completes, so only the body hash sees it
+        def breach_at_slot_1(arrays):
+            arrays["dec_mask"][0, 11, 0] = 3
+            arrays["dec_step"][0, 11, 0] = 1
+
+        def unsigned(payload):
+            arrays = decode_arrays(payload)
+            breach_at_slot_1(arrays)
+            encode_arrays(payload, arrays)
+
+        code, _, err = self.simulate_corrupted(capsys, tmp_path, unsigned)
+        assert code == 4
+        assert "does not match its body_sha256" in err
+        # the hash detects edits, it does not authenticate them: the same
+        # edit with a recomputed hash replays, breach and all
+        code, out, _ = self.simulate_corrupted(capsys, tmp_path,
+                                               resigned(breach_at_slot_1))
+        assert code == 0
+        assert "max |gap| 45000.0 W, breaches 1" in out
 
     # the replay itself must refuse a decision it cannot apply or a
-    # schedule it cannot finish
+    # schedule it cannot finish, even in a dump whose body hash matches
     @pytest.mark.parametrize("corrupt, message", [
         (never_start, "unfinished work"),
         (drain_in_the_last_slot, "slot 4 moves the battery to -10000.0 Wh"),
@@ -247,7 +321,8 @@ class TestBuildAndSimulate:
     ], ids=["never-start", "drain-below-empty", "restart"])
     def test_unreplayable_dumps_exit_4(self, tmp_path, capsys, corrupt,
                                        message):
-        code, _, err = self.simulate_corrupted(capsys, tmp_path, corrupt)
+        code, _, err = self.simulate_corrupted(capsys, tmp_path,
+                                               resigned(corrupt))
         assert code == 4
         assert "integrity error" in err
         assert message in err
@@ -284,6 +359,22 @@ class TestBuildAndSimulate:
         assert code == 2
         assert "must hold 1 start slots" in err
 
+    # beta runs one slot in zone [2, 3], so it can start at 2 or 3
+    @pytest.mark.parametrize("rows, code", [
+        ([[99]], 2), ([[0]], 2), ([[True]], 2), ([[3]], 0), ([[None]], 0),
+    ], ids=["past-the-zone", "before-the-zone", "bool", "in-zone", "inactive"])
+    def test_scenario_starts_must_fit_the_zone(self, tmp_path, capsys, rows,
+                                               code):
+        scenarios = tmp_path / "omega.json"
+        scenarios.write_text(json.dumps(rows))
+        got, _, err = run(capsys, "build-table", "--config",
+                          "motivating-example", "--out",
+                          str(tmp_path / "t.json"),
+                          "--scenarios", str(scenarios))
+        assert got == code
+        if code == 2:
+            assert "row 0 must hold 1 start slots" in err
+
 
     def test_deeply_nested_dumps_exit_4(self, tmp_path, capsys):
         table = tmp_path / "deep.json"
@@ -292,6 +383,54 @@ class TestBuildAndSimulate:
                            "--config", "motivating-example")
         assert code == 4
         assert "not a schedule-table dump" in err
+
+
+@functools.cache
+def motivating_dump() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        assert main(["build-table", "--config", "motivating-example",
+                     "--out", str(path)]) == 0
+        return path.read_text()
+
+
+# the loader's ranges for the motivating example: two appliances, and
+# battery moves of at most one 10,000 Wh step
+IN_RANGE = {"values": st.floats(allow_nan=False),
+            "dec_mask": st.integers(-1, 3), "dec_step": st.integers(-1, 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_one_cell_in_range_edit_exits_4(data):
+    name = data.draw(st.sampled_from(sorted(DUMP_DTYPES)))
+    cell = tuple(data.draw(st.integers(0, n - 1)) for n in MOTIVATING_SHAPE)
+    payload = json.loads(motivating_dump())
+    arrays = decode_arrays(payload)
+    old = arrays[name][cell].tobytes()
+    arrays[name][cell] = data.draw(IN_RANGE[name])
+    assume(arrays[name][cell].tobytes() != old)
+    encode_arrays(payload, arrays)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        path.write_text(json.dumps(payload))
+        code = main(["simulate", "--table", str(path),
+                     "--config", "motivating-example"])
+    assert code == 4
+
+
+def test_the_documented_dump_is_what_build_table_writes(tmp_path, capsys):
+    docs = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(
+        encoding="utf-8")
+    section = docs.split("## Schedule table dump\n")[1].split("\n## ")[0]
+    dump, config = [block.split("\n```")[0]
+                    for block in section.split("```json\n")[1:3]]
+    (tmp_path / "config.json").write_text(config)
+    code, _, err = run(capsys, "build-table", "--config",
+                       str(tmp_path / "config.json"),
+                       "--out", str(tmp_path / "table.json"))
+    assert code == 0, err
+    assert (tmp_path / "table.json").read_bytes() == (dump + "\n").encode()
 
 
 NOT_UTF8 = b"\xff\xfe{"

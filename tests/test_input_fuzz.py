@@ -69,7 +69,8 @@ def fuzzed_file(data, name):
 READERS = {
     "config": load_config,
     "script": load_event_script,
-    "scenarios": lambda path: _load_scenario_file(path, 1),
+    "scenarios": lambda path: _load_scenario_file(
+        path, load_config("motivating-example").instance.ns_appliances),
     "price": lambda path: load_price_csv(path, 4),
     "history": load_historical_load_csv,
 }

@@ -1,6 +1,12 @@
 """Worst-case usage search and the iterative refinement loop."""
+import dataclasses
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from paces import (Battery, InfeasibleError, Instance, ModelError,
                    NonSchedulableAppliance, PriceSignal, PrivacyPolicy,
@@ -277,7 +283,6 @@ class TestRefinementLoop:
 
     def test_unattainable_bound_reports_a_feasible_one(self):
         inst = load_config("motivating-example").instance
-        import dataclasses
         tight = dataclasses.replace(
             inst, policy=PrivacyPolicy(lambda_w=1000.0, l_bar_w=35000.0))
         with pytest.raises(InfeasibleError,
@@ -287,7 +292,32 @@ class TestRefinementLoop:
         assert hint is not None
         assert 1000.0 < hint < 130000.0
         assert err.value.earliest_dead_slot == 1
-        assert f"{hint:.1f}" in str(err.value)
+        assert f"smallest feasible is about {hint!r} W" in str(err.value)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 399))
+    @example(seed=4)  # hint 233.84157..., which one decimal rounds down
+    def test_the_printed_hint_builds_feasibly(self, seed):
+        inst = random_small_instance(seed, ns_count=seed % 3)
+        tight = dataclasses.replace(inst, policy=dataclasses.replace(
+            inst.policy, lambda_w=inst.policy.lambda_w * 0.2))
+        probe = mock.patch.object(scenarios, "_smallest_feasible_lambda",
+                                  wraps=scenarios._smallest_feasible_lambda)
+        with probe as probed:
+            try:
+                solve_with_scenarios(tight)
+                message, hint = None, None
+            except InfeasibleError as err:
+                message, hint = str(err), err.lambda_hint_w
+        assume(hint is not None)
+        printed = re.search(r"smallest feasible is about (\S+) W",
+                            message).group(1)
+        assert float(printed) == hint
+        _, omega, state_cap = probed.call_args.args
+        at_hint = dataclasses.replace(tight, policy=dataclasses.replace(
+            tight.policy, lambda_w=float(printed)))
+        backward_recursion(SolveConfig(instance=at_hint, scenarios=omega,
+                                       state_cap=state_cap))
 
     def test_the_lambda_probe_ends_at_huge_powers(self, monkeypatch):
         # at 1e17 W the float midpoint collapses onto a bound long before

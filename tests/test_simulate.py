@@ -135,6 +135,20 @@ class TestSimulate:
         assert report.rows[1].started == ("alpha2",)
         assert report.rows[2].started == ("alpha1",)
 
+    # the base load is the schedule's own draw, so usage adds to it and
+    # never shifts it, not even by the rounding of a subtraction
+    @pytest.mark.parametrize("preset", ["motivating-example", "table-ii",
+                                        "section-iv-a"])
+    def test_replay_base_load_is_the_quiet_base_load(self, preset):
+        result = solve_with_scenarios(load_config(preset).instance)
+        table, config = result.table, result.config
+        quiet = simulate(table, EventScript.scripted(()), config)
+        for seed in range(100):
+            report = simulate(table, EventScript.sampled(seed), config)
+            for row, quiet_row in zip(report.rows, quiet.rows):
+                assert row.base_load_w == quiet_row.base_load_w
+                assert row.load_w == row.base_load_w + row.ns_load_w
+
     @pytest.mark.parametrize("slot,loads", [
         (2, (0.0, 55000.0, 60000.0, 70000.0)),
         (3, (0.0, 40000.0, 75000.0, 70000.0)),

@@ -1,23 +1,31 @@
 """Backward recursion: state grid, table cells, extraction, persistence."""
+import base64
 import dataclasses
+import hashlib
 import itertools
 import json
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    IntegrityError, ModelError, NonSchedulableAppliance,
                    PriceSignal, PrivacyPolicy, PrivacyScenario, ScenarioSet,
-                   SchedulableAppliance, SolveConfig, StateSpaceError,
-                   SystemState, TimeGrid, aggregated_load, appliance_load,
-                   backward_recursion, brute_force_solve, candidate_scenarios,
-                   enumerate_states, expected_total_cost, extract_schedule,
-                   feasible_decisions, load_config, load_table,
-                   model_fingerprint, privacy_gap, random_small_instance,
-                   read_table_header, save_table, slot_cost, state_count,
-                   step_battery, step_remaining)
+                   SchedulableAppliance, ScheduleTable, SolveConfig,
+                   StateSpaceError, SystemState, TimeGrid, aggregated_load,
+                   appliance_load, backward_recursion, brute_force_solve,
+                   candidate_scenarios, enumerate_states, expected_total_cost,
+                   extract_schedule, feasible_decisions, load_config,
+                   load_table, model_fingerprint, privacy_gap,
+                   random_small_instance, read_table_header, save_table,
+                   slot_cost, state_count, step_battery, step_remaining)
+from paces.table import _Engine
 
 
 def app(name, power, duration):
@@ -568,17 +576,40 @@ class TestPersistence:
         header = read_table_header(path)
         assert header == {
             "format": "paces-table",
-            "version": 1,
+            "version": 2,
             "model_hash": table.model_hash,
-            "tau": 4,
-            "slot_hours": 1.0,
-            "grid_step_wh": 10000.0,
-            "b_max_wh": 20000.0,
-            "durations": [2, 3],
+            "body_sha256": hashlib.sha256(
+                b"".join(self.body(table))).hexdigest(),
             "omega": [[None]],
             "weights": [1.0],
             "objective_mode": "expected",
         }
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 299), data=st.data())
+    def test_random_tables_round_trip_bit_equal(self, seed, data):
+        config = SolveConfig(instance=random_small_instance(seed))
+        eng = _Engine(config)
+        shape = (eng.tau, eng.n_r, eng.m)
+        table = ScheduleTable(
+            eng,
+            data.draw(arrays(np.float64, shape, elements=st.just(np.inf)
+                             | st.floats(allow_nan=False))),
+            data.draw(arrays(np.int32, shape, elements=st.integers(
+                -1, (1 << eng.n_app) - 1))),
+            data.draw(arrays(np.int32, shape, elements=st.integers(
+                eng.k_rate_lo, eng.k_rate_hi))),
+            model_fingerprint(config))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "table.json")
+            save_table(table, path)
+            loaded = load_table(path, config)
+        for name in ("values", "dec_mask", "dec_step"):
+            saved, read = getattr(table, name), getattr(loaded, name)
+            assert read.dtype == saved.dtype
+            assert read.shape == saved.shape
+            assert read.flags.writeable
+            assert read.tobytes() == saved.tobytes()
 
     def test_refuses_a_table_built_for_another_model(self, tmp_path):
         config, table = self.build()
@@ -596,10 +627,14 @@ class TestPersistence:
         path = tmp_path / "table.json"
         save_table(table, str(path))
         payload = json.loads(path.read_text())
-        payload["version"] = 2
-        path.write_text(json.dumps(payload))
-        with pytest.raises(IntegrityError, match="version"):
-            read_table_header(str(path))
+        for version in (1, 3):
+            payload["version"] = version
+            path.write_text(json.dumps(payload))
+            message = f"table version {version} unsupported, expected 2"
+            with pytest.raises(IntegrityError, match=message):
+                read_table_header(str(path))
+            with pytest.raises(IntegrityError, match=message):
+                load_table(str(path), config)
 
     def test_refuses_files_that_are_not_tables(self, tmp_path):
         config, _ = self.build()
@@ -617,27 +652,29 @@ class TestPersistence:
             read_table_header(str(wrong))
 
     @staticmethod
-    def full_payload(table):
-        """The whole dump as one dict, the way it was built before the
-        writer went slot by slot."""
-        eng = table._engine
-        values = [[[None if not np.isfinite(v) else float(v) for v in row]
-                   for row in slab] for slab in table.values]
+    def body(table):
+        """The three arrays' little-endian, C-order bytes, in hash order."""
+        return (table.values.astype("<f8").tobytes(),
+                table.dec_mask.astype("<i4").tobytes(),
+                table.dec_step.astype("<i4").tobytes())
+
+    @classmethod
+    def full_payload(cls, table):
+        """The whole dump as one dict, as the format describes it."""
+        body = cls.body(table)
+        values, dec_mask, dec_step = (base64.b64encode(raw).decode("ascii")
+                                      for raw in body)
         return {
             "format": "paces-table",
-            "version": 1,
+            "version": 2,
             "model_hash": table.model_hash,
-            "tau": eng.tau,
-            "slot_hours": eng.h,
-            "grid_step_wh": eng.step,
-            "b_max_wh": eng.inst.battery.b_max_wh,
-            "durations": list(eng.durations),
+            "body_sha256": hashlib.sha256(b"".join(body)).hexdigest(),
             "omega": [list(sc.starts) for sc in table.config.scenarios],
             "weights": list(table.config.resolved_weights()),
             "objective_mode": table.config.objective_mode,
             "values": values,
-            "dec_mask": table.dec_mask.tolist(),
-            "dec_step": table.dec_step.tolist(),
+            "dec_mask": dec_mask,
+            "dec_step": dec_step,
         }
 
     @pytest.mark.parametrize("which", ["random-seed-1", "section-iv-a-5wh"])
