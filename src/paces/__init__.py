@@ -17,8 +17,8 @@ from .model import (Battery, Decision, Instance, NonSchedulableAppliance,
 from .table import (ScheduleSolution, ScheduleTable, SolveConfig, TableEntry,
                     backward_recursion, enumerate_states, expected_total_cost,
                     extract_schedule, feasible_decisions, load_table,
-                    model_fingerprint, read_table_header, runtime_lookup,
-                    save_table, state_count)
+                    model_fingerprint, open_table, read_table_header,
+                    runtime_lookup, save_table, state_count)
 from .oracle import OracleResult, OracleTrajectory, brute_force_solve
 from .scenarios import (IterationRecord, IterationTrace, ScenarioSolveOptions,
                         ScenarioSolveResult, candidate_scenarios,
@@ -43,7 +43,7 @@ __all__ = [
     "model_fingerprint", "state_count", "enumerate_states",
     "feasible_decisions", "backward_recursion",
     "extract_schedule", "expected_total_cost", "save_table", "load_table",
-    "read_table_header",
+    "open_table", "read_table_header",
     "OracleResult", "OracleTrajectory", "brute_force_solve",
     "ScenarioSolveOptions", "ScenarioSolveResult", "IterationRecord",
     "IterationTrace", "candidate_scenarios", "find_worst_scenario",

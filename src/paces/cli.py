@@ -29,7 +29,7 @@ from .scenarios import ScenarioSolveResult, candidate_scenarios, \
     solve_with_scenarios
 from .simulate import EventScript, simulate, sweep_battery
 from .table import (SolveConfig, backward_recursion, expected_total_cost,
-                    load_table, read_table_header, save_table, state_count)
+                    open_table, save_table, state_count)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,10 +45,6 @@ VERIFY_TOL = 1e-9
 def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
-
-
-def _base_scenario_set(n_ns: int) -> ScenarioSet:
-    return ScenarioSet((PrivacyScenario.inactive(n_ns),))
 
 
 def _load_scenario_file(path: Path,
@@ -70,21 +66,6 @@ def _load_scenario_file(path: Path,
                 f"got {row!r}")
         scenarios.append(PrivacyScenario(starts=tuple(row)))
     return ScenarioSet(tuple(scenarios))
-
-
-def _table_config_from_header(instance, header: dict,
-                              state_cap: int) -> SolveConfig:
-    try:
-        omega = ScenarioSet(tuple(PrivacyScenario(starts=tuple(row))
-                                  for row in header["omega"]))
-        weights = tuple(header["weights"]) if header["weights"] else None
-        return SolveConfig(instance=instance, scenarios=omega,
-                           scenario_weights=weights,
-                           objective_mode=header["objective_mode"],
-                           state_cap=state_cap)
-    except (TypeError, ModelError) as err:
-        raise IntegrityError(
-            f"table header does not fit this model: {err}") from None
 
 
 def _solution_payload(result: ScenarioSolveResult, name: str,
@@ -143,7 +124,7 @@ def cmd_build_table(args: argparse.Namespace) -> int:
         omega = _load_scenario_file(Path(args.scenarios),
                                     inst.ns_appliances)
     else:
-        omega = _base_scenario_set(len(inst.ns_appliances))
+        omega = ScenarioSet.base(len(inst.ns_appliances))
     config = SolveConfig(instance=inst, scenarios=omega,
                          objective_mode=cfg.options.objective_mode,
                          state_cap=cfg.state_cap)
@@ -187,9 +168,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     table_path = Path(args.table)
     if not table_path.exists():
         raise ConfigError(f"table file not found: {table_path}")
-    header = read_table_header(str(table_path))
-    config = _table_config_from_header(cfg.instance, header, cfg.state_cap)
-    table = load_table(str(table_path), config)
+    table = open_table(str(table_path), cfg.instance, cfg.state_cap)
 
     if args.script:
         script = load_event_script(args.script)
@@ -198,7 +177,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         script = EventScript.scripted(())
 
-    report = simulate(table, script, config)
+    report = simulate(table, script, table.config)
     if args.out:
         Path(args.out).write_text(report.csv_text(), encoding="utf-8")
         print(f"report written to {args.out}")
@@ -252,17 +231,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_match = True
     for seed in range(args.seed, args.seed + args.count):
         inst = random_small_instance(seed)
-        omega = _base_scenario_set(len(inst.ns_appliances))
-        for sc in candidate_scenarios(inst.ns_appliances, inst.grid):
-            omega = omega.with_scenario(sc)
+        base = ScenarioSet.base(len(inst.ns_appliances))
+        omega = ScenarioSet(base.scenarios + tuple(
+            candidate_scenarios(inst.ns_appliances, inst.grid)))
         config = SolveConfig(instance=inst, scenarios=omega)
 
-        dp_value: Optional[float] = None
-        try:
-            table = backward_recursion(config)
-            value = table.initial_value()
-            if value != float("inf"):
-                dp_value = value
+        try:  # a table that builds has a finite initial value
+            dp_value = backward_recursion(config).initial_value()
         except InfeasibleError:
             dp_value = None
         oracle = brute_force_solve(config)

@@ -23,9 +23,9 @@ from .errors import ConfigError, ModelError
 from .model import (Battery, Instance, NonSchedulableAppliance, PriceSignal,
                     PrivacyPolicy, ReferenceSource, SchedulableAppliance,
                     TimeGrid)
-from .scenarios import ScenarioSolveOptions
+from .scenarios import SOLVE_MODES, VIOLATION_METRICS, ScenarioSolveOptions
 from .simulate import EventScript, ScriptedStart
-from .table import DEFAULT_STATE_CAP
+from .table import DEFAULT_STATE_CAP, OBJECTIVE_MODES
 
 POWER_FACTORS = {"W": 1.0, "kW": 1000.0}
 ENERGY_FACTORS = {"Wh": 1.0, "kWh": 1000.0}
@@ -104,9 +104,9 @@ _PRIVACY_SCHEMA = {
 _SOLVER_SCHEMA = {
     "type": "object", "additionalProperties": False,
     "properties": {
-        "mode": {"enum": ["guaranteed", "repeat-stop"]},
-        "objective": {"enum": ["expected", "worst-case-cost"]},
-        "metric": {"enum": ["two-sided", "upper-only"]},
+        "mode": {"enum": list(SOLVE_MODES)},
+        "objective": {"enum": list(OBJECTIVE_MODES)},
+        "metric": {"enum": list(VIOLATION_METRICS)},
         "include_inactive": {"type": "boolean"},
         "max_solves": {"type": ["integer", "null"]},
         "state_cap": {"type": "integer"},

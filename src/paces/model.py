@@ -287,6 +287,11 @@ class PrivacyPolicy:
                  f"reference load must be finite and non-negative, "
                  f"got {self.l_bar_w!r}")
 
+    @property
+    def tolerance_w(self) -> float:
+        """Roundoff slack: decisions on the band re-emerge a few ulp outside."""
+        return 1e-9 * max(1.0, self.lambda_w, self.l_bar_w)
+
 
 @dataclass(frozen=True)
 class SystemState:
@@ -358,6 +363,11 @@ class ScenarioSet:
     @classmethod
     def empty(cls) -> "ScenarioSet":
         return cls(scenarios=())
+
+    @classmethod
+    def base(cls, n_appliances: int) -> "ScenarioSet":
+        """The no-draw scenario alone: the plain band, no usage appliances."""
+        return cls(scenarios=(PrivacyScenario.inactive(n_appliances),))
 
     def with_scenario(self, scenario: PrivacyScenario) -> "ScenarioSet":
         """New set with ``scenario`` appended; rejects duplicates."""

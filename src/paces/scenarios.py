@@ -88,9 +88,6 @@ class IterationTrace:
     final_violation_w: Optional[float] = None
     capped: bool = False
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def to_rows(self) -> list[dict]:
         rows = []
         for rec in self.records:
@@ -197,10 +194,6 @@ def solve_with_scenarios(instance: Instance,
 
     candidates = candidate_scenarios(instance.ns_appliances, instance.grid,
                                      options.include_inactive)
-    # the no-draw scenario gives the plain privacy band a row in the set,
-    # which is what "solve ignoring non-schedulable appliances" means here
-    base_omega = ScenarioSet((PrivacyScenario.inactive(
-        len(instance.ns_appliances)),))
 
     def solve(omega: ScenarioSet):
         config = SolveConfig(instance=instance, scenarios=omega,
@@ -223,7 +216,8 @@ def solve_with_scenarios(instance: Instance,
                 lambda_hint_w=hint) from None
         return table, extract_schedule(table, instance.initial_state()), config
 
-    table, solution, config = solve(base_omega)
+    table, solution, config = solve(
+        ScenarioSet.base(len(instance.ns_appliances)))
     trace = IterationTrace()
     if not candidates:
         return ScenarioSolveResult(solution=solution, trace=trace, table=table,
@@ -238,16 +232,12 @@ def solve_with_scenarios(instance: Instance,
     cap = options.max_solves if options.max_solves is not None \
         else len(candidates) + 1
     solves = 1
-    # decisions sitting exactly on the privacy boundary re-emerge from the
-    # table with deviations a few ulp above the bound; do not chase those
-    pol = instance.policy
-    stop_tol = 1e-9 * max(1.0, pol.lambda_w, pol.l_bar_w)
     while True:
         phi, violation = find_worst_scenario(solution, candidates, instance,
                                              options.metric)
         trace.final_scenario, trace.final_violation_w = phi, violation
         if options.mode == "guaranteed":
-            if violation <= stop_tol:
+            if violation <= instance.policy.tolerance_w:
                 break
         else:
             if phi == phi_prev:

@@ -156,8 +156,7 @@ def simulate(table: ScheduleTable, script: EventScript,
     inst = config.instance
     scenario = script.resolve(inst)
     solution = extract_schedule(table, inst.initial_state(), scenario)
-    pol = inst.policy
-    breach_tol = 1e-9 * max(1.0, pol.lambda_w, pol.l_bar_w)
+    bound_w = inst.policy.lambda_w + inst.policy.tolerance_w
 
     rows = []
     for t, (decision, state, base, load, gap, cost) in enumerate(zip(
@@ -171,7 +170,7 @@ def simulate(table: ScheduleTable, script: EventScript,
             ns_load_w=scenario_load(scenario, inst.ns_appliances, t),
             load_w=load, battery_wh=state.battery_wh,
             battery_delta_wh=decision.battery_delta_wh, started=started,
-            privacy_gap_w=gap, breach=abs(gap) > pol.lambda_w + breach_tol,
+            privacy_gap_w=gap, breach=abs(gap) > bound_w,
             cost=cost))
     return SimulationReport(
         rows=tuple(rows), scenario=scenario,

@@ -319,8 +319,10 @@ class _Engine:
         k_hi = np.full(len(y_w), self.k_rate_hi, dtype=np.int64)
         if self.has_privacy:
             pol = self.inst.policy
-            lo_w = pol.l_bar_w - pol.lambda_w - y_w - self.w_min[t]
-            hi_w = pol.l_bar_w + pol.lambda_w - y_w - self.w_max[t]
+            # near 1e308 a bound overflows to +-inf, which the clip maps exactly
+            with np.errstate(over="ignore"):
+                lo_w = pol.l_bar_w - pol.lambda_w - y_w - self.w_min[t]
+                hi_w = pol.l_bar_w + pol.lambda_w - y_w - self.w_max[t]
             q = lo_w * self.h / self.step
             q = np.ceil(q - _SNAP_EPS * np.maximum(1.0, np.abs(q)))
             k_lo = np.clip(q, self.k_rate_lo, self.k_rate_hi + 1).astype(np.int64)
@@ -770,7 +772,29 @@ def load_table(path: str, config: SolveConfig) -> ScheduleTable:
     shape, whose body does not match ``body_sha256``, or that holds
     decisions outside the engine's range.
     """
+    return _bind(path, _read_payload(path), config)
+
+
+def open_table(path: str, instance: Instance,
+               state_cap: int = DEFAULT_STATE_CAP) -> ScheduleTable:
+    """Read a table dump and bind it to ``instance`` under its own header."""
     payload = _read_payload(path)
+    try:
+        omega = ScenarioSet(tuple(PrivacyScenario(starts=tuple(row))
+                                  for row in payload["omega"]))
+        weights = tuple(payload["weights"]) if payload["weights"] else None
+        config = SolveConfig(instance=instance, scenarios=omega,
+                             scenario_weights=weights,
+                             objective_mode=payload["objective_mode"],
+                             state_cap=state_cap)
+    except (TypeError, ModelError) as err:
+        raise IntegrityError(
+            f"table header does not fit this model: {err}") from None
+    return _bind(path, payload, config)
+
+
+def _bind(path: str, payload: dict, config: SolveConfig) -> ScheduleTable:
+    """Check a parsed dump against ``config`` and decode its arrays."""
     expected = model_fingerprint(config)
     if payload["model_hash"] != expected:
         raise IntegrityError(

@@ -6,6 +6,7 @@ import hashlib
 import json
 import pickle
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from paces import load_config, serialize
+from paces import (IntegrityError, backward_recursion, load_config,
+                   open_table, serialize)
 from paces.cli import main
 
 # a dump's arrays in body-hash order, and the motivating example's shape:
@@ -233,6 +235,43 @@ class TestBuildAndSimulate:
                            "--config", "motivating-example")
         assert code == 2
         assert "table file not found" in err
+
+    def test_simulate_decodes_the_dump_once(self, tmp_path, capsys,
+                                            monkeypatch):
+        table, _ = self.build(capsys, tmp_path)
+        text = table.read_text()
+        loads, decoded = json.loads, []
+
+        def counting_loads(s, *args, **kwargs):
+            if s == text:
+                decoded.append(s)
+            return loads(s, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        code, _, err = run(capsys, "simulate", "--table", str(table),
+                           "--config", "motivating-example")
+        assert code == 0, err
+        assert len(decoded) == 1
+
+    # each header field the dump is bound under, made unusable for the
+    # motivating example (one usage appliance, a one-row base set)
+    @pytest.mark.parametrize("field, value", [
+        ("omega", 5),
+        ("omega", [[None, None]]),
+        ("weights", [0.5, 0.5]),
+        ("objective_mode", "cheapest"),
+    ], ids=["omega-not-a-list", "omega-row-too-long", "weights-too-many",
+            "unknown-objective"])
+    def test_headers_that_do_not_fit_the_model_exit_4(self, tmp_path, capsys,
+                                                       field, value):
+        code, _, err = self.simulate_corrupted(
+            capsys, tmp_path, lambda payload: payload.update({field: value}))
+        assert code == 4
+        assert "table header does not fit this model" in err
+        with pytest.raises(IntegrityError,
+                           match="table header does not fit this model"):
+            open_table(str(tmp_path / "table.json"),
+                       load_config("motivating-example").instance)
 
     def test_tampered_tables_exit_4(self, tmp_path, capsys):
         table, _ = self.build(capsys, tmp_path)
@@ -526,6 +565,32 @@ class TestHugeNumbers:
             assert "overflows" in err
         else:
             assert "controllable cost 3.0000000000000003e+304" in out
+
+    # the lambda probe then nears 1e308, where the band's bounds overflow
+    # to inf; that is exact, so it must not warn, and the build count is
+    # the bisection's own
+    @pytest.mark.parametrize("section, builds", [
+        ("ns_appliances", 6), ("appliances", 5),
+    ])
+    def test_a_1e308_power_exits_3_without_warnings(self, tmp_path, capsys,
+                                                     monkeypatch, section,
+                                                     builds):
+        raw = serialize(load_config("motivating-example"))
+        raw[section][0]["power"] = 1e308
+        calls = []
+        monkeypatch.setattr(
+            "paces.scenarios.backward_recursion",
+            lambda config: calls.append(1) or backward_recursion(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, *config_file(
+                tmp_path, json.dumps(raw).encode()))
+        assert code == 3
+        assert err == (
+            "infeasible: privacy bound unattainable: lambda=40000.0 W is "
+            "infeasible for the current scenario set, smallest feasible is "
+            "about 1e+308 W\n")
+        assert len(calls) == builds
 
 
 class TestSweepCommand:
