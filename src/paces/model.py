@@ -14,6 +14,8 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import ModelError
 
 #: Relative tolerance used when snapping energies onto the battery grid.
@@ -289,7 +291,7 @@ class PrivacyPolicy:
 
     @property
     def tolerance_w(self) -> float:
-        """Roundoff slack: decisions on the band re-emerge a few ulp outside."""
+        """Roundoff slack past ``lambda_w`` that every band check admits."""
         return 1e-9 * max(1.0, self.lambda_w, self.l_bar_w)
 
 
@@ -503,6 +505,31 @@ def scenario_load(scenario: PrivacyScenario,
             f"{len(ns_appliances)}")
     return float(sum(a.power_w for a, s in zip(ns_appliances, scenario.starts)
                      if a.active(s, t)))
+
+
+def scenario_draws(scenarios: Sequence[PrivacyScenario],
+                   ns_appliances: Sequence[NonSchedulableAppliance],
+                   tau: int) -> np.ndarray:
+    """Non-schedulable draw of each scenario at slots 1..tau, one row each.
+
+    Each slot sums its appliances in appliance order, so every entry is
+    bit-equal to :func:`scenario_load`.
+    """
+    try:
+        # None becomes NaN, which no comparison accepts: an inactive
+        # appliance draws nothing
+        starts = np.array([sc.starts for sc in scenarios], dtype=float)
+        starts = starts.reshape(len(scenarios), len(ns_appliances))
+    except (TypeError, ValueError):
+        raise ModelError(f"every scenario must place the instance's "
+                         f"{len(ns_appliances)} appliances") from None
+    slots = np.arange(1, tau + 1)
+    draws = np.zeros((len(starts), tau))
+    for j, app in enumerate(ns_appliances):
+        first = starts[:, j:j + 1]
+        active = (first <= slots) & (slots <= first + (app.runtime_slots - 1))
+        np.add(draws, app.power_w, out=draws, where=active)
+    return draws
 
 
 def aggregated_load(state: SystemState, decision: Decision,

@@ -81,7 +81,7 @@ def brute_force_solve(config: SolveConfig) -> OracleResult:
     tau = inst.grid.tau
     h = inst.grid.slot_hours
     prices = [inst.price.at(t) for t in range(1, tau + 1)]
-    lam = inst.policy.lambda_w
+    lam = inst.policy.lambda_w + inst.policy.tolerance_w  # the solver's slack
     lbar = inst.policy.l_bar_w
 
     # scenario draw per (scenario, slot), evaluated from the raw windows

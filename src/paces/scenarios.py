@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ModelError
 from .model import (Instance, NonSchedulableAppliance, PrivacyScenario,
-                    ScenarioSet, TimeGrid)
+                    ScenarioSet, TimeGrid, scenario_draws)
 from .table import (DEFAULT_STATE_CAP, ScheduleSolution, ScheduleTable,
                     SolveConfig, backward_recursion, extract_schedule)
 
@@ -153,23 +153,7 @@ def find_worst_scenario(solution: ScheduleSolution,
                          f"got {metric!r}")
     if not candidates:
         return None, NO_SCENARIOS
-    apps = instance.ns_appliances
-    try:
-        # None becomes NaN, which no comparison accepts: an inactive
-        # appliance draws nothing
-        starts = np.array([sc.starts for sc in candidates], dtype=float)
-        starts = starts.reshape(len(candidates), len(apps))
-    except (TypeError, ValueError):
-        raise ModelError(f"every candidate scenario must place the "
-                         f"instance's {len(apps)} appliances") from None
-    slots = np.arange(1, instance.grid.tau + 1)
-    # one appliance at a time, in appliance order, so each slot's draw
-    # rounds exactly as scenario_load's sum does
-    dev = np.zeros((len(starts), len(slots)))
-    for j, app in enumerate(apps):
-        first = starts[:, j:j + 1]
-        active = (first <= slots) & (slots <= first + (app.runtime_slots - 1))
-        np.add(dev, app.power_w, out=dev, where=active)
+    dev = scenario_draws(candidates, instance.ns_appliances, instance.grid.tau)
     dev += np.asarray(solution.base_load_w, dtype=float)
     dev -= instance.policy.l_bar_w
     if metric == "two-sided":
@@ -228,10 +212,8 @@ def solve_with_scenarios(instance: Instance,
         f1_cost=solution.controllable_cost, omega_size=0))
 
     omega = ScenarioSet.empty()
-    phi_prev: Optional[PrivacyScenario] = None
     cap = options.max_solves if options.max_solves is not None \
         else len(candidates) + 1
-    solves = 1
     while True:
         phi, violation = find_worst_scenario(solution, candidates, instance,
                                              options.metric)
@@ -239,20 +221,15 @@ def solve_with_scenarios(instance: Instance,
         if options.mode == "guaranteed":
             if violation <= instance.policy.tolerance_w:
                 break
-        else:
-            if phi == phi_prev:
-                break
-            if phi in omega:
-                # re-solving the unchanged set would reproduce this exact
-                # schedule and propose phi again; stop here instead
-                break
-        if solves >= cap:
+        elif phi in omega:
+            # re-solving the unchanged set would reproduce this exact
+            # schedule and propose phi again; stop here instead
+            break
+        if len(trace.records) >= cap:
             trace.capped = True
             break
         omega = omega.with_scenario(phi)
         table, solution, config = solve(omega)
-        solves += 1
-        phi_prev = phi
         trace.records.append(IterationRecord(
             k=len(trace.records), scenario=phi, violation_w=violation,
             f1_cost=solution.controllable_cost, omega_size=len(omega)))

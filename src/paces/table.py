@@ -39,13 +39,13 @@ from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      StateSpaceError)
 from .model import (Battery, Decision, Instance, PrivacyScenario, ScenarioSet,
                     SchedulableAppliance, SystemState, aggregated_load,
-                    appliance_load, privacy_gap, scenario_load, slot_cost,
-                    step_remaining)
+                    appliance_load, privacy_gap, scenario_draws,
+                    scenario_load, slot_cost, step_remaining)
 
 DEFAULT_STATE_CAP = 2_000_000
 
-#: Guard applied before snapping constraint bounds onto battery-grid steps,
-#: so a bound that lands exactly on a grid point survives float roundoff.
+#: Guard applied before snapping a battery rate limit onto grid steps, so
+#: a limit that lands exactly on a grid point survives float roundoff.
 _SNAP_EPS = 1e-9
 
 OBJECTIVE_MODES = ("expected", "worst-case-cost")
@@ -288,16 +288,11 @@ class _Engine:
         self.n_r = len(self.r_combos)
         self.done_idx = self.r_index[(0,) * self.n_app]
 
-        # per slot, the extreme non-schedulable draws over the scenario set
-        omega = list(config.scenarios)
-        self.has_privacy = len(omega) > 0
-        self.w_min = np.zeros(self.tau + 1)
-        self.w_max = np.zeros(self.tau + 1)
-        for t in range(1, self.tau + 1):
-            if omega:
-                draws = [scenario_load(sc, inst.ns_appliances, t) for sc in omega]
-                self.w_min[t] = min(draws)
-                self.w_max[t] = max(draws)
+        # per slot t at index t, the extreme non-schedulable draws over the
+        # scenario set; the empty set's (+inf, -inf) leaves the rate window
+        draws = scenario_draws(config.scenarios, inst.ns_appliances, self.tau)
+        self.w_min = np.append(np.inf, draws.min(axis=0, initial=np.inf))
+        self.w_max = np.append(-np.inf, draws.max(axis=0, initial=-np.inf))
 
     def _rate_steps(self, rate_wh: float) -> int:
         """Grid steps one slot may move; no move crosses the whole pack."""
@@ -311,25 +306,22 @@ class _Engine:
     def k_windows(self, t: int, y_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Battery-step range allowed by rate and privacy bounds at slot t.
 
-        One ``(k_lo, k_hi)`` pair per appliance draw in ``y_w``.  Privacy
-        bounds are clamped to one step past the rate range, so an empty
-        window stays empty and every bound fits an integer.
+        One ``(k_lo, k_hi)`` pair per appliance draw in ``y_w``.  A move is
+        admitted iff the band holds within the policy's tolerance, the slack
+        the refinement loop and the replay allow too.  Privacy bounds are
+        clamped to one step past the rate range, so an empty window stays
+        empty and every bound fits an integer.
         """
-        k_lo = np.full(len(y_w), self.k_rate_lo, dtype=np.int64)
-        k_hi = np.full(len(y_w), self.k_rate_hi, dtype=np.int64)
-        if self.has_privacy:
-            pol = self.inst.policy
-            # near 1e308 a bound overflows to +-inf, which the clip maps exactly
-            with np.errstate(over="ignore"):
-                lo_w = pol.l_bar_w - pol.lambda_w - y_w - self.w_min[t]
-                hi_w = pol.l_bar_w + pol.lambda_w - y_w - self.w_max[t]
-            q = lo_w * self.h / self.step
-            q = np.ceil(q - _SNAP_EPS * np.maximum(1.0, np.abs(q)))
-            k_lo = np.clip(q, self.k_rate_lo, self.k_rate_hi + 1).astype(np.int64)
-            q = hi_w * self.h / self.step
-            q = np.floor(q + _SNAP_EPS * np.maximum(1.0, np.abs(q)))
-            k_hi = np.clip(q, self.k_rate_lo - 1, self.k_rate_hi).astype(np.int64)
-        return k_lo, k_hi
+        pol = self.inst.policy
+        # an infinite envelope or an overflowed bound is +-inf, which the
+        # clip maps exactly
+        with np.errstate(over="ignore"):
+            lo_w = pol.l_bar_w - pol.lambda_w - y_w - self.w_min[t]
+            hi_w = pol.l_bar_w + pol.lambda_w - y_w - self.w_max[t]
+            k_lo = np.ceil((lo_w - pol.tolerance_w) * self.h / self.step)
+            k_hi = np.floor((hi_w + pol.tolerance_w) * self.h / self.step)
+        return (np.clip(k_lo, self.k_rate_lo, self.k_rate_hi + 1).astype(np.int64),
+                np.clip(k_hi, self.k_rate_lo - 1, self.k_rate_hi).astype(np.int64))
 
     def solve_slot(self, t: int, f_next: np.ndarray):
         """One backward step: value and argmin decision for every state.
@@ -478,7 +470,7 @@ def feasible_decisions(state: SystemState, t: int,
     A decision is admissible when each started appliance is unstarted and
     can still finish by the horizon, the battery move is grid-exact and
     respects rate and level bounds, and the metered load satisfies the
-    privacy band for every scenario in the configured set.
+    privacy band, within its tolerance, for every configured scenario.
     """
     eng = _Engine(config)
     if not 1 <= t <= eng.tau:
@@ -499,7 +491,7 @@ def feasible_decisions(state: SystemState, t: int,
             ok = True
             for sc in config.scenarios:
                 load = aggregated_load(state, decision, sc, t, config.instance)
-                if abs(privacy_gap(load, pol)) > pol.lambda_w:
+                if abs(privacy_gap(load, pol)) > pol.lambda_w + pol.tolerance_w:
                     ok = False
                     break
             if ok:

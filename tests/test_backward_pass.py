@@ -1,4 +1,5 @@
 """The slot-batched backward pass against a per-option reference loop."""
+import dataclasses
 import itertools
 import math
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from paces import (Battery, Instance, NonSchedulableAppliance, PriceSignal,
                    PrivacyPolicy, PrivacyScenario, ScenarioSet,
                    SchedulableAppliance, SolveConfig, TimeGrid,
-                   candidate_scenarios, load_config, sweep_battery)
-from paces.table import _SNAP_EPS, _Engine, _option_tables
+                   candidate_scenarios, load_config, scenario_load,
+                   sweep_battery)
+from paces.table import _Engine, _option_tables
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +46,17 @@ def reference_options(eng, r_combo, t):
 
 
 def reference_window(eng, t, y_w):
+    # a move is admitted iff the band holds within the policy's tolerance;
+    # the empty scenario set's infinite envelope bounds nothing
+    pol = eng.inst.policy
+    tol = pol.tolerance_w
     k_lo, k_hi = eng.k_rate_lo, eng.k_rate_hi
-    if eng.has_privacy:
-        pol = eng.inst.policy
-        lo_w = pol.l_bar_w - pol.lambda_w - y_w - eng.w_min[t]
-        hi_w = pol.l_bar_w + pol.lambda_w - y_w - eng.w_max[t]
-        q = lo_w * eng.h / eng.step
-        k_lo = max(k_lo, math.ceil(q - _SNAP_EPS * max(1.0, abs(q))))
-        q = hi_w * eng.h / eng.step
-        k_hi = min(k_hi, math.floor(q + _SNAP_EPS * max(1.0, abs(q))))
+    lo_w = pol.l_bar_w - pol.lambda_w - y_w - eng.w_min[t]
+    hi_w = pol.l_bar_w + pol.lambda_w - y_w - eng.w_max[t]
+    if lo_w > -math.inf:
+        k_lo = max(k_lo, math.ceil((lo_w - tol) * eng.h / eng.step))
+    if hi_w < math.inf:
+        k_hi = min(k_hi, math.floor((hi_w + tol) * eng.h / eng.step))
     return k_lo, k_hi
 
 
@@ -215,6 +219,62 @@ def test_batched_slot_matches_on_edge_cases(name):
     else:
         assert eng.k_rate_lo == eng.k_rate_hi == 0
     assert_every_slot_matches(config, np.random.default_rng(0))
+
+
+def test_moves_on_the_band_edge_pass_within_its_tolerance():
+    # 1e-10 W narrower than 0.5 W, inside the band's 2e-9 W tolerance
+    config = edge_case("empty-window")
+    policy = PrivacyPolicy(lambda_w=0.5 - 1e-10, l_bar_w=2.0)
+    config = SolveConfig(instance=dataclasses.replace(config.instance,
+                                                      policy=policy),
+                         scenarios=config.scenarios)
+    eng = _Engine(config)
+    # idle at slot 1, one 2.5 Wh charge puts the load 0.5 W over 2 W
+    assert reference_window(eng, 1, 0.0) == (1, 1)
+    assert_every_slot_matches(config, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# The privacy band: the engine reads a scenario set as its draw envelope
+
+
+@st.composite
+def placement_subsets(draw):
+    """An instance and any subset of its placements, inactive ones too."""
+    inst = draw(instances()).instance
+    placements = (candidate_scenarios(inst.ns_appliances, inst.grid,
+                                      include_inactive=True)
+                  or [PrivacyScenario.inactive(0)])
+    keep = draw(st.lists(st.booleans(), min_size=len(placements),
+                         max_size=len(placements)))
+    return inst, ScenarioSet(tuple(sc for sc, k in zip(placements, keep)
+                                   if k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=placement_subsets())
+def test_the_envelope_is_the_extreme_scenario_load(case):
+    inst, omega = case
+    eng = _Engine(SolveConfig(instance=inst, scenarios=omega))
+    slots = range(1, inst.grid.tau + 1)
+    draws = [[scenario_load(sc, inst.ns_appliances, t) for sc in omega]
+             for t in slots]
+    want_min = np.array([min(d, default=math.inf) for d in draws])
+    want_max = np.array([max(d, default=-math.inf) for d in draws])
+    assert eng.w_min[1:].tobytes() == want_min.tobytes()
+    assert eng.w_max[1:].tobytes() == want_max.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=instances(),
+       y_w=st.lists(st.floats(0.0, 1e12), min_size=1, max_size=6))
+def test_an_empty_scenario_set_leaves_the_rate_window(config, y_w):
+    eng = _Engine(SolveConfig(instance=config.instance))
+    for t in range(1, eng.tau + 1):
+        rows = np.concatenate((eng.options(t).y_w, y_w))
+        k_lo, k_hi = eng.k_windows(t, rows)
+        assert (k_lo == eng.k_rate_lo).all()
+        assert (k_hi == eng.k_rate_hi).all()
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from paces import (IntegrityError, backward_recursion, load_config,
-                   open_table, serialize)
+from paces import (EventScript, IntegrityError, ScriptedStart,
+                   backward_recursion, load_config, open_table, parse_config,
+                   serialize, simulate)
 from paces.cli import main
 
 # a dump's arrays in body-hash order, and the motivating example's shape:
@@ -175,6 +176,57 @@ class TestSolveCommand:
                            "--out", str(tmp_path / "x"))
         assert code == 3
         assert "privacy bound unattainable" in err
+
+
+# A 1000 W appliance against a 10 W usage appliance that may or may not
+# run in slot 1, under a band just under 6 W wide: every admissible
+# battery move sits within a fraction of a micro-watt of the band edge
+BAND_EDGE = {
+    "name": "band-edge",
+    "grid": {"tau": 1, "slot_hours": 1.0},
+    "appliances": [{"id": "a", "power": 1000.0, "workload": 1000.0,
+                    "duration_slots": 1}],
+    "ns_appliances": [{"id": "n", "power": 10.0, "runtime_slots": 1,
+                       "zone": [1, 1]}],
+    "battery": {"capacity": 1016.0, "initial": 1016.0,
+                "discharge_max": 1016.0, "charge_max": 1016.0,
+                "grid_step": 1.0},
+    "price": {"values": [0.0]},
+    "privacy": {"lambda": 5.9999995, "reference": 0.0},
+    "solver": {"include_inactive": True},
+}
+
+
+class TestBandEdge:
+    """The solver admits a move within the same band tolerance that the
+    refinement loop's stop test and the replay's breach test allow."""
+
+    def config(self, tmp_path, mode):
+        raw = json.loads(json.dumps(BAND_EDGE))
+        raw["solver"]["mode"] = mode
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps(raw))
+        return cfg
+
+    def test_guaranteed_mode_solves(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "guaranteed")
+        code, out, err = run(capsys, "solve", "--config", str(cfg),
+                             "--out", str(tmp_path / "run"))
+        assert (code, err) == (0, "")
+        assert "solved in 2 table builds" in out
+
+    def test_repeat_stop_tables_replay_without_breach(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "repeat-stop")
+        table = tmp_path / "table.json"
+        code, _, err = run(capsys, "solve", "--config", str(cfg),
+                           "--out", str(tmp_path / "run"),
+                           "--table", str(table))
+        assert (code, err) == (0, "")
+        inst = parse_config(json.loads(cfg.read_text())).instance
+        loaded = open_table(str(table), inst)
+        script = EventScript.scripted((ScriptedStart("n", 1),))
+        report = simulate(loaded, script, loaded.config)
+        assert report.breach_count == 0
 
 
 class TestBuildAndSimulate:

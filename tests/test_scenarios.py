@@ -321,7 +321,9 @@ class TestRefinementLoop:
 
     def test_the_lambda_probe_ends_at_huge_powers(self, monkeypatch):
         # at 1e17 W the float midpoint collapses onto a bound long before
-        # the bounds come within the probe tolerance
+        # the bounds come within the probe tolerance; the band admits
+        # lambda plus its 1e-9 relative tolerance, so the smallest feasible
+        # bound is the one where lambda * (1 + 1e-9) reaches the 1e17 W draw
         raw = serialize(load_config("section-iv-a"))
         raw["privacy"]["lambda"] = 40.0
         raw["ns_appliances"][0]["power"] = 1e17
@@ -336,4 +338,5 @@ class TestRefinementLoop:
         with pytest.raises(InfeasibleError) as err:
             solve_with_scenarios(inst)
         assert len(builds) <= 64
-        assert err.value.lambda_hint_w == pytest.approx(1e17, rel=1e-12)
+        assert err.value.lambda_hint_w == pytest.approx(1e17 / (1 + 1e-9),
+                                                        rel=1e-12)

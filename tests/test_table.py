@@ -499,6 +499,25 @@ class TestBackwardRecursion:
         with pytest.raises(ModelError, match="outside horizon"):
             table.entry(5, state)
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 599),
+           scale=st.sampled_from([1.0, 0.5, 0.2, 0.05]))
+    def test_every_scenario_replays_inside_the_band(self, seed, scale):
+        # lambda scaled down so the band binds, often on its edge
+        inst = random_small_instance(seed, ns_count=seed % 3)
+        inst = dataclasses.replace(inst, policy=dataclasses.replace(
+            inst.policy, lambda_w=inst.policy.lambda_w * scale))
+        omega = full_omega(inst)
+        try:
+            table = backward_recursion(SolveConfig(instance=inst,
+                                                   scenarios=omega))
+        except InfeasibleError:
+            return
+        bound_w = inst.policy.lambda_w + inst.policy.tolerance_w
+        for sc in omega:
+            solution = extract_schedule(table, inst.initial_state(), sc)
+            assert all(abs(gap) <= bound_w for gap in solution.privacy_gap_w)
+
     def test_dimensions_match_the_state_grid(self):
         inst = make_instance()
         table = backward_recursion(SolveConfig(instance=inst))
