@@ -11,14 +11,13 @@ from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
 from .model import (Battery, Decision, Instance, NonSchedulableAppliance,
                     PriceSignal, PrivacyPolicy, PrivacyScenario,
                     ReferenceSource, ScenarioSet, SchedulableAppliance,
-                    SystemState, TimeGrid, aggregated_load, appliance_load,
-                    privacy_gap, scenario_load, slot_cost, step_battery,
-                    step_remaining)
+                    SystemState, TimeGrid, appliance_load, privacy_gap,
+                    scenario_load, slot_cost, step_remaining)
 from .table import (ScheduleSolution, ScheduleTable, SolveConfig, TableEntry,
-                    backward_recursion, enumerate_states, expected_total_cost,
-                    extract_schedule, feasible_decisions, load_table,
-                    model_fingerprint, open_table, read_table_header,
-                    runtime_lookup, save_table, state_count)
+                    backward_recursion, expected_total_cost, extract_schedule,
+                    load_table, model_fingerprint, open_table,
+                    read_table_header, runtime_lookup, save_table,
+                    state_count)
 from .oracle import OracleResult, OracleTrajectory, brute_force_solve
 from .scenarios import (IterationRecord, IterationTrace, ScenarioSolveOptions,
                         ScenarioSolveResult, candidate_scenarios,
@@ -37,11 +36,10 @@ __all__ = [
     "TimeGrid", "SchedulableAppliance", "NonSchedulableAppliance", "Battery",
     "PriceSignal", "ReferenceSource", "PrivacyPolicy", "SystemState",
     "Decision", "PrivacyScenario", "ScenarioSet", "Instance",
-    "step_remaining", "appliance_load", "step_battery", "scenario_load",
-    "aggregated_load", "privacy_gap", "slot_cost",
+    "step_remaining", "appliance_load", "scenario_load", "privacy_gap",
+    "slot_cost",
     "SolveConfig", "ScheduleTable", "TableEntry", "ScheduleSolution",
-    "model_fingerprint", "state_count", "enumerate_states",
-    "feasible_decisions", "backward_recursion",
+    "model_fingerprint", "state_count", "backward_recursion",
     "extract_schedule", "expected_total_cost", "save_table", "load_table",
     "open_table", "read_table_header",
     "OracleResult", "OracleTrajectory", "brute_force_solve",

@@ -42,6 +42,19 @@ EXIT_INTEGRITY = 4
 VERIFY_TOL = 1e-9
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    # argparse names the type when ``int`` refuses the text
+    parse.__name__ = "int"
+    return parse
+
+
 def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
@@ -303,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--script", help="event script JSON path")
-    group.add_argument("--sample-seed", type=int,
+    group.add_argument("--sample-seed", type=_int_at_least(0),
                        help="draw events from the start distributions")
     p.add_argument("--out", help="write the per-slot report CSV here")
     p.set_defaults(func=cmd_simulate)
@@ -319,8 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify",
                        help="compare the table builder with exhaustive search")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1,
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--count", type=_int_at_least(1), default=1,
                    help="number of consecutive seeds to check")
     p.set_defaults(func=cmd_verify)
 

@@ -153,7 +153,7 @@ _SCRIPT_SCHEMA = {
                 },
             },
         },
-        "sample_seed": {"type": "integer"},
+        "sample_seed": {"type": "integer", "minimum": 0},
     },
     "oneOf": [{"required": ["events"]}, {"required": ["sample_seed"]}],
 }

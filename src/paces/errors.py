@@ -32,17 +32,12 @@ class StateSpaceError(ConfigError):
 class InfeasibleError(PacesError):
     """No decision trajectory satisfies every constraint.
 
-    ``earliest_dead_slot`` is the first slot at which every branch from the
-    initial state has died.  The backward pass reads it from the initial
-    state's slot-1 cell, so it always reports slot 1.  ``lambda_hint_w``
-    carries the smallest privacy bound found feasible by a bisection
-    probe, when one was run; it is a diagnostic only.
+    ``lambda_hint_w`` carries the smallest privacy bound found feasible by
+    a bisection probe, when one was run; it is a diagnostic only.
     """
 
-    def __init__(self, message: str, earliest_dead_slot: int | None = None,
-                 lambda_hint_w: float | None = None):
+    def __init__(self, message: str, lambda_hint_w: float | None = None):
         super().__init__(message)
-        self.earliest_dead_slot = earliest_dead_slot
         self.lambda_hint_w = lambda_hint_w
 
 

@@ -45,11 +45,6 @@ class TimeGrid:
         _require(math.isfinite(self.slot_hours) and self.slot_hours > 0,
                  f"slot_hours must be positive and finite, got {self.slot_hours!r}")
 
-    @property
-    def slots(self) -> range:
-        """All slot indices, 1-based and inclusive."""
-        return range(1, self.tau + 1)
-
 
 @dataclass(frozen=True)
 class SchedulableAppliance:
@@ -217,10 +212,6 @@ class Battery:
     def n_levels(self) -> int:
         return round(self.b_max_wh / self.grid_step_wh) + 1
 
-    def levels(self) -> list[float]:
-        """All storable levels, ascending from 0 to capacity."""
-        return [i * self.grid_step_wh for i in range(self.n_levels)]
-
     def level_index(self, level_wh: float) -> int:
         """Index of ``level_wh`` on the grid; rejects off-grid values."""
         q = level_wh / self.grid_step_wh
@@ -327,10 +318,6 @@ class Decision:
     starts: tuple[bool, ...]
     battery_delta_wh: float
 
-    @property
-    def n_starts(self) -> int:
-        return sum(self.starts)
-
 
 @dataclass(frozen=True)
 class PrivacyScenario:
@@ -346,10 +333,6 @@ class PrivacyScenario:
     def inactive(cls, n_appliances: int) -> "PrivacyScenario":
         """The scenario in which no non-schedulable appliance runs."""
         return cls(starts=(None,) * n_appliances)
-
-    @property
-    def is_inactive(self) -> bool:
-        return all(s is None for s in self.starts)
 
 
 @dataclass(frozen=True)
@@ -478,23 +461,6 @@ def appliance_load(remaining_now: Sequence[int], remaining_next: Sequence[int],
                      for rn, rx, p in zip(remaining_now, remaining_next, powers_w)))
 
 
-def step_battery(state: SystemState, delta_wh: float,
-                 battery: Battery) -> Optional[float]:
-    """Next battery level, or ``None`` when the transition is infeasible.
-
-    Infeasible means: off the level grid, outside [0, capacity], or past
-    a per-slot rate bound.  Callers treat ``None`` as a pruned branch.
-    """
-    if delta_wh > battery.z_charge_max_wh or -delta_wh > battery.z_discharge_max_wh:
-        return None
-    nxt = state.battery_wh + delta_wh
-    try:
-        idx = battery.level_index(nxt)
-    except ModelError:
-        return None
-    return idx * battery.grid_step_wh
-
-
 def scenario_load(scenario: PrivacyScenario,
                   ns_appliances: Sequence[NonSchedulableAppliance],
                   t: int) -> float:
@@ -530,16 +496,6 @@ def scenario_draws(scenarios: Sequence[PrivacyScenario],
         active = (first <= slots) & (slots <= first + (app.runtime_slots - 1))
         np.add(draws, app.power_w, out=draws, where=active)
     return draws
-
-
-def aggregated_load(state: SystemState, decision: Decision,
-                    scenario: PrivacyScenario, t: int,
-                    instance: Instance) -> float:
-    """Metered load in W at slot ``t``: appliances + battery + scenario."""
-    remaining_next = step_remaining(state, decision, instance.durations)
-    y = appliance_load(state.remaining, remaining_next, instance.powers_w)
-    w = scenario_load(scenario, instance.ns_appliances, t)
-    return y + decision.battery_delta_wh / instance.grid.slot_hours + w
 
 
 def privacy_gap(load_w: float, policy: PrivacyPolicy) -> float:

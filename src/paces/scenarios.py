@@ -190,14 +190,11 @@ def solve_with_scenarios(instance: Instance,
             if hint is None:
                 raise InfeasibleError(
                     f"{err}; no privacy bound makes this instance feasible, "
-                    f"check deadlines and battery limits",
-                    earliest_dead_slot=err.earliest_dead_slot) from None
+                    f"check deadlines and battery limits") from None
             raise InfeasibleError(
                 f"privacy bound unattainable: lambda={instance.policy.lambda_w} W "
                 f"is infeasible for the current scenario set, smallest feasible "
-                f"is about {hint!r} W",
-                earliest_dead_slot=err.earliest_dead_slot,
-                lambda_hint_w=hint) from None
+                f"is about {hint!r} W", lambda_hint_w=hint) from None
         return table, extract_schedule(table, instance.initial_state()), config
 
     table, solution, config = solve(

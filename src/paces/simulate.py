@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,6 +50,12 @@ class EventScript:
             raise ModelError(
                 "event script needs either explicit events or a sample seed, "
                 "not both")
+        # a JSON script's 5.0 passes the schema's integer type
+        if self.sample_seed is not None and not (
+                isinstance(self.sample_seed, numbers.Integral)
+                and self.sample_seed >= 0):
+            raise ModelError(f"sample seed must be a non-negative integer, "
+                             f"got {self.sample_seed!r}")
 
     @classmethod
     def scripted(cls, events: Sequence[ScriptedStart] = ()) -> "EventScript":
@@ -116,15 +123,6 @@ class SimulationReport:
     breach_count: int
     negative_load_slots: int
     final_battery_wh: float
-
-    def totals(self) -> dict:
-        return {
-            "total_cost": self.total_cost,
-            "max_abs_gap_w": self.max_abs_gap_w,
-            "breach_count": self.breach_count,
-            "negative_load_slots": self.negative_load_slots,
-            "final_battery_wh": self.final_battery_wh,
-        }
 
     CSV_HEADER = ("slot,price_per_wh,base_load_w,ns_load_w,load_w,battery_wh,"
                   "battery_delta_wh,started,privacy_gap_w,breach,cost")

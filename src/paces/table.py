@@ -38,9 +38,9 @@ import numpy as np
 from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      StateSpaceError)
 from .model import (Battery, Decision, Instance, PrivacyScenario, ScenarioSet,
-                    SchedulableAppliance, SystemState, aggregated_load,
-                    appliance_load, privacy_gap, scenario_draws,
-                    scenario_load, slot_cost, step_remaining)
+                    SchedulableAppliance, SystemState, appliance_load,
+                    privacy_gap, scenario_draws, scenario_load, slot_cost,
+                    step_remaining)
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -127,7 +127,7 @@ def model_fingerprint(config: SolveConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# State enumeration
+# State space size
 
 
 def state_count(appliances: Sequence[SchedulableAppliance],
@@ -139,21 +139,8 @@ def state_count(appliances: Sequence[SchedulableAppliance],
     return count
 
 
-def enumerate_states(appliances: Sequence[SchedulableAppliance],
-                     battery: Battery,
-                     state_cap: int = DEFAULT_STATE_CAP) -> list[SystemState]:
-    """Materialize every state, battery-major, remaining vectors ascending."""
-    count = state_count(appliances, battery)
-    if count > state_cap:
-        raise StateSpaceError(count, state_cap)
-    ranges = [range(a.duration_slots + 1) for a in appliances]
-    return [SystemState(battery_wh=level, remaining=combo)
-            for level in battery.levels()
-            for combo in itertools.product(*ranges)]
-
-
 # ---------------------------------------------------------------------------
-# Decision machinery shared by the backward pass and the per-state API
+# Start options and the slot solver
 
 
 @dataclass(frozen=True)
@@ -164,9 +151,9 @@ class _SlotOptions:
     start-set size, then lexicographically.  ``rank`` is the row's visit
     position inside its vector, by ``(n_starts, skey)`` where ``skey``
     reads the start mask with the first appliance as the most significant
-    bit.  ``spans[r]`` is the slice of vector ``r``'s rows, or ``None``
-    when some unstarted appliance can no longer meet the deadline, which
-    dooms every continuation from that vector.  All arrays are read-only.
+    bit.  A vector with an unstarted appliance that can no longer meet
+    the deadline has no rows: every continuation from it is doomed.  All
+    arrays are read-only.
     """
 
     r_idx: np.ndarray
@@ -175,7 +162,6 @@ class _SlotOptions:
     y_w: np.ndarray
     r_next: np.ndarray
     rank: np.ndarray
-    spans: tuple[Optional[slice], ...]
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -229,22 +215,15 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
     # the all-done vector is never doomed, so no slot is empty
     slots = []
     for t in range(1, tau + 1):
-        live, spans = [], []
-        for last, rows in per_vector:
-            if t > last:
-                spans.append(None)
-            else:
-                spans.append(slice(len(live), len(live) + len(rows)))
-                live.extend(rows)
-        cols = list(zip(*live))
+        cols = list(zip(*[row for last, rows in per_vector if t <= last
+                          for row in rows]))
         slots.append(_SlotOptions(
             r_idx=_read_only(cols[0], np.intp),
             mask=_read_only(cols[1], np.int32),
             n_starts=_read_only(cols[2], np.int64),
             y_w=_read_only(cols[3], np.float64),
             r_next=_read_only(cols[4], np.intp),
-            rank=_read_only(cols[5], np.int64),
-            spans=tuple(spans)))
+            rank=_read_only(cols[5], np.int64)))
     return tuple(slots)
 
 
@@ -428,15 +407,6 @@ class ScheduleTable:
     def tau(self) -> int:
         return self._engine.tau
 
-    @property
-    def n_states(self) -> int:
-        return self._engine.n_r * self._engine.m
-
-    def states(self) -> list[SystemState]:
-        return enumerate_states(self.config.instance.appliances,
-                                self.config.instance.battery,
-                                self.config.state_cap)
-
     def entry(self, t: int, state: SystemState) -> TableEntry:
         """Table cell for slot ``t``; raises on off-grid states."""
         if not 1 <= t <= self.tau:
@@ -451,52 +421,13 @@ class ScheduleTable:
         return TableEntry(decision=Decision(starts=starts, battery_delta_wh=delta),
                           value=value, feasible=True)
 
-    def value(self, t: int, state: SystemState) -> float:
-        return self.entry(t, state).value
-
     def initial_value(self) -> float:
         """Optimal controllable cost from the configured initial state."""
-        return self.value(1, self.config.instance.initial_state())
+        return self.entry(1, self.config.instance.initial_state()).value
 
 
 # ---------------------------------------------------------------------------
-# Decision enumeration and the backward pass
-
-
-def feasible_decisions(state: SystemState, t: int,
-                       config: SolveConfig) -> list[Decision]:
-    """Every admissible decision at ``(state, t)``, deterministically ordered.
-
-    A decision is admissible when each started appliance is unstarted and
-    can still finish by the horizon, the battery move is grid-exact and
-    respects rate and level bounds, and the metered load satisfies the
-    privacy band, within its tolerance, for every configured scenario.
-    """
-    eng = _Engine(config)
-    if not 1 <= t <= eng.tau:
-        raise ModelError(f"slot {t} outside horizon 1..{eng.tau}")
-    r_idx, b_idx = eng.state_indices(state)
-    opts = eng.options(t)
-    rows = opts.spans[r_idx]
-    if rows is None:
-        return []
-    pol = config.instance.policy
-    out = []
-    for mask in opts.mask[rows].tolist():
-        starts = tuple(bool(mask >> i & 1) for i in range(eng.n_app))
-        k_cands = [k for k in range(eng.k_rate_lo, eng.k_rate_hi + 1)
-                   if 0 <= b_idx + k < eng.m]
-        for k in sorted(k_cands, key=lambda k: (abs(k), k)):
-            decision = Decision(starts=starts, battery_delta_wh=k * eng.step)
-            ok = True
-            for sc in config.scenarios:
-                load = aggregated_load(state, decision, sc, t, config.instance)
-                if abs(privacy_gap(load, pol)) > pol.lambda_w + pol.tolerance_w:
-                    ok = False
-                    break
-            if ok:
-                out.append(decision)
-    return out
+# The backward pass
 
 
 def backward_recursion(config: SolveConfig) -> ScheduleTable:
@@ -518,7 +449,7 @@ def backward_recursion(config: SolveConfig) -> ScheduleTable:
         # where every branch from it has died
         raise InfeasibleError(
             "SP infeasible under the configured scenario set: every branch "
-            "from the initial state dies by slot 1", earliest_dead_slot=1)
+            "from the initial state dies by slot 1")
     return ScheduleTable(eng, values, dec_mask, dec_step,
                          model_fingerprint(config))
 
@@ -577,9 +508,10 @@ def _nearest_feasible(table: ScheduleTable, state: SystemState,
 
     The distance is grid steps of battery level plus the summed
     differences of remaining work, or plus 1e9 when the appliance counts
-    differ.  Cells are scored battery-major, the order of
-    :func:`enumerate_states`, and the first nearest one wins, so a NaN or
-    infinite level names the first feasible state.
+    differ.  Cells are scored battery-major: battery levels ascending,
+    and within a level the remaining vectors ascending lexicographically,
+    the engine's ``r_combos`` order.  The first nearest cell wins, so a
+    NaN or infinite level names the first feasible state.
     """
     eng = table._engine
     b_idx, r_idx = np.nonzero(table.dec_mask[t - 1].T >= 0)
@@ -588,13 +520,11 @@ def _nearest_feasible(table: ScheduleTable, state: SystemState,
     step = eng.step
     score = np.abs(b_idx * step - state.battery_wh) / step
     if len(state.remaining) == eng.n_app:
-        # r_idx counts in itertools.product order, last appliance fastest;
         # a count past the duration adds its excess exactly, as ints do
         near = [min(r, d) for r, d in zip(state.remaining, eng.durations)]
-        work, rest = np.zeros(len(r_idx), dtype=np.int64), r_idx.copy()
-        for r, d in zip(reversed(near), reversed(eng.durations)):
-            work += np.abs(rest % (d + 1) - r)
-            rest //= d + 1
+        combos = np.array(eng.r_combos, dtype=np.int64).reshape(eng.n_r,
+                                                                 eng.n_app)
+        work = np.abs(combos[r_idx] - near).sum(axis=1)
         excess = sum(state.remaining) - sum(near)
         score += (work.astype(object) + excess).astype(float) if excess else work
     else:

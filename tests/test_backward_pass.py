@@ -213,9 +213,10 @@ def test_batched_slot_matches_on_edge_cases(name):
                    for option in reference_options(eng, combo, t) or ()]
         assert any(lo > hi for lo, hi in windows)
     elif name == "doomed":
-        assert any(reference_options(eng, combo, eng.tau) is None
-                   for combo in eng.r_combos)
-        assert None in eng.options(eng.tau).spans
+        doomed = [r_i for r_i, combo in enumerate(eng.r_combos)
+                  if reference_options(eng, combo, eng.tau) is None]
+        assert doomed
+        assert not np.isin(doomed, eng.options(eng.tau).r_idx).any()
     else:
         assert eng.k_rate_lo == eng.k_rate_hi == 0
     assert_every_slot_matches(config, np.random.default_rng(0))
@@ -314,10 +315,12 @@ def test_option_rows_keep_the_enumeration_order():
         opts = eng.options(t)
         for r_i, combo in enumerate(eng.r_combos):
             want = reference_options(eng, combo, t)
-            rows = opts.spans[r_i]
+            rows = np.flatnonzero(opts.r_idx == r_i)
             if want is None:
-                assert rows is None
+                assert len(rows) == 0
                 continue
+            # a vector's rows are contiguous
+            assert rows.tolist() == list(range(rows[0], rows[-1] + 1))
             got = list(zip(opts.mask[rows].tolist(),
                            opts.n_starts[rows].tolist(),
                            opts.y_w[rows].tolist(),

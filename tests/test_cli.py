@@ -72,6 +72,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a command line that argparse refuses."""
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    return err.value.code, capsys.readouterr().err
+
+
 class TestPresetsCommand:
     def test_lists_every_preset(self, capsys):
         code, out, err = run(capsys, "presets")
@@ -280,6 +287,29 @@ class TestBuildAndSimulate:
                      "--config", "motivating-example", "--sample-seed", "5")
         assert first == second
         assert first[0] == 0
+
+    def test_negative_sample_seeds_exit_2(self, tmp_path, capsys):
+        table, _ = self.build(capsys, tmp_path)
+        code, err = usage_error(capsys, "simulate", "--table", str(table),
+                                "--config", "motivating-example",
+                                "--sample-seed", "-1")
+        assert code == 2
+        assert "--sample-seed: must be at least 0, got -1" in err
+
+    @pytest.mark.parametrize("seed, message", [
+        (-5, "event script schema violation"),
+        (5.0, "sample seed must be a non-negative integer, got 5.0"),
+    ], ids=["negative", "float"])
+    def test_scripts_with_bad_sample_seeds_exit_2(self, tmp_path, capsys,
+                                                  seed, message):
+        table, _ = self.build(capsys, tmp_path)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"sample_seed": seed}))
+        code, _, err = run(capsys, "simulate", "--table", str(table),
+                           "--config", "motivating-example",
+                           "--script", str(script))
+        assert code == 2
+        assert message in err
 
     def test_missing_tables_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--table",
@@ -703,6 +733,17 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert lines[-1] == "MATCH"
         assert all("MATCH" in line for line in lines[:-1])
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--seed", "-1"), "--seed: must be at least 0, got -1"),
+        (("--count", "0"), "--count: must be at least 1, got 0"),
+        (("--count", "-3"), "--count: must be at least 1, got -3"),
+    ], ids=["negative-seed", "zero-count", "negative-count"])
+    def test_seeds_and_counts_that_check_nothing_exit_2(self, capsys, argv,
+                                                        message):
+        code, err = usage_error(capsys, "verify", *argv)
+        assert code == 2
+        assert message in err
 
 
 class TestUsageErrors:

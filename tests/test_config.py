@@ -304,6 +304,12 @@ class TestEventScriptLoader:
         with pytest.raises(ConfigError, match="event script schema violation"):
             load_event_script(path)
 
+    def test_rejects_negative_sampling_seeds(self, tmp_path):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps({"sample_seed": -5}))
+        with pytest.raises(ConfigError, match="event script schema violation"):
+            load_event_script(path)
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "script.json"
         path.write_text("{oops")

@@ -9,9 +9,10 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    IntegrityError, ModelError, NonSchedulableAppliance,
                    PacesError, PriceSignal, PrivacyPolicy, PrivacyScenario,
                    ReferenceSource, ScenarioSet, SchedulableAppliance,
-                   StateSpaceError, SystemState, TimeGrid, aggregated_load,
-                   appliance_load, privacy_gap, scenario_load, slot_cost,
-                   step_battery, step_remaining)
+                   SolveConfig, StateSpaceError, SystemState, TimeGrid,
+                   appliance_load, backward_recursion, extract_schedule,
+                   privacy_gap, random_small_instance, scenario_load,
+                   slot_cost, step_remaining)
 
 
 def make_instance(tau=4, appliances=None, ns=None, battery=None, prices=None,
@@ -44,15 +45,13 @@ class TestErrors:
         assert "1000" in str(err) and "10" in str(err)
 
     def test_infeasible_error_fields(self):
-        err = InfeasibleError("dead", earliest_dead_slot=3, lambda_hint_w=12.5)
-        assert err.earliest_dead_slot == 3
+        err = InfeasibleError("dead", lambda_hint_w=12.5)
+        assert str(err) == "dead"
         assert err.lambda_hint_w == 12.5
+        assert InfeasibleError("dead").lambda_hint_w is None
 
 
 class TestTimeGrid:
-    def test_slots_are_one_based_inclusive(self):
-        assert list(TimeGrid(tau=3).slots) == [1, 2, 3]
-
     @pytest.mark.parametrize("tau", [0, -1])
     def test_rejects_non_positive_horizon(self, tau):
         with pytest.raises(ModelError, match="horizon"):
@@ -134,13 +133,14 @@ class TestBattery:
         bat = Battery(b_max_wh=750.0, b_init_wh=0.0, z_discharge_max_wh=250.0,
                       z_charge_max_wh=250.0, grid_step_wh=250.0)
         assert bat.n_levels == 4
-        assert bat.levels() == [0.0, 250.0, 500.0, 750.0]
+        assert bat.level_index(0.0) == 0
+        assert bat.level_index(750.0) == 3
 
     def test_level_index_round_trips(self):
         bat = Battery(b_max_wh=100.0, b_init_wh=50.0, z_discharge_max_wh=50.0,
                       z_charge_max_wh=50.0, grid_step_wh=25.0)
-        for i, level in enumerate(bat.levels()):
-            assert bat.level_index(level) == i
+        for i in range(bat.n_levels):
+            assert bat.level_index(i * bat.grid_step_wh) == i
 
     def test_off_grid_level_rejected(self):
         bat = Battery(b_max_wh=100.0, b_init_wh=0.0, z_discharge_max_wh=50.0,
@@ -235,8 +235,6 @@ class TestNonFiniteValues:
         battery = battery_with("grid_step_wh", 0.5)
         with pytest.raises(ModelError, match="not on the 0.5 Wh grid"):
             battery.level_index(level)
-        assert step_battery(SystemState(battery_wh=level, remaining=()), 0.0,
-                            battery) is None
 
     def test_a_grid_too_fine_for_floats_is_refused(self):
         with pytest.raises(ModelError, match="multiple"):
@@ -247,7 +245,6 @@ class TestScenarios:
     def test_inactive_scenario(self):
         sc = PrivacyScenario.inactive(3)
         assert sc.starts == (None, None, None)
-        assert sc.is_inactive
 
     def test_scenario_set_rejects_duplicates(self):
         sc = PrivacyScenario(starts=(2,))
@@ -352,18 +349,6 @@ class TestLoadsAndCosts:
         assert appliance_load((1, 2), (0, 1), (100.0, 50.0)) == 150.0
         assert appliance_load((0, 0), (0, 0), (100.0, 50.0)) == 0.0
 
-    def test_step_battery_enforces_rate_and_capacity(self):
-        bat = Battery(b_max_wh=100.0, b_init_wh=0.0, z_discharge_max_wh=50.0,
-                      z_charge_max_wh=50.0, grid_step_wh=50.0)
-        state = SystemState(battery_wh=50.0, remaining=())
-        assert step_battery(state, 50.0, bat) == 100.0
-        assert step_battery(state, -50.0, bat) == 0.0
-        assert step_battery(state, 100.0, bat) is None      # rate
-        assert step_battery(state, -100.0, bat) is None     # rate
-        top = SystemState(battery_wh=100.0, remaining=())
-        assert step_battery(top, 50.0, bat) is None         # capacity
-        assert step_battery(state, 30.0, bat) is None       # off grid
-
     def test_scenario_load_sums_active_appliances(self):
         ns = (NonSchedulableAppliance(id="n1", power_w=10.0, runtime_slots=2,
                                       zone=(1, 4)),
@@ -376,14 +361,26 @@ class TestLoadsAndCosts:
         assert scenario_load(sc, ns, 4) == 0.0
 
     def test_aggregated_load_combines_all_terms(self):
+        # the metered load of a replayed slot: appliances + battery + usage
         ns = (NonSchedulableAppliance(id="n1", power_w=25.0, runtime_slots=1,
                                       zone=(1, 2)),)
-        inst = make_instance(ns=ns)
-        state = inst.initial_state()
-        decision = Decision(starts=(True,), battery_delta_wh=50.0)
-        load = aggregated_load(state, decision,
-                               PrivacyScenario(starts=(1,)), 1, inst)
-        assert load == 100.0 + 50.0 + 25.0
+        inst = make_instance(ns=ns, prices=(0.1, 0.2, 0.2, 0.2))
+        scenario = PrivacyScenario(starts=(1,))
+        solution = extract_schedule(backward_recursion(SolveConfig(
+            instance=inst)), inst.initial_state(), scenario)
+        # the cheap first slot runs the appliance and charges the battery
+        assert solution.decisions[0] == Decision(starts=(True,),
+                                                 battery_delta_wh=50.0)
+        assert solution.load_w[0] == 100.0 + 50.0 + 25.0
+        for t, (state, nxt, decision) in enumerate(zip(
+                solution.states, solution.states[1:], solution.decisions),
+                start=1):
+            base = (appliance_load(state.remaining, nxt.remaining,
+                                   inst.powers_w)
+                    + decision.battery_delta_wh / inst.grid.slot_hours)
+            assert solution.base_load_w[t - 1] == base
+            assert solution.load_w[t - 1] == base + scenario_load(
+                scenario, inst.ns_appliances, t)
 
     def test_privacy_gap_is_signed(self):
         pol = PrivacyPolicy(lambda_w=80.0, l_bar_w=85.0)
@@ -400,21 +397,22 @@ class TestRandomWalkProperties:
     """Seeded random-walk checks of the arithmetic identities."""
 
     def test_battery_walk_stays_on_grid_and_telescopes(self):
-        rng = np.random.default_rng(7)
-        bat = Battery(b_max_wh=200.0, b_init_wh=100.0, z_discharge_max_wh=100.0,
-                      z_charge_max_wh=100.0, grid_step_wh=50.0)
-        for _ in range(200):
-            state = SystemState(battery_wh=100.0, remaining=())
+        # replayed schedules of seeded instances: every level on the grid,
+        # every move within the rates, the moves summing to the net change
+        for seed in range(40):
+            inst = random_small_instance(seed)
+            bat = inst.battery
+            solution = extract_schedule(backward_recursion(SolveConfig(
+                instance=inst)), inst.initial_state())
             total = 0.0
-            for _ in range(20):
-                delta = 50.0 * rng.integers(-2, 3)
-                nxt = step_battery(state, delta, bat)
-                if nxt is None:
-                    continue
-                assert nxt in bat.levels()
-                total += nxt - state.battery_wh
-                state = SystemState(battery_wh=nxt, remaining=())
-            assert state.battery_wh == pytest.approx(100.0 + total)
+            for state, decision in zip(solution.states, solution.decisions):
+                bat.level_index(state.battery_wh)
+                delta = decision.battery_delta_wh
+                assert -bat.z_discharge_max_wh <= delta <= bat.z_charge_max_wh
+                total += delta
+            bat.level_index(solution.states[-1].battery_wh)
+            assert solution.states[-1].battery_wh == pytest.approx(
+                bat.b_init_wh + total)
 
     def test_work_conservation_along_any_valid_run(self):
         rng = np.random.default_rng(11)
@@ -434,3 +432,12 @@ class TestRandomWalkProperties:
             if state.remaining == (0, 0):
                 assert delivered == pytest.approx(
                     sum(p * d for p, d in zip(powers, durs)))
+
+
+class TestExports:
+    def test_star_import_binds_every_exported_name(self):
+        import paces
+        namespace = {}
+        exec("from paces import *", namespace)
+        assert len(paces.__all__) == len(set(paces.__all__))
+        assert set(paces.__all__) <= set(namespace)

@@ -291,7 +291,6 @@ class TestRefinementLoop:
         hint = err.value.lambda_hint_w
         assert hint is not None
         assert 1000.0 < hint < 130000.0
-        assert err.value.earliest_dead_slot == 1
         assert f"smallest feasible is about {hint!r} W" in str(err.value)
 
     @settings(max_examples=30, deadline=None)

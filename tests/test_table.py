@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import pickle
 import tempfile
 from pathlib import Path
@@ -18,14 +19,14 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    IntegrityError, ModelError, NonSchedulableAppliance,
                    PriceSignal, PrivacyPolicy, PrivacyScenario, ScenarioSet,
                    SchedulableAppliance, ScheduleTable, SolveConfig,
-                   StateSpaceError, SystemState, TimeGrid, aggregated_load,
-                   appliance_load, backward_recursion, brute_force_solve,
-                   candidate_scenarios, enumerate_states, expected_total_cost,
-                   extract_schedule, feasible_decisions, load_config,
+                   StateSpaceError, SystemState, TimeGrid, appliance_load,
+                   backward_recursion, brute_force_solve, candidate_scenarios,
+                   expected_total_cost, extract_schedule, load_config,
                    load_table, model_fingerprint, privacy_gap,
                    random_small_instance, read_table_header, save_table,
-                   slot_cost, state_count, step_battery, step_remaining)
-from paces.table import _Engine
+                   scenario_load, slot_cost, state_count, step_remaining)
+from paces.table import _Engine, _nearest_feasible
+from raw_model import all_states, reference_decisions
 
 
 def app(name, power, duration):
@@ -83,13 +84,23 @@ class TestStateEnumeration:
         recount = len(list(itertools.product(
             range(battery.n_levels), range(3), range(4), range(5))))
         assert count == recount == 240
-        assert len(enumerate_states(appliances, battery)) == 240
 
     def test_enumeration_is_battery_major_with_ascending_vectors(self):
-        battery = Battery(b_max_wh=100.0, b_init_wh=0.0, z_discharge_max_wh=50.0,
-                          z_charge_max_wh=50.0, grid_step_wh=50.0)
-        states = enumerate_states((app("a", 100.0, 1),), battery)
-        assert states == [
+        # the off-table diagnostic scores cells in this order and names the
+        # first of equally near ones; a NaN level is equally far from all
+        inst = make_instance(appliances=(app("a", 100.0, 1),))
+        table = backward_recursion(SolveConfig(instance=inst))
+        mask = np.zeros_like(table.dec_mask)
+        lost = SystemState(battery_wh=math.nan, remaining=(0,))
+        states = []
+        for _ in range(mask[0].size):
+            first = _nearest_feasible(
+                ScheduleTable(table._engine, table.values, mask,
+                              table.dec_step, table.model_hash), lost, 1)
+            states.append(first)
+            mask[0, first.remaining[0],
+                 inst.battery.level_index(first.battery_wh)] = -1
+        assert states == all_states(inst) == [
             SystemState(battery_wh=0.0, remaining=(0,)),
             SystemState(battery_wh=0.0, remaining=(1,)),
             SystemState(battery_wh=50.0, remaining=(0,)),
@@ -101,10 +112,8 @@ class TestStateEnumeration:
     def test_cap_rejects_oversized_grids(self):
         inst = make_instance()  # 3 levels x 3 vectors = 9 states
         with pytest.raises(StateSpaceError) as err:
-            enumerate_states(inst.appliances, inst.battery, state_cap=8)
-        assert err.value.count == 9 and err.value.cap == 8
-        with pytest.raises(StateSpaceError):
             backward_recursion(SolveConfig(instance=inst, state_cap=8))
+        assert err.value.count == 9 and err.value.cap == 8
 
     def test_non_positive_cap_rejected(self):
         with pytest.raises(ModelError, match="state cap"):
@@ -194,22 +203,30 @@ class TestTerminalValue:
 
 
 class TestFeasibleDecisions:
+    """The raw-model reference pinned by hand, and the table cells that
+    follow the same rules."""
+
     def test_orders_by_start_set_then_battery_move(self):
         config = SolveConfig(instance=make_instance())
-        decisions = feasible_decisions(
-            SystemState(battery_wh=0.0, remaining=(2,)), 1, config)
+        state = SystemState(battery_wh=0.0, remaining=(2,))
+        decisions = reference_decisions(state, 1, config)
         assert decisions == [
             Decision(starts=(False,), battery_delta_wh=0.0),
             Decision(starts=(False,), battery_delta_wh=50.0),
             Decision(starts=(True,), battery_delta_wh=0.0),
             Decision(starts=(True,), battery_delta_wh=50.0),
         ]
+        assert backward_recursion(config).entry(1, state).decision \
+            in decisions
 
     def test_missed_deadline_leaves_nothing(self):
         config = SolveConfig(instance=make_instance())  # duration 2, tau 4
         state = SystemState(battery_wh=0.0, remaining=(2,))
-        assert feasible_decisions(state, 4, config) == []
-        assert feasible_decisions(state, 3, config) != []
+        assert reference_decisions(state, 4, config) == []
+        assert reference_decisions(state, 3, config) != []
+        table = backward_recursion(config)
+        assert not table.entry(4, state).feasible
+        assert table.entry(3, state).feasible
 
     def test_scenario_band_filters_decisions(self):
         inst = motivating_instance()
@@ -217,44 +234,39 @@ class TestFeasibleDecisions:
         constrained = SolveConfig(instance=inst,
                                   scenarios=ScenarioSet((usage,)))
         state = SystemState(battery_wh=0.0, remaining=(2, 3))
-        decisions = feasible_decisions(state, 2, constrained)
+        decisions = reference_decisions(state, 2, constrained)
         assert decisions == [
             Decision(starts=(False, False), battery_delta_wh=0.0),
             Decision(starts=(False, False), battery_delta_wh=10000.0),
-            Decision(starts=(True, False), battery_delta_wh=0.0),
-            Decision(starts=(True, False), battery_delta_wh=10000.0),
             Decision(starts=(False, True), battery_delta_wh=0.0),
             Decision(starts=(False, True), battery_delta_wh=10000.0),
+            Decision(starts=(True, False), battery_delta_wh=0.0),
+            Decision(starts=(True, False), battery_delta_wh=10000.0),
         ]
-        for decision in decisions:
-            load = aggregated_load(state, decision, usage, 2, inst)
-            assert abs(privacy_gap(load, inst.policy)) <= inst.policy.lambda_w
+        entry = backward_recursion(constrained).entry(2, state)
+        assert entry.feasible and entry.decision in decisions
 
     def test_band_off_allows_the_double_start(self):
         inst = motivating_instance()
+        config = SolveConfig(instance=inst)
         state = SystemState(battery_wh=0.0, remaining=(2, 3))
-        decisions = feasible_decisions(state, 2, SolveConfig(instance=inst))
+        decisions = reference_decisions(state, 2, config)
         assert any(d.starts == (True, True) for d in decisions)
-
-    def test_rejects_out_of_horizon_slot(self):
-        config = SolveConfig(instance=make_instance())
-        state = SystemState(battery_wh=0.0, remaining=(2,))
-        with pytest.raises(ModelError, match="outside horizon"):
-            feasible_decisions(state, 0, config)
-        with pytest.raises(ModelError, match="outside horizon"):
-            feasible_decisions(state, 5, config)
+        # the builder offers it too, with a non-empty battery window
+        eng = _Engine(config)
+        opts = eng.options(2)
+        rows = (opts.r_idx == eng.r_index[state.remaining]) & (opts.mask == 3)
+        k_lo, k_hi = eng.k_windows(2, opts.y_w[rows])
+        assert rows.sum() == 1 and k_lo[0] <= k_hi[0]
 
     def test_rejects_off_grid_states(self):
-        config = SolveConfig(instance=make_instance())
+        table = backward_recursion(SolveConfig(instance=make_instance()))
         with pytest.raises(ModelError, match="grid"):
-            feasible_decisions(SystemState(battery_wh=25.0, remaining=(2,)),
-                               1, config)
+            table.entry(1, SystemState(battery_wh=25.0, remaining=(2,)))
         with pytest.raises(ModelError, match="remaining"):
-            feasible_decisions(SystemState(battery_wh=0.0, remaining=(5,)),
-                               1, config)
+            table.entry(1, SystemState(battery_wh=0.0, remaining=(5,)))
         with pytest.raises(ModelError, match="appliances"):
-            feasible_decisions(SystemState(battery_wh=0.0, remaining=(2, 2)),
-                               1, config)
+            table.entry(1, SystemState(battery_wh=0.0, remaining=(2, 2)))
 
 
 def assert_bellman_consistent(table):
@@ -262,24 +274,27 @@ def assert_bellman_consistent(table):
     inst = table.config.instance
     h = inst.grid.slot_hours
     tau = inst.grid.tau
+    bat = inst.battery
     done = (0,) * len(inst.appliances)
     for t in range(1, tau + 1):
-        for state in table.states():
+        for state in all_states(inst):
             entry = table.entry(t, state)
             if not entry.feasible:
                 continue
             decision = entry.decision
             nxt_remaining = step_remaining(state, decision, inst.durations)
-            next_level = step_battery(state, decision.battery_delta_wh,
-                                      inst.battery)
-            assert next_level is not None
+            delta = decision.battery_delta_wh
+            assert -bat.z_discharge_max_wh <= delta <= bat.z_charge_max_wh
+            # raises when the move leaves the grid or the pack
+            next_level = (bat.level_index(state.battery_wh + delta)
+                          * bat.grid_step_wh)
             y = appliance_load(state.remaining, nxt_remaining, inst.powers_w)
             stage = slot_cost(y + decision.battery_delta_wh / h,
                               inst.price.at(t), h)
             successor = SystemState(battery_wh=next_level,
                                     remaining=nxt_remaining)
             if t < tau:
-                continuation = table.value(t + 1, successor)
+                continuation = table.entry(t + 1, successor).value
             else:
                 assert successor.remaining == done
                 continuation = 0.0
@@ -314,9 +329,8 @@ class TestBackwardRecursion:
         assert solution.controllable_cost == pytest.approx(8.5, abs=1e-9)
         lam = inst.policy.lambda_w
         for scenario in omega:
-            for t, decision in enumerate(solution.decisions, start=1):
-                load = aggregated_load(solution.states[t - 1], decision,
-                                       scenario, t, inst)
+            for t, base in enumerate(solution.base_load_w, start=1):
+                load = base + scenario_load(scenario, inst.ns_appliances, t)
                 assert abs(privacy_gap(load, inst.policy)) <= lam + 1e-6
 
     def test_cells_satisfy_the_recursion(self):
@@ -333,15 +347,17 @@ class TestBackwardRecursion:
         assert_bellman_consistent(table)
 
     def test_table_decisions_are_admissible(self):
-        inst = motivating_instance()
-        config = SolveConfig(instance=inst, scenarios=full_omega(inst))
-        table = backward_recursion(config)
-        for t in range(1, inst.grid.tau + 1):
-            for state in table.states():
-                entry = table.entry(t, state)
-                if entry.feasible:
-                    assert entry.decision in feasible_decisions(state, t,
-                                                                config)
+        instances = [motivating_instance()]
+        instances += [random_small_instance(seed) for seed in range(60)]
+        for inst in instances:
+            config = SolveConfig(instance=inst, scenarios=full_omega(inst))
+            table = backward_recursion(config)
+            for t in range(1, inst.grid.tau + 1):
+                for state in all_states(inst):
+                    entry = table.entry(t, state)
+                    if entry.feasible:
+                        assert entry.decision in reference_decisions(
+                            state, t, config), (t, state)
 
     def test_matches_exhaustive_search(self):
         for seed in range(100, 120):
@@ -424,12 +440,12 @@ class TestBackwardRecursion:
         done = (0,) * len(appliances)
 
         def ranked(state, t):
-            for d in feasible_decisions(state, t, config):
+            for d in reference_decisions(state, t, config):
                 nxt = SystemState(
                     battery_wh=state.battery_wh + d.battery_delta_wh,
                     remaining=step_remaining(state, d, inst.durations))
                 if t < tau:
-                    cont = table.value(t + 1, nxt)
+                    cont = table.entry(t + 1, nxt).value
                 else:
                     cont = 0.0 if nxt.remaining == done else np.inf
                 value = slot_cost(
@@ -438,10 +454,10 @@ class TestBackwardRecursion:
                     inst.price.at(t), 1.0) + cont
                 if np.isfinite(value):
                     k = int(d.battery_delta_wh)
-                    yield (value, d.n_starts, abs(k), d.starts, k), d
+                    yield (value, sum(d.starts), abs(k), d.starts, k), d
 
         for t in range(1, tau + 1):
-            for state in table.states():
+            for state in all_states(inst):
                 entry = table.entry(t, state)
                 best = min(ranked(state, t), default=None,
                            key=lambda pair: pair[0])
@@ -487,9 +503,8 @@ class TestBackwardRecursion:
                             grid_step_wh=50.0),
             prices=(0.1, 0.1), lam=0.0, l_bar=0.0)
         config = SolveConfig(instance=inst, scenarios=band_set(0))
-        with pytest.raises(InfeasibleError, match="dies by slot 1") as err:
+        with pytest.raises(InfeasibleError, match="dies by slot 1"):
             backward_recursion(config)
-        assert err.value.earliest_dead_slot == 1
 
     def test_entry_validates_the_slot(self):
         table = backward_recursion(SolveConfig(instance=make_instance()))
@@ -522,9 +537,9 @@ class TestBackwardRecursion:
         inst = make_instance()
         table = backward_recursion(SolveConfig(instance=inst))
         assert table.tau == 4
-        assert table.n_states == state_count(inst.appliances, inst.battery)
-        assert len(table.states()) == table.n_states
         assert table.values.shape == (4, 3, 3)
+        assert table.values[0].size == state_count(inst.appliances,
+                                                   inst.battery)
 
 
 class TestExpectedTotalCost:
