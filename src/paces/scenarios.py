@@ -138,7 +138,9 @@ def candidate_scenarios(ns_appliances: Sequence[NonSchedulableAppliance],
 def find_worst_scenario(solution: ScheduleSolution,
                         candidates: Sequence[PrivacyScenario],
                         instance: Instance,
-                        metric: str = "two-sided"
+                        metric: str = "two-sided",
+                        draws: Optional[np.ndarray] = None,
+                        out: Optional[np.ndarray] = None
                         ) -> tuple[Optional[PrivacyScenario], float]:
     """Placement that stresses the schedule hardest, with its violation.
 
@@ -147,14 +149,28 @@ def find_worst_scenario(solution: ScheduleSolution,
     positive means the schedule breaches under that placement.  Ties keep
     the earliest candidate in the given order.  With no candidates the
     sentinel ``(None, NO_SCENARIOS)`` comes back.
+
+    ``draws`` is the candidates' :func:`~paces.model.scenario_draws`
+    matrix, for a caller that searches one candidate list many times,
+    and ``out`` a scratch array of that shape the deviations are written
+    to instead of a new one.  Either of another shape raises
+    :class:`ModelError`.
     """
     if metric not in VIOLATION_METRICS:
         raise ModelError(f"metric must be one of {VIOLATION_METRICS}, "
                          f"got {metric!r}")
+    shape = (len(candidates), instance.grid.tau)
+    for name, arr in (("draws", draws), ("out", out)):
+        if arr is not None and arr.shape != shape:
+            raise ModelError(f"{name} has shape {arr.shape}, expected {shape} "
+                             f"for {shape[0]} candidates")
     if not candidates:
         return None, NO_SCENARIOS
-    dev = scenario_draws(candidates, instance.ns_appliances, instance.grid.tau)
-    dev += np.asarray(solution.base_load_w, dtype=float)
+    if draws is None:
+        # a fresh matrix, so the deviations can overwrite it
+        draws = out = scenario_draws(candidates, instance.ns_appliances,
+                                     instance.grid.tau)
+    dev = np.add(draws, np.asarray(solution.base_load_w, dtype=float), out=out)
     dev -= instance.policy.l_bar_w
     if metric == "two-sided":
         np.abs(dev, out=dev)
@@ -179,12 +195,12 @@ def solve_with_scenarios(instance: Instance,
     candidates = candidate_scenarios(instance.ns_appliances, instance.grid,
                                      options.include_inactive)
 
-    def solve(omega: ScenarioSet):
+    def solve(omega: ScenarioSet, previous: Optional[ScheduleTable] = None):
         config = SolveConfig(instance=instance, scenarios=omega,
                              objective_mode=options.objective_mode,
                              state_cap=state_cap)
         try:
-            table = backward_recursion(config)
+            table = backward_recursion(config, previous)
         except InfeasibleError as err:
             hint = _smallest_feasible_lambda(instance, omega, state_cap)
             if hint is None:
@@ -211,9 +227,12 @@ def solve_with_scenarios(instance: Instance,
     omega = ScenarioSet.empty()
     cap = options.max_solves if options.max_solves is not None \
         else len(candidates) + 1
+    draws = scenario_draws(candidates, instance.ns_appliances,
+                           instance.grid.tau)
+    scratch = np.empty_like(draws)
     while True:
         phi, violation = find_worst_scenario(solution, candidates, instance,
-                                             options.metric)
+                                             options.metric, draws, scratch)
         trace.final_scenario, trace.final_violation_w = phi, violation
         if options.mode == "guaranteed":
             if violation <= instance.policy.tolerance_w:
@@ -226,7 +245,7 @@ def solve_with_scenarios(instance: Instance,
             trace.capped = True
             break
         omega = omega.with_scenario(phi)
-        table, solution, config = solve(omega)
+        table, solution, config = solve(omega, table)
         trace.records.append(IterationRecord(
             k=len(trace.records), scenario=phi, violation_w=violation,
             f1_cost=solution.controllable_cost, omega_size=len(omega)))

@@ -31,6 +31,14 @@ class ScriptedStart:
     appliance_id: str
     slot: int
 
+    def __post_init__(self):
+        # a JSON script's 2.0 passes the schema's integer type, and a bool
+        # is an int to Python
+        if isinstance(self.slot, bool) or not isinstance(
+                self.slot, numbers.Integral):
+            raise ModelError(f"event slot must be an integer, "
+                             f"got {self.slot!r}")
+
 
 @dataclass(frozen=True)
 class EventScript:

@@ -13,6 +13,12 @@ battery move at a time (see :class:`_Engine`).  The start options depend
 on the appliances and the horizon only, so they are enumerated once per
 instance shape and shared by every build of it.
 
+A slot reads the scenario set only through its per-slot draw envelope,
+and a backward step at slot t reads only slots t..tau.  So a rebuild
+against a grown scenario set, given the previous table, copies every
+slot after the last one whose envelope changed (each is bit-identical
+to the previous build's) and re-solves only the slots up to it.
+
 The minimized objective is the controllable part of the bill: price
 times appliance-plus-battery energy.  Non-schedulable consumption is
 decision independent for a fixed scenario set and is reported
@@ -430,14 +436,36 @@ class ScheduleTable:
 # The backward pass
 
 
-def backward_recursion(config: SolveConfig) -> ScheduleTable:
-    """Build the full table; raises when the initial state cannot finish."""
+def backward_recursion(config: SolveConfig,
+                       previous: Optional[ScheduleTable] = None
+                       ) -> ScheduleTable:
+    """Build the full table; raises when the initial state cannot finish.
+
+    ``previous``, a table built on an equal instance under another
+    scenario set, lets the build reuse its tail.  Slot ``t`` is a
+    function of the instance, the envelope ``w_min[t]``/``w_max[t]`` and
+    the slots after it, so every slot after the last one whose envelope
+    differs bitwise from ``previous``'s is bit-identical to ``previous``'s
+    and is copied; the sweep starts at that slot.  A ``previous`` of
+    another instance is ignored.
+    """
     eng = _Engine(config)
     values = np.empty((eng.tau, eng.n_r, eng.m))
     dec_mask = np.empty((eng.tau, eng.n_r, eng.m), dtype=np.int32)
     dec_step = np.empty((eng.tau, eng.n_r, eng.m), dtype=np.int32)
-    f_next = eng.terminal_continuation()
-    for t in range(eng.tau, 0, -1):
+    last = eng.tau  # the first slot the backward sweep solves
+    if previous is not None and previous.config.instance == config.instance:
+        old = previous._engine
+        # the int64 views compare bits, so +-inf match only themselves
+        changed = np.flatnonzero(
+            (eng.w_min.view(np.int64) != old.w_min.view(np.int64))
+            | (eng.w_max.view(np.int64) != old.w_max.view(np.int64)))
+        last = int(changed[-1]) if len(changed) else 0
+        values[last:] = previous.values[last:]
+        dec_mask[last:] = previous.dec_mask[last:]
+        dec_step[last:] = previous.dec_step[last:]
+    f_next = values[last] if last < eng.tau else eng.terminal_continuation()
+    for t in range(last, 0, -1):
         f_t, mask_t, step_t = eng.solve_slot(t, f_next)
         values[t - 1] = f_t
         dec_mask[t - 1] = mask_t

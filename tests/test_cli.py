@@ -311,6 +311,24 @@ class TestBuildAndSimulate:
         assert code == 2
         assert message in err
 
+    # 2.0 meets the schema's integer type; the schema already refuses true
+    @pytest.mark.parametrize("slot, message", [
+        (2.0, "event slot must be an integer, got 2.0"),
+        (True, "event script schema violation at /events/0/slot"),
+    ], ids=["float", "bool"])
+    def test_scripts_with_non_integer_slots_exit_2(self, tmp_path, capsys,
+                                                   slot, message):
+        table, _ = self.build(capsys, tmp_path)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(
+            {"events": [{"appliance_id": "beta", "slot": slot}]}))
+        code, out, err = run(capsys, "simulate", "--table", str(table),
+                             "--config", "motivating-example",
+                             "--script", str(script))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_missing_tables_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--table",
                            str(tmp_path / "nope.json"),
@@ -662,7 +680,7 @@ class TestHugeNumbers:
         calls = []
         monkeypatch.setattr(
             "paces.scenarios.backward_recursion",
-            lambda config: calls.append(1) or backward_recursion(config))
+            lambda *args: calls.append(1) or backward_recursion(*args))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, _, err = run(capsys, *config_file(

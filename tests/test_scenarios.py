@@ -16,6 +16,9 @@ from paces import (Battery, InfeasibleError, Instance, ModelError,
                    expected_total_cost, extract_schedule, find_worst_scenario,
                    load_config, parse_config, random_small_instance,
                    scenario_load, scenarios, serialize, solve_with_scenarios)
+from paces.model import scenario_draws
+from paces.scenarios import VIOLATION_METRICS
+from paces.table import _Engine
 
 
 def ns(name, power=50.0, runtime=1, zone=(1, 2), start_prob=None):
@@ -123,6 +126,37 @@ class TestFindWorstScenario:
         with pytest.raises(ModelError, match="metric"):
             find_worst_scenario(fake_solution((0.0,) * 4), [], inst,
                                 metric="sideways")
+
+    @pytest.mark.parametrize("metric", VIOLATION_METRICS)
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_precomputed_draws_change_no_pick(self, metric, order):
+        cfg = load_config("section-iv-a")
+        inst = cfg.instance
+        cands = candidate_scenarios(inst.ns_appliances, inst.grid)[::order]
+        draws = scenario_draws(cands, inst.ns_appliances, inst.grid.tau)
+        kept = draws.copy()
+        table = backward_recursion(SolveConfig(
+            instance=inst, scenarios=ScenarioSet.base(2),
+            state_cap=cfg.state_cap))
+        solution = extract_schedule(table, inst.initial_state())
+        want = find_worst_scenario(solution, cands, inst, metric)
+        scratch = np.full_like(draws, np.nan)
+        for kwargs in ({"draws": draws}, {"draws": draws, "out": scratch}):
+            got = find_worst_scenario(solution, cands, inst, metric, **kwargs)
+            assert got[0] is want[0]
+            assert repr(got[1]) == repr(want[1])
+        assert draws.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("name, shape", [
+        ("draws", (2, 3)), ("draws", (1, 2)), ("out", (3, 2)),
+    ], ids=["slots", "candidates", "scratch"])
+    def test_precomputed_arrays_of_another_shape_are_refused(self, name,
+                                                            shape):
+        inst = make_instance(tau=2, ns_appliances=(ns("n"),), lam=10.0)
+        cands = candidate_scenarios(inst.ns_appliances, inst.grid)
+        with pytest.raises(ModelError, match=f"{name} has shape"):
+            find_worst_scenario(fake_solution((0.0, 0.0)), cands, inst,
+                                **{name: np.zeros(shape)})
 
     @pytest.mark.parametrize("seed", [5, 9, 21])
     def test_agrees_with_direct_enumeration(self, seed):
@@ -329,9 +363,9 @@ class TestRefinementLoop:
         inst = parse_config(raw).instance
         builds = []
 
-        def counting(config):
+        def counting(config, *args):
             builds.append(config)
-            return backward_recursion(config)
+            return backward_recursion(config, *args)
 
         monkeypatch.setattr(scenarios, "backward_recursion", counting)
         with pytest.raises(InfeasibleError) as err:
@@ -339,3 +373,69 @@ class TestRefinementLoop:
         assert len(builds) <= 64
         assert err.value.lambda_hint_w == pytest.approx(1e17 / (1 + 1e-9),
                                                         rel=1e-12)
+
+
+def same_table(got, want) -> bool:
+    """Bit-equal arrays and the same model hash."""
+    return got.model_hash == want.model_hash and all(
+        getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("values", "dec_mask", "dec_step"))
+
+
+class TestIncrementalRefinement:
+    """Each rebuild reuses the unchanged tail of the table before it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 399), scale=st.sampled_from((1.0, 0.5, 0.2)),
+           mode=st.sampled_from(("guaranteed", "repeat-stop")),
+           include_inactive=st.booleans())
+    # three and four builds that each re-solve part of the horizon
+    @example(seed=12, scale=0.5, mode="repeat-stop", include_inactive=True)
+    @example(seed=13, scale=0.5, mode="repeat-stop", include_inactive=False)
+    def test_every_rebuild_equals_a_build_from_scratch(self, seed, scale,
+                                                       mode,
+                                                       include_inactive):
+        base = random_small_instance(seed, ns_count=1 + seed % 2)
+        inst = dataclasses.replace(base, policy=dataclasses.replace(
+            base.policy, lambda_w=base.policy.lambda_w * scale))
+        rebuilds = []
+
+        def checked(config, previous=None):
+            try:
+                table = backward_recursion(config, previous)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    backward_recursion(config)
+                raise
+            if previous is not None:
+                rebuilds.append(same_table(table, backward_recursion(config)))
+            return table
+
+        options = ScenarioSolveOptions(mode=mode,
+                                       include_inactive=include_inactive)
+        with mock.patch.object(scenarios, "backward_recursion", checked):
+            try:
+                solve_with_scenarios(inst, options)
+            except InfeasibleError:
+                pass
+        assert all(rebuilds)
+
+    # a build from scratch solves every slot: 7 x 12 and 2 x 4 slots
+    @pytest.mark.parametrize("preset, builds, slots", [
+        ("section-iv-a", 7, 45), ("table-ii", 7, 45),
+        ("motivating-example", 2, 7),
+    ])
+    def test_rebuilds_solve_only_up_to_the_last_changed_slot(
+            self, preset, builds, slots):
+        cfg = load_config(preset)
+        solved = mock.patch.object(_Engine, "solve_slot", autospec=True,
+                                   side_effect=_Engine.solve_slot)
+        drawn = mock.patch.object(scenarios, "scenario_draws",
+                                  wraps=scenarios.scenario_draws)
+        with solved as solve_slot, drawn as draws:
+            result = solve_with_scenarios(cfg.instance, cfg.options,
+                                          cfg.state_cap)
+        assert len(result.trace.records) == builds
+        assert solve_slot.call_count == slots
+        # the candidates' draws, once per solve rather than per search
+        assert draws.call_count == 1

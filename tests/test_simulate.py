@@ -61,6 +61,11 @@ class TestEventScript:
         with pytest.raises(ModelError, match="unknown appliance 'ghost'"):
             script.resolve(motivating())
 
+    @pytest.mark.parametrize("slot", [2.0, True, "2", None])
+    def test_non_integer_slots_are_rejected(self, slot):
+        with pytest.raises(ModelError, match="event slot must be an integer"):
+            ScriptedStart("beta", slot)
+
     def test_double_starts_are_rejected(self):
         script = EventScript.scripted((ScriptedStart("beta", 2),
                                        ScriptedStart("beta", 3)))

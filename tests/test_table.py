@@ -8,6 +8,7 @@ import math
 import pickle
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -540,6 +541,82 @@ class TestBackwardRecursion:
         assert table.values.shape == (4, 3, 3)
         assert table.values[0].size == state_count(inst.appliances,
                                                    inst.battery)
+
+
+def assert_same_table(got, want):
+    """Bit-equal arrays and the same model hash."""
+    for name in ("values", "dec_mask", "dec_step"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.model_hash == want.model_hash
+
+
+class TestIncrementalRebuild:
+    """A rebuild handed the previous table re-solves only what changed."""
+
+    def build(self, config, previous=None):
+        """The table and the slots its build solved, in solve order."""
+        with mock.patch.object(_Engine, "solve_slot", autospec=True,
+                               side_effect=_Engine.solve_slot) as solved:
+            table = backward_recursion(config, previous)
+        return table, [call.args[1] for call in solved.call_args_list]
+
+    def test_the_sweep_starts_at_the_last_changed_slot(self):
+        # beta's placement at slot 3 changes the envelope of slot 3 only
+        inst = motivating_instance()
+        base = backward_recursion(SolveConfig(instance=inst,
+                                              scenarios=band_set(1)))
+        config = SolveConfig(instance=inst,
+                             scenarios=band_set(1).with_scenario(
+                                 PrivacyScenario((3,))))
+        table, solved = self.build(config, base)
+        assert solved == [3, 2, 1]
+        assert_same_table(table, backward_recursion(config))
+
+    def test_an_unchanged_envelope_reuses_every_slot(self):
+        inst = motivating_instance()
+        config = SolveConfig(instance=inst, scenarios=ScenarioSet(
+            (PrivacyScenario((2,)), PrivacyScenario((3,)))))
+        previous = backward_recursion(config)
+        # (None,) draws 0, which each slot's envelope already holds; an
+        # equal instance is enough, it need not be the same object
+        grown = SolveConfig(instance=dataclasses.replace(inst),
+                            scenarios=config.scenarios.with_scenario(
+                                PrivacyScenario((None,))))
+        table, solved = self.build(grown, previous)
+        assert solved == []
+        assert_same_table(table, backward_recursion(grown))
+
+    @pytest.mark.parametrize("change", [
+        lambda inst: dataclasses.replace(inst, policy=dataclasses.replace(
+            inst.policy, lambda_w=35000.0)),
+        lambda inst: dataclasses.replace(inst, battery=dataclasses.replace(
+            inst.battery, z_charge_max_wh=20000.0,
+            z_discharge_max_wh=20000.0)),
+    ], ids=["lambda", "battery"])
+    def test_a_table_of_another_instance_is_not_reused(self, change):
+        inst = motivating_instance()
+        omega = ScenarioSet((PrivacyScenario((3,)),))
+        other = backward_recursion(SolveConfig(instance=change(inst),
+                                               scenarios=omega))
+        config = SolveConfig(instance=inst, scenarios=omega)
+        scratch = backward_recursion(config)
+        # same envelope, different table: reusing it would show
+        assert other.values.tobytes() != scratch.values.tobytes()
+        table, solved = self.build(config, other)
+        assert solved == [4, 3, 2, 1]
+        assert_same_table(table, scratch)
+
+    def test_an_infeasible_rebuild_still_raises(self):
+        inst = dataclasses.replace(
+            motivating_instance(),
+            policy=PrivacyPolicy(lambda_w=1000.0, l_bar_w=35000.0))
+        base = SolveConfig(instance=inst, scenarios=ScenarioSet.empty())
+        previous = backward_recursion(base)
+        with pytest.raises(InfeasibleError, match="dies by slot 1"):
+            backward_recursion(SolveConfig(instance=inst,
+                                           scenarios=band_set(1)), previous)
 
 
 class TestExpectedTotalCost:

@@ -1,4 +1,5 @@
 """The vectorised worst-placement search against a per-candidate loop."""
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from paces import (Battery, Instance, ModelError, NonSchedulableAppliance,
                    PriceSignal, PrivacyPolicy, PrivacyScenario,
                    ScheduleSolution, TimeGrid, candidate_scenarios,
                    find_worst_scenario, scenario_load)
+from paces.model import scenario_draws
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +106,19 @@ class TestAgainstTheLoop:
             # its first occurrence
             assert got[0] is want[0]
             assert type(got[1]) is float
+            assert repr(got[1]) == repr(want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(search_cases())
+    def test_precomputed_draws_give_the_same_bits(self, case):
+        inst, solution, lists, metric = case
+        for candidates in lists:
+            draws = scenario_draws(candidates, inst.ns_appliances,
+                                   inst.grid.tau)
+            got = find_worst_scenario(solution, candidates, inst, metric,
+                                      draws, np.empty_like(draws))
+            want = find_worst_scenario(solution, candidates, inst, metric)
+            assert got[0] is want[0]
             assert repr(got[1]) == repr(want[1])
 
     def test_draws_sum_in_appliance_order(self):
