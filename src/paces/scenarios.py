@@ -139,8 +139,7 @@ def find_worst_scenario(solution: ScheduleSolution,
                         candidates: Sequence[PrivacyScenario],
                         instance: Instance,
                         metric: str = "two-sided",
-                        draws: Optional[np.ndarray] = None,
-                        out: Optional[np.ndarray] = None
+                        draws: Optional[np.ndarray] = None
                         ) -> tuple[Optional[PrivacyScenario], float]:
     """Placement that stresses the schedule hardest, with its violation.
 
@@ -151,26 +150,23 @@ def find_worst_scenario(solution: ScheduleSolution,
     sentinel ``(None, NO_SCENARIOS)`` comes back.
 
     ``draws`` is the candidates' :func:`~paces.model.scenario_draws`
-    matrix, for a caller that searches one candidate list many times,
-    and ``out`` a scratch array of that shape the deviations are written
-    to instead of a new one.  Either of another shape raises
+    matrix, for a caller that searches one candidate list many times; it
+    is read, not written.  A matrix of another shape raises
     :class:`ModelError`.
     """
     if metric not in VIOLATION_METRICS:
         raise ModelError(f"metric must be one of {VIOLATION_METRICS}, "
                          f"got {metric!r}")
     shape = (len(candidates), instance.grid.tau)
-    for name, arr in (("draws", draws), ("out", out)):
-        if arr is not None and arr.shape != shape:
-            raise ModelError(f"{name} has shape {arr.shape}, expected {shape} "
-                             f"for {shape[0]} candidates")
+    if draws is not None and draws.shape != shape:
+        raise ModelError(f"draws has shape {draws.shape}, expected {shape} "
+                         f"for {shape[0]} candidates")
     if not candidates:
         return None, NO_SCENARIOS
     if draws is None:
-        # a fresh matrix, so the deviations can overwrite it
-        draws = out = scenario_draws(candidates, instance.ns_appliances,
-                                     instance.grid.tau)
-    dev = np.add(draws, np.asarray(solution.base_load_w, dtype=float), out=out)
+        draws = scenario_draws(candidates, instance.ns_appliances,
+                               instance.grid.tau)
+    dev = draws + np.asarray(solution.base_load_w, dtype=float)
     dev -= instance.policy.l_bar_w
     if metric == "two-sided":
         np.abs(dev, out=dev)
@@ -229,10 +225,9 @@ def solve_with_scenarios(instance: Instance,
         else len(candidates) + 1
     draws = scenario_draws(candidates, instance.ns_appliances,
                            instance.grid.tau)
-    scratch = np.empty_like(draws)
     while True:
         phi, violation = find_worst_scenario(solution, candidates, instance,
-                                             options.metric, draws, scratch)
+                                             options.metric, draws)
         trace.final_scenario, trace.final_violation_w = phi, violation
         if options.mode == "guaranteed":
             if violation <= instance.policy.tolerance_w:

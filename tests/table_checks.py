@@ -1,0 +1,10 @@
+"""Checks on built schedule tables shared by the table and loop tests."""
+
+
+def assert_same_table(got, want):
+    """Bit-equal arrays and the same model hash."""
+    for name in ("values", "dec_mask", "dec_step"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.model_hash == want.model_hash

@@ -16,9 +16,8 @@ from paces import (Battery, InfeasibleError, Instance, ModelError,
                    expected_total_cost, extract_schedule, find_worst_scenario,
                    load_config, parse_config, random_small_instance,
                    scenario_load, scenarios, serialize, solve_with_scenarios)
-from paces.model import scenario_draws
-from paces.scenarios import VIOLATION_METRICS
 from paces.table import _Engine
+from table_checks import assert_same_table
 
 
 def ns(name, power=50.0, runtime=1, zone=(1, 2), start_prob=None):
@@ -127,36 +126,14 @@ class TestFindWorstScenario:
             find_worst_scenario(fake_solution((0.0,) * 4), [], inst,
                                 metric="sideways")
 
-    @pytest.mark.parametrize("metric", VIOLATION_METRICS)
-    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
-    def test_precomputed_draws_change_no_pick(self, metric, order):
-        cfg = load_config("section-iv-a")
-        inst = cfg.instance
-        cands = candidate_scenarios(inst.ns_appliances, inst.grid)[::order]
-        draws = scenario_draws(cands, inst.ns_appliances, inst.grid.tau)
-        kept = draws.copy()
-        table = backward_recursion(SolveConfig(
-            instance=inst, scenarios=ScenarioSet.base(2),
-            state_cap=cfg.state_cap))
-        solution = extract_schedule(table, inst.initial_state())
-        want = find_worst_scenario(solution, cands, inst, metric)
-        scratch = np.full_like(draws, np.nan)
-        for kwargs in ({"draws": draws}, {"draws": draws, "out": scratch}):
-            got = find_worst_scenario(solution, cands, inst, metric, **kwargs)
-            assert got[0] is want[0]
-            assert repr(got[1]) == repr(want[1])
-        assert draws.tobytes() == kept.tobytes()
-
-    @pytest.mark.parametrize("name, shape", [
-        ("draws", (2, 3)), ("draws", (1, 2)), ("out", (3, 2)),
-    ], ids=["slots", "candidates", "scratch"])
-    def test_precomputed_arrays_of_another_shape_are_refused(self, name,
-                                                            shape):
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2)],
+                             ids=["slots", "candidates"])
+    def test_draws_of_another_shape_are_refused(self, shape):
         inst = make_instance(tau=2, ns_appliances=(ns("n"),), lam=10.0)
         cands = candidate_scenarios(inst.ns_appliances, inst.grid)
-        with pytest.raises(ModelError, match=f"{name} has shape"):
+        with pytest.raises(ModelError, match="draws has shape"):
             find_worst_scenario(fake_solution((0.0, 0.0)), cands, inst,
-                                **{name: np.zeros(shape)})
+                                draws=np.zeros(shape))
 
     @pytest.mark.parametrize("seed", [5, 9, 21])
     def test_agrees_with_direct_enumeration(self, seed):
@@ -375,13 +352,6 @@ class TestRefinementLoop:
                                                         rel=1e-12)
 
 
-def same_table(got, want) -> bool:
-    """Bit-equal arrays and the same model hash."""
-    return got.model_hash == want.model_hash and all(
-        getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        for name in ("values", "dec_mask", "dec_step"))
-
-
 class TestIncrementalRefinement:
     """Each rebuild reuses the unchanged tail of the table before it."""
 
@@ -398,7 +368,6 @@ class TestIncrementalRefinement:
         base = random_small_instance(seed, ns_count=1 + seed % 2)
         inst = dataclasses.replace(base, policy=dataclasses.replace(
             base.policy, lambda_w=base.policy.lambda_w * scale))
-        rebuilds = []
 
         def checked(config, previous=None):
             try:
@@ -408,7 +377,7 @@ class TestIncrementalRefinement:
                     backward_recursion(config)
                 raise
             if previous is not None:
-                rebuilds.append(same_table(table, backward_recursion(config)))
+                assert_same_table(table, backward_recursion(config))
             return table
 
         options = ScenarioSolveOptions(mode=mode,
@@ -418,7 +387,6 @@ class TestIncrementalRefinement:
                 solve_with_scenarios(inst, options)
             except InfeasibleError:
                 pass
-        assert all(rebuilds)
 
     # a build from scratch solves every slot: 7 x 12 and 2 x 4 slots
     @pytest.mark.parametrize("preset, builds, slots", [

@@ -28,6 +28,7 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    scenario_load, slot_cost, state_count, step_remaining)
 from paces.table import _Engine, _nearest_feasible
 from raw_model import all_states, reference_decisions
+from table_checks import assert_same_table
 
 
 def app(name, power, duration):
@@ -541,15 +542,6 @@ class TestBackwardRecursion:
         assert table.values.shape == (4, 3, 3)
         assert table.values[0].size == state_count(inst.appliances,
                                                    inst.battery)
-
-
-def assert_same_table(got, want):
-    """Bit-equal arrays and the same model hash."""
-    for name in ("values", "dec_mask", "dec_step"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape and a.dtype == b.dtype, name
-        assert a.tobytes() == b.tobytes(), name
-    assert got.model_hash == want.model_hash
 
 
 class TestIncrementalRebuild:

@@ -1,5 +1,4 @@
 """The vectorised worst-placement search against a per-candidate loop."""
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,15 +110,17 @@ class TestAgainstTheLoop:
     @settings(max_examples=200, deadline=None)
     @given(search_cases())
     def test_precomputed_draws_give_the_same_bits(self, case):
-        inst, solution, lists, metric = case
-        for candidates in lists:
+        inst, solution, (full, picked), metric = case
+        for candidates in (full, full[::-1], picked):
             draws = scenario_draws(candidates, inst.ns_appliances,
                                    inst.grid.tau)
+            kept = draws.tobytes()
             got = find_worst_scenario(solution, candidates, inst, metric,
-                                      draws, np.empty_like(draws))
+                                      draws)
             want = find_worst_scenario(solution, candidates, inst, metric)
             assert got[0] is want[0]
             assert repr(got[1]) == repr(want[1])
+            assert draws.tobytes() == kept
 
     def test_draws_sum_in_appliance_order(self):
         # all three overlap slot 1: (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
