@@ -6,7 +6,8 @@ event script), ``sweep`` (capacity curve), ``verify`` (table builder vs
 exhaustive search), ``presets`` (list built-in instances).
 
 Exit codes: 0 success, 2 configuration or usage problem, 3 infeasible
-instance, 4 integrity failure (stale table, solver/oracle mismatch).
+instance, 4 integrity failure (stale table, solver/oracle mismatch, an
+artifact holding a non-finite number).
 All artifacts are deterministic: same config and seed, same bytes.
 """
 from __future__ import annotations
@@ -56,8 +57,13 @@ def _int_at_least(low: int):
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    """Write an artifact; a non-finite number, not JSON, writes nothing."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise IntegrityError(
+            f"{path}: refusing to write a non-finite number as JSON") from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _load_scenario_file(path: Path,

@@ -3,9 +3,12 @@
 The simulator is the runtime half of the system: it walks the table
 forward with :func:`~paces.table.extract_schedule`, the same walk that
 reads a solved schedule, while scripted or sampled non-schedulable
-events add their draw on top.  It never improvises: an off-grid or
-infeasible state, or a decision that cannot be applied, is an integrity
-error, not something to round away.
+events add their draw on top.  The walk reads the table by grid index
+and computes each slot's draw once; a report row takes its draw, loads,
+state and decision from the walk's solution and recomputes none of
+them.  It never improvises: an off-grid or infeasible state, or a
+decision that cannot be applied, is an integrity error, not something
+to round away.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, IntegrityError, ModelError
-from .model import Instance, PrivacyScenario, scenario_load
+from .model import Instance, PrivacyScenario
 from .scenarios import ScenarioSolveOptions, solve_with_scenarios
 from .table import (DEFAULT_STATE_CAP, ScheduleTable, SolveConfig,
                     expected_total_cost, extract_schedule, model_fingerprint)
@@ -165,16 +168,15 @@ def simulate(table: ScheduleTable, script: EventScript,
     bound_w = inst.policy.lambda_w + inst.policy.tolerance_w
 
     rows = []
-    for t, (decision, state, base, load, gap, cost) in enumerate(zip(
+    for t, (decision, state, base, ns, load, gap, cost) in enumerate(zip(
             solution.decisions, solution.states, solution.base_load_w,
-            solution.load_w, solution.privacy_gap_w, solution.slot_costs),
-            start=1):
+            solution.ns_load_w, solution.load_w, solution.privacy_gap_w,
+            solution.slot_costs), start=1):
         started = tuple(a.id for a, s in zip(inst.appliances, decision.starts)
                         if s)
         rows.append(SlotRecord(
-            slot=t, price_per_wh=inst.price.at(t), base_load_w=base,
-            ns_load_w=scenario_load(scenario, inst.ns_appliances, t),
-            load_w=load, battery_wh=state.battery_wh,
+            slot=t, price_per_wh=inst.price.values[t - 1], base_load_w=base,
+            ns_load_w=ns, load_w=load, battery_wh=state.battery_wh,
             battery_delta_wh=decision.battery_delta_wh, started=started,
             privacy_gap_w=gap, breach=abs(gap) > bound_w,
             cost=cost))

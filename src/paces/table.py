@@ -248,6 +248,11 @@ class _Engine:
     adds the price term in another order, which changes the rounding of
     the values and so which moves tie.  The tie-break then walks each
     vector's options by visit rank, all vectors at once.
+
+    The engine also holds the forward walk's transitions, filled as
+    :func:`extract_schedule` first reaches them (see :meth:`walk_step`
+    and :meth:`walk_state`).  They depend on the instance only, never on
+    the table's arrays.
     """
 
     def __init__(self, config: SolveConfig):
@@ -278,6 +283,10 @@ class _Engine:
         draws = scenario_draws(config.scenarios, inst.ns_appliances, self.tau)
         self.w_min = np.append(np.inf, draws.min(axis=0, initial=np.inf))
         self.w_max = np.append(-np.inf, draws.max(axis=0, initial=-np.inf))
+
+        # the forward walk's shared transitions and states, by index
+        self._steps: dict[tuple[int, int, int], tuple[Decision, int, float]] = {}
+        self._states: dict[tuple[int, int], SystemState] = {}
 
     def _rate_steps(self, rate_wh: float) -> int:
         """Grid steps one slot may move; no move crosses the whole pack."""
@@ -370,6 +379,39 @@ class _Engine:
         f = np.full((self.n_r, self.m), np.inf)
         f[self.done_idx, :] = 0.0
         return f
+
+    def walk_step(self, r_idx: int, mask: int,
+                  k: int) -> tuple[Decision, int, float]:
+        """What the decision cell ``(mask, k)`` does from vector ``r_idx``.
+
+        Returns the decision, the next remaining vector's index and the
+        base load (appliance draw plus battery throughput).  Each triple
+        is computed once, with :func:`step_remaining` and
+        :func:`appliance_load`, so every float is summed as a per-slot
+        computation sums it.  A mask that restarts an appliance raises
+        that function's :class:`ModelError` and is not stored.
+        """
+        key = (r_idx, mask, k)
+        hit = self._steps.get(key)
+        if hit is None:
+            starts = tuple(bool(mask >> i & 1) for i in range(self.n_app))
+            decision = Decision(starts=starts,
+                                battery_delta_wh=float(k * self.step))
+            now = self.r_combos[r_idx]
+            nxt = step_remaining(SystemState(battery_wh=0.0, remaining=now),
+                                 decision, self.durations)
+            base = (appliance_load(now, nxt, self.powers)
+                    + decision.battery_delta_wh / self.h)
+            hit = self._steps[key] = (decision, self.r_index[nxt], base)
+        return hit
+
+    def walk_state(self, r_idx: int, b_idx: int) -> SystemState:
+        """The state at grid cell ``(r_idx, b_idx)``, made once."""
+        state = self._states.get((r_idx, b_idx))
+        if state is None:
+            state = self._states[r_idx, b_idx] = SystemState(
+                battery_wh=b_idx * self.step, remaining=self.r_combos[r_idx])
+        return state
 
     def state_indices(self, state: SystemState) -> tuple[int, int]:
         if len(state.remaining) != self.n_app:
@@ -491,7 +533,8 @@ class ScheduleSolution:
     """A concrete trajectory read out of a table.
 
     ``base_load_w`` is the scenario-independent part of the metered load
-    (appliances plus battery); ``load_w`` adds the scenario draw.  The
+    (appliances plus battery); ``ns_load_w`` is the scenario's
+    non-schedulable draw, and ``load_w`` adds it to the base load.  The
     controllable cost prices the base load only, ``total_cost`` prices
     the realized load.
     """
@@ -499,6 +542,7 @@ class ScheduleSolution:
     decisions: tuple[Decision, ...]
     states: tuple[SystemState, ...]
     base_load_w: tuple[float, ...]
+    ns_load_w: tuple[float, ...]
     load_w: tuple[float, ...]
     privacy_gap_w: tuple[float, ...]
     slot_costs: tuple[float, ...]
@@ -572,6 +616,13 @@ def extract_schedule(table: ScheduleTable, initial_state: SystemState,
     reaches an off-grid or dead state, a decision that restarts an
     appliance or moves the battery outside ``[0, b_max]``, or work left
     unfinished past the horizon raises :class:`IntegrityError`.
+
+    The walk carries the state as grid indices and reads the decision
+    cells directly.  Each cell's decision, successor and base load come
+    from the engine's transition map (:meth:`_Engine.walk_step`), so the
+    states and decisions it returns are shared across walks of one
+    table.  An off-grid or dead state is refused through
+    :func:`runtime_lookup`, which names the nearest feasible state.
     """
     config = table.config
     inst = config.instance
@@ -582,47 +633,55 @@ def extract_schedule(table: ScheduleTable, initial_state: SystemState,
             f"scenario places {len(scenario.starts)} appliances, instance has "
             f"{len(inst.ns_appliances)}")
 
+    eng = table._engine
+    tau, h, step, m = eng.tau, eng.h, eng.step, eng.m
+    prices = inst.price.values
+    ns_loads = tuple(scenario_load(scenario, inst.ns_appliances, t)
+                     for t in range(1, tau + 1))
     state = initial_state
+    try:
+        r_idx, b_idx = eng.state_indices(state)
+    except ModelError:
+        # an off-grid initial state: the lookup raises, naming the nearest
+        runtime_lookup(table, state, 1)
+        raise
     decisions, states = [], [state]
     base_loads, loads, gaps, costs = [], [], [], []
-    h = inst.grid.slot_hours
-    bat = inst.battery
-    for t in range(1, inst.grid.tau + 1):
-        decision = runtime_lookup(table, state, t)
+    for t in range(1, tau + 1):
+        mask = int(table.dec_mask[t - 1, r_idx, b_idx])
+        if mask < 0:  # a dead state: the lookup raises, naming the nearest
+            runtime_lookup(table, state, t)
+        k = int(table.dec_step[t - 1, r_idx, b_idx])
         try:
-            next_remaining = step_remaining(state, decision, inst.durations)
+            decision, r_idx, base = eng.walk_step(r_idx, mask, k)
         except ModelError as err:
             raise IntegrityError(
                 f"table decision at slot {t} cannot be applied to "
                 f"{state!r}: {err}") from None
-        b_next = (bat.level_index(state.battery_wh)
-                  + round(decision.battery_delta_wh / bat.grid_step_wh))
-        next_level = b_next * bat.grid_step_wh
-        if not 0 <= b_next < bat.n_levels:
+        b_idx += k
+        if not 0 <= b_idx < m:
             raise IntegrityError(
                 f"table decision at slot {t} moves the battery to "
-                f"{next_level!r} Wh, outside [0, {bat.b_max_wh!r}]")
-        base = (appliance_load(state.remaining, next_remaining, inst.powers_w)
-                + decision.battery_delta_wh / h)
-        load = base + scenario_load(scenario, inst.ns_appliances, t)
+                f"{b_idx * step!r} Wh, outside [0, {inst.battery.b_max_wh!r}]")
+        load = base + ns_loads[t - 1]
         decisions.append(decision)
         base_loads.append(base)
         loads.append(load)
         gaps.append(privacy_gap(load, inst.policy))
-        costs.append(slot_cost(load, inst.price.at(t), h))
-        state = SystemState(battery_wh=next_level, remaining=next_remaining)
+        costs.append(slot_cost(load, prices[t - 1], h))
+        state = eng.walk_state(r_idx, b_idx)
         states.append(state)
-    if any(r != 0 for r in state.remaining):
+    if r_idx != eng.done_idx:
         raise IntegrityError(
             f"schedule left unfinished work {state.remaining!r} past the horizon")
-    controllable = sum(slot_cost(b, inst.price.at(t), h)
+    controllable = sum(slot_cost(b, prices[t - 1], h)
                        for t, b in enumerate(base_loads, start=1))
     return ScheduleSolution(
         decisions=tuple(decisions), states=tuple(states),
-        base_load_w=tuple(base_loads), load_w=tuple(loads),
-        privacy_gap_w=tuple(gaps), slot_costs=tuple(costs),
-        controllable_cost=float(controllable), total_cost=float(sum(costs)),
-        scenario=scenario)
+        base_load_w=tuple(base_loads), ns_load_w=ns_loads,
+        load_w=tuple(loads), privacy_gap_w=tuple(gaps),
+        slot_costs=tuple(costs), controllable_cost=float(controllable),
+        total_cost=float(sum(costs)), scenario=scenario)
 
 
 def expected_total_cost(config: SolveConfig, controllable_cost: float) -> float:
@@ -669,24 +728,37 @@ def save_table(table: ScheduleTable, path: str, format: str = "json") -> None:
 
     Each array is stored as the base64 of its little-endian, C-order
     bytes, cells indexed ``[t][r][b]``; ``body_sha256`` covers those
-    bytes, so a loader detects a corrupted or edited body.
+    bytes, so a loader detects a corrupted or edited body.  A header
+    number that is not finite (a NaN scenario weight) has no JSON form:
+    it raises :class:`IntegrityError` and writes nothing.
     """
     if format != "json":
         raise ConfigError(f"unknown table format {format!r}, expected 'json'")
-    body = {name: getattr(table, name).astype(dtype, copy=False).tobytes()
-            for name, dtype in _ARRAY_DTYPES.items()}
-    payload = {name: base64.b64encode(raw).decode("ascii")
-               for name, raw in body.items()}
+    # hold one array's bytes at a time, and only the text while writing: a
+    # fine-grid dump is megabytes, and every copy alive at once adds to the
+    # process's peak memory
+    digest = hashlib.sha256()
+    payload = {}
+    for name, dtype in _ARRAY_DTYPES.items():
+        raw = getattr(table, name).astype(dtype, copy=False).tobytes()
+        digest.update(raw)
+        payload[name] = base64.b64encode(raw).decode("ascii")
     payload.update(
         format=_FORMAT_NAME, version=_FORMAT_VERSION,
-        model_hash=table.model_hash,
-        body_sha256=hashlib.sha256(b"".join(body.values())).hexdigest(),
+        model_hash=table.model_hash, body_sha256=digest.hexdigest(),
         omega=[list(sc.starts) for sc in table.config.scenarios],
         weights=list(table.config.resolved_weights()),
         objective_mode=table.config.objective_mode)
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError:
+        raise IntegrityError(
+            f"{path}: refusing to write a non-finite number as JSON") from None
+    del payload
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":"))
-                 + "\n")
+        fh.write(text)
+        fh.write("\n")
 
 
 def _read_payload(path: str) -> dict:

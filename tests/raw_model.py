@@ -1,13 +1,15 @@
-"""Per-state references read from the raw model, for tests of the table.
+"""References read from the raw model, for tests of the table and replay.
 
 Nothing here touches the table builder's engine or its start options:
-the states and decisions are re-derived from the instance's own fields,
-so a test that compares a table against them checks the builder against
-an independent reading of the model.
+the states, decisions and walks are re-derived from the instance's own
+fields and the table's public arrays, so a test that compares the
+package against them checks it against an independent reading of the
+model.
 """
 import itertools
 
-from paces import Decision, SystemState
+from paces import (Decision, ScheduleSolution, SystemState, appliance_load,
+                   privacy_gap, scenario_load, slot_cost, step_remaining)
 
 
 def all_states(instance):
@@ -66,3 +68,75 @@ def reference_decisions(state, t, config):
                    <= pol.lambda_w + pol.tolerance_w for w in draws):
                 out.append(Decision(starts=starts, battery_delta_wh=delta))
     return out
+
+
+def reference_replay(table, initial_state, scenario):
+    """The forward walk from ``initial_state``, one object per slot.
+
+    Each slot finds its cell from the state's own fields (the remaining
+    vector as an odometer over ``0..duration``, last appliance fastest,
+    and the battery level through ``Battery.level_index``), then applies
+    the stored decision with the model's per-slot functions.  It walks
+    tables whose walk succeeds; a dead cell fails an assertion.
+    """
+    inst = table.config.instance
+    bat, h = inst.battery, inst.grid.slot_hours
+    durations = tuple(a.duration_slots for a in inst.appliances)
+    powers = tuple(a.power_w for a in inst.appliances)
+    state = initial_state
+    decisions, states = [], [state]
+    base_loads, ns_loads, loads, gaps, costs = [], [], [], [], []
+    for t in range(1, inst.grid.tau + 1):
+        r_idx = 0
+        for r, d in zip(state.remaining, durations):
+            r_idx = r_idx * (d + 1) + r
+        b_idx = bat.level_index(state.battery_wh)
+        mask = int(table.dec_mask[t - 1, r_idx, b_idx])
+        assert mask >= 0, f"dead cell at slot {t}"
+        k = int(table.dec_step[t - 1, r_idx, b_idx])
+        decision = Decision(
+            starts=tuple(bool(mask >> i & 1) for i in range(len(durations))),
+            battery_delta_wh=float(k * bat.grid_step_wh))
+        remaining = step_remaining(state, decision, durations)
+        level = (b_idx + round(decision.battery_delta_wh / bat.grid_step_wh)
+                 ) * bat.grid_step_wh
+        base = (appliance_load(state.remaining, remaining, powers)
+                + decision.battery_delta_wh / h)
+        ns = scenario_load(scenario, inst.ns_appliances, t)
+        load = base + ns
+        decisions.append(decision)
+        base_loads.append(base)
+        ns_loads.append(ns)
+        loads.append(load)
+        gaps.append(privacy_gap(load, inst.policy))
+        costs.append(slot_cost(load, inst.price.at(t), h))
+        state = SystemState(battery_wh=level, remaining=remaining)
+        states.append(state)
+    controllable = sum(slot_cost(b, inst.price.at(t), h)
+                       for t, b in enumerate(base_loads, start=1))
+    return ScheduleSolution(
+        decisions=tuple(decisions), states=tuple(states),
+        base_load_w=tuple(base_loads), ns_load_w=tuple(ns_loads),
+        load_w=tuple(loads), privacy_gap_w=tuple(gaps),
+        slot_costs=tuple(costs), controllable_cost=float(controllable),
+        total_cost=float(sum(costs)), scenario=scenario)
+
+
+def reference_report_csv(instance, solution):
+    """The replay report's CSV, row by row from a reference walk."""
+    pol = instance.policy
+    bound = pol.lambda_w + pol.tolerance_w
+    lines = ["slot,price_per_wh,base_load_w,ns_load_w,load_w,battery_wh,"
+             "battery_delta_wh,started,privacy_gap_w,breach,cost"]
+    for t, decision in enumerate(solution.decisions, start=1):
+        started = ";".join(a.id for a, s in zip(instance.appliances,
+                                                decision.starts) if s)
+        gap = solution.privacy_gap_w[t - 1]
+        lines.append(",".join([
+            str(t), repr(instance.price.at(t)),
+            repr(solution.base_load_w[t - 1]), repr(solution.ns_load_w[t - 1]),
+            repr(solution.load_w[t - 1]),
+            repr(solution.states[t - 1].battery_wh),
+            repr(decision.battery_delta_wh), started, repr(gap),
+            str(int(abs(gap) > bound)), repr(solution.slot_costs[t - 1])]))
+    return "\n".join(lines) + "\n"

@@ -4,7 +4,11 @@ import csv
 import functools
 import hashlib
 import json
+import math
+import os
 import pickle
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,7 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from paces import (EventScript, IntegrityError, ScriptedStart,
+import paces
+from paces import (EventScript, IntegrityError, ScriptedStart, SolveConfig,
                    backward_recursion, load_config, open_table, parse_config,
                    serialize, simulate)
 from paces.cli import main
@@ -774,3 +779,39 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestNonFiniteArtifacts:
+    """A non-finite number has no JSON form: the artifact is refused."""
+
+    def test_a_nan_in_the_solution_exits_4(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(paces.cli, "expected_total_cost",
+                            lambda config, cost: math.nan)
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, "solve", "--config", "motivating-example",
+                           "--out", str(out_dir))
+        assert code == 4
+        assert "refusing to write a non-finite number as JSON" in err
+        assert not (out_dir / "solution.json").exists()
+
+    def test_a_nan_in_a_dump_header_exits_4(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(SolveConfig, "resolved_weights",
+                            lambda self: (math.nan,))
+        dump = tmp_path / "t.table"
+        code, _, err = run(capsys, "build-table", "--config",
+                           "motivating-example", "--out", str(dump))
+        assert code == 4
+        assert "refusing to write a non-finite number as JSON" in err
+        assert not dump.exists()
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.dirname(os.path.dirname(paces.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "paces", "presets"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("motivating-example: tau=4")

@@ -40,7 +40,7 @@ def fake_solution(base_load_w):
     n = len(base_load_w)
     return ScheduleSolution(
         decisions=(), states=(), base_load_w=tuple(base_load_w),
-        load_w=tuple(base_load_w), privacy_gap_w=(0.0,) * n,
+        ns_load_w=(0.0,) * n, load_w=tuple(base_load_w), privacy_gap_w=(0.0,) * n,
         slot_costs=(0.0,) * n, controllable_cost=0.0, total_cost=0.0,
         scenario=PrivacyScenario.inactive(0))
 

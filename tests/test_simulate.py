@@ -1,15 +1,22 @@
 """Runtime replay of built tables and the battery-capacity sweep."""
 import dataclasses
 import importlib
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paces import (Battery, ConfigError, EventScript, Instance,
                    IntegrityError, ModelError, PriceSignal, PrivacyPolicy,
-                   PrivacyScenario, ScenarioSet, ScriptedStart, SolveConfig,
-                   SystemState, TimeGrid, backward_recursion, extract_schedule,
-                   load_config, load_table, runtime_lookup, save_table,
-                   simulate, solve_with_scenarios, sweep_battery)
+                   PrivacyScenario, ScenarioSet, SchedulableAppliance,
+                   ScriptedStart, SolveConfig, SystemState, TimeGrid,
+                   backward_recursion, extract_schedule, load_config,
+                   load_table, open_table, random_small_instance,
+                   runtime_lookup, save_table, simulate, solve_with_scenarios,
+                   sweep_battery)
+from raw_model import reference_replay, reference_report_csv
 
 
 def motivating():
@@ -120,6 +127,125 @@ class TestRuntimeLookup:
                            match="not on the table grid at slot 1") as err:
             extract_schedule(table, bad)
         assert "nearest tabulated feasible state" in str(err.value)
+
+
+def motivating_table():
+    """A fresh motivating-example table whose arrays a test may edit."""
+    inst = motivating()
+    return backward_recursion(SolveConfig(instance=inst,
+                                          scenarios=ScenarioSet.base(1)))
+
+
+class TestWalkRefusals:
+    """Each refusal of the forward walk, on arrays edited in memory.
+
+    The unedited walk stays at 0 Wh.  Its remaining vectors are (2, 3),
+    (2, 3), (2, 2) and (1, 1) at slots 1 to 4, and (0, 0) after slot 4.
+    """
+
+    def refusal(self, table, state=None):
+        with pytest.raises(IntegrityError) as err:
+            extract_schedule(table, state or motivating().initial_state())
+        return str(err.value)
+
+    def test_an_off_grid_initial_state(self):
+        bad = SystemState(battery_wh=4321.0, remaining=(2, 3))
+        assert self.refusal(motivating_table(), bad) == (
+            "state SystemState(battery_wh=4321.0, remaining=(2, 3)) is not "
+            "on the table grid at slot 1: battery level 4321.0 Wh is not on "
+            "the 10000.0 Wh grid within [0, 20000.0]; nearest tabulated "
+            "feasible state is SystemState(battery_wh=0.0, remaining=(2, 3))")
+
+    def test_a_dead_cell_mid_walk(self):
+        table = motivating_table()
+        # slot 2, remaining (2, 3) is vector 11, at level 0
+        table.dec_mask[1, 11, 0] = -1
+        assert self.refusal(table) == (
+            "state SystemState(battery_wh=0.0, remaining=(2, 3)) has no "
+            "feasible decision at slot 2; nearest tabulated feasible state "
+            "is SystemState(battery_wh=0.0, remaining=(1, 3))")
+
+    def test_a_restart(self):
+        table = motivating_table()
+        table.dec_mask[table.dec_mask >= 0] = 1
+        assert self.refusal(table) == (
+            "table decision at slot 2 cannot be applied to "
+            "SystemState(battery_wh=0.0, remaining=(1, 3)): cannot start an "
+            "appliance with 1 of 2 slots remaining")
+
+    def test_a_charge_past_capacity_in_the_last_slot(self):
+        table = motivating_table()
+        table.dec_step[-1] = 3
+        assert self.refusal(table) == (
+            "table decision at slot 4 moves the battery to 30000.0 Wh, "
+            "outside [0, 20000.0]")
+
+    def test_unfinished_work(self):
+        table = motivating_table()
+        table.dec_mask[:] = 0
+        table.dec_step[:] = 0
+        assert self.refusal(table) == (
+            "schedule left unfinished work (2, 3) past the horizon")
+
+
+def replay_matches_the_reference(table, script):
+    """The walk and the report equal the object-per-slot reference."""
+    inst = table.config.instance
+    scenario = script.resolve(inst)
+    want = reference_replay(table, inst.initial_state(), scenario)
+    got = extract_schedule(table, inst.initial_state(), scenario)
+    assert got == want
+    assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+    report = simulate(table, script, table.config)
+    assert report.csv_text() == reference_report_csv(inst, want)
+
+
+@st.composite
+def event_scripts(draw, instance):
+    kind = draw(st.sampled_from(("sampled", "scripted", "inactive")))
+    if kind == "sampled":
+        return EventScript.sampled(draw(st.integers(0, 2**32)))
+    if kind == "inactive":
+        return EventScript.scripted(())
+    events = []
+    for app in instance.ns_appliances:
+        start = draw(st.sampled_from([None] + app.feasible_starts()))
+        if start is not None:
+            events.append(ScriptedStart(app.id, start))
+    return EventScript.scripted(events)
+
+
+class TestReplayMatchesTheReference:
+    # a third appliance makes the walk's summation order matter: with two,
+    # every order of the appliance draw rounds alike
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 399),
+           extra=st.one_of(st.none(), st.tuples(
+               st.integers(10_000, 40_000), st.integers(1, 2))),
+           data=st.data())
+    def test_random_instances(self, seed, extra, data):
+        inst = random_small_instance(seed, ns_count=1 + seed % 2)
+        if extra is not None:
+            cents, duration = extra
+            power = cents / 100
+            inst = dataclasses.replace(
+                inst,
+                appliances=inst.appliances + (SchedulableAppliance(
+                    id="app9", power_w=power, workload_wh=power * duration,
+                    duration_slots=duration),),
+                # a band that never binds keeps the wider instance feasible
+                policy=PrivacyPolicy(lambda_w=1e6,
+                                     l_bar_w=inst.policy.l_bar_w))
+        config = SolveConfig(instance=inst, scenarios=ScenarioSet.base(
+            len(inst.ns_appliances)))
+        table = backward_recursion(config)
+        script = data.draw(event_scripts(inst))
+        replay_matches_the_reference(table, script)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.json")
+            save_table(table, path)
+            loaded = open_table(path, inst)
+        replay_matches_the_reference(loaded, script)
 
 
 class TestSimulate:

@@ -798,6 +798,16 @@ class TestPersistence:
                               separators=(",", ":")) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
 
+    def test_non_finite_header_numbers_write_nothing(self, tmp_path,
+                                                      monkeypatch):
+        _, table = self.build()
+        monkeypatch.setattr(SolveConfig, "resolved_weights",
+                            lambda self: (math.inf,))
+        path = tmp_path / "table.json"
+        with pytest.raises(IntegrityError, match="non-finite number"):
+            save_table(table, str(path))
+        assert not path.exists()
+
     def test_rejects_unknown_formats_on_save(self, tmp_path):
         _, table = self.build()
         with pytest.raises(ConfigError, match="format"):
