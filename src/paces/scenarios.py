@@ -27,8 +27,9 @@ import numpy as np
 from .errors import InfeasibleError, ModelError
 from .model import (Instance, NonSchedulableAppliance, PrivacyScenario,
                     ScenarioSet, TimeGrid, scenario_draws)
-from .table import (DEFAULT_STATE_CAP, ScheduleSolution, ScheduleTable,
-                    SolveConfig, backward_recursion, extract_schedule)
+from .table import (DEFAULT_STATE_CAP, OBJECTIVE_MODES, ScheduleSolution,
+                    ScheduleTable, SolveConfig, backward_recursion,
+                    extract_schedule)
 
 SOLVE_MODES = ("guaranteed", "repeat-stop")
 VIOLATION_METRICS = ("two-sided", "upper-only")
@@ -58,8 +59,13 @@ class ScenarioSolveOptions:
         if self.metric not in VIOLATION_METRICS:
             raise ModelError(f"metric must be one of {VIOLATION_METRICS}, "
                              f"got {self.metric!r}")
-        if self.max_solves is not None and self.max_solves < 1:
-            raise ModelError("max_solves must be positive when given")
+        if self.objective_mode not in OBJECTIVE_MODES:
+            raise ModelError(f"objective_mode must be one of {OBJECTIVE_MODES}, "
+                             f"got {self.objective_mode!r}")
+        if self.max_solves is not None and (
+                type(self.max_solves) is not int or self.max_solves < 1):
+            raise ModelError(f"max_solves must be a positive integer when "
+                             f"given, got {self.max_solves!r}")
 
 
 @dataclass(frozen=True)

@@ -83,8 +83,9 @@ class SolveConfig:
                 raise ModelError(
                     f"{len(self.scenario_weights)} weights for "
                     f"{len(self.scenarios)} scenarios")
-            if any(w < 0 for w in self.scenario_weights):
-                raise ModelError("scenario weights must be non-negative")
+            if not all(0 <= w < math.inf for w in self.scenario_weights):
+                raise ModelError(
+                    "scenario weights must be finite and non-negative")
             if self.objective_mode == "expected" and len(self.scenarios) > 0:
                 total = sum(self.scenario_weights)
                 if abs(total - 1.0) > 1e-9:
@@ -153,13 +154,12 @@ def state_count(appliances: Sequence[SchedulableAppliance],
 class _SlotOptions:
     """Admissible start sets of every remaining vector at one slot.
 
-    One row per option: vectors ascending, each vector's options by
-    start-set size, then lexicographically.  ``rank`` is the row's visit
-    position inside its vector, by ``(n_starts, skey)`` where ``skey``
+    One row per option.  Each vector's rows are one block, vectors
+    ascending, in visit order: by start-set size, then by ``skey``, which
     reads the start mask with the first appliance as the most significant
-    bit.  A vector with an unstarted appliance that can no longer meet
-    the deadline has no rows: every continuation from it is doomed.  All
-    arrays are read-only.
+    bit.  ``first`` holds each block's first row.  A vector with an
+    unstarted appliance that can no longer meet the deadline has no rows:
+    every continuation from it is doomed.  All arrays are read-only.
     """
 
     r_idx: np.ndarray
@@ -167,7 +167,7 @@ class _SlotOptions:
     n_starts: np.ndarray
     y_w: np.ndarray
     r_next: np.ndarray
-    rank: np.ndarray
+    first: np.ndarray
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -189,7 +189,7 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
     r_combos = list(itertools.product(*[range(d + 1) for d in durations]))
     r_index = {combo: i for i, combo in enumerate(r_combos)}
     # per vector: the last slot it is not doomed at, and its option rows
-    # (r_idx, mask, n_starts, y_w, r_next, rank)
+    # (r_idx, mask, n_starts, y_w, r_next) in visit order
     per_vector = []
     for r_i, combo in enumerate(r_combos):
         startable = []
@@ -211,12 +211,9 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
                     nxt.append(r - 1 if running and r > 0 else r)
                 mask = sum(1 << i for i in subset)
                 skey = sum(1 << (n_app - 1 - i) for i in subset)
-                options.append((r_i, mask, size, y, r_index[tuple(nxt)], skey))
-        visit = sorted(range(len(options)),
-                       key=lambda j: (options[j][2], options[j][5]))
-        rank = {j: pos for pos, j in enumerate(visit)}
-        per_vector.append((last, [opt[:5] + (rank[j],)
-                                  for j, opt in enumerate(options)]))
+                options.append((size, skey,
+                                (r_i, mask, size, y, r_index[tuple(nxt)])))
+        per_vector.append((last, [row for _, _, row in sorted(options)]))
 
     # the all-done vector is never doomed, so no slot is empty
     slots = []
@@ -229,7 +226,8 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
             n_starts=_read_only(cols[2], np.int64),
             y_w=_read_only(cols[3], np.float64),
             r_next=_read_only(cols[4], np.intp),
-            rank=_read_only(cols[5], np.int64)))
+            first=_read_only(np.flatnonzero(np.diff(cols[0], prepend=-1)),
+                             np.intp)))
     return tuple(slots)
 
 
@@ -246,8 +244,8 @@ class _Engine:
     the same order would.  The affine form ``-c*step*b + min_j (f[j] +
     c*step*j)`` (a sliding-window minimum) would save the move loop but
     adds the price term in another order, which changes the rounding of
-    the values and so which moves tie.  The tie-break then walks each
-    vector's options by visit rank, all vectors at once.
+    the values and so which moves tie.  The tie-break then reduces each
+    vector's block of rows, one ``np.minimum.reduceat`` per key.
 
     The engine also holds the forward walk's transitions, filled as
     :func:`extract_schedule` first reaches them (see :meth:`walk_step`
@@ -265,9 +263,9 @@ class _Engine:
         self.powers = inst.powers_w
         self.n_app = len(self.durations)
         bat = inst.battery
-        if state_count(inst.appliances, bat) > config.state_cap:
-            raise StateSpaceError(state_count(inst.appliances, bat),
-                                  config.state_cap)
+        n_states = state_count(inst.appliances, bat)
+        if n_states > config.state_cap:
+            raise StateSpaceError(n_states, config.state_cap)
         self.step = bat.grid_step_wh
         self.m = bat.n_levels
         self.k_rate_lo = -self._rate_steps(bat.z_discharge_max_wh)
@@ -352,26 +350,24 @@ class _Engine:
             np.copyto(best, cand, where=better)
             np.copyto(best_k, k, where=better)
 
-        # visiting options by (n_starts, skey) settles the start-count and
-        # start-vector tie-breaks by order: a later option can win a tie
-        # only with as many starts and a smaller battery move
-        finite = np.isfinite(best)
-        abs_k = np.abs(best_k)
-        best_n = np.zeros((self.n_r, self.m), dtype=np.int64)
-        best_absk = np.zeros((self.n_r, self.m), dtype=np.int64)
-        for rank in range(int(opts.rank.max()) + 1):
-            rows = np.flatnonzero(opts.rank == rank)
-            r = opts.r_idx[rows]
-            vals, held = best[rows], values[r]
-            n_starts = opts.n_starts[rows][:, None]
-            take = finite[rows] & (
-                (vals < held) | ((vals == held) & (n_starts == best_n[r])
-                                 & (abs_k[rows] < best_absk[r])))
-            values[r] = np.where(take, vals, held)
-            best_n[r] = np.where(take, n_starts, best_n[r])
-            best_absk[r] = np.where(take, abs_k[rows], best_absk[r])
-            dec_mask[r] = np.where(take, opts.mask[rows][:, None], dec_mask[r])
-            dec_step[r] = np.where(take, best_k[rows], dec_step[r])
+        # a vector's rows are one block in visit order, so its documented
+        # tie-break is the least (value, n_starts, |k|, row) of the block.
+        # == ties -0.0 with 0.0, so a cell takes its picked row's own value;
+        # an all-inf block picks a row whose move stayed 0.  |k| < m, and
+        # n_starts * m + |k| < (n_app + 1) * m <= n_r * m, the state count.
+        first, n_rows = opts.first, len(opts.r_idx)
+        block = np.repeat(np.arange(len(first)), np.diff(first, append=n_rows))
+        low = np.minimum.reduceat(best, first)
+        nk = np.where(best == low[block],
+                      opts.n_starts[:, None] * self.m + np.abs(best_k),
+                      np.iinfo(np.int64).max)
+        nk_low = np.minimum.reduceat(nk, first)
+        row = np.where(nk == nk_low[block], np.arange(n_rows)[:, None], n_rows)
+        pick = np.minimum.reduceat(row, first)
+        r = opts.r_idx[first]
+        values[r] = np.take_along_axis(best, pick, 0)
+        dec_mask[r] = np.where(np.isfinite(low), opts.mask[pick], -1)
+        dec_step[r] = np.take_along_axis(best_k, pick, 0)
         return values, dec_mask, dec_step
 
     def terminal_continuation(self) -> np.ndarray:
@@ -628,10 +624,6 @@ def extract_schedule(table: ScheduleTable, initial_state: SystemState,
     inst = config.instance
     if scenario is None:
         scenario = PrivacyScenario.inactive(len(inst.ns_appliances))
-    if len(scenario.starts) != len(inst.ns_appliances):
-        raise ModelError(
-            f"scenario places {len(scenario.starts)} appliances, instance has "
-            f"{len(inst.ns_appliances)}")
 
     eng = table._engine
     tau, h, step, m = eng.tau, eng.h, eng.step, eng.m
@@ -729,8 +721,8 @@ def save_table(table: ScheduleTable, path: str, format: str = "json") -> None:
     Each array is stored as the base64 of its little-endian, C-order
     bytes, cells indexed ``[t][r][b]``; ``body_sha256`` covers those
     bytes, so a loader detects a corrupted or edited body.  A header
-    number that is not finite (a NaN scenario weight) has no JSON form:
-    it raises :class:`IntegrityError` and writes nothing.
+    number that is not finite has no JSON form: it raises
+    :class:`IntegrityError` and writes nothing.
     """
     if format != "json":
         raise ConfigError(f"unknown table format {format!r}, expected 'json'")

@@ -302,31 +302,33 @@ def test_making_an_engine_builds_no_option_tables():
 def test_option_tables_are_read_only():
     eng = _Engine(SolveConfig(instance=load_config("table-ii").instance))
     opts = eng.options(1)
-    for name in ("r_idx", "mask", "n_starts", "y_w", "r_next", "rank"):
+    for name in ("r_idx", "mask", "n_starts", "y_w", "r_next", "first"):
         arr = getattr(opts, name)
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
 
 
-def test_option_rows_keep_the_enumeration_order():
+def test_option_rows_are_blocks_in_visit_order():
     eng = _Engine(SolveConfig(instance=load_config("table-ii").instance))
     for t in range(1, eng.tau + 1):
         opts = eng.options(t)
+        starts = []
         for r_i, combo in enumerate(eng.r_combos):
             want = reference_options(eng, combo, t)
             rows = np.flatnonzero(opts.r_idx == r_i)
             if want is None:
                 assert len(rows) == 0
                 continue
-            # a vector's rows are contiguous
+            # a vector's rows are one block, listed by (n_starts, skey)
             assert rows.tolist() == list(range(rows[0], rows[-1] + 1))
+            starts.append(int(rows[0]))
             got = list(zip(opts.mask[rows].tolist(),
                            opts.n_starts[rows].tolist(),
                            opts.y_w[rows].tolist(),
                            opts.r_next[rows].tolist()))
-            assert got == [(m, n, y, r) for m, _, n, y, r in want]
-            visit = sorted(range(len(want)),
-                           key=lambda j: (want[j][2], want[j][1]))
-            assert [visit.index(j) for j in range(len(want))] \
-                == opts.rank[rows].tolist()
+            assert got == [(m, n, y, r) for m, _, n, y, r in
+                           sorted(want, key=lambda o: (o[2], o[1]))]
+        # vectors ascend, and first names each block's first row
+        assert starts == sorted(starts) and starts[0] == 0
+        assert opts.first.tolist() == starts

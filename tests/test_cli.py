@@ -364,9 +364,10 @@ class TestBuildAndSimulate:
         ("omega", 5),
         ("omega", [[None, None]]),
         ("weights", [0.5, 0.5]),
+        ("weights", [math.nan]),
         ("objective_mode", "cheapest"),
     ], ids=["omega-not-a-list", "omega-row-too-long", "weights-too-many",
-            "unknown-objective"])
+            "weights-nan", "unknown-objective"])
     def test_headers_that_do_not_fit_the_model_exit_4(self, tmp_path, capsys,
                                                        field, value):
         code, _, err = self.simulate_corrupted(
@@ -563,18 +564,38 @@ def test_every_one_cell_in_range_edit_exits_4(data):
     assert code == 4
 
 
-def test_the_documented_dump_is_what_build_table_writes(tmp_path, capsys):
+def documented_blocks(heading, lang):
+    """The ``lang`` code blocks of one ``docs/formats.md`` section, in order."""
     docs = (Path(__file__).parent.parent / "docs" / "formats.md").read_text(
         encoding="utf-8")
-    section = docs.split("## Schedule table dump\n")[1].split("\n## ")[0]
-    dump, config = [block.split("\n```")[0]
-                    for block in section.split("```json\n")[1:3]]
+    section = docs.split(f"## {heading}\n")[1].split("\n## ")[0]
+    return [block.split("\n```")[0]
+            for block in section.split(f"```{lang}\n")[1:]]
+
+
+def test_the_documented_dump_is_what_build_table_writes(tmp_path, capsys):
+    dump, config = documented_blocks("Schedule table dump", "json")[:2]
     (tmp_path / "config.json").write_text(config)
     code, _, err = run(capsys, "build-table", "--config",
                        str(tmp_path / "config.json"),
                        "--out", str(tmp_path / "table.json"))
     assert code == 0, err
     assert (tmp_path / "table.json").read_bytes() == (dump + "\n").encode()
+
+
+@pytest.mark.parametrize("heading, lang, artifact", [
+    ("Solution (JSON, output)", "json", "solution.json"),
+    ("Refinement trace (JSON, output)", "json", "trace.json"),
+    ("Simulation report (CSV, output)", "csv", "report.csv"),
+])
+def test_the_documented_artifacts_are_what_solve_writes(tmp_path, capsys,
+                                                        heading, lang,
+                                                        artifact):
+    example = documented_blocks(heading, lang)[0]
+    code, _, err = run(capsys, "solve", "--config", "motivating-example",
+                       "--out", str(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / artifact).read_bytes() == (example + "\n").encode()
 
 
 NOT_UTF8 = b"\xff\xfe{"

@@ -161,8 +161,11 @@ class TestSolveOptions:
             ScenarioSolveOptions(mode="hopeful")
         with pytest.raises(ModelError, match="metric"):
             ScenarioSolveOptions(metric="sideways")
-        with pytest.raises(ModelError, match="max_solves"):
-            ScenarioSolveOptions(max_solves=0)
+        with pytest.raises(ModelError, match="objective_mode"):
+            ScenarioSolveOptions(objective_mode="bogus")
+        for bad in (0, True, 2.5):
+            with pytest.raises(ModelError, match="max_solves"):
+                ScenarioSolveOptions(max_solves=bad)
 
 
 class TestRefinementLoop:

@@ -187,6 +187,13 @@ class TestWalkRefusals:
         assert self.refusal(table) == (
             "schedule left unfinished work (2, 3) past the horizon")
 
+    def test_a_scenario_for_another_household(self):
+        # refused before the walk starts, as a model error
+        with pytest.raises(ModelError) as err:
+            extract_schedule(motivating_table(), motivating().initial_state(),
+                             PrivacyScenario((1, 2)))
+        assert str(err.value) == "scenario places 2 appliances, instance has 1"
+
 
 def replay_matches_the_reference(table, script):
     """The walk and the report equal the object-per-slot reference."""

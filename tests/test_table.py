@@ -26,7 +26,7 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    load_table, model_fingerprint, privacy_gap,
                    random_small_instance, read_table_header, save_table,
                    scenario_load, slot_cost, state_count, step_remaining)
-from paces.table import _Engine, _nearest_feasible
+from paces.table import OBJECTIVE_MODES, _Engine, _nearest_feasible
 from raw_model import all_states, reference_decisions
 from table_checks import assert_same_table
 
@@ -120,6 +120,14 @@ class TestStateEnumeration:
     def test_non_positive_cap_rejected(self):
         with pytest.raises(ModelError, match="state cap"):
             SolveConfig(instance=make_instance(), state_cap=0)
+
+    @pytest.mark.parametrize("mode", OBJECTIVE_MODES)
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -0.5])
+    def test_scenario_weights_must_be_finite_and_non_negative(self, weight,
+                                                             mode):
+        with pytest.raises(ModelError, match="finite and non-negative"):
+            SolveConfig(instance=make_instance(), scenarios=band_set(0),
+                        scenario_weights=(weight,), objective_mode=mode)
 
 
 class TestModelFingerprint:
