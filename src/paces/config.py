@@ -253,13 +253,20 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".",
             metric=s.get("metric", "two-sided"),
             objective_mode=s.get("objective", "expected"),
             max_solves=s.get("max_solves"))
+        # JSON Schema counts 2.0 as an integer, so refuse integral floats here
         state_cap = s.get("state_cap", DEFAULT_STATE_CAP)
+        if type(state_cap) is not int or state_cap < 1:
+            raise ModelError(f"solver.state_cap must be a positive integer, "
+                             f"got {state_cap!r}")
+        seed = raw.get("seed", 0)
+        if type(seed) is not int:
+            raise ModelError(f"seed must be an integer, got {seed!r}")
     except (ModelError, OverflowError) as err:
         raise ConfigError(str(err)) from None
 
     return InstanceConfig(name=raw.get("name", default_name),
                           instance=instance, options=options,
-                          state_cap=state_cap, seed=raw.get("seed", 0))
+                          state_cap=state_cap, seed=seed)
 
 
 def load_config(source: Union[str, Path]) -> InstanceConfig:

@@ -154,7 +154,7 @@ class SimulationReport:
 def simulate(table: ScheduleTable, script: EventScript,
              config: SolveConfig) -> SimulationReport:
     """Replay the table under one event script, slot by slot."""
-    # the table's own config was hashed when the table was built or loaded
+    # the table hashes its own config once, when its hash is first read
     if config is not table.config:
         expected = model_fingerprint(config)
         if expected != table.model_hash:

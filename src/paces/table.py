@@ -37,7 +37,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +56,10 @@ DEFAULT_STATE_CAP = 2_000_000
 _SNAP_EPS = 1e-9
 
 OBJECTIVE_MODES = ("expected", "worst-case-cost")
+
+#: The slot solver's tie-break key of a row that does not hold its
+#: block's least value.
+_NO_KEY = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,9 @@ class SolveConfig:
                 if abs(total - 1.0) > 1e-9:
                     raise ModelError(
                         f"scenario weights sum to {total}, expected 1")
-        if self.state_cap < 1:
-            raise ModelError(f"state cap must be positive, got {self.state_cap!r}")
+        if type(self.state_cap) is not int or self.state_cap < 1:
+            raise ModelError(f"state cap must be a positive integer, got "
+                             f"{self.state_cap!r}")
 
     def resolved_weights(self) -> tuple[float, ...]:
         """Configured weights, or uniform over the scenario set."""
@@ -157,9 +163,19 @@ class _SlotOptions:
     One row per option.  Each vector's rows are one block, vectors
     ascending, in visit order: by start-set size, then by ``skey``, which
     reads the start mask with the first appliance as the most significant
-    bit.  ``first`` holds each block's first row.  A vector with an
+    bit.  ``first`` holds each block's first row, ``block`` each row's
+    block and ``r_first`` each block's vector.  A vector with an
     unstarted appliance that can no longer meet the deadline has no rows:
-    every continuation from it is doomed.  All arrays are read-only.
+    every continuation from it is doomed.
+
+    ``rows`` (the row index) and ``start_key`` (``n_starts << 32``) are
+    columns of shape ``(rows, 1)``, the start-set parts of the slot
+    solver's tie-break.  ``start_key + |k|`` orders a block's tied rows
+    by start-set size, then move magnitude: ``|k|`` fits the int32
+    ``dec_step``, so the sum is exact in int64 whatever the battery grid.
+    Everything here depends on ``(durations, powers, tau)`` only, so every
+    build of one instance shape shares it, whatever its battery, band or
+    scenario set.  All arrays are read-only.
     """
 
     r_idx: np.ndarray
@@ -168,12 +184,25 @@ class _SlotOptions:
     y_w: np.ndarray
     r_next: np.ndarray
     first: np.ndarray
+    block: np.ndarray
+    r_first: np.ndarray
+    rows: np.ndarray
+    start_key: np.ndarray
 
 
 def _read_only(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+@functools.lru_cache(maxsize=16)
+def _vectors(durations: tuple[int, ...]
+             ) -> tuple[tuple[tuple[int, ...], ...], Mapping, int]:
+    """Remaining vectors ascending, their index map and the all-done one."""
+    r_combos = tuple(itertools.product(*[range(d + 1) for d in durations]))
+    r_index = MappingProxyType({combo: i for i, combo in enumerate(r_combos)})
+    return r_combos, r_index, r_index[(0,) * len(durations)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -186,8 +215,7 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
     capacity and each probe of the lambda bisection.
     """
     n_app = len(durations)
-    r_combos = list(itertools.product(*[range(d + 1) for d in durations]))
-    r_index = {combo: i for i, combo in enumerate(r_combos)}
+    r_combos, r_index, _ = _vectors(durations)
     # per vector: the last slot it is not doomed at, and its option rows
     # (r_idx, mask, n_starts, y_w, r_next) in visit order
     per_vector = []
@@ -220,32 +248,57 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
     for t in range(1, tau + 1):
         cols = list(zip(*[row for last, rows in per_vector if t <= last
                           for row in rows]))
+        r_idx = np.array(cols[0], dtype=np.intp)
+        first = np.flatnonzero(np.diff(r_idx, prepend=-1))
+        n_starts = np.array(cols[2], dtype=np.int64)
         slots.append(_SlotOptions(
-            r_idx=_read_only(cols[0], np.intp),
+            r_idx=_read_only(r_idx, np.intp),
             mask=_read_only(cols[1], np.int32),
-            n_starts=_read_only(cols[2], np.int64),
+            n_starts=_read_only(n_starts, np.int64),
             y_w=_read_only(cols[3], np.float64),
             r_next=_read_only(cols[4], np.intp),
-            first=_read_only(np.flatnonzero(np.diff(cols[0], prepend=-1)),
-                             np.intp)))
+            first=_read_only(first, np.intp),
+            block=_read_only(np.repeat(np.arange(len(first)),
+                                       np.diff(first, append=len(r_idx))),
+                             np.intp),
+            r_first=_read_only(r_idx[first], np.intp),
+            rows=_read_only(np.arange(len(r_idx))[:, None], np.intp),
+            start_key=_read_only((n_starts << 32)[:, None], np.int64)))
     return tuple(slots)
 
 
 class _Engine:
     """Precomputed instance geometry for one solve.
 
-    :meth:`solve_slot` evaluates a whole slot at once.  The start options
-    come from :func:`_option_tables`, built once per instance shape on
-    first use, so making an engine (as ``load_table`` does) builds none.
-    The continuation is padded with ``inf`` by the rate limit on both
-    sides, so each battery move ``k`` is one column shift of it.  Moves
-    are scanned in ``(|k|, k)`` order with a strict ``<`` running minimum,
-    which keeps the first minimum exactly as a per-option ``argmin`` over
-    the same order would.  The affine form ``-c*step*b + min_j (f[j] +
-    c*step*j)`` (a sliding-window minimum) would save the move loop but
-    adds the price term in another order, which changes the rounding of
-    the values and so which moves tie.  The tie-break then reduces each
-    vector's block of rows, one ``np.minimum.reduceat`` per key.
+    :meth:`solve_slot` evaluates a whole slot at once, and pays per slot
+    only for what depends on the continuation and the envelope.  What
+    depends on the instance shape alone (the remaining vectors, and per
+    slot the start options with their block layout and tie-break
+    columns) comes from :func:`_vectors` and :func:`_option_tables`,
+    built once per shape on first use and shared by every engine of it,
+    so making an engine (as ``load_table`` does) builds no option
+    tables.  What depends on the battery (the moves in ``(|k|, k)``
+    order, the level index) and on the band (the window terms) is built
+    once per engine.
+
+    Per slot, the continuation is padded with ``inf`` by the rate limit
+    on both sides, so each battery move ``k`` is one column shift of it.
+    Every row's window and stage cost for every move are one (moves x
+    rows) matrix; only the moves inside some row's window are scanned,
+    in ``(|k|, k)`` order with a strict ``<`` running minimum, which
+    keeps the first minimum exactly as a per-option ``argmin`` over the
+    same order would.  The tie-break then reduces each vector's block of
+    rows, one ``np.minimum.reduceat`` per key.
+
+    Three alternatives were slower or not bit-equal.  The affine form
+    ``-c*step*b + min_j (f[j] + c*step*j)`` (a sliding-window minimum)
+    would save the move loop but adds the price term in another order,
+    which changes the rounding of the values and so which moves tie.
+    Stacking every move into one (moves x rows x m) array and taking one
+    ``argmin`` allocates that whole array per slot and took about twice
+    the loop's time; gathering the shifted windows with
+    ``sliding_window_view`` and fancy indexing copied as much and was
+    slower again.
 
     The engine also holds the forward walk's transitions, filled as
     :func:`extract_schedule` first reaches them (see :meth:`walk_step`
@@ -270,17 +323,28 @@ class _Engine:
         self.m = bat.n_levels
         self.k_rate_lo = -self._rate_steps(bat.z_discharge_max_wh)
         self.k_rate_hi = self._rate_steps(bat.z_charge_max_wh)
-        self.r_combos = list(itertools.product(
-            *[range(d + 1) for d in self.durations]))
-        self.r_index = {combo: i for i, combo in enumerate(self.r_combos)}
+        self.r_combos, self.r_index, self.done_idx = _vectors(self.durations)
         self.n_r = len(self.r_combos)
-        self.done_idx = self.r_index[(0,) * self.n_app]
 
         # per slot t at index t, the extreme non-schedulable draws over the
         # scenario set; the empty set's (+inf, -inf) leaves the rate window
         draws = scenario_draws(config.scenarios, inst.ns_appliances, self.tau)
         self.w_min = np.append(np.inf, draws.min(axis=0, initial=np.inf))
         self.w_max = np.append(-np.inf, draws.max(axis=0, initial=-np.inf))
+
+        # the slot solver's per-engine parts: the window terms as (2, 1)
+        # columns, lower bound first, and the moves in (|k|, k) order
+        pol = inst.policy
+        self._band = np.array([[pol.l_bar_w - pol.lambda_w],
+                               [pol.l_bar_w + pol.lambda_w]])
+        self._envelope = np.stack((self.w_min, self.w_max), axis=1)[:, :, None]
+        self._tolerance = np.array([[-pol.tolerance_w], [pol.tolerance_w]])
+        self._clip_lo = np.array([[self.k_rate_lo], [self.k_rate_lo - 1]])
+        self._clip_hi = np.array([[self.k_rate_hi + 1], [self.k_rate_hi]])
+        self._moves = sorted(range(self.k_rate_lo, self.k_rate_hi + 1),
+                             key=lambda k: (abs(k), k))
+        self._move_col = np.array(self._moves, dtype=np.int64)[:, None]
+        self._levels = np.arange(self.m)
 
         # the forward walk's shared transitions and states, by index
         self._steps: dict[tuple[int, int, int], tuple[Decision, int, float]] = {}
@@ -302,18 +366,23 @@ class _Engine:
         admitted iff the band holds within the policy's tolerance, the slack
         the refinement loop and the replay allow too.  Privacy bounds are
         clamped to one step past the rate range, so an empty window stays
-        empty and every bound fits an integer.
+        empty and every bound fits an integer.  Both bounds are computed
+        as one (2, rows) array, each in the order
+        ``((((l_bar -+ lambda) - y_w) - envelope) -+ tol) * h / step``.
         """
-        pol = self.inst.policy
         # an infinite envelope or an overflowed bound is +-inf, which the
-        # clip maps exactly
+        # clamp maps exactly
         with np.errstate(over="ignore"):
-            lo_w = pol.l_bar_w - pol.lambda_w - y_w - self.w_min[t]
-            hi_w = pol.l_bar_w + pol.lambda_w - y_w - self.w_max[t]
-            k_lo = np.ceil((lo_w - pol.tolerance_w) * self.h / self.step)
-            k_hi = np.floor((hi_w + pol.tolerance_w) * self.h / self.step)
-        return (np.clip(k_lo, self.k_rate_lo, self.k_rate_hi + 1).astype(np.int64),
-                np.clip(k_hi, self.k_rate_lo - 1, self.k_rate_hi).astype(np.int64))
+            w = self._band - y_w
+            w -= self._envelope[t]
+            w += self._tolerance
+            w *= self.h
+            w /= self.step
+        np.ceil(w[0], out=w[0])
+        np.floor(w[1], out=w[1])
+        np.maximum(w, self._clip_lo, out=w)
+        k = np.minimum(w, self._clip_hi, out=w).astype(np.int64)
+        return k[0], k[1]
 
     def solve_slot(self, t: int, f_next: np.ndarray):
         """One backward step: value and argmin decision for every state.
@@ -323,29 +392,31 @@ class _Engine:
         ``dec_mask`` is -1 where no decision is feasible.
         """
         c_t = self.inst.price.at(t)
-        values = np.full((self.n_r, self.m), np.inf)
-        dec_mask = np.full((self.n_r, self.m), -1, dtype=np.int32)
-        dec_step = np.zeros((self.n_r, self.m), dtype=np.int32)
+        m = self.m
+        values = np.full((self.n_r, m), np.inf)
+        dec_mask = np.full((self.n_r, m), -1, dtype=np.int32)
+        dec_step = np.zeros((self.n_r, m), dtype=np.int32)
         opts = self.options(t)
 
-        # cheapest move per (option, level), first hit in (|k|, k) order
+        # each move's admission and stage cost for every row, one matrix
         k_lo, k_hi = self.k_windows(t, opts.y_w)
+        moves = self._move_col
+        inside = (k_lo <= moves) & (moves <= k_hi)
+        stage = np.where(inside, c_t * (opts.y_w * self.h + moves * self.step),
+                         np.inf)[:, :, None]
+
+        # cheapest move per (option, level), first hit in (|k|, k) order
         pad = -self.k_rate_lo
-        padded = np.full((self.n_r, pad + self.m + self.k_rate_hi), np.inf)
-        padded[:, pad:pad + self.m] = f_next
-        cont = padded[opts.r_next]
-        y_h = opts.y_w * self.h
-        best = np.full((len(opts.r_idx), self.m), np.inf)
-        best_k = np.zeros(best.shape, dtype=np.int64)
+        padded = np.full((self.n_r, pad + m + self.k_rate_hi), np.inf)
+        padded[:, pad:pad + m] = f_next
+        cont = padded.take(opts.r_next, 0)
+        best = np.full((len(opts.r_idx), m), np.inf)
+        best_k = np.zeros(best.shape, dtype=np.int32)
         cand = np.empty(best.shape)
         better = np.empty(best.shape, dtype=bool)
-        for k in sorted(range(self.k_rate_lo, self.k_rate_hi + 1),
-                        key=lambda k: (abs(k), k)):
-            inside = (k_lo <= k) & (k <= k_hi)
-            if not inside.any():
-                continue
-            stage = np.where(inside, c_t * (y_h + k * self.step), np.inf)
-            np.add(stage[:, None], cont[:, pad + k:pad + k + self.m], out=cand)
+        for i in inside.any(1).nonzero()[0].tolist():
+            k = self._moves[i]
+            np.add(stage[i], cont[:, pad + k:pad + k + m], out=cand)
             np.less(cand, best, out=better)
             np.copyto(best, cand, where=better)
             np.copyto(best_k, k, where=better)
@@ -353,21 +424,18 @@ class _Engine:
         # a vector's rows are one block in visit order, so its documented
         # tie-break is the least (value, n_starts, |k|, row) of the block.
         # == ties -0.0 with 0.0, so a cell takes its picked row's own value;
-        # an all-inf block picks a row whose move stayed 0.  |k| < m, and
-        # n_starts * m + |k| < (n_app + 1) * m <= n_r * m, the state count.
-        first, n_rows = opts.first, len(opts.r_idx)
-        block = np.repeat(np.arange(len(first)), np.diff(first, append=n_rows))
+        # an all-inf block picks a row whose move stayed 0
+        first, block = opts.first, opts.block
         low = np.minimum.reduceat(best, first)
-        nk = np.where(best == low[block],
-                      opts.n_starts[:, None] * self.m + np.abs(best_k),
-                      np.iinfo(np.int64).max)
-        nk_low = np.minimum.reduceat(nk, first)
-        row = np.where(nk == nk_low[block], np.arange(n_rows)[:, None], n_rows)
+        key = np.where(best == low.take(block, 0),
+                       opts.start_key + np.abs(best_k), _NO_KEY)
+        key_low = np.minimum.reduceat(key, first)
+        row = np.where(key == key_low.take(block, 0), opts.rows, len(block))
         pick = np.minimum.reduceat(row, first)
-        r = opts.r_idx[first]
-        values[r] = np.take_along_axis(best, pick, 0)
+        r, cols = opts.r_first, self._levels
+        values[r] = best[pick, cols]
         dec_mask[r] = np.where(np.isfinite(low), opts.mask[pick], -1)
-        dec_step[r] = np.take_along_axis(best_k, pick, 0)
+        dec_step[r] = best_k[pick, cols]
         return values, dec_mask, dec_step
 
     def terminal_continuation(self) -> np.ndarray:
@@ -436,16 +504,29 @@ class TableEntry:
 
 
 class ScheduleTable:
-    """Per-slot mapping from system state to optimal decision and value."""
+    """Per-slot mapping from system state to optimal decision and value.
+
+    ``model_hash`` is :func:`model_fingerprint` of the table's config.
+    Given as ``None`` it is computed when first read: the refinement
+    loop's intermediate tables and the lambda bisection's probes are
+    never saved or checked, so they never pay for it.
+    """
 
     def __init__(self, engine: _Engine, values: np.ndarray,
-                 dec_mask: np.ndarray, dec_step: np.ndarray, model_hash: str):
+                 dec_mask: np.ndarray, dec_step: np.ndarray,
+                 model_hash: Optional[str]):
         self.config = engine.config
         self._engine = engine
         self.values = values
         self.dec_mask = dec_mask
         self.dec_step = dec_step
-        self.model_hash = model_hash
+        self._model_hash = model_hash
+
+    @property
+    def model_hash(self) -> str:
+        if self._model_hash is None:
+            self._model_hash = model_fingerprint(self.config)
+        return self._model_hash
 
     @property
     def tau(self) -> int:
@@ -485,7 +566,8 @@ def backward_recursion(config: SolveConfig,
     the slots after it, so every slot after the last one whose envelope
     differs bitwise from ``previous``'s is bit-identical to ``previous``'s
     and is copied; the sweep starts at that slot.  A ``previous`` of
-    another instance is ignored.
+    another instance is ignored.  A slot with no feasible cell ends the
+    sweep: every slot before it is dead too, so the build raises there.
     """
     eng = _Engine(config)
     values = np.empty((eng.tau, eng.n_r, eng.m))
@@ -505,19 +587,21 @@ def backward_recursion(config: SolveConfig,
     f_next = values[last] if last < eng.tau else eng.terminal_continuation()
     for t in range(last, 0, -1):
         f_t, mask_t, step_t = eng.solve_slot(t, f_next)
+        if mask_t.max() < 0:
+            break  # a slot with no feasible cell leaves every earlier one dead
         values[t - 1] = f_t
         dec_mask[t - 1] = mask_t
         dec_step[t - 1] = step_t
         f_next = f_t
-    init_r, init_b = eng.state_indices(config.instance.initial_state())
-    if dec_mask[0, init_r, init_b] < 0:
-        # the initial state is the only one reachable at slot 1, so slot 1 is
-        # where every branch from it has died
-        raise InfeasibleError(
-            "SP infeasible under the configured scenario set: every branch "
-            "from the initial state dies by slot 1")
-    return ScheduleTable(eng, values, dec_mask, dec_step,
-                         model_fingerprint(config))
+    else:
+        init_r, init_b = eng.state_indices(config.instance.initial_state())
+        if dec_mask[0, init_r, init_b] >= 0:
+            return ScheduleTable(eng, values, dec_mask, dec_step, None)
+    # the initial state is the only one reachable at slot 1, so slot 1 is
+    # where every branch from it has died
+    raise InfeasibleError(
+        "SP infeasible under the configured scenario set: every branch "
+        "from the initial state dies by slot 1")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The slot-batched backward pass against a per-option reference loop."""
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paces import (Battery, Instance, NonSchedulableAppliance, PriceSignal,
-                   PrivacyPolicy, PrivacyScenario, ScenarioSet,
-                   SchedulableAppliance, SolveConfig, TimeGrid,
+from paces import (Battery, InfeasibleError, Instance,
+                   NonSchedulableAppliance, PriceSignal, PrivacyPolicy,
+                   PrivacyScenario, ScenarioSet, SchedulableAppliance,
+                   SolveConfig, TimeGrid, backward_recursion,
                    candidate_scenarios, load_config, scenario_load,
                    sweep_battery)
-from paces.table import _Engine, _option_tables
+from paces.table import _Engine, _option_tables, _vectors
+from table_checks import assert_same_table
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +206,48 @@ def edge_case(name):
     return SolveConfig(instance=inst, scenarios=scenarios)
 
 
+def tie_heavy(l_bar):
+    """Price 0 under a 2 W band: start sets and moves tie on value.
+
+    Two 3 W and two 1 W appliances make equal-size start sets of equal
+    draw, so only the start vector tells them apart.  A start set with
+    less draw needs a larger charge to reach the band's floor, so a
+    later row of a block can win on ``|k|`` alone.
+    """
+    appliances = tuple(
+        SchedulableAppliance(id=name, power_w=power,
+                             workload_wh=power * duration,
+                             duration_slots=duration)
+        for name, power, duration in (("a", 3.0, 1), ("b", 1.0, 1),
+                                      ("c", 3.0, 2), ("d", 1.0, 1)))
+    inst = Instance(
+        grid=TimeGrid(tau=3), appliances=appliances, ns_appliances=(),
+        battery=Battery(b_max_wh=6.0, b_init_wh=0.0, z_discharge_max_wh=3.0,
+                        z_charge_max_wh=3.0, grid_step_wh=1.0),
+        price=PriceSignal((0.0, 0.0, 0.0)),
+        policy=PrivacyPolicy(lambda_w=1.0, l_bar_w=l_bar))
+    return SolveConfig(instance=inst,
+                       scenarios=ScenarioSet((PrivacyScenario.inactive(0),)))
+
+
+@pytest.mark.parametrize("l_bar", [1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
+def test_ties_break_as_the_per_option_loop_breaks_them(l_bar):
+    eng = _Engine(tie_heavy(l_bar))
+    flat = np.zeros((eng.n_r, eng.m))
+    tied = 0
+    for t in range(1, eng.tau + 1):
+        want = reference_solve_slot(eng, t, flat)
+        assert_bit_identical(eng.solve_slot(t, flat), want)
+        tied += int((want[1] > 0).sum() + (want[2] != 0).sum())
+    # the flat continuation still leaves starts and moves to pick
+    assert tied > 0
+    f_next = eng.terminal_continuation()
+    for t in range(eng.tau, 0, -1):
+        want = reference_solve_slot(eng, t, f_next)
+        assert_bit_identical(eng.solve_slot(t, f_next), want)
+        f_next = want[0]
+
+
 @pytest.mark.parametrize("name", ["empty-window", "doomed", "zero-rate"])
 def test_batched_slot_matches_on_edge_cases(name):
     config = edge_case(name)
@@ -302,11 +347,120 @@ def test_making_an_engine_builds_no_option_tables():
 def test_option_tables_are_read_only():
     eng = _Engine(SolveConfig(instance=load_config("table-ii").instance))
     opts = eng.options(1)
-    for name in ("r_idx", "mask", "n_starts", "y_w", "r_next", "first"):
+    names = [f.name for f in dataclasses.fields(opts)]
+    assert names == ["r_idx", "mask", "n_starts", "y_w", "r_next", "first",
+                     "block", "r_first", "rows", "start_key"]
+    for name in names:
         arr = getattr(opts, name)
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
+
+
+def test_option_tables_hold_the_block_layout():
+    eng = _Engine(SolveConfig(instance=load_config("table-ii").instance))
+    for t in range(1, eng.tau + 1):
+        opts = eng.options(t)
+        n_rows = len(opts.r_idx)
+        assert opts.rows.tolist() == [[i] for i in range(n_rows)]
+        assert opts.block.tolist() == [
+            int(np.searchsorted(opts.first, i, side="right")) - 1
+            for i in range(n_rows)]
+        assert opts.r_first.tolist() == opts.r_idx[opts.first].tolist()
+        assert opts.start_key[:, 0].tolist() == [
+            n * 2**32 for n in opts.n_starts.tolist()]
+
+
+def section_iv_a(capacity_wh, lambda_w=100.0):
+    inst = load_config("section-iv-a").instance
+    return dataclasses.replace(
+        inst, battery=dataclasses.replace(inst.battery, b_max_wh=capacity_wh),
+        policy=dataclasses.replace(inst.policy, lambda_w=lambda_w))
+
+
+def test_engines_of_one_shape_share_the_option_tables():
+    engines = [_Engine(SolveConfig(instance=section_iv_a(cap, lam),
+                                   scenarios=ScenarioSet.base(2)))
+               for cap in (0.0, 250.0, 750.0) for lam in (80.0, 200.0)]
+    assert len({eng.m for eng in engines}) == 3
+    one = engines[0]
+    for eng in engines:
+        assert eng.r_combos is one.r_combos and eng.r_index is one.r_index
+        for t in range(1, one.tau + 1):
+            assert eng.options(t) is one.options(t)
+
+
+def test_interleaved_builds_equal_standalone_builds():
+    configs = [SolveConfig(instance=section_iv_a(cap),
+                           scenarios=ScenarioSet.base(2))
+               for cap in (0.0, 250.0, 750.0)]
+    alone = []
+    for config in configs:
+        _option_tables.cache_clear()
+        _vectors.cache_clear()
+        alone.append(backward_recursion(config))
+    for config, want in zip(configs + configs[::-1], alone + alone[::-1]):
+        assert_same_table(backward_recursion(config), want)
+
+
+def test_a_dead_slot_ends_the_sweep(monkeypatch):
+    # at 0 Wh and lambda = 80 W the base scenario set leaves every cell
+    # dead at slot 3, so slots 2 and 1 are never solved
+    solved = []
+    solve_slot = _Engine.solve_slot
+
+    def counted(self, t, f_next):
+        solved.append(t)
+        return solve_slot(self, t, f_next)
+
+    monkeypatch.setattr(_Engine, "solve_slot", counted)
+    config = SolveConfig(instance=section_iv_a(0.0, 80.0),
+                         scenarios=ScenarioSet.base(2))
+    with pytest.raises(InfeasibleError) as err:
+        backward_recursion(config)
+    assert str(err.value) == (
+        "SP infeasible under the configured scenario set: every branch "
+        "from the initial state dies by slot 1")
+    assert solved == list(range(12, 2, -1))
+
+
+# ---------------------------------------------------------------------------
+# Pinned table digests
+
+#: SHA-256 over the little-endian bytes of values, dec_mask and dec_step,
+#: per preset and grid-step scale, built against the base scenario and
+#: every placement
+TABLE_DIGESTS = {
+    ("motivating-example", 1.0):
+        "08e11c9f292925e68f23e9817d11403e21337994407daa7c734a024ec78782b7",
+    ("motivating-example", 0.2):
+        "5016da3f49f40805bba6c66a92f1ee84354c407f42b2783e3333693972fbaa67",
+    ("section-iv-a", 1.0):
+        "0c13970db8d0aa85bbf631a7b53f3c89deee4f7724ec444f8af8dce086d7d513",
+    ("section-iv-a", 0.2):
+        "23f1cd8791475bc97400ce95aeb45a73cddfb328ed1e2a04aa6c9d2216c3cd6c",
+    ("table-ii", 1.0):
+        "1f980661d82855e27dbee53cbdd0900b2324343e7f4032080f8237925d877544",
+    ("table-ii", 0.2):
+        "ad56970a9085957ffee656ea3145c1a788bdd7458fd345b774d342c3bfc1b239",
+}
+
+
+@pytest.mark.parametrize("preset, scale", sorted(TABLE_DIGESTS))
+def test_preset_tables_keep_their_digests(preset, scale):
+    inst = load_config(preset).instance
+    battery = inst.battery
+    inst = dataclasses.replace(inst, battery=dataclasses.replace(
+        battery, grid_step_wh=battery.grid_step_wh * scale))
+    omega = ScenarioSet(
+        (PrivacyScenario.inactive(len(inst.ns_appliances)),)
+        + tuple(candidate_scenarios(inst.ns_appliances, inst.grid)))
+    table = backward_recursion(SolveConfig(instance=inst, scenarios=omega))
+    digest = hashlib.sha256()
+    for arr, dtype in ((table.values, "<f8"), (table.dec_mask, "<i4"),
+                       (table.dec_step, "<i4")):
+        digest.update(arr.astype(dtype, copy=False).tobytes())
+    assert digest.hexdigest() == TABLE_DIGESTS[preset, scale]
 
 
 def test_option_rows_are_blocks_in_visit_order():

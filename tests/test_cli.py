@@ -179,6 +179,17 @@ class TestSolveCommand:
         assert code == 2
         assert "neither a file nor a preset" in err
 
+    @pytest.mark.parametrize("field", ["seed", "state_cap"])
+    def test_integral_float_fields_exit_2(self, tmp_path, capsys, field):
+        raw = serialize(load_config("motivating-example"))
+        (raw["solver"] if field == "state_cap" else raw)[field] = 3.0
+        cfg = tmp_path / "floats.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "solve", "--config", str(cfg),
+                             "--out", str(tmp_path / "x"))
+        assert (code, out) == (2, "")
+        assert f"{field} must be a" in err and "3.0" in err
+
     def test_infeasible_bounds_exit_3(self, tmp_path, capsys):
         raw = serialize(load_config("motivating-example"))
         raw["privacy"]["lambda"] = 1000.0

@@ -58,6 +58,20 @@ class TestParseAndSerialize:
         with pytest.raises(ConfigError, match="horizon"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("where, value", [
+        (("solver", "state_cap"), 2.0), (("solver", "state_cap"), 0),
+        (("seed",), 3.0)])
+    def test_integral_floats_and_zero_caps_are_refused(self, where, value):
+        # JSON Schema counts 2.0 as an integer; the config does not
+        raw = motivating_raw()
+        *path, key = where
+        node = raw
+        for part in path:
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigError, match=f"{key}.*{value!r}"):
+            parse_config(raw)
+
     def test_integers_beyond_float_range_are_config_errors(self):
         raw = motivating_raw()
         raw["appliances"][0]["power"] = 10 ** 400

@@ -384,6 +384,13 @@ class TestSimulate:
             monkeypatch.setattr(module, "model_fingerprint", counted)
         return calls
 
+    def test_a_built_table_is_hashed_once_when_first_read(self, monkeypatch):
+        calls = self.count_fingerprints(monkeypatch)
+        table, config = solved_motivating()
+        assert calls == []
+        assert table.model_hash == table.model_hash
+        assert calls == [config]
+
     def test_a_loaded_table_is_hashed_once(self, tmp_path, monkeypatch):
         table, config = solved_motivating()
         path = str(tmp_path / "table.json")
@@ -397,6 +404,7 @@ class TestSimulate:
 
     def test_an_equal_config_is_rehashed_and_accepted(self, monkeypatch):
         table, config = solved_motivating()
+        table.model_hash  # a built table hashes its config on first read
         calls = self.count_fingerprints(monkeypatch)
         twin = dataclasses.replace(config)
         report = simulate(table, EventScript.scripted(()), twin)

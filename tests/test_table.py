@@ -121,6 +121,12 @@ class TestStateEnumeration:
         with pytest.raises(ModelError, match="state cap"):
             SolveConfig(instance=make_instance(), state_cap=0)
 
+    @pytest.mark.parametrize("cap", [True, 2.0, 1e9, "9"])
+    def test_a_cap_that_is_not_an_int_is_rejected(self, cap):
+        with pytest.raises(ModelError,
+                           match="state cap must be a positive integer"):
+            SolveConfig(instance=make_instance(), state_cap=cap)
+
     @pytest.mark.parametrize("mode", OBJECTIVE_MODES)
     @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -0.5])
     def test_scenario_weights_must_be_finite_and_non_negative(self, weight,
