@@ -168,11 +168,12 @@ class _SlotOptions:
     unstarted appliance that can no longer meet the deadline has no rows:
     every continuation from it is doomed.
 
-    ``rows`` (the row index) and ``start_key`` (``n_starts << 32``) are
-    columns of shape ``(rows, 1)``, the start-set parts of the slot
-    solver's tie-break.  ``start_key + |k|`` orders a block's tied rows
-    by start-set size, then move magnitude: ``|k|`` fits the int32
-    ``dec_step``, so the sum is exact in int64 whatever the battery grid.
+    ``rows`` (the row index) and ``start_key`` (the start-set size
+    ``n_starts << 32``) are columns of shape ``(rows, 1)``, the start-set
+    parts of the slot solver's tie-break.  ``start_key + |k|`` orders a
+    block's tied rows by start-set size, then move magnitude: ``|k|``
+    fits the int32 ``dec_step``, so the sum is exact in int64 whatever
+    the battery grid.
     Everything here depends on ``(durations, powers, tau)`` only, so every
     build of one instance shape shares it, whatever its battery, band or
     scenario set.  All arrays are read-only.
@@ -180,7 +181,6 @@ class _SlotOptions:
 
     r_idx: np.ndarray
     mask: np.ndarray
-    n_starts: np.ndarray
     y_w: np.ndarray
     r_next: np.ndarray
     first: np.ndarray
@@ -250,11 +250,9 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
                           for row in rows]))
         r_idx = np.array(cols[0], dtype=np.intp)
         first = np.flatnonzero(np.diff(r_idx, prepend=-1))
-        n_starts = np.array(cols[2], dtype=np.int64)
         slots.append(_SlotOptions(
             r_idx=_read_only(r_idx, np.intp),
             mask=_read_only(cols[1], np.int32),
-            n_starts=_read_only(n_starts, np.int64),
             y_w=_read_only(cols[3], np.float64),
             r_next=_read_only(cols[4], np.intp),
             first=_read_only(first, np.intp),
@@ -263,7 +261,8 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
                              np.intp),
             r_first=_read_only(r_idx[first], np.intp),
             rows=_read_only(np.arange(len(r_idx))[:, None], np.intp),
-            start_key=_read_only((n_starts << 32)[:, None], np.int64)))
+            start_key=_read_only(
+                (np.array(cols[2], dtype=np.int64) << 32)[:, None], np.int64)))
     return tuple(slots)
 
 

@@ -348,8 +348,8 @@ def test_option_tables_are_read_only():
     eng = _Engine(SolveConfig(instance=load_config("table-ii").instance))
     opts = eng.options(1)
     names = [f.name for f in dataclasses.fields(opts)]
-    assert names == ["r_idx", "mask", "n_starts", "y_w", "r_next", "first",
-                     "block", "r_first", "rows", "start_key"]
+    assert names == ["r_idx", "mask", "y_w", "r_next", "first", "block",
+                     "r_first", "rows", "start_key"]
     for name in names:
         arr = getattr(opts, name)
         assert not arr.flags.writeable
@@ -367,8 +367,6 @@ def test_option_tables_hold_the_block_layout():
             int(np.searchsorted(opts.first, i, side="right")) - 1
             for i in range(n_rows)]
         assert opts.r_first.tolist() == opts.r_idx[opts.first].tolist()
-        assert opts.start_key[:, 0].tolist() == [
-            n * 2**32 for n in opts.n_starts.tolist()]
 
 
 def section_iv_a(capacity_wh, lambda_w=100.0):
@@ -478,10 +476,10 @@ def test_option_rows_are_blocks_in_visit_order():
             assert rows.tolist() == list(range(rows[0], rows[-1] + 1))
             starts.append(int(rows[0]))
             got = list(zip(opts.mask[rows].tolist(),
-                           opts.n_starts[rows].tolist(),
+                           opts.start_key[rows, 0].tolist(),
                            opts.y_w[rows].tolist(),
                            opts.r_next[rows].tolist()))
-            assert got == [(m, n, y, r) for m, _, n, y, r in
+            assert got == [(m, n << 32, y, r) for m, _, n, y, r in
                            sorted(want, key=lambda o: (o[2], o[1]))]
         # vectors ascend, and first names each block's first row
         assert starts == sorted(starts) and starts[0] == 0
