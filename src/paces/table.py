@@ -397,7 +397,8 @@ class _Engine:
         dec_step = np.zeros((self.n_r, m), dtype=np.int32)
         opts = self.options(t)
 
-        # each move's admission and stage cost for every row, one matrix
+        # each move's admission and stage cost for every row, one matrix;
+        # each element is the per-move float expression, so bit-equal to it
         k_lo, k_hi = self.k_windows(t, opts.y_w)
         moves = self._move_col
         inside = (k_lo <= moves) & (moves <= k_hi)
