@@ -9,6 +9,7 @@ scenarios, schedules, reports).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -158,6 +159,19 @@ class NonSchedulableAppliance:
         if self.start_prob is None:
             return [1.0 / len(starts)] * len(starts)
         return list(self.start_prob)
+
+    @functools.cached_property
+    def start_cdf(self) -> tuple[float, ...]:
+        """Cumulative start probabilities, as ``Generator.choice`` forms them.
+
+        The running sum divided by its last entry.  A uniform draw ``u``
+        picks the first feasible start whose entry exceeds ``u``, which is
+        ``choice(len(starts), p=start_probabilities())``'s pick for the
+        same ``u``.  Computed once per appliance.
+        """
+        cdf = np.cumsum(self.start_probabilities())
+        cdf /= cdf[-1]
+        return tuple(cdf.tolist())
 
     def active(self, start: Optional[int], t: int) -> bool:
         """Whether a run begun at ``start`` covers slot ``t``."""
@@ -461,14 +475,20 @@ def appliance_load(remaining_now: Sequence[int], remaining_next: Sequence[int],
                      for rn, rx, p in zip(remaining_now, remaining_next, powers_w)))
 
 
-def scenario_load(scenario: PrivacyScenario,
-                  ns_appliances: Sequence[NonSchedulableAppliance],
-                  t: int) -> float:
-    """Non-schedulable power draw at slot ``t`` under one scenario."""
+def check_placement(scenario: PrivacyScenario,
+                    ns_appliances: Sequence[NonSchedulableAppliance]) -> None:
+    """Refuse a scenario that places another number of appliances."""
     if len(scenario.starts) != len(ns_appliances):
         raise ModelError(
             f"scenario places {len(scenario.starts)} appliances, instance has "
             f"{len(ns_appliances)}")
+
+
+def scenario_load(scenario: PrivacyScenario,
+                  ns_appliances: Sequence[NonSchedulableAppliance],
+                  t: int) -> float:
+    """Non-schedulable power draw at slot ``t`` under one scenario."""
+    check_placement(scenario, ns_appliances)
     return float(sum(a.power_w for a, s in zip(ns_appliances, scenario.starts)
                      if a.active(s, t)))
 

@@ -1,17 +1,19 @@
 """Replay a built table against concrete appliance events, and capacity sweeps.
 
-The simulator is the runtime half of the system: it walks the table
-forward with :func:`~paces.table.extract_schedule`, the same walk that
-reads a solved schedule, while scripted or sampled non-schedulable
-events add their draw on top.  The walk reads the table by grid index
-and computes each slot's draw once; a report row takes its draw, loads,
-state and decision from the walk's solution and recomputes none of
-them.  It never improvises: an off-grid or infeasible state, or a
-decision that cannot be applied, is an integrity error, not something
-to round away.
+The simulator is the runtime half of the system: it replays the
+table's forward walk, the same walk that reads a solved schedule, while
+scripted or sampled non-schedulable events add their draw on top.  The
+table's state never holds that draw, so the walk is made once per table
+(:meth:`~paces.table.ScheduleTable.walk`) and a replay only scores its
+scenario (:func:`~paces.table.score_scenario`): the per-slot draw, load,
+gap and cost.  A report row takes its slot, price, base load, battery
+level and decision from the kept walk and recomputes none of them.  It
+never improvises: an off-grid or infeasible state, or a decision that
+cannot be applied, is an integrity error, not something to round away.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import numbers
@@ -24,7 +26,7 @@ from .errors import ConfigError, InfeasibleError, IntegrityError, ModelError
 from .model import Instance, PrivacyScenario
 from .scenarios import ScenarioSolveOptions, solve_with_scenarios
 from .table import (DEFAULT_STATE_CAP, ScheduleTable, SolveConfig,
-                    expected_total_cost, extract_schedule, model_fingerprint)
+                    expected_total_cost, model_fingerprint, score_scenario)
 
 
 @dataclass(frozen=True)
@@ -97,13 +99,13 @@ class EventScript:
                 starts[ev.appliance_id] = ev.slot
             return PrivacyScenario(
                 starts=tuple(starts.get(a.id) for a in apps))
-        rng = np.random.default_rng(self.sample_seed)
-        drawn = []
-        for app in apps:
-            options = app.feasible_starts()
-            probs = app.start_probabilities()
-            drawn.append(options[int(rng.choice(len(options), p=probs))])
-        return PrivacyScenario(starts=tuple(drawn))
+        # Generator.choice(n, p=...) draws one uniform double and bisects
+        # the CDF with it; drawing every appliance's double at once takes
+        # the same doubles from the stream, so the placements are the same
+        uniforms = np.random.default_rng(self.sample_seed).random(len(apps))
+        return PrivacyScenario(starts=tuple(
+            app.zone[0] + bisect.bisect_right(app.start_cdf, u)
+            for app, u in zip(apps, uniforms.tolist())))
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,9 @@ class SimulationReport:
 def simulate(table: ScheduleTable, script: EventScript,
              config: SolveConfig) -> SimulationReport:
     """Replay the table under one event script, slot by slot."""
-    # the table hashes its own config once, when its hash is first read
-    if config is not table.config:
+    # the table hashes its own config once, when its hash is first read;
+    # an equal config is the same model, so only an unequal one is hashed
+    if config != table.config:
         expected = model_fingerprint(config)
         if expected != table.model_hash:
             raise IntegrityError(
@@ -164,29 +167,22 @@ def simulate(table: ScheduleTable, script: EventScript,
                 f"{table.model_hash[:12]}...")
     inst = config.instance
     scenario = script.resolve(inst)
-    solution = extract_schedule(table, inst.initial_state(), scenario)
+    initial = inst.initial_state()
+    walk, ns, loads, gaps, costs, total = score_scenario(table, initial,
+                                                         scenario)
     bound_w = inst.policy.lambda_w + inst.policy.tolerance_w
-
-    rows = []
-    for t, (decision, state, base, ns, load, gap, cost) in enumerate(zip(
-            solution.decisions, solution.states, solution.base_load_w,
-            solution.ns_load_w, solution.load_w, solution.privacy_gap_w,
-            solution.slot_costs), start=1):
-        started = tuple(a.id for a, s in zip(inst.appliances, decision.starts)
-                        if s)
-        rows.append(SlotRecord(
-            slot=t, price_per_wh=inst.price.values[t - 1], base_load_w=base,
-            ns_load_w=ns, load_w=load, battery_wh=state.battery_wh,
-            battery_delta_wh=decision.battery_delta_wh, started=started,
-            privacy_gap_w=gap, breach=abs(gap) > bound_w,
-            cost=cost))
+    rows = tuple([
+        SlotRecord(t, price, base, n, load, level, delta, started, gap,
+                   abs(gap) > bound_w, cost)
+        for (t, price, base, delta, started), level, n, load, gap, cost
+        in zip(walk.rows, (initial.battery_wh,) + walk.levels, ns, loads,
+               gaps, costs)])
     return SimulationReport(
-        rows=tuple(rows), scenario=scenario,
-        total_cost=solution.total_cost,
-        max_abs_gap_w=float(max(abs(r.privacy_gap_w) for r in rows)),
+        rows=rows, scenario=scenario, total_cost=total,
+        max_abs_gap_w=float(max(map(abs, gaps))),
         breach_count=sum(r.breach for r in rows),
-        negative_load_slots=sum(r.load_w < 0 for r in rows),
-        final_battery_wh=solution.states[-1].battery_wh)
+        negative_load_slots=sum(load < 0 for load in loads),
+        final_battery_wh=walk.states[-1].battery_wh)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -46,7 +47,7 @@ from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      StateSpaceError)
 from .model import (Battery, Decision, Instance, PrivacyScenario, ScenarioSet,
                     SchedulableAppliance, SystemState, appliance_load,
-                    privacy_gap, scenario_draws, scenario_load, slot_cost,
+                    check_placement, privacy_gap, scenario_draws, slot_cost,
                     step_remaining)
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -299,10 +300,10 @@ class _Engine:
     ``sliding_window_view`` and fancy indexing copied as much and was
     slower again.
 
-    The engine also holds the forward walk's transitions, filled as
-    :func:`extract_schedule` first reaches them (see :meth:`walk_step`
-    and :meth:`walk_state`).  They depend on the instance only, never on
-    the table's arrays.
+    The engine also holds the forward walk's step (:meth:`walk_step`)
+    and a scenario's per-slot draw (:meth:`ns_draw`).  Both depend on the
+    instance only, never on the table's arrays; the walk itself is made
+    once per start cell and kept by the table (:meth:`ScheduleTable.walk`).
     """
 
     def __init__(self, config: SolveConfig):
@@ -344,10 +345,6 @@ class _Engine:
                              key=lambda k: (abs(k), k))
         self._move_col = np.array(self._moves, dtype=np.int64)[:, None]
         self._levels = np.arange(self.m)
-
-        # the forward walk's shared transitions and states, by index
-        self._steps: dict[tuple[int, int, int], tuple[Decision, int, float]] = {}
-        self._states: dict[tuple[int, int], SystemState] = {}
 
     def _rate_steps(self, rate_wh: float) -> int:
         """Grid steps one slot may move; no move crosses the whole pack."""
@@ -444,38 +441,56 @@ class _Engine:
         f[self.done_idx, :] = 0.0
         return f
 
-    def walk_step(self, r_idx: int, mask: int,
+    def walk_step(self, state: SystemState, mask: int,
                   k: int) -> tuple[Decision, int, float]:
-        """What the decision cell ``(mask, k)`` does from vector ``r_idx``.
+        """What the decision cell ``(mask, k)`` does from grid ``state``.
 
         Returns the decision, the next remaining vector's index and the
-        base load (appliance draw plus battery throughput).  Each triple
-        is computed once, with :func:`step_remaining` and
-        :func:`appliance_load`, so every float is summed as a per-slot
-        computation sums it.  A mask that restarts an appliance raises
-        that function's :class:`ModelError` and is not stored.
+        base load (appliance draw plus battery throughput), computed with
+        :func:`step_remaining` and :func:`appliance_load`, so every float
+        is summed as a per-slot computation sums it.  A mask that
+        restarts an appliance raises that function's :class:`ModelError`.
         """
-        key = (r_idx, mask, k)
-        hit = self._steps.get(key)
-        if hit is None:
-            starts = tuple(bool(mask >> i & 1) for i in range(self.n_app))
-            decision = Decision(starts=starts,
-                                battery_delta_wh=float(k * self.step))
-            now = self.r_combos[r_idx]
-            nxt = step_remaining(SystemState(battery_wh=0.0, remaining=now),
-                                 decision, self.durations)
-            base = (appliance_load(now, nxt, self.powers)
-                    + decision.battery_delta_wh / self.h)
-            hit = self._steps[key] = (decision, self.r_index[nxt], base)
-        return hit
+        starts = tuple(bool(mask >> i & 1) for i in range(self.n_app))
+        decision = Decision(starts=starts, battery_delta_wh=float(k * self.step))
+        nxt = step_remaining(state, decision, self.durations)
+        base = (appliance_load(state.remaining, nxt, self.powers)
+                + decision.battery_delta_wh / self.h)
+        return decision, self.r_index[nxt], base
 
-    def walk_state(self, r_idx: int, b_idx: int) -> SystemState:
-        """The state at grid cell ``(r_idx, b_idx)``, made once."""
-        state = self._states.get((r_idx, b_idx))
-        if state is None:
-            state = self._states[r_idx, b_idx] = SystemState(
-                battery_wh=b_idx * self.step, remaining=self.r_combos[r_idx])
-        return state
+    def _covered(self, app, start) -> tuple[int, ...]:
+        """0-based slots a run of ``app`` begun at ``start`` covers."""
+        return tuple(t - 1 for t in range(1, self.tau + 1)
+                     if app.active(start, t))
+
+    @functools.cached_property
+    def _active_slots(self) -> tuple[dict, ...]:
+        """Per non-schedulable appliance, :meth:`_covered` of every feasible
+        start; :meth:`ns_draw` covers any other start on the fly, so a
+        stray start grows no map."""
+        return tuple({s: self._covered(app, s) for s in app.feasible_starts()}
+                     for app in self.inst.ns_appliances)
+
+    def ns_draw(self, scenario: PrivacyScenario) -> tuple[float, ...]:
+        """Non-schedulable draw of ``scenario`` at slots ``1..tau``.
+
+        Each slot adds its active appliances' powers in appliance order,
+        from 0, exactly as :func:`scenario_load` sums them, for any start
+        :meth:`NonSchedulableAppliance.active` accepts.
+        """
+        apps = self.inst.ns_appliances
+        check_placement(scenario, apps)
+        draw = [0] * self.tau
+        for j, start in enumerate(scenario.starts):
+            if start is None:  # a quiet walk builds no map
+                continue
+            app = apps[j]
+            covered = self._active_slots[j].get(start)
+            if covered is None:
+                covered = self._covered(app, start)
+            for i in covered:
+                draw[i] += app.power_w
+        return tuple(map(float, draw))
 
     def state_indices(self, state: SystemState) -> tuple[int, int]:
         if len(state.remaining) != self.n_app:
@@ -510,6 +525,10 @@ class ScheduleTable:
     Given as ``None`` it is computed when first read: the refinement
     loop's intermediate tables and the lambda bisection's probes are
     never saved or checked, so they never pay for it.
+
+    The forward walk from a start cell is made once and kept (see
+    :meth:`walk`).  From then on the three arrays are read-only, so an
+    edit after a walk raises instead of leaving a stale walk behind.
     """
 
     def __init__(self, engine: _Engine, values: np.ndarray,
@@ -521,6 +540,7 @@ class ScheduleTable:
         self.dec_mask = dec_mask
         self.dec_step = dec_step
         self._model_hash = model_hash
+        self._walks: dict[tuple[int, int], QuietWalk] = {}
 
     @property
     def model_hash(self) -> str:
@@ -549,6 +569,84 @@ class ScheduleTable:
     def initial_value(self) -> float:
         """Optimal controllable cost from the configured initial state."""
         return self.entry(1, self.config.instance.initial_state()).value
+
+    def walk(self, initial_state: SystemState) -> QuietWalk:
+        """The walk from ``initial_state`` with no usage on top.
+
+        The walk carries the state as grid indices and reads the decision
+        cells directly.  It is made on the first call from a start cell
+        and kept; a later call from the same cell returns it.  A walk
+        that reaches an off-grid or dead state, a decision that restarts
+        an appliance or moves the battery outside ``[0, b_max]``, or work
+        left unfinished past the horizon raises :class:`IntegrityError`
+        and keeps nothing, so it is refused again on every call.  An
+        off-grid or dead state is refused through :func:`runtime_lookup`,
+        which names the nearest feasible state.
+        """
+        eng = self._engine
+        try:
+            start = eng.state_indices(initial_state)
+        except ModelError:
+            # an off-grid initial state: the lookup raises, naming the nearest
+            runtime_lookup(self, initial_state, 1)
+            raise
+        walk = self._walks.get(start)
+        if walk is not None:
+            return walk
+
+        inst = self.config.instance
+        step, m = eng.step, eng.m
+        prices = inst.price.values
+        r_idx, b_idx = start
+        # the refusals name the caller's start state, the steps its grid
+        # twin; an idle run repeats one step, so a repeat reuses its results
+        state = initial_state
+        cell = SystemState(battery_wh=b_idx * step,
+                           remaining=eng.r_combos[r_idx])
+        last = None
+        decisions, states, base_loads, rows = [], [], [], []
+        for t in range(1, eng.tau + 1):
+            mask = int(self.dec_mask[t - 1, r_idx, b_idx])
+            if mask < 0:  # a dead state: the lookup raises, naming the nearest
+                runtime_lookup(self, state, t)
+            k = int(self.dec_step[t - 1, r_idx, b_idx])
+            if (r_idx, mask, k) != last:
+                last = (r_idx, mask, k)
+                try:
+                    decision, r_next, base = eng.walk_step(cell, mask, k)
+                except ModelError as err:
+                    raise IntegrityError(
+                        f"table decision at slot {t} cannot be applied to "
+                        f"{state!r}: {err}") from None
+                started = tuple(a.id for a, s in zip(inst.appliances,
+                                                     decision.starts) if s)
+            b_idx += k
+            if not 0 <= b_idx < m:
+                raise IntegrityError(
+                    f"table decision at slot {t} moves the battery to "
+                    f"{b_idx * step!r} Wh, outside [0, {inst.battery.b_max_wh!r}]")
+            if k or r_next != r_idx:
+                cell = SystemState(battery_wh=b_idx * step,
+                                   remaining=eng.r_combos[r_next])
+                r_idx = r_next
+            state = cell
+            decisions.append(decision)
+            states.append(state)
+            base_loads.append(base)
+            rows.append((t, prices[t - 1], base, decision.battery_delta_wh,
+                         started))
+        if r_idx != eng.done_idx:
+            raise IntegrityError(
+                f"schedule left unfinished work {state.remaining!r} past the horizon")
+        controllable = sum(slot_cost(b, prices[t - 1], eng.h)
+                           for t, b in enumerate(base_loads, start=1))
+        walk = self._walks[start] = QuietWalk(
+            decisions=tuple(decisions), states=tuple(states),
+            base_load_w=tuple(base_loads), controllable_cost=float(controllable),
+            levels=tuple(s.battery_wh for s in states[:-1]), rows=tuple(rows))
+        for arr in (self.values, self.dec_mask, self.dec_step):
+            arr.flags.writeable = False
+        return walk
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +729,26 @@ class ScheduleSolution:
     scenario: PrivacyScenario
 
 
+@dataclass(frozen=True)
+class QuietWalk:
+    """A table's walk from one start cell, with no usage on top.
+
+    What no scenario changes: the decisions, the states after slots
+    ``1..tau``, the base loads and their controllable cost.  ``levels``
+    holds the battery level at the start of slots ``2..tau`` (the start
+    state's is the caller's), and ``rows`` each slot's scenario-free
+    report fields: ``(slot, price_per_wh, base_load_w,
+    battery_delta_wh, started)``.
+    """
+
+    decisions: tuple[Decision, ...]
+    states: tuple[SystemState, ...]
+    base_load_w: tuple[float, ...]
+    controllable_cost: float
+    levels: tuple[float, ...]
+    rows: tuple[tuple, ...]
+
+
 def runtime_lookup(table: ScheduleTable, state: SystemState, t: int) -> Decision:
     """Decision stored for ``(state, t)``; off-table states are fatal.
 
@@ -686,78 +804,53 @@ def _nearest_feasible(table: ScheduleTable, state: SystemState,
                        remaining=eng.r_combos[r_idx[pick]])
 
 
+def score_scenario(table: ScheduleTable, initial_state: SystemState,
+                   scenario: PrivacyScenario) -> tuple:
+    """The walk from ``initial_state`` and what ``scenario`` adds to it.
+
+    The table's state never holds the non-schedulable draw, so every
+    scenario's walk from one start makes the quiet walk's decisions and
+    passes its states (:meth:`ScheduleTable.walk`, made once).  A scenario
+    adds its draw to each slot's base load; this computes that draw, the
+    load, the privacy gap and the cost per slot, and the total cost.
+
+    Returns ``(walk, ns_load_w, load_w, privacy_gap_w, slot_costs,
+    total_cost)``.  A scenario that places another number of appliances
+    raises :class:`ModelError` before the walk.
+    """
+    inst = table.config.instance
+    ns = table._engine.ns_draw(scenario)
+    walk = table.walk(initial_state)
+    loads = tuple(map(operator.add, walk.base_load_w, ns))
+    gaps = tuple([privacy_gap(load, inst.policy) for load in loads])
+    costs = tuple(map(slot_cost, loads, inst.price.values,
+                      itertools.repeat(inst.grid.slot_hours)))
+    return walk, ns, loads, gaps, costs, float(sum(costs))
+
+
 def extract_schedule(table: ScheduleTable, initial_state: SystemState,
                      scenario: Optional[PrivacyScenario] = None
                      ) -> ScheduleSolution:
     """Walk the table forward from ``initial_state`` under one scenario.
 
-    This is the one forward walk over a table: ``solve`` reads its
-    schedule here and ``simulate`` replays through it.  A walk that
-    reaches an off-grid or dead state, a decision that restarts an
-    appliance or moves the battery outside ``[0, b_max]``, or work left
-    unfinished past the horizon raises :class:`IntegrityError`.
-
-    The walk carries the state as grid indices and reads the decision
-    cells directly.  Each cell's decision, successor and base load come
-    from the engine's transition map (:meth:`_Engine.walk_step`), so the
-    states and decisions it returns are shared across walks of one
-    table.  An off-grid or dead state is refused through
-    :func:`runtime_lookup`, which names the nearest feasible state.
+    ``solve`` reads its schedule here.  The walk and its refusals are
+    :meth:`ScheduleTable.walk`'s, made once per start cell, and the
+    scenario's figures are :func:`score_scenario`'s, the one computation
+    ``simulate`` replays through too.  Only ``states[0]`` is the caller's
+    ``initial_state``; the decisions and the later states are shared by
+    every walk of the table from its cell.
     """
-    config = table.config
-    inst = config.instance
     if scenario is None:
-        scenario = PrivacyScenario.inactive(len(inst.ns_appliances))
-
-    eng = table._engine
-    tau, h, step, m = eng.tau, eng.h, eng.step, eng.m
-    prices = inst.price.values
-    ns_loads = tuple(scenario_load(scenario, inst.ns_appliances, t)
-                     for t in range(1, tau + 1))
-    state = initial_state
-    try:
-        r_idx, b_idx = eng.state_indices(state)
-    except ModelError:
-        # an off-grid initial state: the lookup raises, naming the nearest
-        runtime_lookup(table, state, 1)
-        raise
-    decisions, states = [], [state]
-    base_loads, loads, gaps, costs = [], [], [], []
-    for t in range(1, tau + 1):
-        mask = int(table.dec_mask[t - 1, r_idx, b_idx])
-        if mask < 0:  # a dead state: the lookup raises, naming the nearest
-            runtime_lookup(table, state, t)
-        k = int(table.dec_step[t - 1, r_idx, b_idx])
-        try:
-            decision, r_idx, base = eng.walk_step(r_idx, mask, k)
-        except ModelError as err:
-            raise IntegrityError(
-                f"table decision at slot {t} cannot be applied to "
-                f"{state!r}: {err}") from None
-        b_idx += k
-        if not 0 <= b_idx < m:
-            raise IntegrityError(
-                f"table decision at slot {t} moves the battery to "
-                f"{b_idx * step!r} Wh, outside [0, {inst.battery.b_max_wh!r}]")
-        load = base + ns_loads[t - 1]
-        decisions.append(decision)
-        base_loads.append(base)
-        loads.append(load)
-        gaps.append(privacy_gap(load, inst.policy))
-        costs.append(slot_cost(load, prices[t - 1], h))
-        state = eng.walk_state(r_idx, b_idx)
-        states.append(state)
-    if r_idx != eng.done_idx:
-        raise IntegrityError(
-            f"schedule left unfinished work {state.remaining!r} past the horizon")
-    controllable = sum(slot_cost(b, prices[t - 1], h)
-                       for t, b in enumerate(base_loads, start=1))
+        scenario = PrivacyScenario.inactive(
+            len(table.config.instance.ns_appliances))
+    walk, ns, loads, gaps, costs, total = score_scenario(
+        table, initial_state, scenario)
     return ScheduleSolution(
-        decisions=tuple(decisions), states=tuple(states),
-        base_load_w=tuple(base_loads), ns_load_w=ns_loads,
-        load_w=tuple(loads), privacy_gap_w=tuple(gaps),
-        slot_costs=tuple(costs), controllable_cost=float(controllable),
-        total_cost=float(sum(costs)), scenario=scenario)
+        decisions=walk.decisions, states=(initial_state,) + walk.states,
+        base_load_w=walk.base_load_w, ns_load_w=ns, load_w=loads,
+        privacy_gap_w=gaps, slot_costs=costs,
+        controllable_cost=walk.controllable_cost, total_cost=total,
+        scenario=scenario)
 
 
 def expected_total_cost(config: SolveConfig, controllable_cost: float) -> float:

@@ -1,20 +1,24 @@
 """Runtime replay of built tables and the battery-capacity sweep."""
 import dataclasses
+import functools
+import hashlib
 import importlib
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paces import (Battery, ConfigError, EventScript, Instance,
-                   IntegrityError, ModelError, PriceSignal, PrivacyPolicy,
-                   PrivacyScenario, ScenarioSet, SchedulableAppliance,
-                   ScriptedStart, SolveConfig, SystemState, TimeGrid,
-                   backward_recursion, extract_schedule, load_config,
-                   load_table, open_table, random_small_instance,
-                   runtime_lookup, save_table, simulate, solve_with_scenarios,
+                   IntegrityError, ModelError, NonSchedulableAppliance,
+                   PriceSignal, PrivacyPolicy, PrivacyScenario, ScenarioSet,
+                   SchedulableAppliance, ScriptedStart, SolveConfig,
+                   SystemState, TimeGrid, backward_recursion,
+                   extract_schedule, load_config, load_table, open_table,
+                   random_small_instance, runtime_lookup, save_table,
+                   scenario_load, simulate, solve_with_scenarios,
                    sweep_battery)
 from raw_model import reference_replay, reference_report_csv
 
@@ -94,6 +98,80 @@ class TestEventScript:
         drawn = {EventScript.sampled(seed).resolve(inst).starts
                  for seed in range(20)}
         assert len(drawn) > 1
+
+
+def choice_starts(instance, seed):
+    """One ``Generator.choice`` per appliance, in appliance order."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for app in instance.ns_appliances:
+        options = app.feasible_starts()
+        pick = rng.choice(len(options), p=app.start_probabilities())
+        starts.append(options[int(pick)])
+    return tuple(starts)
+
+
+class TestSampledDraws:
+    """A sampled script places each appliance as ``Generator.choice`` does."""
+
+    @pytest.mark.parametrize("preset", ["motivating-example", "table-ii",
+                                        "section-iv-a"])
+    def test_presets_draw_as_choice_does(self, preset):
+        inst = load_config(preset).instance
+        for seed in range(20_000):
+            assert EventScript.sampled(seed).resolve(inst).starts \
+                == choice_starts(inst, seed), seed
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(
+               any),
+           runtime=st.integers(1, 3), first=st.integers(1, 3),
+           seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=5))
+    def test_any_start_distribution_draws_as_choice_does(
+            self, weights, runtime, first, seeds):
+        # zero weights leave gaps that no uniform draw may land in
+        total = sum(weights)
+        app = NonSchedulableAppliance(
+            id="ns", power_w=10.0, runtime_slots=runtime,
+            zone=(first, first + len(weights) + runtime - 2),
+            start_prob=tuple(w / total for w in weights))
+        base = load_config("section-iv-a").instance
+        grid = TimeGrid(tau=max(base.grid.tau, app.zone[1]))
+        inst = dataclasses.replace(
+            base, grid=grid, ns_appliances=(app,),
+            price=PriceSignal((base.price.values * 2)[:grid.tau]))
+        for seed in seeds:
+            assert EventScript.sampled(seed).resolve(inst).starts \
+                == choice_starts(inst, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_integer_start_draws_as_scenario_load_sums(self, data):
+        table = five_ns_table()
+        inst = table.config.instance
+        scenario = PrivacyScenario(tuple(
+            data.draw(st.one_of(st.none(), st.integers(-20, 30)))
+            for _ in inst.ns_appliances))
+        solution = extract_schedule(table, inst.initial_state(), scenario)
+        want = tuple(scenario_load(scenario, inst.ns_appliances, t)
+                     for t in range(1, inst.grid.tau + 1))
+        assert repr(solution.ns_load_w) == repr(want)
+
+
+@functools.lru_cache(maxsize=1)
+def five_ns_table():
+    """section-iv-a plus three small appliances, built under no scenario.
+
+    With three or more appliances on one slot, the order of the sum
+    shows: (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 round apart.
+    """
+    inst = load_config("section-iv-a").instance
+    extra = tuple(NonSchedulableAppliance(id=f"ns{i}", power_w=power,
+                                          runtime_slots=4, zone=(1, 12))
+                  for i, power in ((3, 0.1), (4, 0.2), (5, 0.3)))
+    inst = dataclasses.replace(inst,
+                               ns_appliances=inst.ns_appliances + extra)
+    return backward_recursion(SolveConfig(instance=inst))
 
 
 class TestRuntimeLookup:
@@ -195,6 +273,77 @@ class TestWalkRefusals:
         assert str(err.value) == "scenario places 2 appliances, instance has 1"
 
 
+def kill_slot_2(table):
+    table.dec_mask[1, 11, 0] = -1
+
+
+def restart_everything(table):
+    table.dec_mask[table.dec_mask >= 0] = 1
+
+
+def overcharge_last_slot(table):
+    table.dec_step[-1] = 3
+
+
+def do_nothing(table):
+    table.dec_mask[:] = 0
+    table.dec_step[:] = 0
+
+
+class TestWalkCache:
+    """A table keeps its walk, and keeps nothing from a refused one."""
+
+    def test_a_walked_table_refuses_edits(self):
+        table = motivating_table()
+        state = motivating().initial_state()
+        walked = extract_schedule(table, state)
+        for arr in (table.values, table.dec_mask, table.dec_step):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1, 11, 0] = -1
+        assert extract_schedule(table, state) == walked
+
+    @pytest.mark.parametrize("edit", [kill_slot_2, restart_everything,
+                                      overcharge_last_slot, do_nothing])
+    def test_a_refused_replay_is_refused_again(self, edit):
+        table = motivating_table()
+        edit(table)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(IntegrityError) as err:
+                simulate(table, EventScript.sampled(0), table.config)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert table.dec_mask.flags.writeable  # nothing was kept
+
+    def test_a_wrong_scenario_is_refused_again(self):
+        table = motivating_table()
+        state = motivating().initial_state()
+        extract_schedule(table, state)
+        for _ in range(2):
+            with pytest.raises(ModelError) as err:
+                extract_schedule(table, state, PrivacyScenario((1, 2)))
+            assert str(err.value) == \
+                "scenario places 2 appliances, instance has 1"
+
+    def test_an_off_grid_start_is_refused_after_a_walk(self):
+        table = motivating_table()
+        extract_schedule(table, motivating().initial_state())
+        bad = SystemState(battery_wh=4321.0, remaining=(2, 3))
+        for _ in range(2):
+            with pytest.raises(IntegrityError, match="not on the table grid"):
+                extract_schedule(table, bad)
+
+    def test_the_start_state_is_the_callers(self):
+        # an int level shares the walk of its grid cell, and is echoed as given
+        table = motivating_table()
+        as_float = extract_schedule(table, SystemState(0.0, (2, 3)))
+        as_int = extract_schedule(table, SystemState(0, (2, 3)))
+        assert repr(as_int.states[0]) == \
+            "SystemState(battery_wh=0, remaining=(2, 3))"
+        assert as_int.states[1:] == as_float.states[1:]
+        assert as_int.decisions is as_float.decisions
+
+
 def replay_matches_the_reference(table, script):
     """The walk and the report equal the object-per-slot reference."""
     inst = table.config.instance
@@ -253,6 +402,43 @@ class TestReplayMatchesTheReference:
             save_table(table, path)
             loaded = open_table(path, inst)
         replay_matches_the_reference(loaded, script)
+
+
+def replay_fine():
+    """section-iv-a hardened on a 5 Wh battery grid: 151 levels x 60 vectors."""
+    cfg = load_config("section-iv-a")
+    inst = dataclasses.replace(cfg.instance, battery=dataclasses.replace(
+        cfg.instance.battery, grid_step_wh=5.0))
+    return solve_with_scenarios(inst, cfg.options, cfg.state_cap)
+
+
+def replay_digest(table, config, seeds):
+    """SHA-256 of every report's CSV and aggregates, in seed order."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        report = simulate(table, EventScript.sampled(seed), config)
+        digest.update(report.csv_text().encode("utf-8"))
+        digest.update(repr((
+            report.scenario.starts, report.total_cost, report.max_abs_gap_w,
+            report.breach_count, report.negative_load_slots,
+            report.final_battery_wh)).encode("utf-8"))
+    return digest.hexdigest()
+
+
+class TestReplayDigest:
+    # 500 sampled reports on a fine-grid table, pinned before the replay
+    # cached its walk: the cache may change no byte of any report
+    DIGEST = "832d759b48c259da2d83ed47608f69fc08e8e90cb6b7d1d30b877d5dde91229c"
+
+    def test_fresh_and_reloaded_tables_replay_the_same_bytes(self, tmp_path):
+        result = replay_fine()
+        assert result.solution.controllable_cost == 0.020145000000000003
+        table = result.table
+        assert replay_digest(table, result.config, range(500)) == self.DIGEST
+        path = str(tmp_path / "table.json")
+        save_table(table, path)
+        loaded = open_table(path, table.config.instance)
+        assert replay_digest(loaded, loaded.config, range(500)) == self.DIGEST
 
 
 class TestSimulate:
@@ -402,14 +588,22 @@ class TestSimulate:
         simulate(loaded, EventScript.sampled(3), config)
         assert len(calls) == 1
 
-    def test_an_equal_config_is_rehashed_and_accepted(self, monkeypatch):
+    def test_an_equal_config_is_accepted_without_rehashing(self, monkeypatch):
         table, config = solved_motivating()
         table.model_hash  # a built table hashes its config on first read
         calls = self.count_fingerprints(monkeypatch)
         twin = dataclasses.replace(config)
+        assert twin is not config
         report = simulate(table, EventScript.scripted(()), twin)
-        assert calls == [twin]
+        assert calls == []
         assert report.breach_count == 0
+        # a config that differs is hashed, and a different model refused
+        other = dataclasses.replace(config, instance=dataclasses.replace(
+            config.instance,
+            policy=PrivacyPolicy(lambda_w=50000.0, l_bar_w=35000.0)))
+        with pytest.raises(IntegrityError, match="table/model mismatch"):
+            simulate(table, EventScript.scripted(()), other)
+        assert calls == [other]
 
     def test_a_loaded_table_refuses_a_different_config(self, tmp_path):
         table, config = solved_motivating()
