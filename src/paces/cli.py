@@ -28,7 +28,7 @@ from .model import NonSchedulableAppliance, PrivacyScenario, ScenarioSet
 from .oracle import brute_force_solve
 from .scenarios import ScenarioSolveResult, candidate_scenarios, \
     solve_with_scenarios
-from .simulate import EventScript, simulate, sweep_battery
+from .simulate import EventScript, SimulationReport, simulate, sweep_battery
 from .table import (SolveConfig, backward_recursion, expected_total_cost,
                     open_table, save_table, state_count)
 
@@ -87,41 +87,31 @@ def _load_scenario_file(path: Path,
     return ScenarioSet(tuple(scenarios))
 
 
-def _solution_payload(result: ScenarioSolveResult, name: str,
-                      seed: int) -> dict:
+#: The report fields ``solution.json`` keeps per slot
+_SLOT_KEYS = ("slot", "price_per_wh", "base_load_w", "battery_wh",
+              "battery_delta_wh", "started", "privacy_gap_w", "cost")
+
+
+def _solution_payload(result: ScenarioSolveResult, report: SimulationReport,
+                      name: str, seed: int) -> dict:
+    """``solution.json``: the solve's summary and its quiet replay's rows."""
     sol = result.solution
-    inst = result.config.instance
-    starts = {}
-    for i, app in enumerate(inst.appliances):
-        starts[app.id] = next(
-            (t for t, d in enumerate(sol.decisions, start=1) if d.starts[i]),
-            None)
-    slots = []
-    for t in range(1, inst.grid.tau + 1):
-        d = sol.decisions[t - 1]
-        slots.append({
-            "slot": t,
-            "price_per_wh": inst.price.at(t),
-            "base_load_w": sol.base_load_w[t - 1],
-            "battery_wh": sol.states[t - 1].battery_wh,
-            "battery_delta_wh": d.battery_delta_wh,
-            "started": [a.id for a, flag in zip(inst.appliances, d.starts)
-                        if flag],
-            "privacy_gap_w": sol.privacy_gap_w[t - 1],
-            "cost": sol.slot_costs[t - 1],
-        })
     return {
         "config_name": name,
         "seed": seed,
         "model_hash": result.table.model_hash,
         "objective_mode": result.config.objective_mode,
         "omega": [list(sc.starts) for sc in result.omega],
-        "appliance_starts": starts,
+        "appliance_starts": {
+            a.id: next((r.slot for r in report.rows if a.id in r.started),
+                       None)
+            for a in result.config.instance.appliances},
         "controllable_cost": sol.controllable_cost,
         "expected_total_cost": expected_total_cost(result.config,
                                                    sol.controllable_cost),
-        "final_battery_wh": sol.states[-1].battery_wh,
-        "slots": slots,
+        "final_battery_wh": report.final_battery_wh,
+        "slots": [{key: getattr(r, key) for key in _SLOT_KEYS}
+                  for r in report.rows],
     }
 
 
@@ -160,11 +150,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = solve_with_scenarios(cfg.instance, cfg.options, cfg.state_cap)
+    # the quiet replay's rows are the solved schedule's, slot by slot
+    report = simulate(result.table, EventScript.scripted(()), result.config)
 
-    _write_json(_solution_payload(result, cfg.name, cfg.seed),
+    _write_json(_solution_payload(result, report, cfg.name, cfg.seed),
                 out / "solution.json")
     _write_json(_trace_payload(result), out / "trace.json")
-    report = simulate(result.table, EventScript.scripted(()), result.config)
     (out / "report.csv").write_text(report.csv_text(), encoding="utf-8")
     if args.table:
         save_table(result.table, args.table)

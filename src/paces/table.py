@@ -9,15 +9,14 @@ with no feasible continuation hold an infinity sentinel.
 
 A slot is solved in one batch: every start option of every remaining
 vector is one row, evaluated against all battery levels at once, one
-battery move at a time (see :class:`_Engine`).  The start options depend
-on the appliances and the horizon only, so they are enumerated once per
-instance shape and shared by every build of it.
-
-A slot reads the scenario set only through its per-slot draw envelope,
-and a backward step at slot t reads only slots t..tau.  So a rebuild
-against a grown scenario set, given the previous table, copies every
-slot after the last one whose envelope changed (each is bit-identical
-to the previous build's) and re-solves only the slots up to it.
+battery move at a time (see :class:`_Engine`).  The start options are
+made once per instance shape, the engine once per instance, and every
+build, lambda probe and load shares them; a build brings only its band
+(from lambda) and its per-slot draw envelope (from the scenario set).
+A backward step at slot t reads only slots t..tau, so a rebuild against
+a grown scenario set, given the previous table, copies every slot after
+the last one whose envelope changed (each is bit-identical to the
+previous build's) and re-solves only the slots up to it.
 
 The minimized objective is the controllable part of the bill: price
 times appliance-plus-battery energy.  Non-schedulable consumption is
@@ -109,6 +108,26 @@ class SolveConfig:
         if n == 0:
             return ()
         return (1.0 / n,) * n
+
+    @functools.cached_property
+    def _band(self) -> tuple[np.ndarray, np.ndarray]:
+        """The band ``l_bar -+ lambda`` and its ``-+ tol``, (2, 1) columns."""
+        pol = self.instance.policy
+        return (np.array([[pol.l_bar_w - pol.lambda_w],
+                          [pol.l_bar_w + pol.lambda_w]]),
+                np.array([[-pol.tolerance_w], [pol.tolerance_w]]))
+
+    @functools.cached_property
+    def _envelope(self) -> np.ndarray:
+        """Per slot ``t`` at index ``t``, the least and greatest draw over
+        the scenario set, a (2, 1) column; ``(+inf, -inf)`` bounds nothing.
+        A table's config keeps the one the table was built against."""
+        inst = self.instance
+        draws = scenario_draws(self.scenarios, inst.ns_appliances,
+                               inst.grid.tau)
+        w_min = np.append(np.inf, draws.min(axis=0, initial=np.inf))
+        w_max = np.append(-np.inf, draws.max(axis=0, initial=-np.inf))
+        return np.stack((w_min, w_max), axis=1)[:, :, None]
 
 
 def model_fingerprint(config: SolveConfig) -> str:
@@ -268,18 +287,15 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
 
 
 class _Engine:
-    """Precomputed instance geometry for one solve.
+    """One instance's slot solver and walk step, shared by all its builds.
 
-    :meth:`solve_slot` evaluates a whole slot at once, and pays per slot
-    only for what depends on the continuation and the envelope.  What
-    depends on the instance shape alone (the remaining vectors, and per
-    slot the start options with their block layout and tie-break
-    columns) comes from :func:`_vectors` and :func:`_option_tables`,
-    built once per shape on first use and shared by every engine of it,
-    so making an engine (as ``load_table`` does) builds no option
-    tables.  What depends on the battery (the moves in ``(|k|, k)``
-    order, the level index) and on the band (the window terms) is built
-    once per engine.
+    An engine holds only what no build changes: the battery moves in
+    ``(|k|, k)`` order, the level index and rate limits, the remaining
+    vectors, the prices, the walk step and the draw maps.  It is made
+    from the instance's fields other than the policy (:func:`_engine`),
+    so a build hands :meth:`solve_slot` its :attr:`SolveConfig._band` and
+    :attr:`SolveConfig._envelope`.  The start options come from
+    :func:`_option_tables`, once per instance shape.
 
     Per slot, the continuation is padded with ``inf`` by the rate limit
     on both sides, so each battery move ``k`` is one column shift of it.
@@ -299,46 +315,29 @@ class _Engine:
     the loop's time; gathering the shifted windows with
     ``sliding_window_view`` and fancy indexing copied as much and was
     slower again.
-
-    The engine also holds the forward walk's step (:meth:`walk_step`)
-    and a scenario's per-slot draw (:meth:`ns_draw`).  Both depend on the
-    instance only, never on the table's arrays; the walk itself is made
-    once per start cell and kept by the table (:meth:`ScheduleTable.walk`).
     """
 
-    def __init__(self, config: SolveConfig):
-        inst = config.instance
-        self.config = config
-        self.inst = inst
-        self.tau = inst.grid.tau
-        self.h = inst.grid.slot_hours
-        self.durations = inst.durations
-        self.powers = inst.powers_w
+    def __init__(self, grid, appliances, ns_appliances, battery, price,
+                 state_cap: int):
+        n_states = state_count(appliances, battery)
+        if n_states > state_cap:
+            raise StateSpaceError(n_states, state_cap)
+        self.tau = grid.tau
+        self.h = grid.slot_hours
+        self.durations = tuple(a.duration_slots for a in appliances)
+        self.powers = tuple(a.power_w for a in appliances)
         self.n_app = len(self.durations)
-        bat = inst.battery
-        n_states = state_count(inst.appliances, bat)
-        if n_states > config.state_cap:
-            raise StateSpaceError(n_states, config.state_cap)
-        self.step = bat.grid_step_wh
-        self.m = bat.n_levels
-        self.k_rate_lo = -self._rate_steps(bat.z_discharge_max_wh)
-        self.k_rate_hi = self._rate_steps(bat.z_charge_max_wh)
+        self.ns_appliances = ns_appliances
+        self.battery = battery
+        self.prices = price.values
+        self.step = battery.grid_step_wh
+        self.m = battery.n_levels
+        self.k_rate_lo = -self._rate_steps(battery.z_discharge_max_wh)
+        self.k_rate_hi = self._rate_steps(battery.z_charge_max_wh)
         self.r_combos, self.r_index, self.done_idx = _vectors(self.durations)
         self.n_r = len(self.r_combos)
 
-        # per slot t at index t, the extreme non-schedulable draws over the
-        # scenario set; the empty set's (+inf, -inf) leaves the rate window
-        draws = scenario_draws(config.scenarios, inst.ns_appliances, self.tau)
-        self.w_min = np.append(np.inf, draws.min(axis=0, initial=np.inf))
-        self.w_max = np.append(-np.inf, draws.max(axis=0, initial=-np.inf))
-
-        # the slot solver's per-engine parts: the window terms as (2, 1)
-        # columns, lower bound first, and the moves in (|k|, k) order
-        pol = inst.policy
-        self._band = np.array([[pol.l_bar_w - pol.lambda_w],
-                               [pol.l_bar_w + pol.lambda_w]])
-        self._envelope = np.stack((self.w_min, self.w_max), axis=1)[:, :, None]
-        self._tolerance = np.array([[-pol.tolerance_w], [pol.tolerance_w]])
+        # the window clamps as (2, 1) columns and the moves in (|k|, k) order
         self._clip_lo = np.array([[self.k_rate_lo], [self.k_rate_lo - 1]])
         self._clip_hi = np.array([[self.k_rate_hi + 1], [self.k_rate_hi]])
         self._moves = sorted(range(self.k_rate_lo, self.k_rate_hi + 1),
@@ -355,23 +354,25 @@ class _Engine:
         """Start options at slot ``t``, shared with every same-shape engine."""
         return _option_tables(self.durations, self.powers, self.tau)[t - 1]
 
-    def k_windows(self, t: int, y_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def k_windows(self, t: int, y_w: np.ndarray, band: tuple,
+                  envelope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Battery-step range allowed by rate and privacy bounds at slot t.
 
         One ``(k_lo, k_hi)`` pair per appliance draw in ``y_w``.  A move is
-        admitted iff the band holds within the policy's tolerance, the slack
-        the refinement loop and the replay allow too.  Privacy bounds are
-        clamped to one step past the rate range, so an empty window stays
-        empty and every bound fits an integer.  Both bounds are computed
-        as one (2, rows) array, each in the order
+        admitted iff the build's ``band`` holds within its tolerance, the
+        slack the refinement loop and the replay allow too.  Privacy bounds
+        are clamped to one step past the rate range, so an empty window
+        stays empty and every bound fits an integer.  Both bounds are one
+        (2, rows) array, each in the order
         ``((((l_bar -+ lambda) - y_w) - envelope) -+ tol) * h / step``.
         """
+        bounds, tolerance = band
         # an infinite envelope or an overflowed bound is +-inf, which the
         # clamp maps exactly
         with np.errstate(over="ignore"):
-            w = self._band - y_w
-            w -= self._envelope[t]
-            w += self._tolerance
+            w = bounds - y_w
+            w -= envelope[t]
+            w += tolerance
             w *= self.h
             w /= self.step
         np.ceil(w[0], out=w[0])
@@ -380,14 +381,15 @@ class _Engine:
         k = np.minimum(w, self._clip_hi, out=w).astype(np.int64)
         return k[0], k[1]
 
-    def solve_slot(self, t: int, f_next: np.ndarray):
+    def solve_slot(self, t: int, f_next: np.ndarray, band: tuple,
+                   envelope: np.ndarray):
         """One backward step: value and argmin decision for every state.
 
         ``f_next`` has shape (n_r, m) and holds the continuation values.
         Returns ``(values, dec_mask, dec_step)`` of the same shape;
         ``dec_mask`` is -1 where no decision is feasible.
         """
-        c_t = self.inst.price.at(t)
+        c_t = self.prices[t - 1]
         m = self.m
         values = np.full((self.n_r, m), np.inf)
         dec_mask = np.full((self.n_r, m), -1, dtype=np.int32)
@@ -396,7 +398,7 @@ class _Engine:
 
         # each move's admission and stage cost for every row, one matrix;
         # each element is the per-move float expression, so bit-equal to it
-        k_lo, k_hi = self.k_windows(t, opts.y_w)
+        k_lo, k_hi = self.k_windows(t, opts.y_w, band, envelope)
         moves = self._move_col
         inside = (k_lo <= moves) & (moves <= k_hi)
         stage = np.where(inside, c_t * (opts.y_w * self.h + moves * self.step),
@@ -469,7 +471,7 @@ class _Engine:
         start; :meth:`ns_draw` covers any other start on the fly, so a
         stray start grows no map."""
         return tuple({s: self._covered(app, s) for s in app.feasible_starts()}
-                     for app in self.inst.ns_appliances)
+                     for app in self.ns_appliances)
 
     def ns_draw(self, scenario: PrivacyScenario) -> tuple[float, ...]:
         """Non-schedulable draw of ``scenario`` at slots ``1..tau``.
@@ -478,7 +480,7 @@ class _Engine:
         from 0, exactly as :func:`scenario_load` sums them, for any start
         :meth:`NonSchedulableAppliance.active` accepts.
         """
-        apps = self.inst.ns_appliances
+        apps = self.ns_appliances
         check_placement(scenario, apps)
         draw = [0] * self.tau
         for j, start in enumerate(scenario.starts):
@@ -502,7 +504,19 @@ class _Engine:
             raise ModelError(
                 f"remaining vector {state.remaining!r} outside "
                 f"{tuple(self.durations)!r}")
-        return r_idx, self.inst.battery.level_index(state.battery_wh)
+        return r_idx, self.battery.level_index(state.battery_wh)
+
+
+#: One engine per value of its arguments, as :func:`_vectors` keeps vectors
+_engines = functools.lru_cache(maxsize=16)(_Engine)
+
+
+def _engine(config: SolveConfig) -> _Engine:
+    """The engine of the config's instance without its policy, under its
+    state cap, made on first use."""
+    inst = config.instance
+    return _engines(inst.grid, inst.appliances, inst.ns_appliances,
+                    inst.battery, inst.price, config.state_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +538,20 @@ class ScheduleTable:
     ``model_hash`` is :func:`model_fingerprint` of the table's config.
     Given as ``None`` it is computed when first read: the refinement
     loop's intermediate tables and the lambda bisection's probes are
-    never saved or checked, so they never pay for it.
+    never saved or checked, so they never pay for it.  The grid is read
+    through the instance's shared engine (:func:`_engine`), and the
+    config keeps the envelope the table was built against.
 
     The forward walk from a start cell is made once and kept (see
     :meth:`walk`).  From then on the three arrays are read-only, so an
     edit after a walk raises instead of leaving a stale walk behind.
     """
 
-    def __init__(self, engine: _Engine, values: np.ndarray,
+    def __init__(self, config: SolveConfig, values: np.ndarray,
                  dec_mask: np.ndarray, dec_step: np.ndarray,
                  model_hash: Optional[str]):
-        self.config = engine.config
-        self._engine = engine
+        self.config = config
+        self._engine = _engine(config)
         self.values = values
         self.dec_mask = dec_mask
         self.dec_step = dec_step
@@ -660,31 +676,33 @@ def backward_recursion(config: SolveConfig,
 
     ``previous``, a table built on an equal instance under another
     scenario set, lets the build reuse its tail.  Slot ``t`` is a
-    function of the instance, the envelope ``w_min[t]``/``w_max[t]`` and
-    the slots after it, so every slot after the last one whose envelope
-    differs bitwise from ``previous``'s is bit-identical to ``previous``'s
-    and is copied; the sweep starts at that slot.  A ``previous`` of
-    another instance is ignored.  A slot with no feasible cell ends the
-    sweep: every slot before it is dead too, so the build raises there.
+    function of the instance, the envelope at ``t`` and the slots after
+    it, so every slot after the last one whose envelope differs bitwise
+    from ``previous``'s is bit-identical to ``previous``'s and is copied;
+    the sweep starts at that slot.  A ``previous`` of another instance is
+    ignored.  A slot with no feasible cell ends the sweep: every slot
+    before it is dead too, so the build raises there.  The band and the
+    envelope are computed once per build, the engine once per instance.
     """
-    eng = _Engine(config)
+    eng = _engine(config)
+    band, envelope = config._band, config._envelope
     values = np.empty((eng.tau, eng.n_r, eng.m))
     dec_mask = np.empty((eng.tau, eng.n_r, eng.m), dtype=np.int32)
     dec_step = np.empty((eng.tau, eng.n_r, eng.m), dtype=np.int32)
     last = eng.tau  # the first slot the backward sweep solves
     if previous is not None and previous.config.instance == config.instance:
-        old = previous._engine
         # the int64 views compare bits, so +-inf match only themselves
         changed = np.flatnonzero(
-            (eng.w_min.view(np.int64) != old.w_min.view(np.int64))
-            | (eng.w_max.view(np.int64) != old.w_max.view(np.int64)))
+            (envelope.view(np.int64)
+             != previous.config._envelope.view(np.int64))
+            .any(axis=(1, 2)))
         last = int(changed[-1]) if len(changed) else 0
         values[last:] = previous.values[last:]
         dec_mask[last:] = previous.dec_mask[last:]
         dec_step[last:] = previous.dec_step[last:]
     f_next = values[last] if last < eng.tau else eng.terminal_continuation()
     for t in range(last, 0, -1):
-        f_t, mask_t, step_t = eng.solve_slot(t, f_next)
+        f_t, mask_t, step_t = eng.solve_slot(t, f_next, band, envelope)
         if mask_t.max() < 0:
             break  # a slot with no feasible cell leaves every earlier one dead
         values[t - 1] = f_t
@@ -694,7 +712,7 @@ def backward_recursion(config: SolveConfig,
     else:
         init_r, init_b = eng.state_indices(config.instance.initial_state())
         if dec_mask[0, init_r, init_b] >= 0:
-            return ScheduleTable(eng, values, dec_mask, dec_step, None)
+            return ScheduleTable(config, values, dec_mask, dec_step, None)
     # the initial state is the only one reachable at slot 1, so slot 1 is
     # where every branch from it has died
     raise InfeasibleError(
@@ -991,7 +1009,7 @@ def _bind(path: str, payload: dict, config: SolveConfig) -> ScheduleTable:
         raise IntegrityError(
             "table was built for a different model: hash "
             f"{str(payload['model_hash'])[:12]}... != config {expected[:12]}...")
-    eng = _Engine(config)
+    eng = _engine(config)
     shape = (eng.tau, eng.n_r, eng.m)
     digest = hashlib.sha256()
     arrays = []
@@ -1015,4 +1033,4 @@ def _bind(path: str, payload: dict, config: SolveConfig) -> ScheduleTable:
     if (dec_mask.min() < -1 or dec_mask.max() >= 1 << eng.n_app
             or dec_step.min() < eng.k_rate_lo or dec_step.max() > eng.k_rate_hi):
         raise IntegrityError(f"{path}: a decision cell is out of range")
-    return ScheduleTable(eng, values, dec_mask, dec_step, expected)
+    return ScheduleTable(config, values, dec_mask, dec_step, expected)

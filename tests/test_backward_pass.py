@@ -13,9 +13,10 @@ from paces import (Battery, InfeasibleError, Instance,
                    NonSchedulableAppliance, PriceSignal, PrivacyPolicy,
                    PrivacyScenario, ScenarioSet, SchedulableAppliance,
                    SolveConfig, TimeGrid, backward_recursion,
-                   candidate_scenarios, load_config, scenario_load,
-                   sweep_battery)
-from paces.table import _Engine, _option_tables, _vectors
+                   candidate_scenarios, load_config, load_table, open_table,
+                   save_table, scenario_load, scenarios, sweep_battery)
+from paces.table import (_Engine, _engine, _engines, _option_tables,
+                         _vectors)
 from table_checks import assert_same_table
 
 
@@ -48,14 +49,20 @@ def reference_options(eng, r_combo, t):
     return options
 
 
-def reference_window(eng, t, y_w):
+def solve_slot(eng, config, t, f_next):
+    """The engine's slot solve under ``config``'s band and envelope."""
+    return eng.solve_slot(t, f_next, config._band, config._envelope)
+
+
+def reference_window(eng, config, t, y_w):
     # a move is admitted iff the band holds within the policy's tolerance;
     # the empty scenario set's infinite envelope bounds nothing
-    pol = eng.inst.policy
+    pol = config.instance.policy
     tol = pol.tolerance_w
+    (w_min,), (w_max,) = config._envelope[t]
     k_lo, k_hi = eng.k_rate_lo, eng.k_rate_hi
-    lo_w = pol.l_bar_w - pol.lambda_w - y_w - eng.w_min[t]
-    hi_w = pol.l_bar_w + pol.lambda_w - y_w - eng.w_max[t]
+    lo_w = pol.l_bar_w - pol.lambda_w - y_w - w_min
+    hi_w = pol.l_bar_w + pol.lambda_w - y_w - w_max
     if lo_w > -math.inf:
         k_lo = max(k_lo, math.ceil((lo_w - tol) * eng.h / eng.step))
     if hi_w < math.inf:
@@ -63,8 +70,8 @@ def reference_window(eng, t, y_w):
     return k_lo, k_hi
 
 
-def reference_solve_slot(eng, t, f_next):
-    c_t = eng.inst.price.at(t)
+def reference_solve_slot(eng, config, t, f_next):
+    c_t = config.instance.price.at(t)
     values = np.full((eng.n_r, eng.m), np.inf)
     dec_mask = np.full((eng.n_r, eng.m), -1, dtype=np.int32)
     dec_step = np.zeros((eng.n_r, eng.m), dtype=np.int32)
@@ -79,7 +86,7 @@ def reference_solve_slot(eng, t, f_next):
         best_mask = dec_mask[r_i]
         for mask, skey, n_starts, y, r_next_idx in sorted(
                 options, key=lambda o: (o[2], o[1])):
-            k_lo, k_hi = reference_window(eng, t, y)
+            k_lo, k_hi = reference_window(eng, config, t, y)
             if k_lo > k_hi:
                 continue
             ks = np.array(sorted(range(k_lo, k_hi + 1),
@@ -112,15 +119,15 @@ def assert_bit_identical(got, want):
 
 def assert_every_slot_matches(config, f_rng):
     """Random continuations at each slot, then the chained recursion."""
-    eng = _Engine(config)
+    eng = _engine(config)
     for t in range(1, eng.tau + 1):
         f_next = random_continuation(f_rng, (eng.n_r, eng.m))
-        assert_bit_identical(eng.solve_slot(t, f_next),
-                             reference_solve_slot(eng, t, f_next))
+        assert_bit_identical(solve_slot(eng, config, t, f_next),
+                             reference_solve_slot(eng, config, t, f_next))
     f_next = eng.terminal_continuation()
     for t in range(eng.tau, 0, -1):
-        want = reference_solve_slot(eng, t, f_next)
-        assert_bit_identical(eng.solve_slot(t, f_next), want)
+        want = reference_solve_slot(eng, config, t, f_next)
+        assert_bit_identical(solve_slot(eng, config, t, f_next), want)
         f_next = want[0]
 
 
@@ -232,28 +239,29 @@ def tie_heavy(l_bar):
 
 @pytest.mark.parametrize("l_bar", [1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
 def test_ties_break_as_the_per_option_loop_breaks_them(l_bar):
-    eng = _Engine(tie_heavy(l_bar))
+    config = tie_heavy(l_bar)
+    eng = _engine(config)
     flat = np.zeros((eng.n_r, eng.m))
     tied = 0
     for t in range(1, eng.tau + 1):
-        want = reference_solve_slot(eng, t, flat)
-        assert_bit_identical(eng.solve_slot(t, flat), want)
+        want = reference_solve_slot(eng, config, t, flat)
+        assert_bit_identical(solve_slot(eng, config, t, flat), want)
         tied += int((want[1] > 0).sum() + (want[2] != 0).sum())
     # the flat continuation still leaves starts and moves to pick
     assert tied > 0
     f_next = eng.terminal_continuation()
     for t in range(eng.tau, 0, -1):
-        want = reference_solve_slot(eng, t, f_next)
-        assert_bit_identical(eng.solve_slot(t, f_next), want)
+        want = reference_solve_slot(eng, config, t, f_next)
+        assert_bit_identical(solve_slot(eng, config, t, f_next), want)
         f_next = want[0]
 
 
 @pytest.mark.parametrize("name", ["empty-window", "doomed", "zero-rate"])
 def test_batched_slot_matches_on_edge_cases(name):
     config = edge_case(name)
-    eng = _Engine(config)
+    eng = _engine(config)
     if name == "empty-window":
-        windows = [reference_window(eng, t, option[3])
+        windows = [reference_window(eng, config, t, option[3])
                    for t in range(1, eng.tau + 1) for combo in eng.r_combos
                    for option in reference_options(eng, combo, t) or ()]
         assert any(lo > hi for lo, hi in windows)
@@ -274,14 +282,14 @@ def test_moves_on_the_band_edge_pass_within_its_tolerance():
     config = SolveConfig(instance=dataclasses.replace(config.instance,
                                                       policy=policy),
                          scenarios=config.scenarios)
-    eng = _Engine(config)
+    eng = _engine(config)
     # idle at slot 1, one 2.5 Wh charge puts the load 0.5 W over 2 W
-    assert reference_window(eng, 1, 0.0) == (1, 1)
+    assert reference_window(eng, config, 1, 0.0) == (1, 1)
     assert_every_slot_matches(config, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
-# The privacy band: the engine reads a scenario set as its draw envelope
+# The privacy band: a build reads its scenario set as its draw envelope
 
 
 @st.composite
@@ -301,24 +309,28 @@ def placement_subsets(draw):
 @given(case=placement_subsets())
 def test_the_envelope_is_the_extreme_scenario_load(case):
     inst, omega = case
-    eng = _Engine(SolveConfig(instance=inst, scenarios=omega))
+    envelope = SolveConfig(instance=inst, scenarios=omega)._envelope
     slots = range(1, inst.grid.tau + 1)
     draws = [[scenario_load(sc, inst.ns_appliances, t) for sc in omega]
              for t in slots]
-    want_min = np.array([min(d, default=math.inf) for d in draws])
-    want_max = np.array([max(d, default=-math.inf) for d in draws])
-    assert eng.w_min[1:].tobytes() == want_min.tobytes()
-    assert eng.w_max[1:].tobytes() == want_max.tobytes()
+    want_min = np.array([math.inf] + [min(d, default=math.inf)
+                                      for d in draws])
+    want_max = np.array([-math.inf] + [max(d, default=-math.inf)
+                                       for d in draws])
+    assert envelope.shape == (inst.grid.tau + 1, 2, 1)
+    assert envelope[:, 0, 0].tobytes() == want_min.tobytes()
+    assert envelope[:, 1, 0].tobytes() == want_max.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
 @given(config=instances(),
        y_w=st.lists(st.floats(0.0, 1e12), min_size=1, max_size=6))
 def test_an_empty_scenario_set_leaves_the_rate_window(config, y_w):
-    eng = _Engine(SolveConfig(instance=config.instance))
+    empty = SolveConfig(instance=config.instance)
+    eng = _engine(empty)
     for t in range(1, eng.tau + 1):
         rows = np.concatenate((eng.options(t).y_w, y_w))
-        k_lo, k_hi = eng.k_windows(t, rows)
+        k_lo, k_hi = eng.k_windows(t, rows, empty._band, empty._envelope)
         assert (k_lo == eng.k_rate_lo).all()
         assert (k_hi == eng.k_rate_hi).all()
 
@@ -339,13 +351,15 @@ def test_option_tables_are_built_once_per_instance_shape():
 
 
 def test_making_an_engine_builds_no_option_tables():
+    _engines.cache_clear()
     _option_tables.cache_clear()
-    _Engine(SolveConfig(instance=load_config("section-iv-a").instance))
+    _engine(SolveConfig(instance=load_config("section-iv-a").instance))
+    assert _engines.cache_info().misses == 1
     assert _option_tables.cache_info().currsize == 0
 
 
 def test_option_tables_are_read_only():
-    eng = _Engine(SolveConfig(instance=load_config("table-ii").instance))
+    eng = _engine(SolveConfig(instance=load_config("table-ii").instance))
     opts = eng.options(1)
     names = [f.name for f in dataclasses.fields(opts)]
     assert names == ["r_idx", "mask", "y_w", "r_next", "first", "block",
@@ -358,7 +372,7 @@ def test_option_tables_are_read_only():
 
 
 def test_option_tables_hold_the_block_layout():
-    eng = _Engine(SolveConfig(instance=load_config("table-ii").instance))
+    eng = _engine(SolveConfig(instance=load_config("table-ii").instance))
     for t in range(1, eng.tau + 1):
         opts = eng.options(t)
         n_rows = len(opts.r_idx)
@@ -377,10 +391,12 @@ def section_iv_a(capacity_wh, lambda_w=100.0):
 
 
 def test_engines_of_one_shape_share_the_option_tables():
-    engines = [_Engine(SolveConfig(instance=section_iv_a(cap, lam),
+    engines = [_engine(SolveConfig(instance=section_iv_a(cap, lam),
                                    scenarios=ScenarioSet.base(2)))
                for cap in (0.0, 250.0, 750.0) for lam in (80.0, 200.0)]
-    assert len({eng.m for eng in engines}) == 3
+    # one engine per capacity, whatever the lambda
+    assert len({eng.m for eng in engines}) == len(set(map(id, engines))) == 3
+    assert all(a is b for a, b in zip(engines[::2], engines[1::2]))
     one = engines[0]
     for eng in engines:
         assert eng.r_combos is one.r_combos and eng.r_index is one.r_index
@@ -389,27 +405,89 @@ def test_engines_of_one_shape_share_the_option_tables():
 
 
 def test_interleaved_builds_equal_standalone_builds():
-    configs = [SolveConfig(instance=section_iv_a(cap),
-                           scenarios=ScenarioSet.base(2))
-               for cap in (0.0, 250.0, 750.0)]
+    # consecutive builds change the scenario set, then lambda, then the
+    # capacity, so a build that read another build's band or envelope off
+    # the shared engine would show
+    placement = candidate_scenarios(section_iv_a(0.0).ns_appliances,
+                                    section_iv_a(0.0).grid)[0]
+    omegas = (ScenarioSet.base(2), ScenarioSet.base(2).with_scenario(placement))
+    configs = [SolveConfig(instance=section_iv_a(cap, lam), scenarios=omega)
+               for cap in (0.0, 250.0) for lam in (100.0, 200.0)
+               for omega in omegas]
     alone = []
     for config in configs:
+        _engines.cache_clear()
         _option_tables.cache_clear()
         _vectors.cache_clear()
         alone.append(backward_recursion(config))
+    # every standalone table differs from every other
+    assert len({t.values.tobytes() + t.dec_mask.tobytes()
+                + t.dec_step.tobytes() for t in alone}) == len(alone)
     for config, want in zip(configs + configs[::-1], alone + alone[::-1]):
         assert_same_table(backward_recursion(config), want)
+
+
+# ---------------------------------------------------------------------------
+# One engine per instance
+
+
+def count_engines(monkeypatch) -> list:
+    """Clear the engine cache; the list grows by one per engine made."""
+    made = []
+    init = _Engine.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    _engines.cache_clear()
+    monkeypatch.setattr(_Engine, "__init__", counted)
+    return made
+
+
+def test_a_cold_sweep_makes_one_engine_per_capacity(monkeypatch):
+    # sweep-tight's capacities: 23 builds, 15 of them lambda probes
+    cfg = load_config("section-iv-a")
+    builds = []
+    build = scenarios.backward_recursion
+
+    def traced(config, previous=None):
+        builds.append(config.instance.policy.lambda_w)
+        return build(config, previous)
+
+    monkeypatch.setattr(scenarios, "backward_recursion", traced)
+    made = count_engines(monkeypatch)
+    points = sweep_battery(cfg.instance, (0.0, 250.0), cfg.options,
+                           cfg.state_cap)
+    assert [p.feasible for p in points] == [False, True]
+    assert len(builds) == 23
+    assert sum(lam != cfg.instance.policy.lambda_w for lam in builds) == 15
+    assert len(made) == 2
+
+
+def test_loading_a_dump_makes_no_engine(tmp_path, monkeypatch):
+    config = SolveConfig(instance=section_iv_a(250.0, 80.0),
+                         scenarios=ScenarioSet.base(2))
+    made = count_engines(monkeypatch)
+    table = backward_recursion(config)
+    path = str(tmp_path / "table.json")
+    save_table(table, path)
+    assert len(made) == 1
+    for loaded in (open_table(path, config.instance),
+                   load_table(path, config)):
+        assert_same_table(loaded, table)
+    assert len(made) == 1
 
 
 def test_a_dead_slot_ends_the_sweep(monkeypatch):
     # at 0 Wh and lambda = 80 W the base scenario set leaves every cell
     # dead at slot 3, so slots 2 and 1 are never solved
     solved = []
-    solve_slot = _Engine.solve_slot
+    original = _Engine.solve_slot
 
-    def counted(self, t, f_next):
+    def counted(self, t, *args):
         solved.append(t)
-        return solve_slot(self, t, f_next)
+        return original(self, t, *args)
 
     monkeypatch.setattr(_Engine, "solve_slot", counted)
     config = SolveConfig(instance=section_iv_a(0.0, 80.0),
@@ -462,7 +540,7 @@ def test_preset_tables_keep_their_digests(preset, scale):
 
 
 def test_option_rows_are_blocks_in_visit_order():
-    eng = _Engine(SolveConfig(instance=load_config("table-ii").instance))
+    eng = _engine(SolveConfig(instance=load_config("table-ii").instance))
     for t in range(1, eng.tau + 1):
         opts = eng.options(t)
         starts = []

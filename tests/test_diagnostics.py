@@ -47,7 +47,7 @@ def random_table(seed, density, mask_seed):
     shape = table.dec_mask.shape
     mask = np.where(rng.random(shape) < density,
                     rng.integers(0, 2 ** n_app, shape), -1).astype(np.int32)
-    return ScheduleTable(table._engine, table.values, mask, table.dec_step,
+    return ScheduleTable(table.config, table.values, mask, table.dec_step,
                          table.model_hash)
 
 

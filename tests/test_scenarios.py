@@ -1,5 +1,6 @@
 """Worst-case usage search and the iterative refinement loop."""
 import dataclasses
+import hashlib
 import re
 from unittest import mock
 
@@ -15,7 +16,8 @@ from paces import (Battery, InfeasibleError, Instance, ModelError,
                    TimeGrid, backward_recursion, candidate_scenarios,
                    expected_total_cost, extract_schedule, find_worst_scenario,
                    load_config, parse_config, random_small_instance,
-                   scenario_load, scenarios, serialize, solve_with_scenarios)
+                   scenario_load, scenarios, serialize, solve_with_scenarios,
+                   sweep_battery)
 from paces.table import _Engine
 from table_checks import assert_same_table
 
@@ -410,3 +412,42 @@ class TestIncrementalRefinement:
         assert solve_slot.call_count == slots
         # the candidates' draws, once per solve rather than per search
         assert draws.call_count == 1
+
+
+# ---------------------------------------------------------------------------
+# Pinned results
+
+
+def seeded_digest():
+    """SHA-256 over 300 seeded solves and a section-iv-a sweep.
+
+    Per seed: the final table's little-endian bytes and the trace rows,
+    or an infeasible solve's message and lambda hint.  Then every point
+    of a sweep at 0, 250 and 750 Wh, whose 0 Wh point runs the lambda
+    bisection.
+    """
+    digest = hashlib.sha256()
+    for seed in range(300):
+        inst = random_small_instance(seed, ns_count=1 + seed % 2)
+        try:
+            result = solve_with_scenarios(inst)
+        except InfeasibleError as err:
+            digest.update(repr((str(err), err.lambda_hint_w)).encode("utf-8"))
+            continue
+        table = result.table
+        for arr, dtype in ((table.values, "<f8"), (table.dec_mask, "<i4"),
+                           (table.dec_step, "<i4")):
+            digest.update(arr.astype(dtype, copy=False).tobytes())
+        digest.update(repr(result.trace.to_rows()).encode("utf-8"))
+    cfg = load_config("section-iv-a")
+    for point in sweep_battery(cfg.instance, (0.0, 250.0, 750.0), cfg.options,
+                               cfg.state_cap):
+        digest.update(repr(point).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_seeded_solves_and_a_sweep_keep_their_digest():
+    # pinned before the engine became one per instance: a refactor of the
+    # builder may change no table byte, trace row or message
+    assert seeded_digest() == (
+        "3ec0b112c007f33fc8c30903b3318c8606f68c023bb5e3b97ecf97357755fb6e")

@@ -26,7 +26,8 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    load_table, model_fingerprint, privacy_gap,
                    random_small_instance, read_table_header, save_table,
                    scenario_load, slot_cost, state_count, step_remaining)
-from paces.table import OBJECTIVE_MODES, _Engine, _nearest_feasible
+from paces.table import (OBJECTIVE_MODES, _Engine, _engine,
+                         _nearest_feasible)
 from raw_model import all_states, reference_decisions
 from table_checks import assert_same_table
 
@@ -97,7 +98,7 @@ class TestStateEnumeration:
         states = []
         for _ in range(mask[0].size):
             first = _nearest_feasible(
-                ScheduleTable(table._engine, table.values, mask,
+                ScheduleTable(table.config, table.values, mask,
                               table.dec_step, table.model_hash), lost, 1)
             states.append(first)
             mask[0, first.remaining[0],
@@ -269,10 +270,11 @@ class TestFeasibleDecisions:
         decisions = reference_decisions(state, 2, config)
         assert any(d.starts == (True, True) for d in decisions)
         # the builder offers it too, with a non-empty battery window
-        eng = _Engine(config)
+        eng = _engine(config)
         opts = eng.options(2)
         rows = (opts.r_idx == eng.r_index[state.remaining]) & (opts.mask == 3)
-        k_lo, k_hi = eng.k_windows(2, opts.y_w[rows])
+        k_lo, k_hi = eng.k_windows(2, opts.y_w[rows], config._band,
+                                   config._envelope)
         assert rows.sum() == 1 and k_lo[0] <= k_hi[0]
 
     def test_rejects_off_grid_states(self):
@@ -706,10 +708,10 @@ class TestPersistence:
     @given(seed=st.integers(0, 299), data=st.data())
     def test_random_tables_round_trip_bit_equal(self, seed, data):
         config = SolveConfig(instance=random_small_instance(seed))
-        eng = _Engine(config)
+        eng = _engine(config)
         shape = (eng.tau, eng.n_r, eng.m)
         table = ScheduleTable(
-            eng,
+            config,
             data.draw(arrays(np.float64, shape, elements=st.just(np.inf)
                              | st.floats(allow_nan=False))),
             data.draw(arrays(np.int32, shape, elements=st.integers(
