@@ -153,20 +153,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # the quiet replay's rows are the solved schedule's, slot by slot
     report = simulate(result.table, EventScript.scripted(()), result.config)
 
-    _write_json(_solution_payload(result, report, cfg.name, cfg.seed),
-                out / "solution.json")
+    solution = _solution_payload(result, report, cfg.name, cfg.seed)
+    _write_json(solution, out / "solution.json")
     _write_json(_trace_payload(result), out / "trace.json")
     (out / "report.csv").write_text(report.csv_text(), encoding="utf-8")
     if args.table:
         save_table(result.table, args.table)
 
-    sol = result.solution
-    total = expected_total_cost(result.config, sol.controllable_cost)
     solves = len(result.trace.records) if result.trace.records else 1
     print(f"{cfg.name}: solved in {solves} table builds, "
           f"|omega|={len(result.omega)}")
-    print(f"controllable cost {sol.controllable_cost!r}, "
-          f"expected total {total!r}")
+    print(f"controllable cost {solution['controllable_cost']!r}, "
+          f"expected total {solution['expected_total_cost']!r}")
     if result.trace.final_violation_w is not None:
         print(f"final worst violation {result.trace.final_violation_w!r} W")
     print(f"artifacts in {out}: solution.json, trace.json, report.csv")

@@ -173,6 +173,16 @@ class NonSchedulableAppliance:
         cdf /= cdf[-1]
         return tuple(cdf.tolist())
 
+    @functools.cached_property
+    def run_slots(self) -> dict[int, range]:
+        """Per feasible start, the 0-based slots its run covers.
+
+        A placement only ever holds feasible starts, so this is every run
+        the appliance can make.  Computed once per appliance.
+        """
+        return {s: range(s - 1, s - 1 + self.runtime_slots)
+                for s in self.feasible_starts()}
+
     def active(self, start: Optional[int], t: int) -> bool:
         """Whether a run begun at ``start`` covers slot ``t``."""
         if start is None:
@@ -475,20 +485,14 @@ def appliance_load(remaining_now: Sequence[int], remaining_next: Sequence[int],
                      for rn, rx, p in zip(remaining_now, remaining_next, powers_w)))
 
 
-def check_placement(scenario: PrivacyScenario,
-                    ns_appliances: Sequence[NonSchedulableAppliance]) -> None:
-    """Refuse a scenario that places another number of appliances."""
-    if len(scenario.starts) != len(ns_appliances):
-        raise ModelError(
-            f"scenario places {len(scenario.starts)} appliances, instance has "
-            f"{len(ns_appliances)}")
-
-
 def scenario_load(scenario: PrivacyScenario,
                   ns_appliances: Sequence[NonSchedulableAppliance],
                   t: int) -> float:
     """Non-schedulable power draw at slot ``t`` under one scenario."""
-    check_placement(scenario, ns_appliances)
+    if len(scenario.starts) != len(ns_appliances):
+        raise ModelError(
+            f"scenario places {len(scenario.starts)} appliances, instance has "
+            f"{len(ns_appliances)}")
     return float(sum(a.power_w for a, s in zip(ns_appliances, scenario.starts)
                      if a.active(s, t)))
 

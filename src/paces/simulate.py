@@ -4,8 +4,8 @@ The simulator is the runtime half of the system: it replays the
 table's forward walk, the same walk that reads a solved schedule, while
 scripted or sampled non-schedulable events add their draw on top.  The
 table's state never holds that draw, so the walk is made once per table
-(:meth:`~paces.table.ScheduleTable.walk`) and a replay only scores its
-scenario (:func:`~paces.table.score_scenario`): the per-slot draw, load,
+(:meth:`~paces.table.ScheduleTable.walk`) and :func:`simulate`, the one
+place a realized placement is scored, adds only the per-slot draw, load,
 gap and cost.  A report row takes its slot, price, base load, battery
 level and decision from the kept walk and recomputes none of them.  It
 never improvises: an off-grid or infeasible state, or a decision that
@@ -15,18 +15,20 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, IntegrityError, ModelError
-from .model import Instance, PrivacyScenario
+from .model import Instance, PrivacyScenario, privacy_gap, slot_cost
 from .scenarios import ScenarioSolveOptions, solve_with_scenarios
 from .table import (DEFAULT_STATE_CAP, ScheduleTable, SolveConfig,
-                    expected_total_cost, model_fingerprint, score_scenario)
+                    expected_total_cost, model_fingerprint)
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,13 @@ class SimulationReport:
 
 def simulate(table: ScheduleTable, script: EventScript,
              config: SolveConfig) -> SimulationReport:
-    """Replay the table under one event script, slot by slot."""
+    """Replay the table under one event script, slot by slot.
+
+    The script's placement adds each slot's draw to the quiet walk's base
+    load, summed from 0 in appliance order as
+    :func:`~paces.model.scenario_load` sums it; each slot's load, gap and
+    cost follow from that sum.
+    """
     # the table hashes its own config once, when its hash is first read;
     # an equal config is the same model, so only an unequal one is hashed
     if config != table.config:
@@ -168,8 +176,17 @@ def simulate(table: ScheduleTable, script: EventScript,
     inst = config.instance
     scenario = script.resolve(inst)
     initial = inst.initial_state()
-    walk, ns, loads, gaps, costs, total = score_scenario(table, initial,
-                                                         scenario)
+    walk = table.walk(initial)
+    draw = [0] * inst.grid.tau
+    for app, start in zip(inst.ns_appliances, scenario.starts):
+        if start is not None:
+            for i in app.run_slots[start]:
+                draw[i] += app.power_w
+    ns = tuple(map(float, draw))
+    loads = tuple(map(operator.add, walk.base_load_w, ns))
+    gaps = [privacy_gap(load, inst.policy) for load in loads]
+    costs = list(map(slot_cost, loads, inst.price.values,
+                     itertools.repeat(inst.grid.slot_hours)))
     bound_w = inst.policy.lambda_w + inst.policy.tolerance_w
     rows = tuple([
         SlotRecord(t, price, base, n, load, level, delta, started, gap,
@@ -178,7 +195,7 @@ def simulate(table: ScheduleTable, script: EventScript,
         in zip(walk.rows, (initial.battery_wh,) + walk.levels, ns, loads,
                gaps, costs)])
     return SimulationReport(
-        rows=rows, scenario=scenario, total_cost=total,
+        rows=rows, scenario=scenario, total_cost=float(sum(costs)),
         max_abs_gap_w=float(max(map(abs, gaps))),
         breach_count=sum(r.breach for r in rows),
         negative_load_slots=sum(load < 0 for load in loads),
@@ -206,12 +223,15 @@ def sweep_battery(instance: Instance, capacities: Sequence[float],
                   state_cap: int = DEFAULT_STATE_CAP) -> list[SweepPoint]:
     """Re-run the whole pipeline at each capacity, in ascending order.
 
-    Infeasible capacities are recorded, not fatal.
+    Every capacity's household is made before the first solve, so a
+    capacity the battery or the instance refuses raises
+    :class:`ConfigError` naming it.  Infeasible capacities are recorded,
+    not fatal.
     """
     if not capacities:
         raise ConfigError("sweep needs at least one capacity")
-    step = instance.battery.grid_step_wh
     prev = None
+    instances = []
     for cap in capacities:
         if not math.isfinite(cap):
             raise ConfigError(f"capacity {cap} Wh is not a finite number")
@@ -219,18 +239,13 @@ def sweep_battery(instance: Instance, capacities: Sequence[float],
             raise ConfigError(
                 f"capacities must be strictly ascending, got {cap} after {prev}")
         prev = cap
-        ratio = cap / step
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
-            raise ConfigError(
-                f"capacity {cap} Wh is not a multiple of the {step} Wh grid step")
-        if cap < instance.battery.b_init_wh:
-            raise ConfigError(
-                f"capacity {cap} Wh is below the initial level "
-                f"{instance.battery.b_init_wh} Wh")
+        try:
+            battery = dataclasses.replace(instance.battery, b_max_wh=cap)
+            instances.append(dataclasses.replace(instance, battery=battery))
+        except ModelError as err:
+            raise ConfigError(f"capacity {cap} Wh: {err}") from None
 
-    def run(cap: float) -> SweepPoint:
-        battery = dataclasses.replace(instance.battery, b_max_wh=cap)
-        inst = dataclasses.replace(instance, battery=battery)
+    def run(cap: float, inst: Instance) -> SweepPoint:
         try:
             result = solve_with_scenarios(inst, options, state_cap)
         except InfeasibleError as err:
@@ -243,4 +258,4 @@ def sweep_battery(instance: Instance, capacities: Sequence[float],
             expected_total_cost=expected_total_cost(result.config, controllable),
             solves=len(result.trace.records) if result.trace.records else 1)
 
-    return [run(cap) for cap in capacities]
+    return [run(cap, inst) for cap, inst in zip(capacities, instances)]

@@ -21,7 +21,10 @@ previous build's) and re-solves only the slots up to it.
 The minimized objective is the controllable part of the bill: price
 times appliance-plus-battery energy.  Non-schedulable consumption is
 decision independent for a fixed scenario set and is reported
-separately, see :func:`expected_total_cost`.
+separately, see :func:`expected_total_cost`.  The state never holds it
+either, so a schedule read out of a table (:func:`extract_schedule`)
+has no usage on top: only :func:`~paces.simulate.simulate` scores a
+realized placement.
 
 Ties between equally cheap decisions break deterministically: fewer
 starts, then smaller battery-move magnitude, then lexicographically
@@ -35,7 +38,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -46,8 +48,7 @@ from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      StateSpaceError)
 from .model import (Battery, Decision, Instance, PrivacyScenario, ScenarioSet,
                     SchedulableAppliance, SystemState, appliance_load,
-                    check_placement, privacy_gap, scenario_draws, slot_cost,
-                    step_remaining)
+                    scenario_draws, slot_cost, step_remaining)
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -291,10 +292,10 @@ class _Engine:
 
     An engine holds only what no build changes: the battery moves in
     ``(|k|, k)`` order, the level index and rate limits, the remaining
-    vectors, the prices, the walk step and the draw maps.  It is made
-    from the instance's fields other than the policy (:func:`_engine`),
-    so a build hands :meth:`solve_slot` its :attr:`SolveConfig._band` and
-    :attr:`SolveConfig._envelope`.  The start options come from
+    vectors, the prices and the walk step.  It is made from the
+    instance's fields other than the policy and the non-schedulable
+    appliances (:func:`_engine`), so a build hands :meth:`solve_slot` its
+    :attr:`SolveConfig._band` and :attr:`SolveConfig._envelope`.  The start options come from
     :func:`_option_tables`, once per instance shape.
 
     Per slot, the continuation is padded with ``inf`` by the rate limit
@@ -317,8 +318,7 @@ class _Engine:
     slower again.
     """
 
-    def __init__(self, grid, appliances, ns_appliances, battery, price,
-                 state_cap: int):
+    def __init__(self, grid, appliances, battery, price, state_cap: int):
         n_states = state_count(appliances, battery)
         if n_states > state_cap:
             raise StateSpaceError(n_states, state_cap)
@@ -327,7 +327,6 @@ class _Engine:
         self.durations = tuple(a.duration_slots for a in appliances)
         self.powers = tuple(a.power_w for a in appliances)
         self.n_app = len(self.durations)
-        self.ns_appliances = ns_appliances
         self.battery = battery
         self.prices = price.values
         self.step = battery.grid_step_wh
@@ -460,40 +459,6 @@ class _Engine:
                 + decision.battery_delta_wh / self.h)
         return decision, self.r_index[nxt], base
 
-    def _covered(self, app, start) -> tuple[int, ...]:
-        """0-based slots a run of ``app`` begun at ``start`` covers."""
-        return tuple(t - 1 for t in range(1, self.tau + 1)
-                     if app.active(start, t))
-
-    @functools.cached_property
-    def _active_slots(self) -> tuple[dict, ...]:
-        """Per non-schedulable appliance, :meth:`_covered` of every feasible
-        start; :meth:`ns_draw` covers any other start on the fly, so a
-        stray start grows no map."""
-        return tuple({s: self._covered(app, s) for s in app.feasible_starts()}
-                     for app in self.ns_appliances)
-
-    def ns_draw(self, scenario: PrivacyScenario) -> tuple[float, ...]:
-        """Non-schedulable draw of ``scenario`` at slots ``1..tau``.
-
-        Each slot adds its active appliances' powers in appliance order,
-        from 0, exactly as :func:`scenario_load` sums them, for any start
-        :meth:`NonSchedulableAppliance.active` accepts.
-        """
-        apps = self.ns_appliances
-        check_placement(scenario, apps)
-        draw = [0] * self.tau
-        for j, start in enumerate(scenario.starts):
-            if start is None:  # a quiet walk builds no map
-                continue
-            app = apps[j]
-            covered = self._active_slots[j].get(start)
-            if covered is None:
-                covered = self._covered(app, start)
-            for i in covered:
-                draw[i] += app.power_w
-        return tuple(map(float, draw))
-
     def state_indices(self, state: SystemState) -> tuple[int, int]:
         if len(state.remaining) != self.n_app:
             raise ModelError(
@@ -512,11 +477,11 @@ _engines = functools.lru_cache(maxsize=16)(_Engine)
 
 
 def _engine(config: SolveConfig) -> _Engine:
-    """The engine of the config's instance without its policy, under its
-    state cap, made on first use."""
+    """The engine of the config's instance without its policy and usage
+    appliances, under its state cap, made on first use."""
     inst = config.instance
-    return _engines(inst.grid, inst.appliances, inst.ns_appliances,
-                    inst.battery, inst.price, config.state_cap)
+    return _engines(inst.grid, inst.appliances, inst.battery, inst.price,
+                    config.state_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -726,25 +691,18 @@ def backward_recursion(config: SolveConfig,
 
 @dataclass(frozen=True)
 class ScheduleSolution:
-    """A concrete trajectory read out of a table.
+    """The schedule a table makes from one start state.
 
-    ``base_load_w`` is the scenario-independent part of the metered load
-    (appliances plus battery); ``ns_load_w`` is the scenario's
-    non-schedulable draw, and ``load_w`` adds it to the base load.  The
-    controllable cost prices the base load only, ``total_cost`` prices
-    the realized load.
+    ``base_load_w`` is the metered load with no usage on top (appliances
+    plus battery), and the controllable cost prices it.  No placement of
+    the non-schedulable appliances changes a field: usage is scored when
+    a schedule is replayed, by :func:`~paces.simulate.simulate`.
     """
 
     decisions: tuple[Decision, ...]
     states: tuple[SystemState, ...]
     base_load_w: tuple[float, ...]
-    ns_load_w: tuple[float, ...]
-    load_w: tuple[float, ...]
-    privacy_gap_w: tuple[float, ...]
-    slot_costs: tuple[float, ...]
     controllable_cost: float
-    total_cost: float
-    scenario: PrivacyScenario
 
 
 @dataclass(frozen=True)
@@ -822,53 +780,19 @@ def _nearest_feasible(table: ScheduleTable, state: SystemState,
                        remaining=eng.r_combos[r_idx[pick]])
 
 
-def score_scenario(table: ScheduleTable, initial_state: SystemState,
-                   scenario: PrivacyScenario) -> tuple:
-    """The walk from ``initial_state`` and what ``scenario`` adds to it.
-
-    The table's state never holds the non-schedulable draw, so every
-    scenario's walk from one start makes the quiet walk's decisions and
-    passes its states (:meth:`ScheduleTable.walk`, made once).  A scenario
-    adds its draw to each slot's base load; this computes that draw, the
-    load, the privacy gap and the cost per slot, and the total cost.
-
-    Returns ``(walk, ns_load_w, load_w, privacy_gap_w, slot_costs,
-    total_cost)``.  A scenario that places another number of appliances
-    raises :class:`ModelError` before the walk.
-    """
-    inst = table.config.instance
-    ns = table._engine.ns_draw(scenario)
-    walk = table.walk(initial_state)
-    loads = tuple(map(operator.add, walk.base_load_w, ns))
-    gaps = tuple([privacy_gap(load, inst.policy) for load in loads])
-    costs = tuple(map(slot_cost, loads, inst.price.values,
-                      itertools.repeat(inst.grid.slot_hours)))
-    return walk, ns, loads, gaps, costs, float(sum(costs))
-
-
-def extract_schedule(table: ScheduleTable, initial_state: SystemState,
-                     scenario: Optional[PrivacyScenario] = None
-                     ) -> ScheduleSolution:
-    """Walk the table forward from ``initial_state`` under one scenario.
+def extract_schedule(table: ScheduleTable,
+                     initial_state: SystemState) -> ScheduleSolution:
+    """The schedule the table makes from ``initial_state``.
 
     ``solve`` reads its schedule here.  The walk and its refusals are
-    :meth:`ScheduleTable.walk`'s, made once per start cell, and the
-    scenario's figures are :func:`score_scenario`'s, the one computation
-    ``simulate`` replays through too.  Only ``states[0]`` is the caller's
-    ``initial_state``; the decisions and the later states are shared by
-    every walk of the table from its cell.
+    :meth:`ScheduleTable.walk`'s, made once per start cell.  Only
+    ``states[0]`` is the caller's ``initial_state``; the decisions and the
+    later states are shared by every walk of the table from its cell.
     """
-    if scenario is None:
-        scenario = PrivacyScenario.inactive(
-            len(table.config.instance.ns_appliances))
-    walk, ns, loads, gaps, costs, total = score_scenario(
-        table, initial_state, scenario)
+    walk = table.walk(initial_state)
     return ScheduleSolution(
         decisions=walk.decisions, states=(initial_state,) + walk.states,
-        base_load_w=walk.base_load_w, ns_load_w=ns, load_w=loads,
-        privacy_gap_w=gaps, slot_costs=costs,
-        controllable_cost=walk.controllable_cost, total_cost=total,
-        scenario=scenario)
+        base_load_w=walk.base_load_w, controllable_cost=walk.controllable_cost)
 
 
 def expected_total_cost(config: SolveConfig, controllable_cost: float) -> float:

@@ -7,9 +7,25 @@ package against them checks it against an independent reading of the
 model.
 """
 import itertools
+from dataclasses import dataclass
 
-from paces import (Decision, ScheduleSolution, SystemState, appliance_load,
-                   privacy_gap, scenario_load, slot_cost, step_remaining)
+from paces import (Decision, SystemState, appliance_load, privacy_gap,
+                   scenario_load, slot_cost, step_remaining)
+
+
+@dataclass(frozen=True)
+class ReferenceReplay:
+    """A reference walk with its scenario scored, slot by slot."""
+
+    decisions: tuple
+    states: tuple
+    base_load_w: tuple
+    ns_load_w: tuple
+    load_w: tuple
+    privacy_gap_w: tuple
+    slot_costs: tuple
+    controllable_cost: float
+    total_cost: float
 
 
 def all_states(instance):
@@ -114,16 +130,16 @@ def reference_replay(table, initial_state, scenario):
         states.append(state)
     controllable = sum(slot_cost(b, inst.price.at(t), h)
                        for t, b in enumerate(base_loads, start=1))
-    return ScheduleSolution(
+    return ReferenceReplay(
         decisions=tuple(decisions), states=tuple(states),
         base_load_w=tuple(base_loads), ns_load_w=tuple(ns_loads),
         load_w=tuple(loads), privacy_gap_w=tuple(gaps),
         slot_costs=tuple(costs), controllable_cost=float(controllable),
-        total_cost=float(sum(costs)), scenario=scenario)
+        total_cost=float(sum(costs)))
 
 
 def reference_report_csv(instance, solution):
-    """The replay report's CSV, row by row from a reference walk."""
+    """The replay report's CSV, row by row from a :class:`ReferenceReplay`."""
     pol = instance.policy
     bound = pol.lambda_w + pol.tolerance_w
     lines = ["slot,price_per_wh,base_load_w,ns_load_w,load_w,battery_wh,"

@@ -465,6 +465,18 @@ def test_a_cold_sweep_makes_one_engine_per_capacity(monkeypatch):
     assert len(made) == 2
 
 
+def test_usage_appliances_share_the_engine():
+    # the engine never reads the non-schedulable appliances: a build reads
+    # usage only through its config's envelope
+    inst = load_config("section-iv-a").instance
+    _engines.cache_clear()
+    with_ns = _engine(SolveConfig(instance=inst))
+    without = _engine(SolveConfig(
+        instance=dataclasses.replace(inst, ns_appliances=())))
+    assert with_ns is without
+    assert _engines.cache_info().misses == 1
+
+
 def test_loading_a_dump_makes_no_engine(tmp_path, monkeypatch):
     config = SolveConfig(instance=section_iv_a(250.0, 80.0),
                          scenarios=ScenarioSet.base(2))

@@ -13,6 +13,7 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    appliance_load, backward_recursion, extract_schedule,
                    privacy_gap, random_small_instance, scenario_load,
                    slot_cost, step_remaining)
+from table_checks import replay
 
 
 def make_instance(tau=4, appliances=None, ns=None, battery=None, prices=None,
@@ -366,20 +367,21 @@ class TestLoadsAndCosts:
                                       zone=(1, 2)),)
         inst = make_instance(ns=ns, prices=(0.1, 0.2, 0.2, 0.2))
         scenario = PrivacyScenario(starts=(1,))
-        solution = extract_schedule(backward_recursion(SolveConfig(
-            instance=inst)), inst.initial_state(), scenario)
+        table = backward_recursion(SolveConfig(instance=inst))
+        solution = extract_schedule(table, inst.initial_state())
+        report = replay(table, scenario)
         # the cheap first slot runs the appliance and charges the battery
         assert solution.decisions[0] == Decision(starts=(True,),
                                                  battery_delta_wh=50.0)
-        assert solution.load_w[0] == 100.0 + 50.0 + 25.0
-        for t, (state, nxt, decision) in enumerate(zip(
-                solution.states, solution.states[1:], solution.decisions),
-                start=1):
+        assert report.rows[0].load_w == 100.0 + 50.0 + 25.0
+        for t, (state, nxt, decision, row) in enumerate(zip(
+                solution.states, solution.states[1:], solution.decisions,
+                report.rows), start=1):
             base = (appliance_load(state.remaining, nxt.remaining,
                                    inst.powers_w)
                     + decision.battery_delta_wh / inst.grid.slot_hours)
-            assert solution.base_load_w[t - 1] == base
-            assert solution.load_w[t - 1] == base + scenario_load(
+            assert solution.base_load_w[t - 1] == row.base_load_w == base
+            assert row.load_w == base + scenario_load(
                 scenario, inst.ns_appliances, t)
 
     def test_privacy_gap_is_signed(self):

@@ -39,12 +39,9 @@ def make_instance(tau=4, appliances=(), ns_appliances=(), lam=1e9, l_bar=0.0):
 
 def fake_solution(base_load_w):
     """Bare trajectory carrier for the worst-scenario search."""
-    n = len(base_load_w)
-    return ScheduleSolution(
-        decisions=(), states=(), base_load_w=tuple(base_load_w),
-        ns_load_w=(0.0,) * n, load_w=tuple(base_load_w), privacy_gap_w=(0.0,) * n,
-        slot_costs=(0.0,) * n, controllable_cost=0.0, total_cost=0.0,
-        scenario=PrivacyScenario.inactive(0))
+    return ScheduleSolution(decisions=(), states=(),
+                            base_load_w=tuple(base_load_w),
+                            controllable_cost=0.0)
 
 
 class TestCandidateScenarios:

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import importlib
+import itertools
 import os
 import tempfile
 
@@ -21,6 +22,7 @@ from paces import (Battery, ConfigError, EventScript, Instance,
                    scenario_load, simulate, solve_with_scenarios,
                    sweep_battery)
 from raw_model import reference_replay, reference_report_csv
+from table_checks import replay
 
 
 def motivating():
@@ -144,18 +146,27 @@ class TestSampledDraws:
             assert EventScript.sampled(seed).resolve(inst).starts \
                 == choice_starts(inst, seed)
 
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_any_integer_start_draws_as_scenario_load_sums(self, data):
+    def test_scripted_placements_draw_as_scenario_load_sums(self):
+        # every placement of the three small appliances, which share slots,
+        # with section-iv-a's 49 own placements taken in turn: all 49,000
+        # would take seconds
         table = five_ns_table()
         inst = table.config.instance
-        scenario = PrivacyScenario(tuple(
-            data.draw(st.one_of(st.none(), st.integers(-20, 30)))
-            for _ in inst.ns_appliances))
-        solution = extract_schedule(table, inst.initial_state(), scenario)
-        want = tuple(scenario_load(scenario, inst.ns_appliances, t)
-                     for t in range(1, inst.grid.tau + 1))
-        assert repr(solution.ns_load_w) == repr(want)
+        options = [[None] + app.feasible_starts()
+                   for app in inst.ns_appliances]
+        own = itertools.cycle(itertools.product(*options[:2]))
+        for small in itertools.product(*options[2:]):
+            scenario = PrivacyScenario(next(own) + small)
+            report = replay(table, scenario)
+            want = tuple(scenario_load(scenario, inst.ns_appliances, t)
+                         for t in range(1, inst.grid.tau + 1))
+            assert repr(tuple(r.ns_load_w for r in report.rows)) == repr(want)
+
+
+def test_scenario_load_refuses_a_placement_for_another_household():
+    with pytest.raises(ModelError) as err:
+        scenario_load(PrivacyScenario((1, 2)), motivating().ns_appliances, 1)
+    assert str(err.value) == "scenario places 2 appliances, instance has 1"
 
 
 @functools.lru_cache(maxsize=1)
@@ -265,13 +276,6 @@ class TestWalkRefusals:
         assert self.refusal(table) == (
             "schedule left unfinished work (2, 3) past the horizon")
 
-    def test_a_scenario_for_another_household(self):
-        # refused before the walk starts, as a model error
-        with pytest.raises(ModelError) as err:
-            extract_schedule(motivating_table(), motivating().initial_state(),
-                             PrivacyScenario((1, 2)))
-        assert str(err.value) == "scenario places 2 appliances, instance has 1"
-
 
 def kill_slot_2(table):
     table.dec_mask[1, 11, 0] = -1
@@ -315,16 +319,6 @@ class TestWalkCache:
         assert messages[0] == messages[1]
         assert table.dec_mask.flags.writeable  # nothing was kept
 
-    def test_a_wrong_scenario_is_refused_again(self):
-        table = motivating_table()
-        state = motivating().initial_state()
-        extract_schedule(table, state)
-        for _ in range(2):
-            with pytest.raises(ModelError) as err:
-                extract_schedule(table, state, PrivacyScenario((1, 2)))
-            assert str(err.value) == \
-                "scenario places 2 appliances, instance has 1"
-
     def test_an_off_grid_start_is_refused_after_a_walk(self):
         table = motivating_table()
         extract_schedule(table, motivating().initial_state())
@@ -345,15 +339,18 @@ class TestWalkCache:
 
 
 def replay_matches_the_reference(table, script):
-    """The walk and the report equal the object-per-slot reference."""
+    """The schedule and the report equal the object-per-slot reference."""
     inst = table.config.instance
-    scenario = script.resolve(inst)
-    want = reference_replay(table, inst.initial_state(), scenario)
-    got = extract_schedule(table, inst.initial_state(), scenario)
-    assert got == want
-    assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+    want = reference_replay(table, inst.initial_state(), script.resolve(inst))
+    got = extract_schedule(table, inst.initial_state())
+    # repr also tells -0.0 from 0.0
+    assert repr((got.decisions, got.states, got.base_load_w,
+                 got.controllable_cost)) == repr((
+                     want.decisions, want.states, want.base_load_w,
+                     want.controllable_cost))
     report = simulate(table, script, table.config)
     assert report.csv_text() == reference_report_csv(inst, want)
+    assert repr(report.total_cost) == repr(want.total_cost)
 
 
 @st.composite
@@ -645,12 +642,16 @@ class TestSweepBattery:
             sweep_battery(inst, ())
         with pytest.raises(ConfigError, match="strictly ascending"):
             sweep_battery(inst, (20000.0, 10000.0))
-        with pytest.raises(ConfigError, match="not a multiple"):
+        with pytest.raises(ConfigError, match="capacity 15000.0 Wh: capacity "
+                                              "15000.0 is not a multiple"):
             sweep_battery(inst, (15000.0,))
         raised = dataclasses.replace(
             inst, battery=dataclasses.replace(inst.battery,
                                               b_init_wh=20000.0))
-        with pytest.raises(ConfigError, match="below the initial level"):
+        # the battery's own check refuses it, so its message names the level
+        with pytest.raises(ConfigError, match=r"capacity 10000.0 Wh: initial "
+                                              r"level 20000.0 outside \[0, "
+                                              r"10000.0\]"):
             sweep_battery(raised, (10000.0,))
 
     def test_infeasible_capacities_are_recorded_not_fatal(self):

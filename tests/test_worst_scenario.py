@@ -47,12 +47,9 @@ def make_instance(tau, ns_appliances, lam=10.0, l_bar=0.0):
 
 
 def solution_with(base_load_w):
-    n = len(base_load_w)
-    return ScheduleSolution(
-        decisions=(), states=(), base_load_w=tuple(base_load_w),
-        ns_load_w=(0.0,) * n, load_w=tuple(base_load_w), privacy_gap_w=(0.0,) * n,
-        slot_costs=(0.0,) * n, controllable_cost=0.0, total_cost=0.0,
-        scenario=PrivacyScenario.inactive(0))
+    return ScheduleSolution(decisions=(), states=(),
+                            base_load_w=tuple(base_load_w),
+                            controllable_cost=0.0)
 
 
 # magnitudes that absorb one another (1e16 + 1 == 1e16) and sums whose
