@@ -163,12 +163,6 @@ class TestSampledDraws:
             assert repr(tuple(r.ns_load_w for r in report.rows)) == repr(want)
 
 
-def test_scenario_load_refuses_a_placement_for_another_household():
-    with pytest.raises(ModelError) as err:
-        scenario_load(PrivacyScenario((1, 2)), motivating().ns_appliances, 1)
-    assert str(err.value) == "scenario places 2 appliances, instance has 1"
-
-
 @functools.lru_cache(maxsize=1)
 def five_ns_table():
     """section-iv-a plus three small appliances, built under no scenario.
@@ -216,6 +210,23 @@ class TestRuntimeLookup:
                            match="not on the table grid at slot 1") as err:
             extract_schedule(table, bad)
         assert "nearest tabulated feasible state" in str(err.value)
+
+
+def another_households_placement(table):
+    """Refuse two placements that are not for ``table``'s one appliance.
+
+    A scenario of the wrong length is refused by ``scenario_load``, and a
+    script naming an appliance the instance lacks by ``simulate``; both are
+    model errors, raised before any walk.
+    """
+    with pytest.raises(ModelError) as err:
+        scenario_load(PrivacyScenario((1, 2)),
+                      table.config.instance.ns_appliances, 1)
+    assert str(err.value) == "scenario places 2 appliances, instance has 1"
+    with pytest.raises(ModelError) as err:
+        simulate(table, EventScript.scripted([ScriptedStart("ns2", 1)]),
+                 table.config)
+    assert str(err.value) == "script starts unknown appliance 'ns2'"
 
 
 def motivating_table():
@@ -276,6 +287,12 @@ class TestWalkRefusals:
         assert self.refusal(table) == (
             "schedule left unfinished work (2, 3) past the horizon")
 
+    def test_a_scenario_for_another_household(self):
+        # refused before the walk starts, as a model error
+        table = motivating_table()
+        another_households_placement(table)
+        assert table.dec_mask.flags.writeable  # no walk was made
+
 
 def kill_slot_2(table):
     table.dec_mask[1, 11, 0] = -1
@@ -318,6 +335,12 @@ class TestWalkCache:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert table.dec_mask.flags.writeable  # nothing was kept
+
+    def test_a_wrong_scenario_is_refused_again(self):
+        table = motivating_table()
+        extract_schedule(table, motivating().initial_state())
+        for _ in range(2):
+            another_households_placement(table)
 
     def test_an_off_grid_start_is_refused_after_a_walk(self):
         table = motivating_table()
