@@ -24,7 +24,8 @@ from .config import (load_config, load_event_script, preset_names,
                      random_small_instance, read_json)
 from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      PacesError)
-from .model import NonSchedulableAppliance, PrivacyScenario, ScenarioSet
+from .model import (NonSchedulableAppliance, PrivacyScenario, ScenarioSet,
+                    check_placement)
 from .oracle import brute_force_solve
 from .scenarios import ScenarioSolveResult, candidate_scenarios, \
     solve_with_scenarios
@@ -75,14 +76,10 @@ def _load_scenario_file(path: Path,
         raise ConfigError(f"{path}: expected a JSON array of start arrays")
     scenarios = []
     for i, row in enumerate(raw):
-        if len(row) != len(ns_appliances) or not all(
-                s is None or (isinstance(s, int) and not isinstance(s, bool)
-                              and s in app.feasible_starts())
-                for s, app in zip(row, ns_appliances)):
-            raise ConfigError(
-                f"{path}: row {i} must hold {len(ns_appliances)} start slots "
-                f"(null or a start that fits the appliance's zone), "
-                f"got {row!r}")
+        try:
+            check_placement(row, ns_appliances)
+        except ModelError as err:
+            raise ConfigError(f"{path}: row {i}: {err}") from None
         scenarios.append(PrivacyScenario(starts=tuple(row)))
     return ScenarioSet(tuple(scenarios))
 

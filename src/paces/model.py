@@ -183,12 +183,6 @@ class NonSchedulableAppliance:
         return {s: range(s - 1, s - 1 + self.runtime_slots)
                 for s in self.feasible_starts()}
 
-    def active(self, start: Optional[int], t: int) -> bool:
-        """Whether a run begun at ``start`` covers slot ``t``."""
-        if start is None:
-            return False
-        return start <= t <= start + self.runtime_slots - 1
-
 
 @dataclass(frozen=True)
 class Battery:
@@ -384,9 +378,6 @@ class ScenarioSet:
                  f"scenario {scenario.starts!r} already in set")
         return ScenarioSet(scenarios=self.scenarios + (scenario,))
 
-    def __contains__(self, scenario: PrivacyScenario) -> bool:
-        return scenario in self.scenarios
-
     def __iter__(self) -> Iterator[PrivacyScenario]:
         return iter(self.scenarios)
 
@@ -485,16 +476,33 @@ def appliance_load(remaining_now: Sequence[int], remaining_next: Sequence[int],
                      for rn, rx, p in zip(remaining_now, remaining_next, powers_w)))
 
 
+def check_placement(starts: Sequence,
+                    ns_appliances: Sequence[NonSchedulableAppliance]) -> None:
+    """Refuse anything but one start per appliance, each ``None`` (the
+    appliance does not run) or a feasible start of that appliance.
+
+    The one rule for a placement, wherever it comes from: a scenario
+    set, a scenario file, a table dump's header or an event script.
+    """
+    if len(starts) != len(ns_appliances):
+        raise ModelError(
+            f"scenario places {len(starts)} appliances, instance has "
+            f"{len(ns_appliances)}")
+    for app, s in zip(ns_appliances, starts):
+        # a bool is an int to Python, and 2.0 == 2 finds the key 2
+        if s is not None and (type(s) is not int or s not in app.run_slots):
+            raise ModelError(
+                f"appliance {app.id}: start {s!r} does not fit zone "
+                f"{app.zone!r} with runtime {app.runtime_slots}")
+
+
 def scenario_load(scenario: PrivacyScenario,
                   ns_appliances: Sequence[NonSchedulableAppliance],
                   t: int) -> float:
     """Non-schedulable power draw at slot ``t`` under one scenario."""
-    if len(scenario.starts) != len(ns_appliances):
-        raise ModelError(
-            f"scenario places {len(scenario.starts)} appliances, instance has "
-            f"{len(ns_appliances)}")
+    check_placement(scenario.starts, ns_appliances)
     return float(sum(a.power_w for a, s in zip(ns_appliances, scenario.starts)
-                     if a.active(s, t)))
+                     if s is not None and t - 1 in a.run_slots[s]))
 
 
 def scenario_draws(scenarios: Sequence[PrivacyScenario],

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
-from .model import PrivacyScenario
 from .table import SolveConfig
 
 MAX_TAU = 8

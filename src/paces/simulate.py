@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, IntegrityError, ModelError
-from .model import Instance, PrivacyScenario, privacy_gap, slot_cost
+from .model import (Instance, PrivacyScenario, check_placement, privacy_gap,
+                    slot_cost)
 from .scenarios import ScenarioSolveOptions, solve_with_scenarios
 from .table import (DEFAULT_STATE_CAP, ScheduleTable, SolveConfig,
                     expected_total_cost, model_fingerprint)
@@ -65,10 +66,12 @@ class EventScript:
             raise ModelError(
                 "event script needs either explicit events or a sample seed, "
                 "not both")
-        # a JSON script's 5.0 passes the schema's integer type
-        if self.sample_seed is not None and not (
-                isinstance(self.sample_seed, numbers.Integral)
-                and self.sample_seed >= 0):
+        # a JSON script's 5.0 passes the schema's integer type, and a bool
+        # is an int to Python
+        if self.sample_seed is not None and (
+                isinstance(self.sample_seed, bool)
+                or not isinstance(self.sample_seed, numbers.Integral)
+                or self.sample_seed < 0):
             raise ModelError(f"sample seed must be a non-negative integer, "
                              f"got {self.sample_seed!r}")
 
@@ -84,23 +87,19 @@ class EventScript:
         """Concrete joint placement this script produces for ``instance``."""
         apps = instance.ns_appliances
         if self.events is not None:
-            by_id = {a.id: a for a in apps}
+            ids = {a.id for a in apps}
             starts: dict[str, int] = {}
             for ev in self.events:
-                app = by_id.get(ev.appliance_id)
-                if app is None:
+                if ev.appliance_id not in ids:
                     raise ModelError(
                         f"script starts unknown appliance {ev.appliance_id!r}")
                 if ev.appliance_id in starts:
                     raise ModelError(
                         f"script starts appliance {ev.appliance_id!r} twice")
-                if ev.slot not in app.feasible_starts():
-                    raise ModelError(
-                        f"appliance {app.id}: start {ev.slot} does not fit zone "
-                        f"{app.zone!r} with runtime {app.runtime_slots}")
-                starts[ev.appliance_id] = ev.slot
-            return PrivacyScenario(
-                starts=tuple(starts.get(a.id) for a in apps))
+                starts[ev.appliance_id] = int(ev.slot)
+            placement = tuple(starts.get(a.id) for a in apps)
+            check_placement(placement, apps)
+            return PrivacyScenario(starts=placement)
         # Generator.choice(n, p=...) draws one uniform double and bisects
         # the CDF with it; drawing every appliance's double at once takes
         # the same doubles from the stream, so the placements are the same

@@ -38,7 +38,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -48,7 +48,8 @@ from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      StateSpaceError)
 from .model import (Battery, Decision, Instance, PrivacyScenario, ScenarioSet,
                     SchedulableAppliance, SystemState, appliance_load,
-                    scenario_draws, slot_cost, step_remaining)
+                    check_placement, scenario_draws, slot_cost,
+                    step_remaining)
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -78,12 +79,8 @@ class SolveConfig:
             raise ModelError(
                 f"objective_mode must be one of {OBJECTIVE_MODES}, "
                 f"got {self.objective_mode!r}")
-        n_ns = len(self.instance.ns_appliances)
         for sc in self.scenarios:
-            if len(sc.starts) != n_ns:
-                raise ModelError(
-                    f"scenario {sc.starts!r} places {len(sc.starts)} appliances, "
-                    f"instance has {n_ns}")
+            check_placement(sc.starts, self.instance.ns_appliances)
         if self.scenario_weights is not None:
             if len(self.scenario_weights) != len(self.scenarios):
                 raise ModelError(
@@ -132,31 +129,20 @@ class SolveConfig:
 
 
 def model_fingerprint(config: SolveConfig) -> str:
-    """Stable hash of every model ingredient a table depends on."""
-    inst = config.instance
-    payload = {
-        "tau": inst.grid.tau,
-        "slot_hours": inst.grid.slot_hours,
-        "appliances": [
-            [a.id, a.power_w, a.workload_wh, a.duration_slots]
-            for a in inst.appliances
-        ],
-        "ns_appliances": [
-            [a.id, a.power_w, a.runtime_slots, list(a.zone),
-             None if a.start_prob is None else list(a.start_prob)]
-            for a in inst.ns_appliances
-        ],
-        "battery": [inst.battery.b_max_wh, inst.battery.b_init_wh,
-                    inst.battery.z_discharge_max_wh, inst.battery.z_charge_max_wh,
-                    inst.battery.grid_step_wh],
-        "price": list(inst.price.values),
-        "policy": [inst.policy.lambda_w, inst.policy.l_bar_w,
-                   inst.policy.l_bar_source.value],
-        "omega": [list(sc.starts) for sc in config.scenarios],
-        "weights": list(config.resolved_weights()),
-        "objective_mode": config.objective_mode,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Stable hash of what a table depends on: the household and its
+    scenario set.
+
+    The SHA-256 of one compact, key-sorted JSON text of the instance,
+    every model dataclass written as its declared fields by name, and
+    the scenario starts.  The weights and the objective mode shape no
+    table, so they are left out.
+    """
+    blob = json.dumps(
+        {"instance": config.instance,
+         "omega": [list(sc.starts) for sc in config.scenarios]},
+        sort_keys=True, separators=(",", ":"),
+        default=lambda obj: {f.name: getattr(obj, f.name)
+                             for f in fields(obj)})
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -807,16 +793,16 @@ def expected_total_cost(config: SolveConfig, controllable_cost: float) -> float:
     h = inst.grid.slot_hours
 
     def run_price(app, start: int) -> float:
-        return sum(slot_cost(app.power_w, inst.price.at(t), h)
-                   for t in range(start, start + app.runtime_slots))
+        return sum(slot_cost(app.power_w, inst.price.values[i], h)
+                   for i in app.run_slots[start])
 
     if config.objective_mode == "worst-case-cost":
-        draw = sum(max(run_price(app, s) for s in app.feasible_starts())
+        draw = sum(max(run_price(app, s) for s in app.run_slots)
                    for app in inst.ns_appliances)
     else:
         draw = sum(prob * run_price(app, s)
                    for app in inst.ns_appliances
-                   for s, prob in zip(app.feasible_starts(),
+                   for s, prob in zip(app.run_slots,
                                       app.start_probabilities()))
     return controllable_cost + float(draw)
 
@@ -825,7 +811,7 @@ def expected_total_cost(config: SolveConfig, controllable_cost: float) -> float:
 # Table persistence
 
 _FORMAT_NAME = "paces-table"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 #: Each array's dump dtype, little-endian, in the order ``body_sha256``
 #: hashes their bytes.

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 import base64
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -19,9 +20,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import paces
-from paces import (EventScript, IntegrityError, ScriptedStart, SolveConfig,
-                   backward_recursion, load_config, open_table, parse_config,
-                   serialize, simulate)
+from paces import (EventScript, IntegrityError, ScenarioSet, ScriptedStart,
+                   SolveConfig, backward_recursion, load_config, load_table,
+                   open_table, parse_config, serialize, simulate)
 from paces.cli import main
 
 # a dump's arrays in body-hash order, and the motivating example's shape:
@@ -143,15 +144,15 @@ class TestSolveCommand:
     # the replay digest pins the non-schedulable load path of the replay
     DIGESTS = {
         "motivating-example": (
-            "16f54178471b22051f8ada0fedfb4947354bfa33bf2fae77ad0a4cf0ce4a2f6e",
+            "26b10b693edef2a9f1fd14f5ac58556021e11de1a852d481ef589f9b661f9c84",
             "89111a09c462eeb773d74f4e3e2d27fb8231512dd4744de1231ba28622e85d27",
             "405590138b8b22eeb429d32d7406c700281cfd0b9dd98aff58ea5dfb96e1ac7a"),
         "table-ii": (
-            "6763bafca8a30f3fd83a119436b13f1b6445522e9b00114186d0a45fc39141dc",
+            "706d91c979c7cd5cdc50c0d97017520e4738072feab3b4eaa16c19e5ccfbf27c",
             "a5c787633fbdd718c98c1763f9d7fd08a57ff81c5e55754298577b11c404730b",
             "5990bd4a0311ac4009c88d0490d1b98e59f4924139af11b82300ca0ee0220453"),
         "section-iv-a": (
-            "17d85a7412a90422899b8494bf323b3a45e7158ce2a5e695fc1d1c668911987c",
+            "df1d12aeadab32afde586b935bd9722bef039250d4d4f78a64c8e0c5b52520b1",
             "96737fe1cd89c1ad4c1725140a04e532994141e39b9eeeaa4de1b633647e498b",
             "bd86d6b3282905cf855a4b604cff1709137ba65205fa1c9dace88216bab005c9"),
     }
@@ -443,7 +444,69 @@ class TestBuildAndSimulate:
 
         code, _, err = self.simulate_corrupted(capsys, tmp_path, downgrade)
         assert code == 4
-        assert "table version 1 unsupported, expected 2" in err
+        assert "table version 1 unsupported, expected 3" in err
+
+    def test_version_2_dumps_exit_4(self, tmp_path, capsys):
+        # a version-2 model_hash also covered the weights and the
+        # objective, so the version is refused before any hash is compared
+        def downgrade(payload):
+            payload["version"] = 2
+
+        code, _, err = self.simulate_corrupted(capsys, tmp_path, downgrade)
+        assert code == 4
+        assert "table version 2 unsupported, expected 3" in err
+        assert "different model" not in err
+
+    # beta runs one slot in zone [2, 3]: each row breaks the rule that a
+    # --scenarios file is held to, and the dump is re-signed for it
+    @pytest.mark.parametrize("rows", [[[99]], [[0]], [[1.5]], [["x"]],
+                                      [[True]]],
+                             ids=["past-the-zone", "before-the-zone",
+                                  "float", "string", "bool"])
+    def test_header_placements_that_do_not_fit_exit_4(self, tmp_path, capsys,
+                                                      rows):
+        inst = load_config("motivating-example").instance
+
+        def replace_omega(payload):
+            payload["omega"] = rows
+            blob = json.dumps({"instance": dataclasses.asdict(inst),
+                               "omega": rows},
+                              sort_keys=True, separators=(",", ":"))
+            payload["model_hash"] = hashlib.sha256(blob.encode()).hexdigest()
+
+        code, out, err = self.simulate_corrupted(capsys, tmp_path,
+                                                 replace_omega)
+        assert (code, out) == (4, "")
+        assert "table header does not fit this model" in err
+        assert f"appliance beta: start {rows[0][0]!r} does not fit zone " \
+            f"(2, 3) with runtime 1" in err
+        scenarios = tmp_path / "omega.json"
+        scenarios.write_text(json.dumps(rows))
+        code, _, err = run(capsys, "build-table", "--config",
+                           "motivating-example", "--out",
+                           str(tmp_path / "t.json"),
+                           "--scenarios", str(scenarios))
+        assert code == 2
+        assert "row 0: appliance beta: start" in err
+
+    def test_a_dump_binds_whatever_objective_it_was_built_under(
+            self, tmp_path, capsys):
+        raw = serialize(load_config("motivating-example"))
+        raw["solver"]["objective"] = "worst-case-cost"
+        cfg = tmp_path / "worst.json"
+        cfg.write_text(json.dumps(raw))
+        table = tmp_path / "table.json"
+        code, _, err = run(capsys, "build-table", "--config", str(cfg),
+                           "--out", str(table))
+        assert code == 0, err
+        assert json.loads(table.read_text())["objective_mode"] == \
+            "worst-case-cost"
+        inst = load_config("motivating-example").instance
+        expected = SolveConfig(instance=inst, scenarios=ScenarioSet.base(1),
+                               objective_mode="expected")
+        loaded = load_table(str(table), expected)
+        assert loaded.config is expected
+        assert loaded.model_hash == backward_recursion(expected).model_hash
 
     def test_edited_bodies_exit_4(self, tmp_path, capsys):
         # start both appliances and charge at slot 1: every cell stays in
@@ -513,7 +576,7 @@ class TestBuildAndSimulate:
                            str(tmp_path / "t.json"),
                            "--scenarios", str(scenarios))
         assert code == 2
-        assert "must hold 1 start slots" in err
+        assert "row 0: scenario places 2 appliances, instance has 1" in err
 
     # beta runs one slot in zone [2, 3], so it can start at 2 or 3
     @pytest.mark.parametrize("rows, code", [
@@ -529,7 +592,8 @@ class TestBuildAndSimulate:
                           "--scenarios", str(scenarios))
         assert got == code
         if code == 2:
-            assert "row 0 must hold 1 start slots" in err
+            assert f"row 0: appliance beta: start {rows[0][0]!r} does not " \
+                f"fit zone (2, 3) with runtime 1" in err
 
 
     def test_deeply_nested_dumps_exit_4(self, tmp_path, capsys):
@@ -592,6 +656,27 @@ def test_the_documented_dump_is_what_build_table_writes(tmp_path, capsys):
                        "--out", str(tmp_path / "table.json"))
     assert code == 0, err
     assert (tmp_path / "table.json").read_bytes() == (dump + "\n").encode()
+
+
+def test_the_documented_hash_text_is_what_the_model_hash_covers():
+    dump, config, hashed = documented_blocks("Schedule table dump", "json")
+    inst = parse_config(json.loads(config)).instance
+    assert hashed == json.dumps(
+        {"instance": dataclasses.asdict(inst), "omega": [[]]},
+        sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(hashed.encode("utf-8")).hexdigest() == \
+        json.loads(dump)["model_hash"]
+
+
+def test_the_documented_scenario_file_builds(tmp_path, capsys):
+    (example,) = documented_blocks("Scenario file (JSON, input)", "json")
+    (tmp_path / "omega.json").write_text(example)
+    code, out, err = run(capsys, "build-table", "--config",
+                         "motivating-example", "--out",
+                         str(tmp_path / "t.json"),
+                         "--scenarios", str(tmp_path / "omega.json"))
+    assert code == 0, err
+    assert "|omega|=3" in out
 
 
 @pytest.mark.parametrize("heading, lang, artifact", [

@@ -1,6 +1,7 @@
 """Domain types and the load/battery/privacy arithmetic."""
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    appliance_load, backward_recursion, extract_schedule,
                    privacy_gap, random_small_instance, scenario_load,
                    slot_cost, step_remaining)
+from paces.model import check_placement
 from table_checks import replay
 
 
@@ -116,12 +118,13 @@ class TestNonSchedulableAppliance:
             NonSchedulableAppliance(id="n", power_w=10.0, runtime_slots=1,
                                     zone=(1, 2), start_prob=(0.6, 0.6))
 
-    def test_active_covers_the_run_window(self):
+    def test_run_slots_cover_each_feasible_run(self):
         app = NonSchedulableAppliance(id="n", power_w=10.0, runtime_slots=2,
                                       zone=(2, 5))
-        assert [app.active(3, t) for t in range(1, 6)] == [
-            False, False, True, True, False]
-        assert not app.active(None, 3)
+        # 0-based slots: a run begun at slot 3 covers slots 3 and 4
+        assert {s: list(run) for s, run in app.run_slots.items()} == {
+            2: [1, 2], 3: [2, 3], 4: [3, 4]}
+        assert list(app.run_slots) == app.feasible_starts()
 
     def test_rejects_runtime_that_cannot_fit(self):
         with pytest.raises(ModelError, match="does not fit"):
@@ -350,16 +353,43 @@ class TestLoadsAndCosts:
         assert appliance_load((1, 2), (0, 1), (100.0, 50.0)) == 150.0
         assert appliance_load((0, 0), (0, 0), (100.0, 50.0)) == 0.0
 
+    NS = (NonSchedulableAppliance(id="n1", power_w=10.0, runtime_slots=2,
+                                  zone=(1, 4)),
+          NonSchedulableAppliance(id="n2", power_w=5.0, runtime_slots=1,
+                                  zone=(2, 3)))
+
     def test_scenario_load_sums_active_appliances(self):
-        ns = (NonSchedulableAppliance(id="n1", power_w=10.0, runtime_slots=2,
-                                      zone=(1, 4)),
-              NonSchedulableAppliance(id="n2", power_w=5.0, runtime_slots=1,
-                                      zone=(2, 3)))
         sc = PrivacyScenario(starts=(2, 3))
-        assert scenario_load(sc, ns, 1) == 0.0
-        assert scenario_load(sc, ns, 2) == 10.0
-        assert scenario_load(sc, ns, 3) == 15.0
-        assert scenario_load(sc, ns, 4) == 0.0
+        assert scenario_load(sc, self.NS, 1) == 0.0
+        assert scenario_load(sc, self.NS, 2) == 10.0
+        assert scenario_load(sc, self.NS, 3) == 15.0
+        assert scenario_load(sc, self.NS, 4) == 0.0
+
+    # n1 runs two slots in zone [1, 4], n2 one slot in zone [2, 3]
+    @pytest.mark.parametrize("starts", [
+        (1, 2), (3, None), (None, 3), (None, None)])
+    def test_placements_of_feasible_starts_pass(self, starts):
+        check_placement(starts, self.NS)
+
+    @pytest.mark.parametrize("starts, message", [
+        ((1,), "scenario places 1 appliances, instance has 2"),
+        ((1, 2, 3), "scenario places 3 appliances, instance has 2"),
+        ((4, None), "appliance n1: start 4 does not fit zone (1, 4) with "
+                    "runtime 2"),
+        ((None, 0), "appliance n2: start 0 does not fit zone (2, 3) with "
+                    "runtime 1"),
+        ((None, 2.0), "appliance n2: start 2.0 does not fit"),
+        ((True, None), "appliance n1: start True does not fit"),
+        (("1", None), "appliance n1: start '1' does not fit"),
+        (([1], None), "appliance n1: start [1] does not fit"),
+    ])
+    def test_other_placements_are_refused(self, starts, message):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            check_placement(starts, self.NS)
+
+    def test_scenario_load_refuses_an_off_zone_start(self):
+        with pytest.raises(ModelError, match="start 4 does not fit"):
+            scenario_load(PrivacyScenario(starts=(4, None)), self.NS, 4)
 
     def test_aggregated_load_combines_all_terms(self):
         # the metered load of a replayed slot: appliances + battery + usage

@@ -1,4 +1,6 @@
 """Exhaustive reference search on instances small enough to enumerate."""
+import itertools
+
 import pytest
 
 from paces import (Battery, ConfigError, NonSchedulableAppliance, PriceSignal,
@@ -88,12 +90,17 @@ class TestSizeRails:
             brute_force_solve(SolveConfig(instance=inst))
 
     def test_large_scenario_sets_are_refused(self):
-        ns = NonSchedulableAppliance(id="n", power_w=50.0, runtime_slots=1,
-                                     zone=(1, 2))
-        inst = make_instance(ns=(ns,))
-        omega = ScenarioSet(tuple(PrivacyScenario((s,))
-                                  for s in range(1, 42)))
-        with pytest.raises(ConfigError, match="41 scenarios > 40"):
+        # two one-slot appliances over the whole 8-slot horizon: 64 of
+        # their placements start both, and every one of them fits
+        ns = tuple(NonSchedulableAppliance(id=f"n{j}", power_w=50.0,
+                                           runtime_slots=1, zone=(1, 8))
+                   for j in range(2))
+        inst = make_instance(tau=8, ns=ns)
+        omega = ScenarioSet(tuple(PrivacyScenario(starts) for starts in
+                                  itertools.product(range(1, 9), repeat=2)
+                                  )[:41])
+        with pytest.raises(ConfigError, match="too large for the exhaustive "
+                                              "oracle: 41 scenarios > 40$"):
             brute_force_solve(SolveConfig(instance=inst, scenarios=omega))
 
 

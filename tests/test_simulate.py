@@ -53,7 +53,8 @@ class TestEventScript:
         with pytest.raises(ModelError, match="either explicit events"):
             EventScript(events=(), sample_seed=3)
 
-    @pytest.mark.parametrize("seed", [-1, 5.0])
+    # a bool is an int to Python: True would replay as seed 1
+    @pytest.mark.parametrize("seed", [-1, 5.0, True, False])
     def test_sample_seeds_must_be_non_negative_integers(self, seed):
         with pytest.raises(ModelError, match="sample seed must be a "
                                              f"non-negative integer, got {seed}"):
@@ -89,6 +90,11 @@ class TestEventScript:
         script = EventScript.scripted((ScriptedStart("beta", 4),))
         with pytest.raises(ModelError, match="does not fit zone"):
             script.resolve(motivating())
+
+    def test_integral_slots_resolve_to_ints(self):
+        script = EventScript.scripted((ScriptedStart("beta", np.int64(3)),))
+        (start,) = script.resolve(motivating()).starts
+        assert type(start) is int and start == 3
 
     def test_sampled_scripts_are_reproducible_and_in_zone(self):
         inst = load_config("section-iv-a").instance

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import tempfile
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,8 @@ from hypothesis.extra.numpy import arrays
 
 from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    IntegrityError, ModelError, NonSchedulableAppliance,
-                   PriceSignal, PrivacyPolicy, PrivacyScenario, ScenarioSet,
+                   PriceSignal, PrivacyPolicy, PrivacyScenario,
+                   ReferenceSource, ScenarioSet,
                    SchedulableAppliance, ScheduleTable, SolveConfig,
                    StateSpaceError, SystemState, TimeGrid, appliance_load,
                    backward_recursion, brute_force_solve, candidate_scenarios,
@@ -137,6 +139,46 @@ class TestStateEnumeration:
                         scenario_weights=(weight,), objective_mode=mode)
 
 
+def model_leaf_fields(cls=Instance):
+    """(class name, field) of every field that holds no model dataclass, in
+    every model dataclass reachable from ``cls``."""
+    def dataclasses_in(hint):
+        if dataclasses.is_dataclass(hint):
+            return [hint]
+        return [c for arg in typing.get_args(hint) for c in dataclasses_in(arg)]
+
+    leaves, seen, todo = [], set(), [cls]
+    while todo:
+        owner = todo.pop(0)
+        if owner in seen:
+            continue
+        seen.add(owner)
+        hints = typing.get_type_hints(owner)
+        for f in dataclasses.fields(owner):
+            inner = dataclasses_in(hints[f.name])
+            todo.extend(inner)
+            if not inner:
+                leaves.append((owner.__name__, f.name))
+    return leaves
+
+
+def with_one_field(obj, owner, name, value):
+    """``obj`` with field ``name`` of its first ``owner`` part set to
+    ``value``.  Nothing is validated, so exactly one field changes."""
+    if isinstance(obj, tuple):
+        return (with_one_field(obj[0], owner, name, value),) + obj[1:]
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    new = object.__new__(type(obj))
+    for f in dataclasses.fields(obj):
+        if (type(obj).__name__, f.name) == (owner, name):
+            part = value
+        else:
+            part = with_one_field(getattr(obj, f.name), owner, name, value)
+        object.__setattr__(new, f.name, part)
+    return new
+
+
 class TestModelFingerprint:
     def test_stable_across_rebuilds(self):
         assert (model_fingerprint(SolveConfig(instance=make_instance()))
@@ -147,33 +189,69 @@ class TestModelFingerprint:
         assert len(digest) == 64
         assert set(digest) <= set("0123456789abcdef")
 
-    def test_sensitive_to_every_ingredient(self):
-        base = SolveConfig(instance=make_instance())
-        variants = [
-            SolveConfig(instance=make_instance(prices=(0.2, 0.1, 0.1, 0.1))),
-            SolveConfig(instance=make_instance(lam=123.0)),
-            SolveConfig(instance=make_instance(l_bar=321.0)),
-            SolveConfig(instance=dataclasses.replace(
-                make_instance(), battery=Battery(
-                    b_max_wh=100.0, b_init_wh=50.0, z_discharge_max_wh=50.0,
-                    z_charge_max_wh=50.0, grid_step_wh=50.0))),
-            SolveConfig(instance=make_instance(), scenarios=band_set(0)),
-            SolveConfig(instance=make_instance(),
-                        objective_mode="worst-case-cost"),
-        ]
-        digests = {model_fingerprint(base)}
-        for cfg in variants:
-            digests.add(model_fingerprint(cfg))
-        assert len(digests) == len(variants) + 1
+    # one new value per leaf field of the model, by owning class; a new
+    # field anywhere under Instance fails the walk below until it is here
+    EDITS = {
+        ("TimeGrid", "tau"): 5,
+        ("TimeGrid", "slot_hours"): 0.5,
+        ("SchedulableAppliance", "id"): "a2",
+        ("SchedulableAppliance", "power_w"): 101.0,
+        ("SchedulableAppliance", "workload_wh"): 201.0,
+        ("SchedulableAppliance", "duration_slots"): 3,
+        ("NonSchedulableAppliance", "id"): "m",
+        ("NonSchedulableAppliance", "power_w"): 51.0,
+        ("NonSchedulableAppliance", "runtime_slots"): 2,
+        ("NonSchedulableAppliance", "zone"): (1, 3),
+        ("NonSchedulableAppliance", "start_prob"): (0.25, 0.75),
+        ("Battery", "b_max_wh"): 150.0,
+        ("Battery", "b_init_wh"): 50.0,
+        ("Battery", "z_discharge_max_wh"): 100.0,
+        ("Battery", "z_charge_max_wh"): 100.0,
+        ("Battery", "grid_step_wh"): 25.0,
+        ("PriceSignal", "values"): (0.2, 0.1, 0.1, 0.1),
+        ("PrivacyPolicy", "lambda_w"): 123.0,
+        ("PrivacyPolicy", "l_bar_w"): 321.0,
+        ("PrivacyPolicy", "l_bar_source"): ReferenceSource.HISTORICAL,
+    }
 
-    def test_scenario_weights_change_the_hash(self):
+    def test_sensitive_to_every_ingredient(self):
+        inst = make_instance(ns=(NonSchedulableAppliance(
+            id="n", power_w=50.0, runtime_slots=1, zone=(1, 2)),))
+        assert sorted(self.EDITS) == sorted(model_leaf_fields())
+        omega = ScenarioSet.base(1)
+        digests = {model_fingerprint(SolveConfig(instance=inst,
+                                                 scenarios=omega))}
+        for (owner, name), value in self.EDITS.items():
+            variant = with_one_field(inst, owner, name, value)
+            assert variant != inst, (owner, name)
+            digests.add(model_fingerprint(SolveConfig(instance=variant,
+                                                      scenarios=omega)))
+        digests.add(model_fingerprint(SolveConfig(
+            instance=inst, scenarios=ScenarioSet((PrivacyScenario((1,)),)))))
+        assert len(digests) == len(self.EDITS) + 2
+
+    @settings(max_examples=20, deadline=None)
+    @given(p=st.floats(0.0, 1.0))
+    def test_the_objective_and_the_weights_leave_the_hash(self, p):
         inst = make_instance(ns=(NonSchedulableAppliance(
             id="n", power_w=50.0, runtime_slots=1, zone=(1, 2)),))
         omega = ScenarioSet((PrivacyScenario((1,)), PrivacyScenario((2,))))
-        uniform = SolveConfig(instance=inst, scenarios=omega)
-        skewed = SolveConfig(instance=inst, scenarios=omega,
-                             scenario_weights=(0.75, 0.25))
-        assert model_fingerprint(uniform) != model_fingerprint(skewed)
+        digests = {model_fingerprint(SolveConfig(
+            instance=inst, scenarios=omega, scenario_weights=weights,
+            objective_mode=mode))
+            for mode in OBJECTIVE_MODES for weights in (None, (p, 1.0 - p))}
+        assert len(digests) == 1
+
+    def test_is_the_documented_recipe(self):
+        # the SHA-256 of the compact, key-sorted JSON of the instance's
+        # fields by name and the scenario starts, as docs/formats.md has it
+        inst = load_config("section-iv-a").instance
+        omega = full_omega(inst)
+        blob = json.dumps({"instance": dataclasses.asdict(inst),
+                           "omega": [list(sc.starts) for sc in omega]},
+                          sort_keys=True, separators=(",", ":"))
+        assert model_fingerprint(SolveConfig(instance=inst, scenarios=omega)) \
+            == hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class TestTerminalValue:
@@ -696,7 +774,7 @@ class TestPersistence:
         header = read_table_header(path)
         assert header == {
             "format": "paces-table",
-            "version": 2,
+            "version": 3,
             "model_hash": table.model_hash,
             "body_sha256": hashlib.sha256(
                 b"".join(self.body(table))).hexdigest(),
@@ -747,10 +825,10 @@ class TestPersistence:
         path = tmp_path / "table.json"
         save_table(table, str(path))
         payload = json.loads(path.read_text())
-        for version in (1, 3):
+        for version in (1, 2, 4):
             payload["version"] = version
             path.write_text(json.dumps(payload))
-            message = f"table version {version} unsupported, expected 2"
+            message = f"table version {version} unsupported, expected 3"
             with pytest.raises(IntegrityError, match=message):
                 read_table_header(str(path))
             with pytest.raises(IntegrityError, match=message):
@@ -786,7 +864,7 @@ class TestPersistence:
                                       for raw in body)
         return {
             "format": "paces-table",
-            "version": 2,
+            "version": 3,
             "model_hash": table.model_hash,
             "body_sha256": hashlib.sha256(b"".join(body)).hexdigest(),
             "omega": [list(sc.starts) for sc in table.config.scenarios],
