@@ -487,7 +487,7 @@ def check_placement(starts: Sequence,
     if len(starts) != len(ns_appliances):
         raise ModelError(
             f"scenario places {len(starts)} appliances, instance has "
-            f"{len(ns_appliances)}")
+            f"{len(ns_appliances)} appliances")
     for app, s in zip(ns_appliances, starts):
         # a bool is an int to Python, and 2.0 == 2 finds the key 2
         if s is not None and (type(s) is not int or s not in app.run_slots):
@@ -511,16 +511,13 @@ def scenario_draws(scenarios: Sequence[PrivacyScenario],
     """Non-schedulable draw of each scenario at slots 1..tau, one row each.
 
     Each slot sums its appliances in appliance order, so every entry is
-    bit-equal to :func:`scenario_load`.
+    bit-equal to :func:`scenario_load`.  Every placement must pass
+    :func:`check_placement`.
     """
-    try:
-        # None becomes NaN, which no comparison accepts: an inactive
-        # appliance draws nothing
-        starts = np.array([sc.starts for sc in scenarios], dtype=float)
-        starts = starts.reshape(len(scenarios), len(ns_appliances))
-    except (TypeError, ValueError):
-        raise ModelError(f"every scenario must place the instance's "
-                         f"{len(ns_appliances)} appliances") from None
+    # None becomes NaN, which no comparison accepts: an inactive
+    # appliance draws nothing
+    starts = np.array([sc.starts for sc in scenarios], dtype=float)
+    starts = starts.reshape(len(scenarios), len(ns_appliances))
     slots = np.arange(1, tau + 1)
     draws = np.zeros((len(starts), tau))
     for j, app in enumerate(ns_appliances):

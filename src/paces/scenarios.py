@@ -2,12 +2,17 @@
 
 The solver cannot know when non-schedulable appliances will run, only
 their admissible windows.  It therefore alternates two steps: build the
-cost-optimal table under the scenario set collected so far, then search
-all candidate placements for the one that stresses the resulting
-schedule hardest.  Violating placements are added to the set and the
-table is rebuilt; the feasible region can only shrink as the set grows,
-so the optimal cost is non-decreasing across iterations and the loop
-ends after at most one solve per candidate.
+cost-optimal table under the scenario set collected so far, then find
+the candidate placement that stresses the resulting schedule hardest.
+Violating placements are added to the set and the table is rebuilt; the
+feasible region can only shrink as the set grows, so the optimal cost is
+non-decreasing across iterations and the loop ends after at most one
+solve per candidate.
+
+Each appliance is placed on its own, so the candidates are a cross
+product of per-appliance options, a box uncertainty set.  The search
+reads the product through each slot's extreme draws, which are sums of
+per-appliance extremes, and never enumerates it.
 
 Two stop modes are supported.  ``guaranteed`` (default) stops only when
 no candidate placement violates the privacy band, so the final schedule
@@ -18,7 +23,9 @@ earlier but leaves no exhaustive guarantee.
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import functools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -26,7 +33,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ModelError
 from .model import (Instance, NonSchedulableAppliance, PrivacyScenario,
-                    ScenarioSet, TimeGrid, scenario_draws)
+                    ScenarioSet, TimeGrid, check_placement, scenario_draws)
 from .table import (DEFAULT_STATE_CAP, OBJECTIVE_MODES, ScheduleSolution,
                     ScheduleTable, SolveConfig, backward_recursion,
                     extract_schedule)
@@ -119,15 +126,121 @@ class ScenarioSolveResult:
     config: SolveConfig
 
 
+class PlacementProduct(Sequence[PrivacyScenario]):
+    """The cross product of per-appliance placement options, unbuilt.
+
+    A read-only sequence in :func:`itertools.product` order: the last
+    appliance varies fastest.  An index is decoded in mixed radix on
+    lookup and memoised, so a placement is one object however often it
+    is read.  Slicing gives a list.
+    """
+
+    def __init__(self, options: Sequence[Sequence[Optional[int]]]):
+        self.options = tuple(tuple(opts) for opts in options)
+        self._len = math.prod(len(opts) for opts in self.options)
+        self._memo: dict[int, PrivacyScenario] = {}
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._len))]
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("placement index out of range")
+        scenario = self._memo.get(i)
+        if scenario is None:
+            starts, rest = [], i
+            for opts in reversed(self.options):
+                rest, k = divmod(rest, len(opts))
+                starts.append(opts[k])
+            scenario = self._memo[i] = PrivacyScenario(tuple(starts[::-1]))
+        return scenario
+
+    def at(self, picks: Sequence[int]) -> PrivacyScenario:
+        """The placement that takes option ``picks[j]`` of appliance ``j``."""
+        i = 0
+        for opts, k in zip(self.options, picks):
+            i = i * len(opts) + k
+        return self[i]
+
+
+class _SlotExtremes:
+    """A placement product's draws per slot, which no schedule changes.
+
+    Float addition is monotone, so at each slot the product's greatest
+    draw is the in-order sum over the appliances that can cover the slot,
+    and its least the sum over those that must: ``bounds``, a (2, tau)
+    array, least first.  :meth:`active_sets` lists every draw a slot can
+    take.  Every option is first checked against ``ns_appliances`` by
+    :func:`~paces.model.check_placement`, through rows of the product that
+    hold them all.
+    """
+
+    def __init__(self, options: tuple[tuple[Optional[int], ...], ...],
+                 ns_appliances: tuple[NonSchedulableAppliance, ...], tau: int):
+        for k in range(max(map(len, options), default=1)):
+            check_placement(tuple(opts[min(k, len(opts) - 1)]
+                                  for opts in options), ns_appliances)
+        shape = (len(options), tau)
+        self.can, self.must = np.zeros(shape, bool), np.zeros(shape, bool)
+        # the first option that covers the slot and the first that avoids
+        # it; 0 where there is none
+        self.first_in = np.zeros(shape, int)
+        self.first_out = np.zeros(shape, int)
+        slots = np.arange(1, tau + 1)
+        for j, (app, opts) in enumerate(zip(ns_appliances, options)):
+            # None becomes NaN, which covers no slot
+            first = np.array(opts, dtype=float)[:, None]
+            covers = (first <= slots) & (slots <= first
+                                         + (app.runtime_slots - 1))
+            self.can[j], self.must[j] = covers.any(axis=0), covers.all(axis=0)
+            self.first_in[j] = covers.argmax(axis=0)
+            self.first_out[j] = (~covers).argmax(axis=0)
+        self.powers = [app.power_w for app in ns_appliances]
+        self.bounds = np.stack((_in_order_sums(self.powers, self.must),
+                                _in_order_sums(self.powers, self.can)))
+        self._sets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def active_sets(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every set of appliances a placement can run at 0-based slot
+        ``t``: its draw, and the option indices of the first placement in
+        product order that runs it, one row each, in product order.
+
+        At most 2 ** (appliances that may or may not cover ``t``) rows.
+        """
+        if t not in self._sets:
+            free = np.flatnonzero(self.can[:, t] & ~self.must[:, t])
+            sets = np.arange(1 << len(free))
+            active = np.repeat(self.must[:, t, None], len(sets), axis=1)
+            active[free] = (sets >> np.arange(len(free))[:, None]) & 1
+            picks = np.where(active, self.first_in[:, t, None],
+                             self.first_out[:, t, None])
+            order = np.lexsort(picks[::-1])
+            self._sets[t] = (_in_order_sums(self.powers, active)[order],
+                             picks.T[order])
+        return self._sets[t]
+
+
+#: one per product and household, as a sweep or a repeated solve meets them
+_slot_extremes = functools.lru_cache(maxsize=16)(_SlotExtremes)
+
+
 def candidate_scenarios(ns_appliances: Sequence[NonSchedulableAppliance],
                         grid: TimeGrid,
-                        include_inactive: bool = False) -> list[PrivacyScenario]:
+                        include_inactive: bool = False
+                        ) -> Sequence[PrivacyScenario]:
     """Cross product of feasible placements, one start per appliance.
 
     Per appliance the options are its in-zone start slots ascending,
     followed by "does not run" when ``include_inactive`` is set.  The
-    product iterates the last appliance fastest, so the list is ordered
-    by earliest start of the earliest appliance first.
+    product iterates the last appliance fastest, so it is ordered by
+    earliest start of the earliest appliance first.  It comes back as a
+    :class:`PlacementProduct`, which builds a placement only when it is
+    read, or as ``[]`` when there are no appliances.
     """
     if not ns_appliances:
         return []
@@ -137,15 +250,14 @@ def candidate_scenarios(ns_appliances: Sequence[NonSchedulableAppliance],
                 f"appliance {app.id}: zone {app.zone!r} leaves the "
                 f"{grid.tau}-slot horizon")
     tail = [None] if include_inactive else []
-    per_app = [app.feasible_starts() + tail for app in ns_appliances]
-    return [PrivacyScenario(starts=p) for p in itertools.product(*per_app)]
+    return PlacementProduct([app.feasible_starts() + tail
+                             for app in ns_appliances])
 
 
 def find_worst_scenario(solution: ScheduleSolution,
                         candidates: Sequence[PrivacyScenario],
                         instance: Instance,
-                        metric: str = "two-sided",
-                        draws: Optional[np.ndarray] = None
+                        metric: str = "two-sided"
                         ) -> tuple[Optional[PrivacyScenario], float]:
     """Placement that stresses the schedule hardest, with its violation.
 
@@ -153,32 +265,74 @@ def find_worst_scenario(solution: ScheduleSolution,
     scenario draw from the reference level, minus the privacy bound;
     positive means the schedule breaches under that placement.  Ties keep
     the earliest candidate in the given order.  With no candidates the
-    sentinel ``(None, NO_SCENARIOS)`` comes back.
+    sentinel ``(None, NO_SCENARIOS)`` comes back.  A candidate that
+    breaks :func:`~paces.model.check_placement` raises :class:`ModelError`.
 
-    ``draws`` is the candidates' :func:`~paces.model.scenario_draws`
-    matrix, for a caller that searches one candidate list many times; it
-    is read, not written.  A matrix of another shape raises
-    :class:`ModelError`.
+    A :class:`PlacementProduct` is searched without enumerating it: the
+    worst violation comes from each slot's least and greatest draw, and
+    the pick from the placements that reach it at the binding slots.
     """
     if metric not in VIOLATION_METRICS:
         raise ModelError(f"metric must be one of {VIOLATION_METRICS}, "
                          f"got {metric!r}")
-    shape = (len(candidates), instance.grid.tau)
-    if draws is not None and draws.shape != shape:
-        raise ModelError(f"draws has shape {draws.shape}, expected {shape} "
-                         f"for {shape[0]} candidates")
     if not candidates:
         return None, NO_SCENARIOS
-    if draws is None:
-        draws = scenario_draws(candidates, instance.ns_appliances,
-                               instance.grid.tau)
-    dev = draws + np.asarray(solution.base_load_w, dtype=float)
+    if isinstance(candidates, PlacementProduct):
+        return _worst_in_product(solution, candidates, instance, metric)
+    for sc in candidates:
+        check_placement(sc.starts, instance.ns_appliances)
+    draws = scenario_draws(candidates, instance.ns_appliances,
+                           instance.grid.tau)
+    scores = _deviation(draws, np.asarray(solution.base_load_w, dtype=float),
+                        instance, metric).max(axis=1)
+    best = int(np.argmax(scores))
+    return candidates[best], float(scores[best]) - instance.policy.lambda_w
+
+
+def _deviation(draws: np.ndarray, base: np.ndarray, instance: Instance,
+               metric: str) -> np.ndarray:
+    """``(draw + base) - l_bar`` per entry, its magnitude when two-sided."""
+    dev = draws + base
     dev -= instance.policy.l_bar_w
     if metric == "two-sided":
         np.abs(dev, out=dev)
-    scores = dev.max(axis=1)
-    best = int(np.argmax(scores))
-    return candidates[best], float(scores[best]) - instance.policy.lambda_w
+    return dev
+
+
+def _in_order_sums(powers: Sequence[float], active: np.ndarray) -> np.ndarray:
+    """Per column of ``active`` (appliances first), the powers of its
+    active appliances summed in appliance order, as
+    :func:`~paces.model.scenario_draws` sums them."""
+    total = np.zeros(active.shape[1:])
+    for power, on in zip(powers, active):
+        np.add(total, power, out=total, where=on)
+    return total
+
+
+def _worst_in_product(solution: ScheduleSolution, product: PlacementProduct,
+                      instance: Instance, metric: str
+                      ) -> tuple[PrivacyScenario, float]:
+    """:func:`find_worst_scenario` over a product, bit for bit.
+
+    The deviation is monotone in the draw, so one of a slot's two
+    extreme draws reaches its worst score, and the largest of those is
+    the product's.  A placement's score at a slot depends only on which
+    appliances it runs there.  So at each slot that reaches the worst
+    score, the first active set in product order that reaches it gives
+    that slot's first placement, and the first of those over all binding
+    slots is the one the full scan picks.
+    """
+    slots = _slot_extremes(product.options, instance.ns_appliances,
+                           instance.grid.tau)
+    base = np.asarray(solution.base_load_w, dtype=float)
+    scores = _deviation(slots.bounds, base, instance, metric).max(axis=0)
+    top = scores.max()
+    picks = []
+    for t in np.flatnonzero(scores == top):
+        draws, rows = slots.active_sets(t)
+        reached = _deviation(draws, base[t], instance, metric) == top
+        picks.append(tuple(rows[np.argmax(reached)].tolist()))
+    return product.at(min(picks)), float(top) - instance.policy.lambda_w
 
 
 def solve_with_scenarios(instance: Instance,
@@ -229,11 +383,9 @@ def solve_with_scenarios(instance: Instance,
     omega = ScenarioSet.empty()
     cap = options.max_solves if options.max_solves is not None \
         else len(candidates) + 1
-    draws = scenario_draws(candidates, instance.ns_appliances,
-                           instance.grid.tau)
     while True:
         phi, violation = find_worst_scenario(solution, candidates, instance,
-                                             options.metric, draws)
+                                             options.metric)
         trace.final_scenario, trace.final_violation_w = phi, violation
         if options.mode == "guaranteed":
             if violation <= instance.policy.tolerance_w:

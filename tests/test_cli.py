@@ -174,6 +174,34 @@ class TestSolveCommand:
         assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
         assert hashlib.sha256(replay.read_bytes()).hexdigest() == replay_digest
 
+    # SHA-256 of `solution.json` then `trace.json` from `solve` on
+    # section-iv-a at lambda = 140 W plus three and four 10 W, 2-slot usage
+    # appliances in zone [1, 12]: 47,916 and 527,076 placements. The pick
+    # among those placements, ties included, is in both files
+    USAGE_DIGESTS = {
+        5: "656228bb8d7be4f9cf1b96820e195f8aafc071fc9c13c4eff2e50eab929ab9be",
+        6: "9e92c410b0a889f28a7f0d15c0e917484a6eb7cfebe1086d33e490b907330be9",
+    }
+
+    @pytest.mark.parametrize("ns_count", sorted(USAGE_DIGESTS),
+                             ids=lambda n: f"ns{n}")
+    def test_usage_heavy_solves_keep_their_digest(self, tmp_path, capsys,
+                                                  ns_count):
+        raw = serialize(load_config("section-iv-a"))
+        raw["privacy"]["lambda"] = 140.0
+        for i in range(3, ns_count + 1):
+            raw["ns_appliances"].append({"id": f"ns{i}", "power": 10.0,
+                                         "runtime_slots": 2, "zone": [1, 12]})
+        cfg = tmp_path / "usage.json"
+        cfg.write_text(json.dumps(raw))
+        code, _, err = run(capsys, "solve", "--config", str(cfg),
+                           "--out", str(tmp_path / "run"))
+        assert code == 0, err
+        digest = hashlib.sha256()
+        for name in ("solution.json", "trace.json"):
+            digest.update((tmp_path / "run" / name).read_bytes())
+        assert digest.hexdigest() == self.USAGE_DIGESTS[ns_count]
+
     def test_unknown_configs_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "solve", "--config", "no-such-thing",
                            "--out", str(tmp_path / "x"))

@@ -1,6 +1,7 @@
 """Worst-case usage search and the iterative refinement loop."""
 import dataclasses
 import hashlib
+import itertools
 import re
 from unittest import mock
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import paces.table
 from paces import (Battery, InfeasibleError, Instance, ModelError,
                    NonSchedulableAppliance, PriceSignal, PrivacyPolicy,
                    PrivacyScenario, ScenarioSet, ScenarioSolveOptions,
@@ -18,6 +20,7 @@ from paces import (Battery, InfeasibleError, Instance, ModelError,
                    load_config, parse_config, random_small_instance,
                    scenario_load, scenarios, serialize, solve_with_scenarios,
                    sweep_battery)
+from paces.model import scenario_draws
 from paces.table import _Engine
 from table_checks import assert_same_table
 
@@ -80,6 +83,33 @@ class TestCandidateScenarios:
         with pytest.raises(ModelError, match="leaves"):
             candidate_scenarios((ns("n", zone=(1, 6)),), TimeGrid(tau=4))
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), tau=st.integers(1, 6),
+           include_inactive=st.booleans())
+    def test_the_product_reads_as_its_list(self, data, tau,
+                                           include_inactive):
+        apps = []
+        for j in range(data.draw(st.integers(0, 4))):
+            runtime = data.draw(st.integers(1, tau))
+            lo = data.draw(st.integers(1, tau - runtime + 1))
+            hi = data.draw(st.integers(lo + runtime - 1, tau))
+            apps.append(ns(f"n{j}", runtime=runtime, zone=(lo, hi)))
+        grid = TimeGrid(tau=tau)
+        tail = [None] if include_inactive else []
+        want = list(itertools.product(*(app.feasible_starts() + tail
+                                        for app in apps))) if apps else []
+        cands = candidate_scenarios(apps, grid, include_inactive)
+        assert len(cands) == len(want)
+        assert [c.starts for c in cands] == want
+        for i in range(-len(want), 0):
+            assert cands[i].starts == want[i]
+            assert cands[i] is cands[i + len(want)]
+        window = data.draw(st.slices(len(want)))
+        assert [c.starts for c in cands[window]] == want[window]
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                cands[i]
+
 
 class TestFindWorstScenario:
     def test_empty_candidates_return_the_sentinel(self):
@@ -124,15 +154,6 @@ class TestFindWorstScenario:
         with pytest.raises(ModelError, match="metric"):
             find_worst_scenario(fake_solution((0.0,) * 4), [], inst,
                                 metric="sideways")
-
-    @pytest.mark.parametrize("shape", [(2, 3), (1, 2)],
-                             ids=["slots", "candidates"])
-    def test_draws_of_another_shape_are_refused(self, shape):
-        inst = make_instance(tau=2, ns_appliances=(ns("n"),), lam=10.0)
-        cands = candidate_scenarios(inst.ns_appliances, inst.grid)
-        with pytest.raises(ModelError, match="draws has shape"):
-            find_worst_scenario(fake_solution((0.0, 0.0)), cands, inst,
-                                draws=np.zeros(shape))
 
     @pytest.mark.parametrize("seed", [5, 9, 21])
     def test_agrees_with_direct_enumeration(self, seed):
@@ -400,15 +421,39 @@ class TestIncrementalRefinement:
         cfg = load_config(preset)
         solved = mock.patch.object(_Engine, "solve_slot", autospec=True,
                                    side_effect=_Engine.solve_slot)
-        drawn = mock.patch.object(scenarios, "scenario_draws",
-                                  wraps=scenarios.scenario_draws)
-        with solved as solve_slot, drawn as draws:
+        rows = []
+
+        def counted(placements, *args):
+            rows.append(len(placements))
+            return scenario_draws(placements, *args)
+
+        with solved as solve_slot, \
+                mock.patch.object(scenarios, "scenario_draws", counted), \
+                mock.patch.object(paces.table, "scenario_draws", counted):
             result = solve_with_scenarios(cfg.instance, cfg.options,
                                           cfg.state_cap)
         assert len(result.trace.records) == builds
         assert solve_slot.call_count == slots
-        # the candidates' draws, once per solve rather than per search
-        assert draws.call_count == 1
+        # builds draw their scenario set; the search draws no candidates
+        assert rows and max(rows) <= len(result.omega)
+
+    def test_a_usage_heavy_solve_makes_placements_per_build(self):
+        # four 10 W usage appliances more: 527,076 placements, 9 builds
+        raw = serialize(load_config("section-iv-a"))
+        raw["privacy"]["lambda"] = 140.0
+        for i in range(3, 7):
+            raw["ns_appliances"].append({"id": f"ns{i}", "power": 10.0,
+                                         "runtime_slots": 2, "zone": [1, 12]})
+        cfg = parse_config(raw)
+        made = mock.patch.object(PrivacyScenario, "__init__", autospec=True,
+                                 side_effect=PrivacyScenario.__init__)
+        with made as init:
+            result = solve_with_scenarios(cfg.instance, cfg.options,
+                                          cfg.state_cap)
+        builds = len(result.trace.records)
+        assert builds == 9
+        # the base set's placement, then one pick per search
+        assert init.call_count <= builds + 1
 
 
 # ---------------------------------------------------------------------------

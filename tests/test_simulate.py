@@ -228,7 +228,7 @@ def another_households_placement(table):
     with pytest.raises(ModelError) as err:
         scenario_load(PrivacyScenario((1, 2)),
                       table.config.instance.ns_appliances, 1)
-    assert str(err.value) == "scenario places 2 appliances, instance has 1"
+    assert str(err.value) == "scenario places 2 appliances, instance has 1 appliances"
     with pytest.raises(ModelError) as err:
         simulate(table, EventScript.scripted([ScriptedStart("ns2", 1)]),
                  table.config)
