@@ -180,7 +180,9 @@ class _SlotOptions:
     parts of the slot solver's tie-break.  ``start_key + |k|`` orders a
     block's tied rows by start-set size, then move magnitude: ``|k|``
     fits the int32 ``dec_step``, so the sum is exact in int64 whatever
-    the battery grid.
+    the battery grid.  ``row_of[r, mask]`` is the row of vector ``r``'s
+    start mask, or -1 where that mask is no option of it at this slot;
+    a table load reads a stored decision's row through it.
     Everything here depends on ``(durations, powers, tau)`` only, so every
     build of one instance shape shares it, whatever its battery, band or
     scenario set.  All arrays are read-only.
@@ -195,6 +197,7 @@ class _SlotOptions:
     r_first: np.ndarray
     rows: np.ndarray
     start_key: np.ndarray
+    row_of: np.ndarray
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -257,6 +260,8 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
                           for row in rows]))
         r_idx = np.array(cols[0], dtype=np.intp)
         first = np.flatnonzero(np.diff(r_idx, prepend=-1))
+        row_of = np.full((len(r_combos), 1 << n_app), -1, dtype=np.intp)
+        row_of[r_idx, cols[1]] = np.arange(len(r_idx))
         slots.append(_SlotOptions(
             r_idx=_read_only(r_idx, np.intp),
             mask=_read_only(cols[1], np.int32),
@@ -269,7 +274,8 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
             r_first=_read_only(r_idx[first], np.intp),
             rows=_read_only(np.arange(len(r_idx))[:, None], np.intp),
             start_key=_read_only(
-                (np.array(cols[2], dtype=np.int64) << 32)[:, None], np.int64)))
+                (np.array(cols[2], dtype=np.int64) << 32)[:, None], np.int64),
+            row_of=_read_only(row_of, np.intp)))
     return tuple(slots)
 
 
@@ -366,6 +372,13 @@ class _Engine:
         k = np.minimum(w, self._clip_hi, out=w).astype(np.int64)
         return k[0], k[1]
 
+    def stage_cost(self, t: int, y_w, k) -> np.ndarray:
+        """Slot ``t``'s price of appliance draw ``y_w`` plus battery move
+        ``k`` (grid steps), element by element.  The slot solver and a
+        table load both price a decision here, so they agree bit for bit.
+        """
+        return self.prices[t - 1] * (y_w * self.h + k * self.step)
+
     def solve_slot(self, t: int, f_next: np.ndarray, band: tuple,
                    envelope: np.ndarray):
         """One backward step: value and argmin decision for every state.
@@ -374,7 +387,6 @@ class _Engine:
         Returns ``(values, dec_mask, dec_step)`` of the same shape;
         ``dec_mask`` is -1 where no decision is feasible.
         """
-        c_t = self.prices[t - 1]
         m = self.m
         values = np.full((self.n_r, m), np.inf)
         dec_mask = np.full((self.n_r, m), -1, dtype=np.int32)
@@ -386,7 +398,7 @@ class _Engine:
         k_lo, k_hi = self.k_windows(t, opts.y_w, band, envelope)
         moves = self._move_col
         inside = (k_lo <= moves) & (moves <= k_hi)
-        stage = np.where(inside, c_t * (opts.y_w * self.h + moves * self.step),
+        stage = np.where(inside, self.stage_cost(t, opts.y_w, moves),
                          np.inf)[:, :, None]
 
         # cheapest move per (option, level), first hit in (|k|, k) order
@@ -811,33 +823,51 @@ def expected_total_cost(config: SolveConfig, controllable_cost: float) -> float:
 # Table persistence
 
 _FORMAT_NAME = "paces-table"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
-#: Each array's dump dtype, little-endian, in the order ``body_sha256``
-#: hashes their bytes.
-_ARRAY_DTYPES = {"values": "<f8", "dec_mask": "<i4", "dec_step": "<i4"}
 _HEADER_KEYS = ("format", "version", "model_hash", "body_sha256", "omega",
                 "weights", "objective_mode")
 
 
-def save_table(table: ScheduleTable, path: str, format: str = "json") -> None:
-    """Write the table with its header as one line of JSON, keys sorted.
+def _decision_ranges(eng: _Engine) -> dict[str, tuple[int, int]]:
+    """The stored arrays in the order ``body_sha256`` hashes their bytes,
+    each with its range on ``eng``: ``dec_mask`` from -1 (no decision) to
+    every appliance started, ``dec_step`` over the battery-rate limits."""
+    return {"dec_mask": (-1, (1 << eng.n_app) - 1),
+            "dec_step": (eng.k_rate_lo, eng.k_rate_hi)}
 
-    Each array is stored as the base64 of its little-endian, C-order
-    bytes, cells indexed ``[t][r][b]``; ``body_sha256`` covers those
-    bytes, so a loader detects a corrupted or edited body.  A header
-    number that is not finite has no JSON form: it raises
-    :class:`IntegrityError` and writes nothing.
+
+def _dump_dtype(lo: int, hi: int) -> str:
+    """The narrowest little-endian signed integer type holding ``lo..hi``."""
+    for name in ("<i1", "<i2"):
+        if np.iinfo(name).min <= lo and hi <= np.iinfo(name).max:
+            return name
+    return "<i4"  # the in-memory int32 holds every range an engine has
+
+
+def save_table(table: ScheduleTable, path: str, format: str = "json") -> None:
+    """Write the table's decisions with its header as one line of JSON,
+    keys sorted.
+
+    ``dec_mask`` and ``dec_step`` are each stored as the base64 of their
+    little-endian, C-order bytes, cells indexed ``[t][r][b]``, in the
+    narrowest signed integer type that holds the array's range on the
+    table's engine; ``body_sha256`` covers those bytes, so a loader
+    detects a corrupted or edited body.  The values are not stored: a
+    load rebuilds them from the decisions.  A decision cell outside its
+    range, or a header number that is not finite, has no dump form: it
+    raises :class:`IntegrityError` and writes nothing.
     """
     if format != "json":
         raise ConfigError(f"unknown table format {format!r}, expected 'json'")
-    # hold one array's bytes at a time, and only the text while writing: a
-    # fine-grid dump is megabytes, and every copy alive at once adds to the
-    # process's peak memory
     digest = hashlib.sha256()
     payload = {}
-    for name, dtype in _ARRAY_DTYPES.items():
-        raw = getattr(table, name).astype(dtype, copy=False).tobytes()
+    for name, (lo, hi) in _decision_ranges(table._engine).items():
+        arr = getattr(table, name)
+        if arr.min() < lo or arr.max() > hi:
+            raise IntegrityError(
+                f"{path}: refusing to write a {name} cell outside {lo}..{hi}")
+        raw = arr.astype(_dump_dtype(lo, hi)).tobytes()
         digest.update(raw)
         payload[name] = base64.b64encode(raw).decode("ascii")
     payload.update(
@@ -852,7 +882,6 @@ def save_table(table: ScheduleTable, path: str, format: str = "json") -> None:
     except ValueError:
         raise IntegrityError(
             f"{path}: refusing to write a non-finite number as JSON") from None
-    del payload
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")
@@ -870,7 +899,7 @@ def _read_payload(path: str) -> dict:
         raise IntegrityError(
             f"table version {payload.get('version')!r} unsupported, "
             f"expected {_FORMAT_VERSION}")
-    missing = [k for k in _HEADER_KEYS + tuple(_ARRAY_DTYPES)
+    missing = [k for k in _HEADER_KEYS + ("dec_mask", "dec_step")
                if k not in payload]
     if missing:
         raise IntegrityError(f"{path} is truncated: no {', '.join(missing)}")
@@ -884,12 +913,13 @@ def read_table_header(path: str) -> dict:
 
 
 def load_table(path: str, config: SolveConfig) -> ScheduleTable:
-    """Read a table dump and bind it to ``config``.
+    """Read a table dump, bind it to ``config`` and rebuild its values.
 
     Refuses, with :class:`IntegrityError`, a dump built for another model,
     one whose arrays are not base64 of the engine's ``(tau, n_r, m)``
-    shape, whose body does not match ``body_sha256``, or that holds
-    decisions outside the engine's range.
+    shape, whose body does not match ``body_sha256``, that holds
+    decisions outside the engine's range, or whose decisions do not make
+    a table (see :func:`_rebuild_values`).
     """
     return _bind(path, _read_payload(path), config)
 
@@ -913,7 +943,8 @@ def open_table(path: str, instance: Instance,
 
 
 def _bind(path: str, payload: dict, config: SolveConfig) -> ScheduleTable:
-    """Check a parsed dump against ``config`` and decode its arrays."""
+    """Check a parsed dump against ``config``, decode its decisions and
+    rebuild its values."""
     expected = model_fingerprint(config)
     if payload["model_hash"] != expected:
         raise IntegrityError(
@@ -921,9 +952,11 @@ def _bind(path: str, payload: dict, config: SolveConfig) -> ScheduleTable:
             f"{str(payload['model_hash'])[:12]}... != config {expected[:12]}...")
     eng = _engine(config)
     shape = (eng.tau, eng.n_r, eng.m)
+    ranges = _decision_ranges(eng)
     digest = hashlib.sha256()
     arrays = []
-    for name, dtype in _ARRAY_DTYPES.items():
+    for name, (lo, hi) in ranges.items():
+        dtype = _dump_dtype(lo, hi)
         try:
             raw = base64.b64decode(payload[name], validate=True)
         except (TypeError, ValueError):
@@ -934,13 +967,81 @@ def _bind(path: str, payload: dict, config: SolveConfig) -> ScheduleTable:
                 f"{path}: {name} holds {len(raw)} bytes, expected shape "
                 f"{shape} of {dtype} ({size} bytes)")
         digest.update(raw)
-        native = np.dtype(dtype).newbyteorder("=")
-        arrays.append(np.frombuffer(raw, dtype).astype(native).reshape(shape))
+        arrays.append(np.frombuffer(raw, dtype).astype(np.int32).reshape(shape))
     if payload["body_sha256"] != digest.hexdigest():
         raise IntegrityError(
             f"{path}: table body does not match its body_sha256")
-    values, dec_mask, dec_step = arrays
-    if (dec_mask.min() < -1 or dec_mask.max() >= 1 << eng.n_app
-            or dec_step.min() < eng.k_rate_lo or dec_step.max() > eng.k_rate_hi):
-        raise IntegrityError(f"{path}: a decision cell is out of range")
+    for arr, (lo, hi) in zip(arrays, ranges.values()):
+        if arr.min() < lo or arr.max() > hi:
+            raise IntegrityError(f"{path}: a decision cell is out of range")
+    dec_mask, dec_step = arrays
+    values = _rebuild_values(path, eng, dec_mask, dec_step)
     return ScheduleTable(config, values, dec_mask, dec_step, expected)
+
+
+def _rebuild_values(path: str, eng: _Engine, dec_mask: np.ndarray,
+                    dec_step: np.ndarray) -> np.ndarray:
+    """The values a build stores with these decisions, bit for bit.
+
+    One backward pass.  At slot ``t`` a live cell ``(r, b)`` with
+    decision ``(mask, k)`` is worth :meth:`_Engine.stage_cost` of its
+    option row's draw and ``k``, plus the continuation at the row's next
+    vector and level ``b + k``: the very sum :meth:`_Engine.solve_slot`
+    keeps for the decision it picks.  A dead cell is worth ``inf``, as a
+    build leaves it.  The pass is also the dump's whole-table check: a
+    live cell whose mask is no option of its vector at ``t``, whose move
+    leaves the battery grid or whose continuation is not finite is
+    refused (:func:`_refusal`).
+    """
+    values = np.empty(dec_mask.shape)
+    f_next = eng.terminal_continuation()
+    m = eng.m
+    # each vector's first entry in the flat row_of, where mask adds on
+    row_base = np.arange(eng.n_r)[:, None] << eng.n_app
+    for t in range(eng.tau, 0, -1):
+        opts = eng.options(t)
+        mask, k = dec_mask[t - 1], dec_step[t - 1]
+        live = mask >= 0
+        row = opts.row_of.take(row_base + mask)
+        b_next = eng._levels + k
+        dead = ~live | (row < 0) | (b_next < 0) | (b_next >= m)
+        # a dead or faulty cell reads row 0 at level 0, then holds inf
+        np.copyto(row, 0, where=dead)
+        np.copyto(b_next, 0, where=dead)
+        f_t = (eng.stage_cost(t, opts.y_w.take(row), k)
+               + f_next.take(opts.r_next.take(row) * m + b_next))
+        np.copyto(f_t, np.inf, where=dead)
+        fault = live & ~np.isfinite(f_t)
+        if fault.any():
+            r, b = np.argwhere(fault)[0].tolist()
+            raise _refusal(path, eng, t, r, b, int(mask[r, b]), int(k[r, b]))
+        values[t - 1] = f_next = f_t
+    return values
+
+
+def _refusal(path: str, eng: _Engine, t: int, r: int, b: int, mask: int,
+             k: int) -> IntegrityError:
+    """Why slot ``t``'s live cell ``(r, b)`` cannot hold ``(mask, k)``."""
+    state = SystemState(battery_wh=b * eng.step, remaining=eng.r_combos[r])
+    where = f"{path}: table decision at slot {t} for {state!r}"
+    try:
+        _, r_next, _ = eng.walk_step(state, mask, k)
+    except ModelError as err:  # a start of an appliance already started
+        return IntegrityError(f"{where} cannot be applied: {err}")
+    if eng.options(t).row_of[r, mask] < 0:
+        return IntegrityError(
+            f"{where} leaves unfinished work past the horizon: an unstarted "
+            f"appliance can no longer finish by slot {eng.tau}")
+    if not 0 <= b + k < eng.m:
+        return IntegrityError(
+            f"{where} moves the battery to {(b + k) * eng.step!r} Wh, outside "
+            f"[0, {eng.battery.b_max_wh!r}]")
+    if t == eng.tau:
+        return IntegrityError(
+            f"{where} leaves unfinished work {eng.r_combos[r_next]!r} past "
+            f"the horizon")
+    nxt = SystemState(battery_wh=(b + k) * eng.step,
+                      remaining=eng.r_combos[r_next])
+    return IntegrityError(
+        f"{where} leads to {nxt!r}, which has no feasible decision at slot "
+        f"{t + 1}")

@@ -363,7 +363,7 @@ def test_option_tables_are_read_only():
     opts = eng.options(1)
     names = [f.name for f in dataclasses.fields(opts)]
     assert names == ["r_idx", "mask", "y_w", "r_next", "first", "block",
-                     "r_first", "rows", "start_key"]
+                     "r_first", "rows", "start_key", "row_of"]
     for name in names:
         arr = getattr(opts, name)
         assert not arr.flags.writeable

@@ -26,8 +26,9 @@ from paces import (EventScript, IntegrityError, ScenarioSet, ScriptedStart,
 from paces.cli import main
 
 # a dump's arrays in body-hash order, and the motivating example's shape:
-# 4 slots x 12 remaining-work vectors x 3 battery levels
-DUMP_DTYPES = {"values": "<f8", "dec_mask": "<i4", "dec_step": "<i4"}
+# 4 slots x 12 remaining-work vectors x 3 battery levels. Its masks span
+# -1..3 (two appliances) and its moves -1..1 step, so both are one byte
+DUMP_DTYPES = {"dec_mask": "<i1", "dec_step": "<i1"}
 MOTIVATING_SHAPE = (4, 12, 3)
 
 
@@ -144,15 +145,15 @@ class TestSolveCommand:
     # the replay digest pins the non-schedulable load path of the replay
     DIGESTS = {
         "motivating-example": (
-            "26b10b693edef2a9f1fd14f5ac58556021e11de1a852d481ef589f9b661f9c84",
+            "d7eb860df087dc51e6d7bc00c584b49edf87de04dac4ec1ba311923e91a7b5fa",
             "89111a09c462eeb773d74f4e3e2d27fb8231512dd4744de1231ba28622e85d27",
             "405590138b8b22eeb429d32d7406c700281cfd0b9dd98aff58ea5dfb96e1ac7a"),
         "table-ii": (
-            "706d91c979c7cd5cdc50c0d97017520e4738072feab3b4eaa16c19e5ccfbf27c",
+            "49a316829132322bdbcf4c5cddaaeb68f60ead0353c1518800d811e57adb4a79",
             "a5c787633fbdd718c98c1763f9d7fd08a57ff81c5e55754298577b11c404730b",
             "5990bd4a0311ac4009c88d0490d1b98e59f4924139af11b82300ca0ee0220453"),
         "section-iv-a": (
-            "df1d12aeadab32afde586b935bd9722bef039250d4d4f78a64c8e0c5b52520b1",
+            "29e47c77b312c544f4876a622b211e3870b11c501046f806db3725e796128d4b",
             "96737fe1cd89c1ad4c1725140a04e532994141e39b9eeeaa4de1b633647e498b",
             "bd86d6b3282905cf855a4b604cff1709137ba65205fa1c9dace88216bab005c9"),
     }
@@ -451,12 +452,13 @@ class TestBuildAndSimulate:
     def test_ragged_tables_exit_4(self, tmp_path, capsys):
         def drop_one_cell(payload):
             raw = base64.b64decode(payload["dec_step"])
-            payload["dec_step"] = base64.b64encode(raw[:-4]).decode()
+            payload["dec_step"] = base64.b64encode(raw[:-1]).decode()
 
         code, _, err = self.simulate_corrupted(capsys, tmp_path,
                                                drop_one_cell)
         assert code == 4
-        assert "dec_step holds 572 bytes, expected shape (4, 12, 3)" in err
+        assert "dec_step holds 143 bytes, expected shape (4, 12, 3) of <i1 " \
+            "(144 bytes)" in err
 
     def test_non_base64_arrays_exit_4(self, tmp_path, capsys):
         def spoil(payload):
@@ -466,24 +468,29 @@ class TestBuildAndSimulate:
         assert code == 4
         assert "dec_mask is not base64" in err
 
-    def test_version_1_dumps_exit_4(self, tmp_path, capsys):
+    def simulate_version(self, capsys, tmp_path, version):
         def downgrade(payload):
-            payload["version"] = 1
+            payload["version"] = version
 
         code, _, err = self.simulate_corrupted(capsys, tmp_path, downgrade)
         assert code == 4
-        assert "table version 1 unsupported, expected 3" in err
+        assert f"table version {version} unsupported, expected 4" in err
+        return err
+
+    def test_version_1_dumps_exit_4(self, tmp_path, capsys):
+        self.simulate_version(capsys, tmp_path, 1)
 
     def test_version_2_dumps_exit_4(self, tmp_path, capsys):
         # a version-2 model_hash also covered the weights and the
         # objective, so the version is refused before any hash is compared
-        def downgrade(payload):
-            payload["version"] = 2
-
-        code, _, err = self.simulate_corrupted(capsys, tmp_path, downgrade)
-        assert code == 4
-        assert "table version 2 unsupported, expected 3" in err
+        err = self.simulate_version(capsys, tmp_path, 2)
         assert "different model" not in err
+
+    def test_version_3_dumps_exit_4(self, tmp_path, capsys):
+        # a version-3 body also held the values, and its decisions were
+        # int32, so it is refused before its arrays are decoded
+        err = self.simulate_version(capsys, tmp_path, 3)
+        assert "is not base64" not in err and "holds" not in err
 
     # beta runs one slot in zone [2, 3]: each row breaks the rule that a
     # --scenarios file is held to, and the dump is re-signed for it
@@ -558,13 +565,18 @@ class TestBuildAndSimulate:
         assert code == 0
         assert "max |gap| 45000.0 W, breaches 1" in out
 
-    # the replay itself must refuse a decision it cannot apply or a
-    # schedule it cannot finish, even in a dump whose body hash matches
+    # a load rebuilds the values, and so refuses a decision it cannot
+    # apply or a schedule it cannot finish, even in a dump whose body hash
+    # matches; it meets each fault at the last slot, first vector first
     @pytest.mark.parametrize("corrupt, message", [
-        (never_start, "unfinished work"),
-        (drain_in_the_last_slot, "slot 4 moves the battery to -10000.0 Wh"),
+        (never_start, "slot 4 for SystemState(battery_wh=0.0, "
+         "remaining=(0, 2)) leaves unfinished work (0, 1) past the horizon"),
+        (drain_in_the_last_slot, "slot 4 for SystemState(battery_wh=0.0, "
+         "remaining=(0, 0)) moves the battery to -10000.0 Wh, outside "
+         "[0, 20000.0]"),
         (always_start_the_first,
-         "cannot start an appliance with 1 of 2 slots remaining"),
+         "cannot be applied: cannot start an appliance with 0 of 2 slots "
+         "remaining"),
     ], ids=["never-start", "drain-below-empty", "restart"])
     def test_unreplayable_dumps_exit_4(self, tmp_path, capsys, corrupt,
                                        message):
@@ -644,8 +656,7 @@ def motivating_dump() -> str:
 
 # the loader's ranges for the motivating example: two appliances, and
 # battery moves of at most one 10,000 Wh step
-IN_RANGE = {"values": st.floats(allow_nan=False),
-            "dec_mask": st.integers(-1, 3), "dec_step": st.integers(-1, 1)}
+IN_RANGE = {"dec_mask": st.integers(-1, 3), "dec_step": st.integers(-1, 1)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -665,6 +676,34 @@ def test_every_one_cell_in_range_edit_exits_4(data):
         code = main(["simulate", "--table", str(path),
                      "--config", "motivating-example"])
     assert code == 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_resigned_one_cell_edit_loads_a_whole_table_or_exits_4(data):
+    # the body hash matches, so only the load's rebuild can refuse it
+    name = data.draw(st.sampled_from(sorted(DUMP_DTYPES)))
+    cell = tuple(data.draw(st.integers(0, n - 1)) for n in MOTIVATING_SHAPE)
+    value = data.draw(IN_RANGE[name])
+
+    def edit(arrays):
+        arrays[name][cell] = value
+
+    payload = json.loads(motivating_dump())
+    resigned(edit)(payload)
+    inst = load_config("motivating-example").instance
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        path.write_text(json.dumps(payload))
+        try:
+            table = open_table(str(path), inst)
+        except IntegrityError:
+            assert main(["simulate", "--table", str(path),
+                         "--config", "motivating-example"]) == 4
+            return
+    live = table.dec_mask >= 0
+    assert np.isfinite(table.values[live]).all()
+    assert np.isposinf(table.values[~live]).all()
 
 
 def documented_blocks(heading, lang):

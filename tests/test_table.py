@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    IntegrityError, ModelError, NonSchedulableAppliance,
@@ -27,8 +26,9 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    expected_total_cost, extract_schedule, load_config,
                    load_table, model_fingerprint, privacy_gap,
                    random_small_instance, read_table_header, save_table,
-                   scenario_load, slot_cost, state_count, step_remaining)
-from paces.table import (OBJECTIVE_MODES, _Engine, _engine,
+                   scenario_load, slot_cost, solve_with_scenarios,
+                   state_count, step_remaining, sweep_battery)
+from paces.table import (_HEADER_KEYS, OBJECTIVE_MODES, _Engine, _engine,
                          _nearest_feasible)
 from raw_model import all_states, reference_decisions
 from table_checks import assert_same_table, replay
@@ -746,6 +746,37 @@ class TestExpectedTotalCost:
         assert expected_total_cost(config, 7.25) == 7.25
 
 
+def built_tables(run):
+    """Every table ``backward_recursion`` builds while ``run()`` runs, the
+    refinement loop's and the lambda probes' included."""
+    tables = []
+
+    def build(*args, **kwargs):
+        tables.append(backward_recursion(*args, **kwargs))
+        return tables[-1]
+
+    with mock.patch("paces.scenarios.backward_recursion", build):
+        try:
+            run()
+        except InfeasibleError:
+            pass
+    return tables
+
+
+def assert_round_trips(table):
+    """A dump of ``table`` loads back with equal dtypes, shapes and bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "table.json")
+        save_table(table, path)
+        loaded = load_table(path, table.config)
+    for name in ("values", "dec_mask", "dec_step"):
+        saved, read = getattr(table, name), getattr(loaded, name)
+        assert read.dtype == saved.dtype, name
+        assert read.shape == saved.shape, name
+        assert read.flags.writeable, name
+        assert read.tobytes() == saved.tobytes(), name
+
+
 class TestPersistence:
     def build(self):
         inst = motivating_instance()
@@ -774,7 +805,7 @@ class TestPersistence:
         header = read_table_header(path)
         assert header == {
             "format": "paces-table",
-            "version": 3,
+            "version": 4,
             "model_hash": table.model_hash,
             "body_sha256": hashlib.sha256(
                 b"".join(self.body(table))).hexdigest(),
@@ -783,31 +814,79 @@ class TestPersistence:
             "objective_mode": "expected",
         }
 
+    def test_the_header_binds_as_the_benchmark_binds_it(self, tmp_path):
+        # the benchmark's replay reads exactly these keys and makes its
+        # SolveConfig from them, so a header change must fail here first
+        config, table = self.build()
+        path = str(tmp_path / "table.json")
+        save_table(table, path)
+        header = read_table_header(path)
+        assert tuple(header) == _HEADER_KEYS == (
+            "format", "version", "model_hash", "body_sha256", "omega",
+            "weights", "objective_mode")
+        omega = ScenarioSet(tuple(PrivacyScenario(starts=tuple(row))
+                                  for row in header["omega"]))
+        bound = SolveConfig(instance=config.instance, scenarios=omega,
+                            scenario_weights=tuple(header["weights"]),
+                            objective_mode=header["objective_mode"],
+                            state_cap=config.state_cap)
+        loaded = load_table(path, bound)
+        assert loaded.model_hash == header["model_hash"] == table.model_hash
+        assert_same_table(loaded, table)
+
+    # every table a build makes, so every dump save_table writes of it,
+    # rebuilds its values exactly: a loop's tables and its lambda probes
+    # on random households, and the build against every candidate
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 299), data=st.data())
-    def test_random_tables_round_trip_bit_equal(self, seed, data):
-        config = SolveConfig(instance=random_small_instance(seed))
-        eng = _engine(config)
-        shape = (eng.tau, eng.n_r, eng.m)
-        table = ScheduleTable(
-            config,
-            data.draw(arrays(np.float64, shape, elements=st.just(np.inf)
-                             | st.floats(allow_nan=False))),
-            data.draw(arrays(np.int32, shape, elements=st.integers(
-                -1, (1 << eng.n_app) - 1))),
-            data.draw(arrays(np.int32, shape, elements=st.integers(
-                eng.k_rate_lo, eng.k_rate_hi))),
-            model_fingerprint(config))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = str(Path(tmp) / "table.json")
-            save_table(table, path)
-            loaded = load_table(path, config)
-        for name in ("values", "dec_mask", "dec_step"):
-            saved, read = getattr(table, name), getattr(loaded, name)
-            assert read.dtype == saved.dtype
-            assert read.shape == saved.shape
-            assert read.flags.writeable
-            assert read.tobytes() == saved.tobytes()
+    @given(seed=st.integers(0, 299))
+    def test_built_tables_round_trip_bit_equal(self, seed):
+        inst = random_small_instance(seed, ns_count=1 + seed % 2)
+        tables = built_tables(lambda: solve_with_scenarios(inst))
+        try:
+            tables.append(backward_recursion(SolveConfig(
+                instance=inst, scenarios=full_omega(inst))))
+        except InfeasibleError:
+            pass
+        assert tables
+        for table in tables:
+            assert_round_trips(table)
+
+    def test_fine_grid_and_sweep_tables_round_trip_bit_equal(self):
+        cfg = load_config("section-iv-a")
+        fine = dataclasses.replace(cfg.instance, battery=dataclasses.replace(
+            cfg.instance.battery, grid_step_wh=5.0))
+        tables = built_tables(lambda: solve_with_scenarios(
+            fine, cfg.options, cfg.state_cap))
+        # 0 Wh is infeasible and runs the lambda bisection
+        tables += built_tables(lambda: sweep_battery(
+            cfg.instance, (0.0, 250.0), cfg.options, cfg.state_cap))
+        assert len(tables) > 10
+        for table in tables:
+            assert_round_trips(table)
+
+    # the battery range decides dec_step's type, the appliance count
+    # dec_mask's: -50..50 steps and four appliances fit one byte each,
+    # -200..200 steps and eight appliances two
+    @pytest.mark.parametrize("steps, n_app, sizes", [
+        (50, 4, (1, 1)), (200, 4, (1, 2)), (50, 8, (2, 1)), (127, 6, (1, 1)),
+        (128, 7, (1, 2)),
+    ])
+    def test_each_array_is_stored_in_its_narrowest_integer_type(
+            self, tmp_path, steps, n_app, sizes):
+        inst = make_instance(
+            tau=2, appliances=[app(f"a{i}", 1.0, 1) for i in range(n_app)],
+            battery=Battery(b_max_wh=float(steps), b_init_wh=0.0,
+                            z_discharge_max_wh=float(steps),
+                            z_charge_max_wh=float(steps), grid_step_wh=1.0))
+        table = backward_recursion(SolveConfig(instance=inst))
+        path = tmp_path / "table.json"
+        save_table(table, str(path))
+        payload = json.loads(path.read_text())
+        cells = table.dec_mask.size
+        assert tuple(len(base64.b64decode(payload[name])) // cells
+                     for name in ("dec_mask", "dec_step")) == sizes
+        assert "values" not in payload
+        assert_round_trips(table)
 
     def test_refuses_a_table_built_for_another_model(self, tmp_path):
         config, table = self.build()
@@ -825,10 +904,10 @@ class TestPersistence:
         path = tmp_path / "table.json"
         save_table(table, str(path))
         payload = json.loads(path.read_text())
-        for version in (1, 2, 4):
+        for version in (1, 2, 3, 5):
             payload["version"] = version
             path.write_text(json.dumps(payload))
-            message = f"table version {version} unsupported, expected 3"
+            message = f"table version {version} unsupported, expected 4"
             with pytest.raises(IntegrityError, match=message):
                 read_table_header(str(path))
             with pytest.raises(IntegrityError, match=message):
@@ -851,26 +930,32 @@ class TestPersistence:
 
     @staticmethod
     def body(table):
-        """The three arrays' little-endian, C-order bytes, in hash order."""
-        return (table.values.astype("<f8").tobytes(),
-                table.dec_mask.astype("<i4").tobytes(),
-                table.dec_step.astype("<i4").tobytes())
+        """The two decision arrays' little-endian, C-order bytes, in hash
+        order, each in the narrowest signed integer type that holds its
+        range on the table's engine."""
+        eng = table._engine
+        ranges = ((table.dec_mask, -1, (1 << eng.n_app) - 1),
+                  (table.dec_step, eng.k_rate_lo, eng.k_rate_hi))
+        return tuple(
+            arr.astype(next(f"<i{n}" for n in (1, 2, 4)
+                            if -(1 << 8 * n - 1) <= lo
+                            and hi < 1 << 8 * n - 1)).tobytes()
+            for arr, lo, hi in ranges)
 
     @classmethod
     def full_payload(cls, table):
         """The whole dump as one dict, as the format describes it."""
         body = cls.body(table)
-        values, dec_mask, dec_step = (base64.b64encode(raw).decode("ascii")
-                                      for raw in body)
+        dec_mask, dec_step = (base64.b64encode(raw).decode("ascii")
+                              for raw in body)
         return {
             "format": "paces-table",
-            "version": 3,
+            "version": 4,
             "model_hash": table.model_hash,
             "body_sha256": hashlib.sha256(b"".join(body)).hexdigest(),
             "omega": [list(sc.starts) for sc in table.config.scenarios],
             "weights": list(table.config.resolved_weights()),
             "objective_mode": table.config.objective_mode,
-            "values": values,
             "dec_mask": dec_mask,
             "dec_step": dec_step,
         }
