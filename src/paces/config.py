@@ -16,8 +16,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .errors import ConfigError, ModelError
 from .model import (Battery, Instance, NonSchedulableAppliance, PriceSignal,
@@ -31,132 +29,76 @@ POWER_FACTORS = {"W": 1.0, "kW": 1000.0}
 ENERGY_FACTORS = {"Wh": 1.0, "kWh": 1000.0}
 PRICE_FACTORS = {"per_Wh": 1.0, "per_kWh": 1e-3}
 
-_GRID_SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "required": ["tau"],
-    "properties": {
-        "tau": {"type": "integer"},
-        "slot_hours": {"type": "number"},
-    },
-}
+#: Python types of each JSON type; a bool is neither an integer nor a number
+_JSON_TYPES = {"null": type(None), "boolean": bool, "integer": int,
+               "number": (int, float), "string": str, "array": list,
+               "object": dict}
 
-_APPLIANCE_SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "required": ["id", "power", "workload"],
-    "properties": {
-        "id": {"type": "string", "minLength": 1},
-        "power": {"type": "number"},
-        "workload": {"type": "number"},
-        "duration_slots": {"type": "integer"},
-    },
-}
 
-_NS_APPLIANCE_SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "required": ["id", "power", "runtime_slots", "zone"],
-    "properties": {
-        "id": {"type": "string", "minLength": 1},
-        "power": {"type": "number"},
-        "runtime_slots": {"type": "integer"},
-        "zone": {"type": "array", "items": {"type": "integer"},
-                 "minItems": 2, "maxItems": 2},
-        "start_prob": {"type": "array", "items": {"type": "number"},
-                       "minItems": 1},
-    },
-}
+class _Node:
+    """One value of a JSON input at its pointer, typed as it is read.
 
-_BATTERY_SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "required": ["capacity", "initial", "discharge_max", "charge_max",
-                 "grid_step"],
-    "properties": {
-        "capacity": {"type": "number"},
-        "initial": {"type": "number"},
-        "discharge_max": {"type": "number"},
-        "charge_max": {"type": "number"},
-        "grid_step": {"type": "number"},
-    },
-}
+    Every read names what it needs.  Anything else is a ConfigError
+    ``"<what> schema violation at <pointer>: <message>"``, with ``/`` for
+    the whole document.
+    """
 
-_PRICE_SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "values": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "csv": {"type": "string"},
-        "constant": {"type": "number"},
-    },
-    "oneOf": [{"required": ["values"]}, {"required": ["csv"]},
-              {"required": ["constant"]}],
-}
+    def __init__(self, value: object, what: str, pointer: str = ""):
+        self.value, self.what, self.pointer = value, what, pointer
 
-_PRIVACY_SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "required": ["lambda"],
-    "properties": {
-        "lambda": {"type": "number"},
-        "reference": {"type": "number"},
-        "reference_csv": {"type": "string"},
-        "reference_source": {"enum": ["config-constant", "historical-mean"]},
-    },
-    "oneOf": [{"required": ["reference"]}, {"required": ["reference_csv"]}],
-}
+    def fail(self, message: str):
+        raise ConfigError(f"{self.what} schema violation at "
+                          f"{self.pointer or '/'}: {message}")
 
-_SOLVER_SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "mode": {"enum": list(SOLVE_MODES)},
-        "objective": {"enum": list(OBJECTIVE_MODES)},
-        "metric": {"enum": list(VIOLATION_METRICS)},
-        "include_inactive": {"type": "boolean"},
-        "max_solves": {"type": ["integer", "null"]},
-        "state_cap": {"type": "integer"},
-    },
-}
+    def of(self, *kinds: str):
+        """The value, if its JSON type is one of ``kinds``."""
+        if not any(isinstance(self.value, _JSON_TYPES[kind])
+                   and isinstance(self.value, bool) == (kind == "boolean")
+                   for kind in kinds):
+            self.fail(f"expected {' or '.join(kinds)}, got {self.value!r}")
+        return self.value
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object", "additionalProperties": False,
-    "required": ["grid", "appliances", "ns_appliances", "battery", "price",
-                 "privacy"],
-    "properties": {
-        "name": {"type": "string"},
-        "units": {
-            "type": "object", "additionalProperties": False,
-            "properties": {
-                "power": {"enum": sorted(POWER_FACTORS)},
-                "energy": {"enum": sorted(ENERGY_FACTORS)},
-                "price": {"enum": sorted(PRICE_FACTORS)},
-            },
-        },
-        "grid": _GRID_SCHEMA,
-        "appliances": {"type": "array", "items": _APPLIANCE_SCHEMA},
-        "ns_appliances": {"type": "array", "items": _NS_APPLIANCE_SCHEMA},
-        "battery": _BATTERY_SCHEMA,
-        "price": _PRICE_SCHEMA,
-        "privacy": _PRIVACY_SCHEMA,
-        "solver": _SOLVER_SCHEMA,
-        "seed": {"type": "integer"},
-    },
-}
+    def ident(self) -> str:
+        if not self.of("string"):
+            self.fail("expected a non-empty string")
+        return self.value
 
-_SCRIPT_SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "events": {
-            "type": "array",
-            "items": {
-                "type": "object", "additionalProperties": False,
-                "required": ["appliance_id", "slot"],
-                "properties": {
-                    "appliance_id": {"type": "string", "minLength": 1},
-                    "slot": {"type": "integer"},
-                },
-            },
-        },
-        "sample_seed": {"type": "integer", "minimum": 0},
-    },
-    "oneOf": [{"required": ["events"]}, {"required": ["sample_seed"]}],
-}
+    def enum(self, choices) -> str:
+        if self.of("string") not in choices:
+            self.fail(f"expected one of {', '.join(choices)}, "
+                      f"got {self.value!r}")
+        return self.value
+
+    def keys(self, required=(), optional=(), one_of=()) -> "_Node":
+        """This object, if it holds every ``required`` key, exactly one
+        key of ``one_of`` and no other key than those and ``optional``."""
+        for key in self.of("object"):
+            if key not in required + optional + one_of:
+                self.fail(f"unexpected key {key!r}")
+        for key in required:
+            if key not in self.value:
+                self.fail(f"missing key {key!r}")
+        if one_of and sum(key in self.value for key in one_of) != 1:
+            self.fail(f"needs exactly one of {', '.join(one_of)}")
+        return self
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.value
+
+    def at(self, key: str, default: object = None) -> "_Node":
+        """The member ``key`` of this object, or ``default`` if absent."""
+        return _Node(self.value.get(key, default), self.what,
+                     f"{self.pointer}/{key}")
+
+    def items(self, least: int = 0, exact: bool = False) -> list["_Node"]:
+        """The items of this array, if it holds ``least`` or more (or
+        exactly ``least``)."""
+        n = len(self.of("array"))
+        if n < least or (exact and n > least):
+            self.fail(f"expected length {'' if exact else 'at least '}"
+                      f"{least}, got {n}")
+        return [_Node(v, self.what, f"{self.pointer}/{i}")
+                for i, v in enumerate(self.value)]
 
 
 @dataclass(frozen=True)
@@ -170,103 +112,108 @@ class InstanceConfig:
     seed: int = 0
 
 
-def _check_schema(raw: object, schema: dict, what: str) -> None:
-    err = best_match(Draft202012Validator(schema).iter_errors(raw))
-    if err is not None:
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise ConfigError(f"{what} schema violation at {pointer}: {err.message}")
-
-
 def parse_config(raw: dict, base_dir: Union[str, Path] = ".",
                  default_name: str = "instance") -> InstanceConfig:
     """Validate and normalize an already-deserialized config mapping."""
-    _check_schema(raw, CONFIG_SCHEMA, "config")
+    doc = _Node(raw, "config").keys(
+        required=("grid", "appliances", "ns_appliances", "battery", "price",
+                  "privacy"),
+        optional=("name", "units", "solver", "seed"))
     base = Path(base_dir)
-    units = raw.get("units", {})
-    p_f = POWER_FACTORS[units.get("power", "W")]
-    e_f = ENERGY_FACTORS[units.get("energy", "Wh")]
-    c_f = PRICE_FACTORS[units.get("price", "per_Wh")]
+    units = doc.at("units", {}).keys(optional=("power", "energy", "price"))
+    p_f = POWER_FACTORS[units.at("power", "W").enum(POWER_FACTORS)]
+    e_f = ENERGY_FACTORS[units.at("energy", "Wh").enum(ENERGY_FACTORS)]
+    c_f = PRICE_FACTORS[units.at("price", "per_Wh").enum(PRICE_FACTORS)]
 
     try:
-        grid = TimeGrid(tau=raw["grid"]["tau"],
-                        slot_hours=raw["grid"].get("slot_hours", 1.0))
+        g = doc.at("grid").keys(required=("tau",), optional=("slot_hours",))
+        grid = TimeGrid(tau=g.at("tau").of("integer"),
+                        slot_hours=g.at("slot_hours", 1.0).of("number"))
 
         appliances = []
-        for a in raw["appliances"]:
+        for a in doc.at("appliances").items():
+            a.keys(required=("id", "power", "workload"),
+                   optional=("duration_slots",))
+            id_, power = a.at("id").ident(), a.at("power").of("number") * p_f
+            workload = a.at("workload").of("number") * e_f
             if "duration_slots" in a:
                 appliances.append(SchedulableAppliance(
-                    id=a["id"], power_w=a["power"] * p_f,
-                    workload_wh=a["workload"] * e_f,
-                    duration_slots=a["duration_slots"]))
+                    id=id_, power_w=power, workload_wh=workload,
+                    duration_slots=a.at("duration_slots").of("integer")))
             else:
                 appliances.append(SchedulableAppliance.from_workload(
-                    id=a["id"], power_w=a["power"] * p_f,
-                    workload_wh=a["workload"] * e_f,
+                    id=id_, power_w=power, workload_wh=workload,
                     slot_hours=grid.slot_hours))
 
         ns_appliances = []
-        for a in raw["ns_appliances"]:
+        for a in doc.at("ns_appliances").items():
+            a.keys(required=("id", "power", "runtime_slots", "zone"),
+                   optional=("start_prob",))
+            lo, hi = a.at("zone").items(2, exact=True)
             ns_appliances.append(NonSchedulableAppliance(
-                id=a["id"], power_w=a["power"] * p_f,
-                runtime_slots=a["runtime_slots"],
-                zone=(a["zone"][0], a["zone"][1]),
-                start_prob=tuple(a["start_prob"]) if "start_prob" in a
-                else None))
+                id=a.at("id").ident(),
+                power_w=a.at("power").of("number") * p_f,
+                runtime_slots=a.at("runtime_slots").of("integer"),
+                zone=(lo.of("integer"), hi.of("integer")),
+                start_prob=tuple(q.of("number")
+                                 for q in a.at("start_prob").items(1))
+                if "start_prob" in a else None))
 
-        b = raw["battery"]
-        battery = Battery(b_max_wh=b["capacity"] * e_f,
-                          b_init_wh=b["initial"] * e_f,
-                          z_discharge_max_wh=b["discharge_max"] * e_f,
-                          z_charge_max_wh=b["charge_max"] * e_f,
-                          grid_step_wh=b["grid_step"] * e_f)
+        # in the order of Battery's fields
+        energies = ("capacity", "initial", "discharge_max", "charge_max",
+                    "grid_step")
+        b = doc.at("battery").keys(required=energies)
+        battery = Battery(*(b.at(key).of("number") * e_f for key in energies))
 
-        p = raw["price"]
+        p = doc.at("price").keys(one_of=("values", "csv", "constant"))
         if "values" in p:
-            price = PriceSignal(tuple(v * c_f for v in p["values"]))
+            price = PriceSignal(tuple(v.of("number") * c_f
+                                      for v in p.at("values").items(1)))
         elif "constant" in p:
-            price = PriceSignal((p["constant"] * c_f,) * grid.tau)
+            price = PriceSignal((p.at("constant").of("number") * c_f,)
+                                * grid.tau)
         else:
-            loaded = load_price_csv(base / p["csv"], grid.tau)
+            loaded = load_price_csv(base / p.at("csv").of("string"), grid.tau)
             price = PriceSignal(tuple(v * c_f for v in loaded.values))
 
-        pv = raw["privacy"]
+        pv = doc.at("privacy").keys(required=("lambda",),
+                                    optional=("reference_source",),
+                                    one_of=("reference", "reference_csv"))
+        source = ReferenceSource(pv.at("reference_source", "config-constant")
+                                 .enum([s.value for s in ReferenceSource]))
         if "reference" in pv:
-            source = ReferenceSource(pv.get("reference_source",
-                                            "config-constant"))
-            policy = PrivacyPolicy(lambda_w=pv["lambda"] * p_f,
-                                   l_bar_w=pv["reference"] * p_f,
-                                   l_bar_source=source)
+            l_bar = pv.at("reference").of("number") * p_f
         else:
-            policy = PrivacyPolicy(
-                lambda_w=pv["lambda"] * p_f,
-                l_bar_w=load_historical_load_csv(base / pv["reference_csv"]),
-                l_bar_source=ReferenceSource.HISTORICAL)
+            l_bar = load_historical_load_csv(
+                base / pv.at("reference_csv").of("string"))
+            source = ReferenceSource.HISTORICAL
+        policy = PrivacyPolicy(lambda_w=pv.at("lambda").of("number") * p_f,
+                               l_bar_w=l_bar, l_bar_source=source)
 
         instance = Instance(grid=grid, appliances=tuple(appliances),
                             ns_appliances=tuple(ns_appliances),
                             battery=battery, price=price, policy=policy)
 
-        s = raw.get("solver", {})
+        s = doc.at("solver", {}).keys(optional=(
+            "mode", "objective", "metric", "include_inactive", "max_solves",
+            "state_cap"))
         options = ScenarioSolveOptions(
-            mode=s.get("mode", "guaranteed"),
-            include_inactive=s.get("include_inactive", False),
-            metric=s.get("metric", "two-sided"),
-            objective_mode=s.get("objective", "expected"),
-            max_solves=s.get("max_solves"))
-        # JSON Schema counts 2.0 as an integer, so refuse integral floats here
-        state_cap = s.get("state_cap", DEFAULT_STATE_CAP)
-        if type(state_cap) is not int or state_cap < 1:
+            mode=s.at("mode", "guaranteed").enum(SOLVE_MODES),
+            include_inactive=s.at("include_inactive", False).of("boolean"),
+            metric=s.at("metric", "two-sided").enum(VIOLATION_METRICS),
+            objective_mode=s.at("objective", "expected").enum(OBJECTIVE_MODES),
+            max_solves=s.at("max_solves").of("integer", "null"))
+        state_cap = s.at("state_cap", DEFAULT_STATE_CAP).of("integer")
+        if state_cap < 1:
             raise ModelError(f"solver.state_cap must be a positive integer, "
                              f"got {state_cap!r}")
-        seed = raw.get("seed", 0)
-        if type(seed) is not int:
-            raise ModelError(f"seed must be an integer, got {seed!r}")
     except (ModelError, OverflowError) as err:
         raise ConfigError(str(err)) from None
 
-    return InstanceConfig(name=raw.get("name", default_name),
+    return InstanceConfig(name=doc.at("name", default_name).of("string"),
                           instance=instance, options=options,
-                          state_cap=state_cap, seed=seed)
+                          state_cap=state_cap,
+                          seed=doc.at("seed", 0).of("integer"))
 
 
 def load_config(source: Union[str, Path]) -> InstanceConfig:
@@ -412,13 +359,18 @@ def load_historical_load_csv(path: Union[str, Path]) -> float:
 
 def load_event_script(path: Union[str, Path]) -> EventScript:
     """Read an event script: explicit starts or a sampling seed."""
-    raw = read_json(path, "event script")
-    _check_schema(raw, _SCRIPT_SCHEMA, "event script")
-    if "events" in raw:
+    doc = _Node(read_json(path, "event script"), "event script").keys(
+        one_of=("events", "sample_seed"))
+    if "events" in doc:
+        events = [e.keys(required=("appliance_id", "slot"))
+                  for e in doc.at("events").items()]
         return EventScript.scripted(
-            [ScriptedStart(appliance_id=e["appliance_id"], slot=e["slot"])
-             for e in raw["events"]])
-    return EventScript.sampled(raw["sample_seed"])
+            [ScriptedStart(appliance_id=e.at("appliance_id").ident(),
+                           slot=e.at("slot").of("integer")) for e in events])
+    seed = doc.at("sample_seed")
+    if seed.of("integer") < 0:
+        seed.fail(f"must be at least 0, got {seed.value}")
+    return EventScript.sampled(seed.value)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ class TimeGrid:
     slot_hours: float = 1.0
 
     def __post_init__(self):
-        _require(isinstance(self.tau, int) and self.tau >= 1,
+        # not isinstance: True == 1, yet it hashes apart from 1 in a table
+        # dump's model fingerprint, as in every int field of the model
+        _require(type(self.tau) is int and self.tau >= 1,
                  f"horizon must be a positive integer slot count, got {self.tau!r}")
         _require(math.isfinite(self.slot_hours) and self.slot_hours > 0,
                  f"slot_hours must be positive and finite, got {self.slot_hours!r}")
@@ -76,7 +78,7 @@ class SchedulableAppliance:
         _require(math.isfinite(self.workload_wh) and self.workload_wh > 0,
                  f"appliance {self.id}: workload must be positive and finite, "
                  f"got {self.workload_wh!r}")
-        _require(isinstance(self.duration_slots, int) and self.duration_slots >= 1,
+        _require(type(self.duration_slots) is int and self.duration_slots >= 1,
                  f"appliance {self.id}: duration must be a positive slot count, "
                  f"got {self.duration_slots!r}")
 
@@ -128,11 +130,11 @@ class NonSchedulableAppliance:
                  f"appliance {self.id}: power must be positive and finite, "
                  f"got {self.power_w!r}")
         lo, hi = self.zone
-        _require(isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi,
+        _require(type(lo) is int and type(hi) is int and 1 <= lo <= hi,
                  f"appliance {self.id}: zone must be 1-based inclusive bounds, "
                  f"got {self.zone!r}")
         span = hi - lo + 1
-        _require(isinstance(self.runtime_slots, int)
+        _require(type(self.runtime_slots) is int
                  and 1 <= self.runtime_slots <= span,
                  f"appliance {self.id}: runtime {self.runtime_slots!r} does not fit "
                  f"zone {self.zone!r}")

@@ -40,8 +40,8 @@ class ScriptedStart:
     slot: int
 
     def __post_init__(self):
-        # a JSON script's 2.0 passes the schema's integer type, and a bool
-        # is an int to Python
+        # a library caller can pass 2.0 or True, and a bool is an int to
+        # Python
         if isinstance(self.slot, bool) or not isinstance(
                 self.slot, numbers.Integral):
             raise ModelError(f"event slot must be an integer, "
@@ -66,8 +66,8 @@ class EventScript:
             raise ModelError(
                 "event script needs either explicit events or a sample seed, "
                 "not both")
-        # a JSON script's 5.0 passes the schema's integer type, and a bool
-        # is an int to Python
+        # a library caller can pass 5.0 or True, and a bool is an int to
+        # Python
         if self.sample_seed is not None and (
                 isinstance(self.sample_seed, bool)
                 or not isinstance(self.sample_seed, numbers.Integral)

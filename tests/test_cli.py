@@ -218,7 +218,7 @@ class TestSolveCommand:
         code, out, err = run(capsys, "solve", "--config", str(cfg),
                              "--out", str(tmp_path / "x"))
         assert (code, out) == (2, "")
-        assert f"{field} must be a" in err and "3.0" in err
+        assert f"/{field}: expected integer, got 3.0" in err
 
     def test_infeasible_bounds_exit_3(self, tmp_path, capsys):
         raw = serialize(load_config("motivating-example"))
@@ -344,7 +344,7 @@ class TestBuildAndSimulate:
 
     @pytest.mark.parametrize("seed, message", [
         (-5, "event script schema violation"),
-        (5.0, "sample seed must be a non-negative integer, got 5.0"),
+        (5.0, "at /sample_seed: expected integer, got 5.0"),
     ], ids=["negative", "float"])
     def test_scripts_with_bad_sample_seeds_exit_2(self, tmp_path, capsys,
                                                   seed, message):
@@ -357,9 +357,9 @@ class TestBuildAndSimulate:
         assert code == 2
         assert message in err
 
-    # 2.0 meets the schema's integer type; the schema already refuses true
     @pytest.mark.parametrize("slot, message", [
-        (2.0, "event slot must be an integer, got 2.0"),
+        (2.0, "event script schema violation at /events/0/slot: "
+              "expected integer, got 2.0"),
         (True, "event script schema violation at /events/0/slot"),
     ], ids=["float", "bool"])
     def test_scripts_with_non_integer_slots_exit_2(self, tmp_path, capsys,

@@ -16,6 +16,124 @@ def motivating_raw():
     return serialize(load_config("motivating-example"))
 
 
+def fault(name, edit, pointer, detail):
+    return pytest.param(edit, pointer, detail, id=name)
+
+
+# one case per kind of fault the config reader refuses, each at its pointer
+CONFIG_FAULTS = [
+    fault("type-grid", lambda r: r["grid"].update(tau="4"),
+          "/grid/tau", "expected integer, got '4'"),
+    fault("type-appliance", lambda r: r["appliances"][1].update(power=True),
+          "/appliances/1/power", "expected number, got True"),
+    fault("type-zone-bound",
+          lambda r: r["ns_appliances"][0]["zone"].__setitem__(1, 3.0),
+          "/ns_appliances/0/zone/1", "expected integer, got 3.0"),
+    fault("type-solver", lambda r: r["solver"].update(include_inactive=0),
+          "/solver/include_inactive", "expected boolean, got 0"),
+    fault("type-section", lambda r: r.update(battery=[]),
+          "/battery", "expected object, got []"),
+    fault("type-max-solves", lambda r: r["solver"].update(max_solves="2"),
+          "/solver/max_solves", "expected integer or null, got '2'"),
+    fault("unknown-top", lambda r: r.update(grids={}),
+          "/", "unexpected key 'grids'"),
+    fault("unknown-units", lambda r: r.update(units={"volts": "V"}),
+          "/units", "unexpected key 'volts'"),
+    fault("unknown-grid", lambda r: r["grid"].update(slot_hour=1.0),
+          "/grid", "unexpected key 'slot_hour'"),
+    fault("unknown-appliance", lambda r: r["appliances"][0].update(kind=1),
+          "/appliances/0", "unexpected key 'kind'"),
+    fault("unknown-ns-appliance",
+          lambda r: r["ns_appliances"][0].update(kind=1),
+          "/ns_appliances/0", "unexpected key 'kind'"),
+    fault("unknown-battery", lambda r: r["battery"].update(loss=0.1),
+          "/battery", "unexpected key 'loss'"),
+    fault("unknown-price", lambda r: r["price"].update(unit="W"),
+          "/price", "unexpected key 'unit'"),
+    fault("unknown-privacy", lambda r: r["privacy"].update(mu=1.0),
+          "/privacy", "unexpected key 'mu'"),
+    fault("unknown-solver", lambda r: r["solver"].update(cap=1),
+          "/solver", "unexpected key 'cap'"),
+    fault("missing-section", lambda r: r.pop("battery"),
+          "/", "missing key 'battery'"),
+    fault("missing-field", lambda r: r["ns_appliances"][0].pop("zone"),
+          "/ns_appliances/0", "missing key 'zone'"),
+    fault("no-price", lambda r: r["price"].clear(),
+          "/price", "needs exactly one of values, csv, constant"),
+    fault("two-prices", lambda r: r["price"].update(constant=1e-4),
+          "/price", "needs exactly one of values, csv, constant"),
+    fault("no-reference", lambda r: r["privacy"].pop("reference"),
+          "/privacy", "needs exactly one of reference, reference_csv"),
+    fault("two-references",
+          lambda r: r["privacy"].update(reference_csv="history.csv"),
+          "/privacy", "needs exactly one of reference, reference_csv"),
+    fault("zone-of-1", lambda r: r["ns_appliances"][0].update(zone=[2]),
+          "/ns_appliances/0/zone", "expected length 2, got 1"),
+    fault("zone-of-3",
+          lambda r: r["ns_appliances"][0].update(zone=[2, 3, 4]),
+          "/ns_appliances/0/zone", "expected length 2, got 3"),
+    fault("empty-start-prob",
+          lambda r: r["ns_appliances"][0].update(start_prob=[]),
+          "/ns_appliances/0/start_prob", "expected length at least 1, got 0"),
+    fault("empty-values", lambda r: r["price"].update(values=[]),
+          "/price/values", "expected length at least 1, got 0"),
+    fault("bad-unit", lambda r: r.update(units={"power": "MW"}),
+          "/units/power", "expected one of W, kW, got 'MW'"),
+    fault("bad-solver", lambda r: r["solver"].update(metric="both"),
+          "/solver/metric", "expected one of two-sided, upper-only, "
+                            "got 'both'"),
+    fault("bad-source",
+          lambda r: r["privacy"].update(reference_source="guess"),
+          "/privacy/reference_source", "got 'guess'"),
+    fault("empty-id", lambda r: r["appliances"][0].update(id=""),
+          "/appliances/0/id", "expected a non-empty string"),
+]
+
+
+@pytest.mark.parametrize("edit, pointer, detail", CONFIG_FAULTS)
+def test_the_config_reader_names_each_fault_at_its_pointer(edit, pointer,
+                                                           detail):
+    raw = motivating_raw()
+    edit(raw)
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert str(err.value).startswith(
+        f"config schema violation at {pointer}: ")
+    assert detail in str(err.value)
+
+
+SCRIPT_FAULTS = [
+    fault("events-and-seed", {"events": [], "sample_seed": 9},
+          "/", "needs exactly one of events, sample_seed"),
+    fault("neither", {}, "/", "needs exactly one of events, sample_seed"),
+    fault("not-an-object", [], "/", "expected object, got []"),
+    fault("negative-seed", {"sample_seed": -1},
+          "/sample_seed", "must be at least 0, got -1"),
+    fault("bool-seed", {"sample_seed": False},
+          "/sample_seed", "expected integer, got False"),
+    fault("unknown-event-key",
+          {"events": [{"appliance_id": "beta", "slot": 2, "at": 1}]},
+          "/events/0", "unexpected key 'at'"),
+    fault("missing-slot", {"events": [{"appliance_id": "beta"}]},
+          "/events/0", "missing key 'slot'"),
+    fault("empty-appliance-id",
+          {"events": [{"appliance_id": "", "slot": 2}]},
+          "/events/0/appliance_id", "expected a non-empty string"),
+]
+
+
+@pytest.mark.parametrize("script, pointer, detail", SCRIPT_FAULTS)
+def test_the_script_reader_names_each_fault_at_its_pointer(tmp_path, script,
+                                                           pointer, detail):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    with pytest.raises(ConfigError) as err:
+        load_event_script(path)
+    assert str(err.value).startswith(
+        f"event script schema violation at {pointer}: ")
+    assert detail in str(err.value)
+
+
 class TestParseAndSerialize:
     @pytest.mark.parametrize("name", ["section-iv-a", "motivating-example",
                                       "table-ii"])
@@ -62,7 +180,7 @@ class TestParseAndSerialize:
         (("solver", "state_cap"), 2.0), (("solver", "state_cap"), 0),
         (("seed",), 3.0)])
     def test_integral_floats_and_zero_caps_are_refused(self, where, value):
-        # JSON Schema counts 2.0 as an integer; the config does not
+        # an integer field holds an int: 2.0 is a float, as JSON writes it
         raw = motivating_raw()
         *path, key = where
         node = raw

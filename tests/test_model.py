@@ -64,6 +64,12 @@ class TestTimeGrid:
         with pytest.raises(ModelError, match="slot_hours"):
             TimeGrid(tau=2, slot_hours=0.0)
 
+    # True == 1 and 2.0 == 2, yet either would hash apart from the int
+    @pytest.mark.parametrize("tau", [True, 2.0])
+    def test_rejects_a_horizon_that_is_not_an_int(self, tau):
+        with pytest.raises(ModelError, match="horizon"):
+            TimeGrid(tau=tau)
+
 
 class TestSchedulableAppliance:
     @pytest.mark.parametrize("power,workload,expected", [
@@ -89,6 +95,12 @@ class TestSchedulableAppliance:
         with pytest.raises(ModelError, match="power"):
             SchedulableAppliance(id="a", power_w=0.0, workload_wh=1.0,
                                  duration_slots=1)
+
+    @pytest.mark.parametrize("duration", [True, 1.0])
+    def test_rejects_a_duration_that_is_not_an_int(self, duration):
+        with pytest.raises(ModelError, match="duration"):
+            SchedulableAppliance(id="a", power_w=1.0, workload_wh=1.0,
+                                 duration_slots=duration)
 
 
 class TestNonSchedulableAppliance:
@@ -130,6 +142,18 @@ class TestNonSchedulableAppliance:
         with pytest.raises(ModelError, match="does not fit"):
             NonSchedulableAppliance(id="n", power_w=10.0, runtime_slots=3,
                                     zone=(4, 5))
+
+    @pytest.mark.parametrize("runtime", [True, 1.0])
+    def test_rejects_a_runtime_that_is_not_an_int(self, runtime):
+        with pytest.raises(ModelError, match="runtime"):
+            NonSchedulableAppliance(id="n", power_w=10.0,
+                                    runtime_slots=runtime, zone=(1, 2))
+
+    @pytest.mark.parametrize("zone", [(True, 2), (1, True), (1.0, 2)])
+    def test_rejects_zone_bounds_that_are_not_ints(self, zone):
+        with pytest.raises(ModelError, match="zone"):
+            NonSchedulableAppliance(id="n", power_w=10.0, runtime_slots=1,
+                                    zone=zone)
 
 
 class TestBattery:

@@ -1,6 +1,10 @@
 """Static checks over the package's own source files."""
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "paces"
 
@@ -35,3 +39,59 @@ def test_no_module_imports_a_name_it_never_uses():
               if path.name != "__init__.py"
               for name in unused_imports(path.read_text(encoding="utf-8"))]
     assert unused == []
+
+
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
+
+
+def declared_dependencies(pyproject: str) -> set[str]:
+    """Import names of ``[project] dependencies`` in a pyproject.toml."""
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: read the one array by hand
+        block = pyproject.split("\ndependencies = [", 1)[1].split("]", 1)[0]
+        specs = re.findall(r'"([^"]+)"', block)
+    else:
+        specs = tomllib.loads(pyproject)["project"]["dependencies"]
+    return {re.match(r"[\w.-]+", spec).group().lower().replace("-", "_")
+            for spec in specs}
+
+
+def foreign_imports(source: str, allowed: set[str]) -> list[str]:
+    """Top-level modules that ``source`` imports from outside the standard
+    library, its own package and ``allowed``, in import order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    tops = [name.split(".")[0] for name in found]
+    return [top for top in tops
+            if top not in sys.stdlib_module_names | {"paces"} | allowed]
+
+
+def test_the_scan_sees_every_foreign_import():
+    source = ("import os.path, numpy\nfrom . import model\n"
+              "from paces.model import Instance\n"
+              "def f():\n    from jsonschema import validate\n")
+    assert foreign_imports(source, {"numpy"}) == ["jsonschema"]
+
+
+@pytest.mark.parametrize("tomllib", ["present", "absent"])
+def test_dependencies_read_with_or_without_tomllib(monkeypatch, tomllib):
+    if tomllib == "absent":
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+    assert declared_dependencies(
+        '[project]\ndependencies = [\n    "numpy>=1.24",\n'
+        '    "Typing-Extensions ; python_version<\'3.11\'",\n]\n') \
+        == {"numpy", "typing_extensions"}
+
+
+def test_the_package_imports_only_what_it_declares():
+    allowed = declared_dependencies(PYPROJECT.read_text(encoding="utf-8"))
+    foreign = [f"{path.name}: {name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for name in foreign_imports(path.read_text(encoding="utf-8"),
+                                           allowed)]
+    assert foreign == []
