@@ -131,14 +131,13 @@ class PlacementProduct(Sequence[PrivacyScenario]):
 
     A read-only sequence in :func:`itertools.product` order: the last
     appliance varies fastest.  An index is decoded in mixed radix on
-    lookup and memoised, so a placement is one object however often it
-    is read.  Slicing gives a list.
+    every lookup and nothing is kept, so iterating a large product holds
+    one placement at a time.  Slicing gives a list.
     """
 
     def __init__(self, options: Sequence[Sequence[Optional[int]]]):
         self.options = tuple(tuple(opts) for opts in options)
         self._len = math.prod(len(opts) for opts in self.options)
-        self._memo: dict[int, PrivacyScenario] = {}
 
     def __len__(self) -> int:
         return self._len
@@ -151,14 +150,11 @@ class PlacementProduct(Sequence[PrivacyScenario]):
             i += self._len
         if not 0 <= i < self._len:
             raise IndexError("placement index out of range")
-        scenario = self._memo.get(i)
-        if scenario is None:
-            starts, rest = [], i
-            for opts in reversed(self.options):
-                rest, k = divmod(rest, len(opts))
-                starts.append(opts[k])
-            scenario = self._memo[i] = PrivacyScenario(tuple(starts[::-1]))
-        return scenario
+        starts, rest = [], i
+        for opts in reversed(self.options):
+            rest, k = divmod(rest, len(opts))
+            starts.append(opts[k])
+        return PrivacyScenario(tuple(starts[::-1]))
 
     def at(self, picks: Sequence[int]) -> PrivacyScenario:
         """The placement that takes option ``picks[j]`` of appliance ``j``."""

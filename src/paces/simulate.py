@@ -8,8 +8,8 @@ table's state never holds that draw, so the walk is made once per table
 place a realized placement is scored, adds only the per-slot draw, load,
 gap and cost.  A report row takes its slot, price, base load, battery
 level and decision from the kept walk and recomputes none of them.  It
-never improvises: an off-grid or infeasible state, or a decision that
-cannot be applied, is an integrity error, not something to round away.
+never improvises: an off-grid or infeasible start state is an integrity
+error, not something to round away; a closed table holds no other.
 """
 from __future__ import annotations
 

@@ -505,9 +505,10 @@ class ScheduleTable:
     through the instance's shared engine (:func:`_engine`), and the
     config keeps the envelope the table was built against.
 
-    The forward walk from a start cell is made once and kept (see
-    :meth:`walk`).  From then on the three arrays are read-only, so an
-    edit after a walk raises instead of leaving a stale walk behind.
+    The arrays come from a build or a load and are not checked here: a
+    build makes only closed tables and a load refuses any other (see
+    :meth:`walk`).  They are set read-only in place, so a table stays as
+    it was checked and a kept walk never goes stale.
     """
 
     def __init__(self, config: SolveConfig, values: np.ndarray,
@@ -515,6 +516,8 @@ class ScheduleTable:
                  model_hash: Optional[str]):
         self.config = config
         self._engine = _engine(config)
+        for arr in (values, dec_mask, dec_step):
+            arr.flags.writeable = False
         self.values = values
         self.dec_mask = dec_mask
         self.dec_step = dec_step
@@ -554,13 +557,13 @@ class ScheduleTable:
 
         The walk carries the state as grid indices and reads the decision
         cells directly.  It is made on the first call from a start cell
-        and kept; a later call from the same cell returns it.  A walk
-        that reaches an off-grid or dead state, a decision that restarts
-        an appliance or moves the battery outside ``[0, b_max]``, or work
-        left unfinished past the horizon raises :class:`IntegrityError`
-        and keeps nothing, so it is refused again on every call.  An
-        off-grid or dead state is refused through :func:`runtime_lookup`,
-        which names the nearest feasible state.
+        and kept; a later call from the same cell returns it.  An
+        off-grid or dead start state raises :class:`IntegrityError`
+        through :func:`runtime_lookup`, which names the nearest feasible
+        state.  Nothing else can: in a closed table every live cell's
+        decision is an option of its vector and moves within the rate
+        limits and the grid to a live cell (after slot ``tau``, to the
+        finished vector).
         """
         eng = self._engine
         try:
@@ -572,59 +575,44 @@ class ScheduleTable:
         walk = self._walks.get(start)
         if walk is not None:
             return walk
+        r_idx, b_idx = start
+        if self.dec_mask[0, r_idx, b_idx] < 0:
+            # a dead start: the lookup raises, naming the nearest
+            runtime_lookup(self, initial_state, 1)
 
         inst = self.config.instance
-        step, m = eng.step, eng.m
+        step = eng.step
         prices = inst.price.values
-        r_idx, b_idx = start
-        # the refusals name the caller's start state, the steps its grid
-        # twin; an idle run repeats one step, so a repeat reuses its results
-        state = initial_state
+        # the steps read the start's grid twin; an idle run repeats one
+        # step, so a repeat reuses its results
         cell = SystemState(battery_wh=b_idx * step,
                            remaining=eng.r_combos[r_idx])
         last = None
         decisions, states, base_loads, rows = [], [], [], []
         for t in range(1, eng.tau + 1):
             mask = int(self.dec_mask[t - 1, r_idx, b_idx])
-            if mask < 0:  # a dead state: the lookup raises, naming the nearest
-                runtime_lookup(self, state, t)
             k = int(self.dec_step[t - 1, r_idx, b_idx])
             if (r_idx, mask, k) != last:
                 last = (r_idx, mask, k)
-                try:
-                    decision, r_next, base = eng.walk_step(cell, mask, k)
-                except ModelError as err:
-                    raise IntegrityError(
-                        f"table decision at slot {t} cannot be applied to "
-                        f"{state!r}: {err}") from None
+                decision, r_next, base = eng.walk_step(cell, mask, k)
                 started = tuple(a.id for a, s in zip(inst.appliances,
                                                      decision.starts) if s)
             b_idx += k
-            if not 0 <= b_idx < m:
-                raise IntegrityError(
-                    f"table decision at slot {t} moves the battery to "
-                    f"{b_idx * step!r} Wh, outside [0, {inst.battery.b_max_wh!r}]")
             if k or r_next != r_idx:
                 cell = SystemState(battery_wh=b_idx * step,
                                    remaining=eng.r_combos[r_next])
                 r_idx = r_next
-            state = cell
             decisions.append(decision)
-            states.append(state)
+            states.append(cell)
             base_loads.append(base)
             rows.append((t, prices[t - 1], base, decision.battery_delta_wh,
                          started))
-        if r_idx != eng.done_idx:
-            raise IntegrityError(
-                f"schedule left unfinished work {state.remaining!r} past the horizon")
         controllable = sum(slot_cost(b, prices[t - 1], eng.h)
                            for t, b in enumerate(base_loads, start=1))
         walk = self._walks[start] = QuietWalk(
             decisions=tuple(decisions), states=tuple(states),
             base_load_w=tuple(base_loads), controllable_cost=float(controllable),
             levels=tuple(s.battery_wh for s in states[:-1]), rows=tuple(rows))
-        for arr in (self.values, self.dec_mask, self.dec_step):
-            arr.flags.writeable = False
         return walk
 
 

@@ -38,6 +38,16 @@ def all_states(instance):
             for combo in itertools.product(*ranges)]
 
 
+def reference_cell(instance, state):
+    """The table cell ``(r_idx, b_idx)`` of ``state``: the remaining
+    vector as an odometer over ``0..duration``, last appliance fastest,
+    and the battery level through ``Battery.level_index``."""
+    r_idx = 0
+    for r, a in zip(state.remaining, instance.appliances):
+        r_idx = r_idx * (a.duration_slots + 1) + r
+    return r_idx, instance.battery.level_index(state.battery_wh)
+
+
 def reference_decisions(state, t, config):
     """Every admissible decision at ``(state, t)``, on the grid.
 
@@ -89,11 +99,10 @@ def reference_decisions(state, t, config):
 def reference_replay(table, initial_state, scenario):
     """The forward walk from ``initial_state``, one object per slot.
 
-    Each slot finds its cell from the state's own fields (the remaining
-    vector as an odometer over ``0..duration``, last appliance fastest,
-    and the battery level through ``Battery.level_index``), then applies
-    the stored decision with the model's per-slot functions.  It walks
-    tables whose walk succeeds; a dead cell fails an assertion.
+    Each slot finds its cell from the state's own fields
+    (:func:`reference_cell`), then applies the stored decision with the
+    model's per-slot functions.  It walks tables whose walk succeeds; a
+    dead cell fails an assertion.
     """
     inst = table.config.instance
     bat, h = inst.battery, inst.grid.slot_hours
@@ -103,10 +112,7 @@ def reference_replay(table, initial_state, scenario):
     decisions, states = [], [state]
     base_loads, ns_loads, loads, gaps, costs = [], [], [], [], []
     for t in range(1, inst.grid.tau + 1):
-        r_idx = 0
-        for r, d in zip(state.remaining, durations):
-            r_idx = r_idx * (d + 1) + r
-        b_idx = bat.level_index(state.battery_wh)
+        r_idx, b_idx = reference_cell(inst, state)
         mask = int(table.dec_mask[t - 1, r_idx, b_idx])
         assert mask >= 0, f"dead cell at slot {t}"
         k = int(table.dec_step[t - 1, r_idx, b_idx])

@@ -73,6 +73,16 @@ def always_start_the_first(arrays):
     mask[mask >= 0] = 1
 
 
+def kill_slot_2(arrays):
+    # slot 2, remaining (2, 3) is vector 11, at level 0: where slot 1 idles
+    arrays["dec_mask"][1, 11, 0] = -1
+
+
+def revive_a_doomed_cell(arrays):
+    # at slot 4 nothing started with (2, 3) to go can finish
+    arrays["dec_mask"][3, 11, 0] = 0
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -566,8 +576,9 @@ class TestBuildAndSimulate:
         assert "max |gap| 45000.0 W, breaches 1" in out
 
     # a load rebuilds the values, and so refuses a decision it cannot
-    # apply or a schedule it cannot finish, even in a dump whose body hash
-    # matches; it meets each fault at the last slot, first vector first
+    # apply, a step into a dead cell or a schedule it cannot finish, even
+    # in a dump whose body hash matches; it meets each fault at the last
+    # slot, first vector first
     @pytest.mark.parametrize("corrupt, message", [
         (never_start, "slot 4 for SystemState(battery_wh=0.0, "
          "remaining=(0, 2)) leaves unfinished work (0, 1) past the horizon"),
@@ -577,7 +588,15 @@ class TestBuildAndSimulate:
         (always_start_the_first,
          "cannot be applied: cannot start an appliance with 0 of 2 slots "
          "remaining"),
-    ], ids=["never-start", "drain-below-empty", "restart"])
+        (kill_slot_2, "table decision at slot 1 for SystemState("
+         "battery_wh=0.0, remaining=(2, 3)) leads to SystemState("
+         "battery_wh=0.0, remaining=(2, 3)), which has no feasible decision "
+         "at slot 2"),
+        (revive_a_doomed_cell, "table decision at slot 4 for SystemState("
+         "battery_wh=0.0, remaining=(2, 3)) leaves unfinished work past the "
+         "horizon: an unstarted appliance can no longer finish by slot 4"),
+    ], ids=["never-start", "drain-below-empty", "restart", "dead-successor",
+            "doomed-vector"])
     def test_unreplayable_dumps_exit_4(self, tmp_path, capsys, corrupt,
                                        message):
         code, _, err = self.simulate_corrupted(capsys, tmp_path,

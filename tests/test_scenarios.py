@@ -103,7 +103,8 @@ class TestCandidateScenarios:
         assert [c.starts for c in cands] == want
         for i in range(-len(want), 0):
             assert cands[i].starts == want[i]
-            assert cands[i] is cands[i + len(want)]
+            # a product repeats no placement, so equality names one index
+            assert cands[i] == cands[i + len(want)]
         window = data.draw(st.slices(len(want)))
         assert [c.starts for c in cands[window]] == want[window]
         for i in (len(want), -len(want) - 1):

@@ -12,16 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paces import (Battery, ConfigError, EventScript, Instance,
-                   IntegrityError, ModelError, NonSchedulableAppliance,
-                   PriceSignal, PrivacyPolicy, PrivacyScenario, ScenarioSet,
-                   SchedulableAppliance, ScriptedStart, SolveConfig,
-                   SystemState, TimeGrid, backward_recursion,
-                   extract_schedule, load_config, load_table, open_table,
-                   random_small_instance, runtime_lookup, save_table,
-                   scenario_load, simulate, solve_with_scenarios,
-                   sweep_battery)
-from raw_model import reference_replay, reference_report_csv
+from paces import (Battery, ConfigError, EventScript, InfeasibleError,
+                   Instance, IntegrityError, ModelError,
+                   NonSchedulableAppliance, PriceSignal, PrivacyPolicy,
+                   PrivacyScenario, ScenarioSet, SchedulableAppliance,
+                   ScriptedStart, SolveConfig, SystemState, TimeGrid,
+                   backward_recursion, extract_schedule, load_config,
+                   load_table, open_table, random_small_instance,
+                   runtime_lookup, save_table, scenario_load, simulate,
+                   solve_with_scenarios, sweep_battery)
+from raw_model import (all_states, reference_cell, reference_replay,
+                       reference_report_csv)
 from table_checks import replay
 
 
@@ -236,18 +237,15 @@ def another_households_placement(table):
 
 
 def motivating_table():
-    """A fresh motivating-example table whose arrays a test may edit."""
+    """A fresh motivating-example table, not yet walked."""
     inst = motivating()
     return backward_recursion(SolveConfig(instance=inst,
                                           scenarios=ScenarioSet.base(1)))
 
 
 class TestWalkRefusals:
-    """Each refusal of the forward walk, on arrays edited in memory.
-
-    The unedited walk stays at 0 Wh.  Its remaining vectors are (2, 3),
-    (2, 3), (2, 2) and (1, 1) at slots 1 to 4, and (0, 0) after slot 4.
-    """
+    """The forward walk refuses only its start state: a table is closed,
+    so a walk from a live cell cannot fail."""
 
     def refusal(self, table, state=None):
         with pytest.raises(IntegrityError) as err:
@@ -262,63 +260,42 @@ class TestWalkRefusals:
             "the 10000.0 Wh grid within [0, 20000.0]; nearest tabulated "
             "feasible state is SystemState(battery_wh=0.0, remaining=(2, 3))")
 
-    def test_a_dead_cell_mid_walk(self):
-        table = motivating_table()
-        # slot 2, remaining (2, 3) is vector 11, at level 0
-        table.dec_mask[1, 11, 0] = -1
-        assert self.refusal(table) == (
-            "state SystemState(battery_wh=0.0, remaining=(2, 3)) has no "
-            "feasible decision at slot 2; nearest tabulated feasible state "
-            "is SystemState(battery_wh=0.0, remaining=(1, 3))")
-
-    def test_a_restart(self):
-        table = motivating_table()
-        table.dec_mask[table.dec_mask >= 0] = 1
-        assert self.refusal(table) == (
-            "table decision at slot 2 cannot be applied to "
-            "SystemState(battery_wh=0.0, remaining=(1, 3)): cannot start an "
-            "appliance with 1 of 2 slots remaining")
-
-    def test_a_charge_past_capacity_in_the_last_slot(self):
-        table = motivating_table()
-        table.dec_step[-1] = 3
-        assert self.refusal(table) == (
-            "table decision at slot 4 moves the battery to 30000.0 Wh, "
-            "outside [0, 20000.0]")
-
-    def test_unfinished_work(self):
-        table = motivating_table()
-        table.dec_mask[:] = 0
-        table.dec_step[:] = 0
-        assert self.refusal(table) == (
-            "schedule left unfinished work (2, 3) past the horizon")
+    def test_a_dead_start(self):
+        # on table-ii, an empty battery with all work done cannot meet the
+        # band at slot 1
+        table = solve_with_scenarios(load_config("table-ii").instance).table
+        dead = SystemState(battery_wh=0.0, remaining=(0, 0, 0))
+        kept = dict(table._walks)  # the solve walked the initial state
+        for _ in range(2):
+            assert self.refusal(table, dead) == (
+                "state SystemState(battery_wh=0.0, remaining=(0, 0, 0)) has "
+                "no feasible decision at slot 1; nearest tabulated feasible "
+                "state is SystemState(battery_wh=0.0, remaining=(2, 0, 0))")
+        assert table._walks == kept
 
     def test_a_scenario_for_another_household(self):
         # refused before the walk starts, as a model error
         table = motivating_table()
         another_households_placement(table)
-        assert table.dec_mask.flags.writeable  # no walk was made
-
-
-def kill_slot_2(table):
-    table.dec_mask[1, 11, 0] = -1
-
-
-def restart_everything(table):
-    table.dec_mask[table.dec_mask >= 0] = 1
-
-
-def overcharge_last_slot(table):
-    table.dec_step[-1] = 3
-
-
-def do_nothing(table):
-    table.dec_mask[:] = 0
-    table.dec_step[:] = 0
+        assert table._walks == {}  # no walk was made
 
 
 class TestWalkCache:
-    """A table keeps its walk, and keeps nothing from a refused one."""
+    """A table is read-only once made, keeps its walk, and keeps nothing
+    from a refused start."""
+
+    def test_a_made_table_refuses_edits(self, tmp_path):
+        built = motivating_table()
+        path = str(tmp_path / "table.json")
+        save_table(built, path)
+        loaded = load_table(path, built.config)
+        opened = open_table(path, motivating())
+        for table in (built, loaded, opened):
+            assert table._walks == {}
+            for arr in (table.values, table.dec_mask, table.dec_step):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[1, 11, 0] = -1
 
     def test_a_walked_table_refuses_edits(self):
         table = motivating_table()
@@ -328,19 +305,6 @@ class TestWalkCache:
             with pytest.raises(ValueError, match="read-only"):
                 arr[1, 11, 0] = -1
         assert extract_schedule(table, state) == walked
-
-    @pytest.mark.parametrize("edit", [kill_slot_2, restart_everything,
-                                      overcharge_last_slot, do_nothing])
-    def test_a_refused_replay_is_refused_again(self, edit):
-        table = motivating_table()
-        edit(table)
-        messages = []
-        for _ in range(2):
-            with pytest.raises(IntegrityError) as err:
-                simulate(table, EventScript.sampled(0), table.config)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-        assert table.dec_mask.flags.writeable  # nothing was kept
 
     def test_a_wrong_scenario_is_refused_again(self):
         table = motivating_table()
@@ -465,6 +429,54 @@ class TestReplayDigest:
         save_table(table, path)
         loaded = open_table(path, table.config.instance)
         assert replay_digest(loaded, loaded.config, range(500)) == self.DIGEST
+
+
+def assert_every_live_start_finishes(table):
+    """Walk from every state whose slot-1 cell is live; each walk ends with
+    all work done and equals the raw model's walk.  Returns the count."""
+    inst = table.config.instance
+    quiet = PrivacyScenario((None,) * len(inst.ns_appliances))
+    done = (0,) * len(inst.appliances)
+    starts = [state for state in all_states(inst)
+              if table.dec_mask[(0,) + reference_cell(inst, state)] >= 0]
+    for state in starts:
+        walk = table.walk(state)
+        want = reference_replay(table, state, quiet)
+        assert walk.states[-1].remaining == done
+        # repr also tells -0.0 from 0.0
+        assert repr((walk.decisions, walk.states, walk.base_load_w)) == \
+            repr((want.decisions, want.states[1:], want.base_load_w))
+    return len(starts)
+
+
+class TestEveryTableIsClosed:
+    """A walk from a live cell has no refusal left, so every live start of
+    a built or loaded table must finish: no test of the walk alone would
+    see a table that is not closed."""
+
+    def test_seeded_loop_tables(self):
+        walked = 0
+        for seed in range(300):
+            inst = random_small_instance(seed, ns_count=1 + seed % 2)
+            try:
+                table = solve_with_scenarios(inst).table
+            except InfeasibleError:
+                continue
+            walked += assert_every_live_start_finishes(table)
+        assert walked > 0
+
+    @pytest.mark.parametrize("preset", ["motivating-example", "table-ii",
+                                        "section-iv-a"])
+    def test_preset_loop_tables(self, preset):
+        table = solve_with_scenarios(load_config(preset).instance).table
+        assert assert_every_live_start_finishes(table) > 0
+
+    def test_a_reloaded_fine_table(self, tmp_path):
+        table = replay_fine().table
+        path = str(tmp_path / "table.json")
+        save_table(table, path)
+        loaded = load_table(path, table.config)
+        assert assert_every_live_start_finishes(loaded) > 0
 
 
 class TestSimulate:

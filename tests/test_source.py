@@ -2,6 +2,7 @@
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,72 @@ def test_no_module_imports_a_name_it_never_uses():
               if path.name != "__init__.py"
               for name in unused_imports(path.read_text(encoding="utf-8"))]
     assert unused == []
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree``: as a name, an attribute,
+    an imported name or an exact string."""
+    read = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                           ast.Load):
+            read[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read[node.value] += 1
+    return read
+
+
+def unread_definitions(defining: list[str], reading: list[str]) -> list[str]:
+    """Functions and classes of the ``defining`` sources that no source
+    reads outside their own body, in definition order.  Dunder methods
+    are called by the language, so they count as read."""
+    trees = [ast.parse(source) for source in defining]
+    read = Counter()
+    for tree in trees + [ast.parse(source) for source in reading]:
+        read += names_read(tree)
+    unread = []
+    for tree in trees:
+        defs = sorted((node for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef,
+                                            ast.ClassDef))),
+                      key=lambda node: node.lineno)
+        unread += [node.name for node in defs
+                   if not (node.name.startswith("__")
+                           and node.name.endswith("__"))
+                   and read[node.name] <= names_read(node)[node.name]]
+    return unread
+
+
+def test_the_scan_sees_definitions_read_only_by_themselves():
+    source = ("class Box:\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def size(self):\n        return self.size()\n"
+              "    def weight(self):\n        return 1\n"
+              "def recurse(n):\n    return recurse(n - 1)\n"
+              "def by_name():\n    pass\n"
+              "def unused():\n    pass\n"
+              "def aliased():\n    pass\n"
+              "HOOKS = {'by_name': None}\n")
+    reader = "from m import aliased as other\nBox().weight()\n"
+    assert unread_definitions([source], [reader]) == [
+        "size", "recurse", "unused"]
+
+
+def test_no_helper_is_read_by_the_tests_alone():
+    # __init__.py only re-exports, so its imports read nothing; the
+    # benchmark calls the package as a user would
+    defining = [path.read_text(encoding="utf-8")
+                for path in sorted(PACKAGE.glob("*.py"))
+                if path.name != "__init__.py"]
+    perfbench = PACKAGE.parent.parent / "perfbench"
+    reading = [path.read_text(encoding="utf-8")
+               for path in sorted(perfbench.glob("*.py"))]
+    assert unread_definitions(defining, reading) == []
 
 
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"

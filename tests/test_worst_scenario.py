@@ -112,9 +112,14 @@ class TestAgainstTheLoop:
             got = quiet_search(solution, candidates, inst, metric)
             want = reference_worst_scenario(solution, candidates, inst,
                                             metric)
-            # identity, not equality: a repeated candidate must resolve to
-            # its first occurrence
-            assert got[0] is want[0]
+            if candidates is lists[0]:  # the product
+                # a product repeats no placement and decodes one on every
+                # read, so equality names one index
+                assert got[0] == want[0]
+            else:
+                # identity, not equality: a repeated candidate must
+                # resolve to its first occurrence
+                assert got[0] is want[0]
             assert type(got[1]) is float
             assert repr(got[1]) == repr(want[1])
 
@@ -124,7 +129,8 @@ class TestAgainstTheLoop:
         inst, solution, (full, _), metric = case
         got = quiet_search(solution, full, inst, metric)
         want = quiet_search(solution, list(full), inst, metric)
-        assert got[0] is want[0]
+        # a product repeats no placement, so equality names one index
+        assert got[0] == want[0]
         assert repr(got[1]) == repr(want[1])
 
     def test_draws_sum_in_appliance_order(self):
