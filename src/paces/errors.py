@@ -19,11 +19,16 @@ class ConfigError(PacesError):
 
 
 class StateSpaceError(ConfigError):
-    """Discretized state space exceeds the configured cap."""
+    """Discretized state space exceeds the configured cap.
 
-    def __init__(self, count: int, cap: int):
+    ``count`` and ``cap`` are states unless ``message`` names another
+    measure of the instance's size.
+    """
+
+    def __init__(self, count: int, cap: int, message: str | None = None):
         super().__init__(
-            f"state explosion: instance enumerates {count} states, cap is {cap}"
+            message
+            or f"state explosion: instance enumerates {count} states, cap is {cap}"
         )
         self.count = count
         self.cap = cap

@@ -168,21 +168,19 @@ class _SlotOptions:
     """Admissible start sets of every remaining vector at one slot.
 
     One row per option.  Each vector's rows are one block, vectors
-    ascending, in visit order: by start-set size, then by ``skey``, which
-    reads the start mask with the first appliance as the most significant
-    bit.  ``first`` holds each block's first row, ``block`` each row's
-    block and ``r_first`` each block's vector.  A vector with an
-    unstarted appliance that can no longer meet the deadline has no rows:
-    every continuation from it is doomed.
+    ascending, in visit order: by start-set size ``n_starts``, then by
+    ``skey``, which reads the start mask with the first appliance as the
+    most significant bit.  ``first`` holds each block's first row,
+    ``block`` each row's block and ``r_first`` each block's vector.  A
+    vector with an unstarted appliance that can no longer meet the
+    deadline has no rows: every continuation from it is doomed.
 
-    ``rows`` (the row index) and ``start_key`` (the start-set size
-    ``n_starts << 32``) are columns of shape ``(rows, 1)``, the start-set
-    parts of the slot solver's tie-break.  ``start_key + |k|`` orders a
-    block's tied rows by start-set size, then move magnitude: ``|k|``
-    fits the int32 ``dec_step``, so the sum is exact in int64 whatever
-    the battery grid.  ``row_of[r, mask]`` is the row of vector ``r``'s
-    start mask, or -1 where that mask is no option of it at this slot;
-    a table load reads a stored decision's row through it.
+    ``order`` is the window order: the rows stably sorted by draw
+    ``y_w``, along which every band's battery-move bounds fall (see
+    :meth:`_Engine.solve_slot`); ``rank`` is its inverse, each row's
+    place in it.  ``row_of[r, mask]`` is the row of vector ``r``'s start
+    mask, or -1 where that mask is no option of it at this slot; a table
+    load reads a stored decision's row through it.
     Everything here depends on ``(durations, powers, tau)`` only, so every
     build of one instance shape shares it, whatever its battery, band or
     scenario set.  All arrays are read-only.
@@ -195,8 +193,9 @@ class _SlotOptions:
     first: np.ndarray
     block: np.ndarray
     r_first: np.ndarray
-    rows: np.ndarray
-    start_key: np.ndarray
+    n_starts: np.ndarray
+    order: np.ndarray
+    rank: np.ndarray
     row_of: np.ndarray
 
 
@@ -260,6 +259,10 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
                           for row in rows]))
         r_idx = np.array(cols[0], dtype=np.intp)
         first = np.flatnonzero(np.diff(r_idx, prepend=-1))
+        # the window order, by draw; Python's sort keeps ties in row order
+        order = sorted(range(len(r_idx)), key=cols[3].__getitem__)
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
         row_of = np.full((len(r_combos), 1 << n_app), -1, dtype=np.intp)
         row_of[r_idx, cols[1]] = np.arange(len(r_idx))
         slots.append(_SlotOptions(
@@ -272,11 +275,31 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
                                        np.diff(first, append=len(r_idx))),
                              np.intp),
             r_first=_read_only(r_idx[first], np.intp),
-            rows=_read_only(np.arange(len(r_idx))[:, None], np.intp),
-            start_key=_read_only(
-                (np.array(cols[2], dtype=np.int64) << 32)[:, None], np.int64),
+            n_starts=_read_only(cols[2], np.int64),
+            order=_read_only(order, np.intp),
+            rank=_read_only(rank, np.intp),
             row_of=_read_only(row_of, np.intp)))
     return tuple(slots)
+
+
+def _tie_key_shifts(n_app: int, n_rows: int, k_max: int) -> tuple[int, int]:
+    """Where the slot solver's tie-break key puts ``|k|`` and ``n_starts``.
+
+    The key is one int64 of three fields, most significant first:
+    ``n_starts``, ``|k|`` and the row, each as wide as its largest value
+    needs (``n_app`` starts, ``k_max`` steps, row ``n_rows - 1``), so
+    comparing keys compares the fields in that order.  A shape whose key
+    needs more than 63 bits raises :class:`StateSpaceError`.
+    """
+    row_bits = (n_rows - 1).bit_length()
+    k_bits = k_max.bit_length()
+    bits = n_app.bit_length() + k_bits + row_bits
+    if bits > 63:
+        raise StateSpaceError(bits, 63, (
+            f"state explosion: the slot solver's tie-break key needs {bits} "
+            f"bits ({n_app} appliances, moves of up to {k_max} steps, "
+            f"{n_rows} option rows), cap is 63"))
+    return row_bits, row_bits + k_bits
 
 
 class _Engine:
@@ -292,22 +315,30 @@ class _Engine:
 
     Per slot, the continuation is padded with ``inf`` by the rate limit
     on both sides, so each battery move ``k`` is one column shift of it.
-    Every row's window and stage cost for every move are one (moves x
-    rows) matrix; only the moves inside some row's window are scanned,
-    in ``(|k|, k)`` order with a strict ``<`` running minimum, which
-    keeps the first minimum exactly as a per-option ``argmin`` over the
-    same order would.  The tie-break then reduces each vector's block of
-    rows, one ``np.minimum.reduceat`` per key.
+    The rows are scanned in window order (:class:`_SlotOptions`): every
+    step of :meth:`k_windows` is monotone in the draw, so both bounds fall
+    along that order, and the rows that admit ``k`` are one slice, found
+    for every move by two ``np.searchsorted`` calls.  Each move is added
+    to its slice only, in ``(|k|, k)`` order with a strict ``<`` running
+    minimum, which keeps the first minimum exactly as a per-option
+    ``argmin`` over the same order would; a row outside the slice could
+    only add ``inf``.  The rows then go back to block order once, and two
+    ``np.minimum.reduceat`` calls settle each vector's block: the least
+    value, then the least int64 key ``(n_starts, |k|, row)`` among the
+    rows that hold it (:func:`_tie_key_shifts`).
 
-    Three alternatives were slower or not bit-equal.  The affine form
+    Four alternatives were slower or not bit-equal.  The affine form
     ``-c*step*b + min_j (f[j] + c*step*j)`` (a sliding-window minimum)
     would save the move loop but adds the price term in another order,
     which changes the rounding of the values and so which moves tie.
     Stacking every move into one (moves x rows x m) array and taking one
-    ``argmin`` allocates that whole array per slot and took about twice
-    the loop's time; gathering the shifted windows with
-    ``sliding_window_view`` and fancy indexing copied as much and was
-    slower again.
+    ``argmin`` allocates that whole array per slot: on solve-ns4, on a
+    2-core VM, its slot solves took 25.0 ms per operation against the
+    dense move loop's 15.3 ms.  Gathering the shifted windows with ``sliding_window_view`` and
+    fancy indexing copied as much and was slower again.  Clipping each
+    move's level range to the grid as well as its rows turns a row into
+    a short strided loop, which was slower than the row slice alone.
+    An int64 ``best_k`` in place of the int32 one made no difference.
     """
 
     def __init__(self, grid, appliances, battery, price, state_cap: int):
@@ -325,6 +356,12 @@ class _Engine:
         self.m = battery.n_levels
         self.k_rate_lo = -self._rate_steps(battery.z_discharge_max_wh)
         self.k_rate_hi = self._rate_steps(battery.z_charge_max_wh)
+        # a slot has at most one row per start set of each vector, which
+        # is prod(d + 2) rows over all vectors
+        self._k_shift, self._n_shift = _tie_key_shifts(
+            self.n_app, math.prod(d + 2 for d in self.durations),
+            max(-self.k_rate_lo, self.k_rate_hi))
+        self._row_mask = (1 << self._k_shift) - 1
         self.r_combos, self.r_index, self.done_idx = _vectors(self.durations)
         self.n_r = len(self.r_combos)
 
@@ -334,6 +371,7 @@ class _Engine:
         self._moves = sorted(range(self.k_rate_lo, self.k_rate_hi + 1),
                              key=lambda k: (abs(k), k))
         self._move_col = np.array(self._moves, dtype=np.int64)[:, None]
+        self._neg_moves = -self._move_col[:, 0]
         self._levels = np.arange(self.m)
 
     def _rate_steps(self, rate_wh: float) -> int:
@@ -393,41 +431,50 @@ class _Engine:
         dec_step = np.zeros((self.n_r, m), dtype=np.int32)
         opts = self.options(t)
 
-        # each move's admission and stage cost for every row, one matrix;
-        # each element is the per-move float expression, so bit-equal to it
-        k_lo, k_hi = self.k_windows(t, opts.y_w, band, envelope)
-        moves = self._move_col
-        inside = (k_lo <= moves) & (moves <= k_hi)
-        stage = np.where(inside, self.stage_cost(t, opts.y_w, moves),
-                         np.inf)[:, :, None]
+        # rows in window order, where both bounds fall as the draw rises:
+        # the rows that admit the i-th move are lo[i]:hi[i]
+        order = opts.order
+        y_w = opts.y_w.take(order)
+        k_lo, k_hi = self.k_windows(t, y_w, band, envelope)
+        lo = np.searchsorted(-k_lo, self._neg_moves, side="left").tolist()
+        hi = np.searchsorted(-k_hi, self._neg_moves, side="right").tolist()
+        stage = self.stage_cost(t, y_w, self._move_col)
 
-        # cheapest move per (option, level), first hit in (|k|, k) order
+        # cheapest move per (option, level), first hit in (|k|, k) order;
+        # each admitted cell is the per-move float expression, so bit-equal
+        # to it
         pad = -self.k_rate_lo
         padded = np.full((self.n_r, pad + m + self.k_rate_hi), np.inf)
         padded[:, pad:pad + m] = f_next
-        cont = padded.take(opts.r_next, 0)
-        best = np.full((len(opts.r_idx), m), np.inf)
+        cont = padded.take(opts.r_next.take(order), 0)
+        best = np.full((len(order), m), np.inf)
         best_k = np.zeros(best.shape, dtype=np.int32)
         cand = np.empty(best.shape)
         better = np.empty(best.shape, dtype=bool)
-        for i in inside.any(1).nonzero()[0].tolist():
-            k = self._moves[i]
-            np.add(stage[i], cont[:, pad + k:pad + k + m], out=cand)
-            np.less(cand, best, out=better)
-            np.copyto(best, cand, where=better)
-            np.copyto(best_k, k, where=better)
+        for k, stage_k, a, b in zip(self._moves, stage, lo, hi):
+            if a >= b:
+                continue
+            np.add(stage_k[a:b, None], cont[a:b, pad + k:pad + k + m],
+                   out=cand[a:b])
+            np.less(cand[a:b], best[a:b], out=better[a:b])
+            np.copyto(best[a:b], cand[a:b], where=better[a:b])
+            np.copyto(best_k[a:b], k, where=better[a:b])
 
-        # a vector's rows are one block in visit order, so its documented
-        # tie-break is the least (value, n_starts, |k|, row) of the block.
+        # back in block order, a vector's rows are one block in visit order,
+        # so its documented tie-break is the least (value, n_starts, |k|,
+        # row) of the block, the last three as one key.
         # == ties -0.0 with 0.0, so a cell takes its picked row's own value;
         # an all-inf block picks a row whose move stayed 0
+        best = best.take(opts.rank, 0)
+        best_k = best_k.take(opts.rank, 0)
         first, block = opts.first, opts.block
         low = np.minimum.reduceat(best, first)
-        key = np.where(best == low.take(block, 0),
-                       opts.start_key + np.abs(best_k), _NO_KEY)
-        key_low = np.minimum.reduceat(key, first)
-        row = np.where(key == key_low.take(block, 0), opts.rows, len(block))
-        pick = np.minimum.reduceat(row, first)
+        key = np.abs(best_k, dtype=np.int64)
+        key <<= self._k_shift
+        key |= ((opts.n_starts << self._n_shift)
+                | np.arange(len(block)))[:, None]
+        np.copyto(key, _NO_KEY, where=best != low.take(block, 0))
+        pick = np.minimum.reduceat(key, first) & self._row_mask
         r, cols = opts.r_first, self._levels
         values[r] = best[pick, cols]
         dec_mask[r] = np.where(np.isfinite(low), opts.mask[pick], -1)

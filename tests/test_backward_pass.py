@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from paces import (Battery, InfeasibleError, Instance,
                    NonSchedulableAppliance, PriceSignal, PrivacyPolicy,
                    PrivacyScenario, ScenarioSet, SchedulableAppliance,
-                   SolveConfig, TimeGrid, backward_recursion,
+                   SolveConfig, StateSpaceError, TimeGrid, backward_recursion,
                    candidate_scenarios, load_config, load_table, open_table,
                    save_table, scenario_load, scenarios, sweep_battery)
+from paces import table as table_module
+from paces.cli import main
 from paces.table import (_Engine, _engine, _engines, _option_tables,
-                         _vectors)
+                         _tie_key_shifts, _vectors)
 from table_checks import assert_same_table
 
 
@@ -335,6 +337,113 @@ def test_an_empty_scenario_set_leaves_the_rate_window(config, y_w):
         assert (k_hi == eng.k_rate_hi).all()
 
 
+@st.composite
+def bands_and_envelopes(draw):
+    """An engine's config, any band and any per-slot envelope.
+
+    The bounds reach 1e308, so ``l_bar + lambda`` can overflow (no
+    instance validates with such a band, so it is made here as
+    :attr:`SolveConfig._band` makes it), and a slot's envelope is either
+    the empty set's ``(+inf, -inf)`` or two draws of any size.
+    """
+    config = draw(instances())
+    size = st.one_of(real_or_integer(0.0, 400.0),
+                     st.floats(0.0, 1e308, allow_nan=False))
+    pol = PrivacyPolicy(lambda_w=draw(size), l_bar_w=draw(size))
+    band = (np.array([[pol.l_bar_w - pol.lambda_w],
+                      [pol.l_bar_w + pol.lambda_w]]),
+            np.array([[-pol.tolerance_w], [pol.tolerance_w]]))
+    envelope = np.empty((config.instance.grid.tau + 1, 2, 1))
+    envelope[0] = [[math.inf], [-math.inf]]
+    for t in range(1, len(envelope)):
+        if draw(st.booleans()):
+            envelope[t] = [[math.inf], [-math.inf]]
+        else:
+            pair = sorted(draw(st.lists(size, min_size=2, max_size=2)))
+            envelope[t] = [[pair[0]], [pair[1]]]
+    return config, band, envelope
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=bands_and_envelopes(),
+       extra=st.lists(st.floats(0.0, 1e308), max_size=4))
+def test_both_bounds_fall_along_the_window_order(case, extra):
+    # the slot solver's row slices rest on this: the rows that admit a
+    # move are the ones with k_lo <= k (a suffix) and k_hi >= k (a prefix)
+    config, band, envelope = case
+    eng = _engine(config)
+    for t in range(1, eng.tau + 1):
+        opts = eng.options(t)
+        y_w = np.sort(np.concatenate((opts.y_w, extra)), kind="stable")
+        for rows in (opts.y_w[opts.order], y_w):
+            k_lo, k_hi = eng.k_windows(t, rows, band, envelope)
+            assert (np.diff(k_lo) <= 0).all()
+            assert (np.diff(k_hi) <= 0).all()
+
+
+def full_candidate_set(inst):
+    """The base scenario and every placement."""
+    return ScenarioSet(
+        (PrivacyScenario.inactive(len(inst.ns_appliances)),)
+        + tuple(candidate_scenarios(inst.ns_appliances, inst.grid)))
+
+
+def with_grid_step(inst, grid_step_wh):
+    return dataclasses.replace(inst, battery=dataclasses.replace(
+        inst.battery, grid_step_wh=grid_step_wh))
+
+
+@pytest.mark.parametrize("grid_step_wh", [25.0, 5.0, 2.5])
+@pytest.mark.parametrize("preset", ["section-iv-a", "table-ii"])
+def test_batched_slot_matches_on_the_presets(preset, grid_step_wh):
+    inst = with_grid_step(load_config(preset).instance, grid_step_wh)
+    config = SolveConfig(instance=inst, scenarios=full_candidate_set(inst))
+    assert_every_slot_matches(config, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# The tie-break key
+
+
+def test_the_tie_key_fits_63_bits_and_no_more():
+    # 3 bits of n_starts, 30 of |k| and 30 of row: 63 bits
+    assert _tie_key_shifts(7, 1 << 30, (1 << 30) - 1) == (30, 60)
+    # one row and no moves: nothing but n_starts
+    assert _tie_key_shifts(0, 1, 0) == (0, 0)
+    for n_app, n_rows, k_max in ((8, 1 << 30, (1 << 30) - 1),
+                                 (7, (1 << 30) + 1, (1 << 30) - 1),
+                                 (7, 1 << 30, 1 << 30)):
+        with pytest.raises(StateSpaceError, match="needs 64 bits") as err:
+            _tie_key_shifts(n_app, n_rows, k_max)
+        assert err.value.count == 64 and err.value.cap == 63
+
+
+def test_tie_key_fields_are_as_wide_as_the_engine_needs():
+    # section-iv-a: 3 appliances, moves of up to 10 steps, at most
+    # 4 * 5 * 6 = 120 rows per slot
+    eng = _engine(SolveConfig(instance=load_config("section-iv-a").instance))
+    assert (eng._k_shift, eng._n_shift) == (7, 11)
+    assert len(eng.options(1).r_idx) == 120
+
+
+def test_a_shape_whose_tie_key_overflows_exits_2_before_any_solve(
+        monkeypatch, tmp_path, capsys):
+    # every row count taken 2^60 times larger: 2 + 4 + 67 bits
+    check = table_module._tie_key_shifts
+    monkeypatch.setattr(table_module, "_tie_key_shifts",
+                        lambda n_app, n_rows, k_max:
+                        check(n_app, n_rows << 60, k_max))
+    solved = []
+    monkeypatch.setattr(_Engine, "solve_slot",
+                        lambda self, t, *args: solved.append(t))
+    _engines.cache_clear()
+    code = main(["solve", "--config", "section-iv-a",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2 and solved == []
+    assert ("the slot solver's tie-break key needs 73 bits"
+            in capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------------------
 # Option tables
 
@@ -363,7 +472,7 @@ def test_option_tables_are_read_only():
     opts = eng.options(1)
     names = [f.name for f in dataclasses.fields(opts)]
     assert names == ["r_idx", "mask", "y_w", "r_next", "first", "block",
-                     "r_first", "rows", "start_key", "row_of"]
+                     "r_first", "n_starts", "order", "rank", "row_of"]
     for name in names:
         arr = getattr(opts, name)
         assert not arr.flags.writeable
@@ -376,7 +485,10 @@ def test_option_tables_hold_the_block_layout():
     for t in range(1, eng.tau + 1):
         opts = eng.options(t)
         n_rows = len(opts.r_idx)
-        assert opts.rows.tolist() == [[i] for i in range(n_rows)]
+        # the window order sorts the rows by draw, ties in row order
+        assert opts.order.tolist() == sorted(range(n_rows),
+                                             key=lambda i: opts.y_w[i])
+        assert opts.rank[opts.order].tolist() == list(range(n_rows))
         assert opts.block.tolist() == [
             int(np.searchsorted(opts.first, i, side="right")) - 1
             for i in range(n_rows)]
@@ -527,6 +639,8 @@ TABLE_DIGESTS = {
         "0c13970db8d0aa85bbf631a7b53f3c89deee4f7724ec444f8af8dce086d7d513",
     ("section-iv-a", 0.2):
         "23f1cd8791475bc97400ce95aeb45a73cddfb328ed1e2a04aa6c9d2216c3cd6c",
+    ("section-iv-a", 0.04):
+        "7323cdfa86bfca01267c794babf00540e98c43bde456f318014b1d80456fa325",
     ("table-ii", 1.0):
         "1f980661d82855e27dbee53cbdd0900b2324343e7f4032080f8237925d877544",
     ("table-ii", 0.2):
@@ -551,6 +665,64 @@ def test_preset_tables_keep_their_digests(preset, scale):
     assert digest.hexdigest() == TABLE_DIGESTS[preset, scale]
 
 
+def finer_slots(inst, factor, grid_step_wh):
+    """``inst`` at ``factor`` times as many, ``factor`` times shorter slots.
+
+    Durations, runtimes and zones are stretched by ``factor``, each price
+    is repeated ``factor`` times and the battery rates per slot shrink by
+    ``factor``; powers and the band stay.
+    """
+    battery = inst.battery
+    return dataclasses.replace(
+        inst,
+        grid=TimeGrid(tau=inst.grid.tau * factor,
+                      slot_hours=inst.grid.slot_hours / factor),
+        appliances=tuple(
+            dataclasses.replace(a, duration_slots=a.duration_slots * factor)
+            for a in inst.appliances),
+        ns_appliances=tuple(
+            dataclasses.replace(a, runtime_slots=a.runtime_slots * factor,
+                                zone=((a.zone[0] - 1) * factor + 1,
+                                      a.zone[1] * factor))
+            for a in inst.ns_appliances),
+        battery=dataclasses.replace(
+            battery, z_discharge_max_wh=battery.z_discharge_max_wh / factor,
+            z_charge_max_wh=battery.z_charge_max_wh / factor,
+            grid_step_wh=grid_step_wh),
+        price=PriceSignal(tuple(p for p in inst.price.values
+                                for _ in range(factor))))
+
+
+def table_digest(table):
+    """TABLE_DIGESTS' hash of a table."""
+    digest = hashlib.sha256()
+    for arr, dtype in ((table.values, "<f8"), (table.dec_mask, "<i4"),
+                       (table.dec_step, "<i4")):
+        digest.update(arr.astype(dtype, copy=False).tobytes())
+    return digest.hexdigest()
+
+
+#: As TABLE_DIGESTS, for section-iv-a at 2 and 4 slots per hour
+#: (tau = 24 and 48), by factor and grid step
+HORIZON_DIGESTS = {
+    (2, 25.0):
+        "f570808d1b1630feab820c0767d27d0245c400e20c653427e9e94f51ff5b0b4f",
+    (4, 15.625):
+        "ae2e9bbd15f40d635cfd396538ebe68f5a655e707c71d80a7805c5ef5a982671",
+}
+
+
+@pytest.mark.parametrize("factor, grid_step_wh", sorted(HORIZON_DIGESTS))
+def test_finer_slot_tables_keep_their_digests(factor, grid_step_wh):
+    inst = finer_slots(load_config("section-iv-a").instance, factor,
+                       grid_step_wh)
+    eng = _engine(SolveConfig(instance=inst))
+    assert (eng.tau, eng.n_r) == {2: (24, 315), 4: (48, 1989)}[factor]
+    table = backward_recursion(SolveConfig(instance=inst,
+                                           scenarios=full_candidate_set(inst)))
+    assert table_digest(table) == HORIZON_DIGESTS[factor, grid_step_wh]
+
+
 def test_option_rows_are_blocks_in_visit_order():
     eng = _engine(SolveConfig(instance=load_config("table-ii").instance))
     for t in range(1, eng.tau + 1):
@@ -566,10 +738,10 @@ def test_option_rows_are_blocks_in_visit_order():
             assert rows.tolist() == list(range(rows[0], rows[-1] + 1))
             starts.append(int(rows[0]))
             got = list(zip(opts.mask[rows].tolist(),
-                           opts.start_key[rows, 0].tolist(),
+                           opts.n_starts[rows].tolist(),
                            opts.y_w[rows].tolist(),
                            opts.r_next[rows].tolist()))
-            assert got == [(m, n << 32, y, r) for m, _, n, y, r in
+            assert got == [(m, n, y, r) for m, _, n, y, r in
                            sorted(want, key=lambda o: (o[2], o[1]))]
         # vectors ascend, and first names each block's first row
         assert starts == sorted(starts) and starts[0] == 0
