@@ -409,16 +409,20 @@ def _smallest_feasible_lambda(instance: Instance, omega: ScenarioSet,
 
     Returns ``None`` when even an unbinding bound stays infeasible, i.e.
     the problem is structurally infeasible.  Resolution is
-    :data:`LAMBDA_PROBE_TOL_W`.
+    :data:`LAMBDA_PROBE_TOL_W`.  Each probe is handed the latest feasible
+    probe's table, whose slots it copies wherever their windows agree.
     """
     inst = instance
+    latest = None
 
     def feasible(lam: float) -> bool:
+        nonlocal latest
         policy = dataclasses.replace(inst.policy, lambda_w=lam)
         probe = dataclasses.replace(inst, policy=policy)
         try:
-            backward_recursion(SolveConfig(instance=probe, scenarios=omega,
-                                           state_cap=state_cap))
+            latest = backward_recursion(
+                SolveConfig(instance=probe, scenarios=omega,
+                            state_cap=state_cap), latest)
             return True
         except InfeasibleError:
             return False

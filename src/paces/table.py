@@ -11,12 +11,16 @@ A slot is solved in one batch: every start option of every remaining
 vector is one row, evaluated against all battery levels at once, one
 battery move at a time (see :class:`_Engine`).  The start options are
 made once per instance shape, the engine once per instance, and every
-build, lambda probe and load shares them; a build brings only its band
-(from lambda) and its per-slot draw envelope (from the scenario set).
-A backward step at slot t reads only slots t..tau, so a rebuild against
-a grown scenario set, given the previous table, copies every slot after
-the last one whose envelope changed (each is bit-identical to the
-previous build's) and re-solves only the slots up to it.
+build, lambda probe and load shares them.  A build brings only its
+battery-move windows: one integer range per option row, from its band
+(lambda) and its per-slot draw envelope (the scenario set), made once
+per build for every slot (:attr:`SolveConfig._windows`).  A backward
+step at slot t reads only the engine, slot t's windows and slot t + 1,
+so a build handed an earlier table of its engine (a refinement rebuild
+against a grown scenario set, or a lambda probe given the bisection's
+latest feasible table) copies every slot after the last one whose
+windows differ (each is bit-identical to the earlier build's) and
+re-solves only the slots up to it.
 
 The minimized objective is the controllable part of the bill: price
 times appliance-plus-battery energy.  Non-schedulable consumption is
@@ -126,6 +130,20 @@ class SolveConfig:
         w_min = np.append(np.inf, draws.min(axis=0, initial=np.inf))
         w_max = np.append(-np.inf, draws.max(axis=0, initial=-np.inf))
         return np.stack((w_min, w_max), axis=1)[:, :, None]
+
+    @functools.cached_property
+    def _windows(self) -> np.ndarray:
+        """Every option row's battery-move window under this config's band
+        and envelope: ``(k_lo, k_hi)``, a read-only (2, rows) int64 array
+        over the engine's :attr:`_Engine.window_rows`, slot 1 first.  A
+        build reads its band and envelope only through it."""
+        eng = _engine(self)
+        draws, offsets = eng.window_rows
+        envelope = np.repeat(self._envelope[1:, :, 0], np.diff(offsets),
+                             axis=0)
+        windows = eng.k_windows(draws, self._band, envelope.T)
+        windows.flags.writeable = False
+        return windows
 
 
 def model_fingerprint(config: SolveConfig) -> str:
@@ -307,10 +325,11 @@ class _Engine:
 
     An engine holds only what no build changes: the battery moves in
     ``(|k|, k)`` order, the level index and rate limits, the remaining
-    vectors, the prices and the walk step.  It is made from the
-    instance's fields other than the policy and the non-schedulable
-    appliances (:func:`_engine`), so a build hands :meth:`solve_slot` its
-    :attr:`SolveConfig._band` and :attr:`SolveConfig._envelope`.  The start options come from
+    vectors, the prices, the walk step and every slot's draws in window
+    order (:attr:`window_rows`).  It is made from the instance's fields
+    other than the policy and the non-schedulable appliances
+    (:func:`_engine`), so a build hands :meth:`solve_slot` its
+    :attr:`SolveConfig._windows`.  The start options come from
     :func:`_option_tables`, once per instance shape.
 
     Per slot, the continuation is padded with ``inf`` by the rate limit
@@ -383,32 +402,45 @@ class _Engine:
         """Start options at slot ``t``, shared with every same-shape engine."""
         return _option_tables(self.durations, self.powers, self.tau)[t - 1]
 
-    def k_windows(self, t: int, y_w: np.ndarray, band: tuple,
-                  envelope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Battery-step range allowed by rate and privacy bounds at slot t.
+    @functools.cached_property
+    def window_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every slot's option draws in window order, slot 1 first, and the
+        slot offsets: slot ``t``'s rows are ``offsets[t - 1]:offsets[t]``.
+        Made from :func:`_option_tables` on first use; read-only."""
+        slots = _option_tables(self.durations, self.powers, self.tau)
+        draws = np.concatenate([opts.y_w.take(opts.order) for opts in slots])
+        offsets = np.cumsum([0] + [len(opts.order) for opts in slots])
+        return _read_only(draws, np.float64), _read_only(offsets, np.intp)
 
-        One ``(k_lo, k_hi)`` pair per appliance draw in ``y_w``.  A move is
-        admitted iff the build's ``band`` holds within its tolerance, the
-        slack the refinement loop and the replay allow too.  Privacy bounds
-        are clamped to one step past the rate range, so an empty window
-        stays empty and every bound fits an integer.  Both bounds are one
-        (2, rows) array, each in the order
-        ``((((l_bar -+ lambda) - y_w) - envelope) -+ tol) * h / step``.
+    def k_windows(self, y_w: np.ndarray, band: tuple,
+                  envelope: np.ndarray) -> np.ndarray:
+        """Battery-step range allowed by rate and privacy bounds.
+
+        One ``(k_lo, k_hi)`` column per appliance draw in ``y_w``, each
+        under its column of ``envelope``, the least and greatest draw of
+        its slot: a (2, rows) array, or one (2, 1) column for every row.
+        A move is admitted iff the build's ``band`` holds within its
+        tolerance, the slack the refinement loop and the replay allow
+        too.  Privacy bounds are clamped to one step past the rate range,
+        so an empty window stays empty and every bound fits an integer.
+        Both bounds are one (2, rows) int64 array, each in the order
+        ``((((l_bar -+ lambda) - y_w) - envelope) -+ tol) * h / step``,
+        element by element, so a row's window has the same bits whatever
+        rows are computed with it.
         """
         bounds, tolerance = band
         # an infinite envelope or an overflowed bound is +-inf, which the
         # clamp maps exactly
         with np.errstate(over="ignore"):
             w = bounds - y_w
-            w -= envelope[t]
+            w -= envelope
             w += tolerance
             w *= self.h
             w /= self.step
         np.ceil(w[0], out=w[0])
         np.floor(w[1], out=w[1])
         np.maximum(w, self._clip_lo, out=w)
-        k = np.minimum(w, self._clip_hi, out=w).astype(np.int64)
-        return k[0], k[1]
+        return np.minimum(w, self._clip_hi, out=w).astype(np.int64)
 
     def stage_cost(self, t: int, y_w, k) -> np.ndarray:
         """Slot ``t``'s price of appliance draw ``y_w`` plus battery move
@@ -417,12 +449,14 @@ class _Engine:
         """
         return self.prices[t - 1] * (y_w * self.h + k * self.step)
 
-    def solve_slot(self, t: int, f_next: np.ndarray, band: tuple,
-                   envelope: np.ndarray):
+    def solve_slot(self, t: int, f_next: np.ndarray, k_lo: np.ndarray,
+                   k_hi: np.ndarray):
         """One backward step: value and argmin decision for every state.
 
-        ``f_next`` has shape (n_r, m) and holds the continuation values.
-        Returns ``(values, dec_mask, dec_step)`` of the same shape;
+        ``f_next`` has shape (n_r, m) and holds the continuation values;
+        ``k_lo`` and ``k_hi`` are the build's windows of every slot's rows
+        (:attr:`SolveConfig._windows`), of which slot ``t``'s are read.
+        Returns ``(values, dec_mask, dec_step)`` of ``f_next``'s shape;
         ``dec_mask`` is -1 where no decision is feasible.
         """
         m = self.m
@@ -434,10 +468,13 @@ class _Engine:
         # rows in window order, where both bounds fall as the draw rises:
         # the rows that admit the i-th move are lo[i]:hi[i]
         order = opts.order
-        y_w = opts.y_w.take(order)
-        k_lo, k_hi = self.k_windows(t, y_w, band, envelope)
-        lo = np.searchsorted(-k_lo, self._neg_moves, side="left").tolist()
-        hi = np.searchsorted(-k_hi, self._neg_moves, side="right").tolist()
+        draws, offsets = self.window_rows
+        rows = slice(offsets[t - 1], offsets[t])
+        y_w = draws[rows]
+        lo = np.searchsorted(-k_lo[rows], self._neg_moves,
+                             side="left").tolist()
+        hi = np.searchsorted(-k_hi[rows], self._neg_moves,
+                             side="right").tolist()
         stage = self.stage_cost(t, y_w, self._move_col)
 
         # cheapest move per (option, level), first hit in (|k|, k) order;
@@ -550,7 +587,8 @@ class ScheduleTable:
     loop's intermediate tables and the lambda bisection's probes are
     never saved or checked, so they never pay for it.  The grid is read
     through the instance's shared engine (:func:`_engine`), and the
-    config keeps the envelope the table was built against.
+    config keeps the envelope and the windows the table was built
+    against.
 
     The arrays come from a build or a load and are not checked here: a
     build makes only closed tables and a load refuses any other (see
@@ -672,35 +710,36 @@ def backward_recursion(config: SolveConfig,
                        ) -> ScheduleTable:
     """Build the full table; raises when the initial state cannot finish.
 
-    ``previous``, a table built on an equal instance under another
-    scenario set, lets the build reuse its tail.  Slot ``t`` is a
-    function of the instance, the envelope at ``t`` and the slots after
-    it, so every slot after the last one whose envelope differs bitwise
-    from ``previous``'s is bit-identical to ``previous``'s and is copied;
-    the sweep starts at that slot.  A ``previous`` of another instance is
-    ignored.  A slot with no feasible cell ends the sweep: every slot
-    before it is dead too, so the build raises there.  The band and the
-    envelope are computed once per build, the engine once per instance.
+    ``previous``, an earlier table of the same engine (any band, any
+    scenario set), lets the build reuse its tail.  Slot ``t`` is a
+    function of the engine, slot ``t``'s windows
+    (:attr:`SolveConfig._windows`) and the slot after it, so every slot
+    after the last one whose windows differ from ``previous``'s is
+    bit-identical to ``previous``'s and is copied; the sweep starts at
+    that slot.  A ``previous`` of another engine is ignored.  A slot
+    with no feasible cell ends the sweep: every slot before it is dead
+    too, so the build raises there.  The windows are computed once per
+    build, the engine once per instance.
     """
     eng = _engine(config)
-    band, envelope = config._band, config._envelope
+    windows = config._windows
     values = np.empty((eng.tau, eng.n_r, eng.m))
     dec_mask = np.empty((eng.tau, eng.n_r, eng.m), dtype=np.int32)
     dec_step = np.empty((eng.tau, eng.n_r, eng.m), dtype=np.int32)
     last = eng.tau  # the first slot the backward sweep solves
-    if previous is not None and previous.config.instance == config.instance:
-        # the int64 views compare bits, so +-inf match only themselves
+    if previous is not None and previous._engine is eng:
         changed = np.flatnonzero(
-            (envelope.view(np.int64)
-             != previous.config._envelope.view(np.int64))
-            .any(axis=(1, 2)))
-        last = int(changed[-1]) if len(changed) else 0
+            (windows != previous.config._windows).any(axis=0))
+        last = (int(np.searchsorted(eng.window_rows[1], changed[-1],
+                                    side="right"))
+                if len(changed) else 0)
         values[last:] = previous.values[last:]
         dec_mask[last:] = previous.dec_mask[last:]
         dec_step[last:] = previous.dec_step[last:]
     f_next = values[last] if last < eng.tau else eng.terminal_continuation()
+    k_lo, k_hi = windows
     for t in range(last, 0, -1):
-        f_t, mask_t, step_t = eng.solve_slot(t, f_next, band, envelope)
+        f_t, mask_t, step_t = eng.solve_slot(t, f_next, k_lo, k_hi)
         if mask_t.max() < 0:
             break  # a slot with no feasible cell leaves every earlier one dead
         values[t - 1] = f_t

@@ -52,8 +52,8 @@ def reference_options(eng, r_combo, t):
 
 
 def solve_slot(eng, config, t, f_next):
-    """The engine's slot solve under ``config``'s band and envelope."""
-    return eng.solve_slot(t, f_next, config._band, config._envelope)
+    """The engine's slot solve under ``config``'s windows."""
+    return eng.solve_slot(t, f_next, *config._windows)
 
 
 def reference_window(eng, config, t, y_w):
@@ -332,7 +332,7 @@ def test_an_empty_scenario_set_leaves_the_rate_window(config, y_w):
     eng = _engine(empty)
     for t in range(1, eng.tau + 1):
         rows = np.concatenate((eng.options(t).y_w, y_w))
-        k_lo, k_hi = eng.k_windows(t, rows, empty._band, empty._envelope)
+        k_lo, k_hi = eng.k_windows(rows, empty._band, empty._envelope[t])
         assert (k_lo == eng.k_rate_lo).all()
         assert (k_hi == eng.k_rate_hi).all()
 
@@ -376,7 +376,7 @@ def test_both_bounds_fall_along_the_window_order(case, extra):
         opts = eng.options(t)
         y_w = np.sort(np.concatenate((opts.y_w, extra)), kind="stable")
         for rows in (opts.y_w[opts.order], y_w):
-            k_lo, k_hi = eng.k_windows(t, rows, band, envelope)
+            k_lo, k_hi = eng.k_windows(rows, band, envelope[t])
             assert (np.diff(k_lo) <= 0).all()
             assert (np.diff(k_hi) <= 0).all()
 

@@ -353,6 +353,32 @@ class TestRefinementLoop:
         backward_recursion(SolveConfig(instance=at_hint, scenarios=omega,
                                        state_cap=state_cap))
 
+    def test_the_lambda_probes_reuse_the_latest_feasible_table(self):
+        # section-iv-a at 0 Wh is infeasible: one build, then 15 probes,
+        # which would solve 182 slots from scratch.  A probe handed the
+        # latest feasible probe's table copies every slot after the last
+        # one whose windows differ.  A second call reuses nothing of the
+        # first, so it solves as many slots.
+        cfg = load_config("section-iv-a")
+        inst = dataclasses.replace(cfg.instance, battery=dataclasses.replace(
+            cfg.instance.battery, b_max_wh=0.0))
+        builds = []
+
+        def counting(config, *args):
+            builds.append(config)
+            return backward_recursion(config, *args)
+
+        for _ in range(2):
+            builds.clear()
+            with mock.patch.object(_Engine, "solve_slot", autospec=True,
+                                   side_effect=_Engine.solve_slot) as solved, \
+                    mock.patch.object(scenarios, "backward_recursion",
+                                      counting), \
+                    pytest.raises(InfeasibleError) as err:
+                solve_with_scenarios(inst, cfg.options, cfg.state_cap)
+            assert err.value.lambda_hint_w == 85.0284423828125
+            assert (len(builds), solved.call_count) == (16, 86)
+
     def test_the_lambda_probe_ends_at_huge_powers(self, monkeypatch):
         # at 1e17 W the float midpoint collapses onto a bound long before
         # the bounds come within the probe tolerance; the band admits

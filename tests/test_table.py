@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
@@ -60,6 +60,11 @@ def motivating_instance():
 def band_set(n_ns):
     """Scenario set that turns the privacy band on without any usage."""
     return ScenarioSet((PrivacyScenario.inactive(n_ns),))
+
+
+def with_lambda(instance, lambda_w):
+    return dataclasses.replace(instance, policy=dataclasses.replace(
+        instance.policy, lambda_w=lambda_w))
 
 
 def full_omega(instance):
@@ -351,8 +356,8 @@ class TestFeasibleDecisions:
         eng = _engine(config)
         opts = eng.options(2)
         rows = (opts.r_idx == eng.r_index[state.remaining]) & (opts.mask == 3)
-        k_lo, k_hi = eng.k_windows(2, opts.y_w[rows], config._band,
-                                   config._envelope)
+        k_lo, k_hi = eng.k_windows(opts.y_w[rows], config._band,
+                                   config._envelope[2])
         assert rows.sum() == 1 and k_lo[0] <= k_hi[0]
 
     def test_rejects_off_grid_states(self):
@@ -675,13 +680,15 @@ class TestIncrementalRebuild:
         assert solved == []
         assert_same_table(table, backward_recursion(grown))
 
+    # another battery or tariff is another engine; the tariff leaves every
+    # window as it was, so only the engine tells the tables apart
     @pytest.mark.parametrize("change", [
-        lambda inst: dataclasses.replace(inst, policy=dataclasses.replace(
-            inst.policy, lambda_w=35000.0)),
         lambda inst: dataclasses.replace(inst, battery=dataclasses.replace(
             inst.battery, z_charge_max_wh=20000.0,
             z_discharge_max_wh=20000.0)),
-    ], ids=["lambda", "battery"])
+        lambda inst: dataclasses.replace(inst, price=PriceSignal(tuple(
+            2 * p for p in inst.price.values))),
+    ], ids=["battery", "price"])
     def test_a_table_of_another_instance_is_not_reused(self, change):
         inst = motivating_instance()
         omega = ScenarioSet((PrivacyScenario((3,)),))
@@ -694,6 +701,78 @@ class TestIncrementalRebuild:
         table, solved = self.build(config, other)
         assert solved == [4, 3, 2, 1]
         assert_same_table(table, scratch)
+
+    # against the 40 kW band, 35 kW moves the windows of slot 3 and none
+    # after it, 41 kW moves none
+    @pytest.mark.parametrize("lam, want", [
+        (35000.0, [3, 2, 1]), (41000.0, []),
+    ], ids=["some-windows", "every-window"])
+    def test_a_table_of_another_lambda_reuses_the_slots_whose_windows_agree(
+            self, lam, want):
+        inst = motivating_instance()
+        omega = ScenarioSet((PrivacyScenario((3,)),))
+        other = backward_recursion(SolveConfig(
+            instance=with_lambda(inst, lam), scenarios=omega))
+        config = SolveConfig(instance=inst, scenarios=omega)
+        scratch = backward_recursion(config)
+        # a different table, reused whole, would show
+        assert ((other.values.tobytes() == scratch.values.tobytes())
+                == (want == []))
+        table, solved = self.build(config, other)
+        assert solved == want
+        assert_same_table(table, scratch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 399), data=st.data())
+    def test_an_earlier_table_of_the_engine_is_reused_exactly(self, seed,
+                                                              data):
+        # two configs of one engine, each with its own lambda and one of two
+        # scenario sets, all drawn from few values, so the windows of some
+        # slots agree and those of others do not
+        inst = random_small_instance(seed, ns_count=1 + seed % 2)
+        placements = (PrivacyScenario.inactive(len(inst.ns_appliances)),
+                      *candidate_scenarios(inst.ns_appliances, inst.grid))
+        subsets = st.lists(st.booleans(), min_size=len(placements),
+                           max_size=len(placements))
+        sets = [ScenarioSet(tuple(sc for sc, k in zip(placements, keep) if k))
+                for keep in (data.draw(subsets), data.draw(subsets))]
+
+        def config():
+            scale = data.draw(st.sampled_from((0.2, 0.3, 0.45, 0.7, 1.0)))
+            return SolveConfig(
+                instance=with_lambda(inst, inst.policy.lambda_w * scale),
+                scenarios=data.draw(st.sampled_from(sets)))
+
+        a_config, b_config = config(), config()
+        try:
+            a = backward_recursion(a_config)
+        except InfeasibleError:
+            assume(False)
+        eng = _engine(b_config)
+        assert a._engine is eng
+        offsets = eng.window_rows[1].tolist()
+        differ = [t for t in range(1, eng.tau + 1)
+                  if (a_config._windows[:, offsets[t - 1]:offsets[t]]
+                      != b_config._windows[:, offsets[t - 1]:offsets[t]])
+                  .any()]
+        want = list(range(max(differ, default=0), 0, -1))
+        tables = []
+        for previous in (None, a):
+            with mock.patch.object(_Engine, "solve_slot", autospec=True,
+                                   side_effect=_Engine.solve_slot) as calls:
+                try:
+                    tables.append(backward_recursion(b_config, previous))
+                except InfeasibleError:
+                    tables.append(None)
+        scratch, table = tables
+        solved = [call.args[1] for call in calls.call_args_list]
+        if scratch is None:
+            # both raise, the reusing build at the first dead slot it meets
+            assert table is None
+            assert solved and solved == want[:len(solved)]
+        else:
+            assert solved == want
+            assert_same_table(table, scratch)
 
     def test_an_infeasible_rebuild_still_raises(self):
         inst = dataclasses.replace(
