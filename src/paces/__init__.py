@@ -10,9 +10,9 @@ from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      PacesError, StateSpaceError)
 from .model import (Battery, Decision, Instance, NonSchedulableAppliance,
                     PriceSignal, PrivacyPolicy, PrivacyScenario,
-                    ReferenceSource, ScenarioSet, SchedulableAppliance,
-                    SystemState, TimeGrid, appliance_load, privacy_gap,
-                    scenario_load, slot_cost, step_remaining)
+                    ScenarioSet, SchedulableAppliance, SystemState, TimeGrid,
+                    appliance_load, privacy_gap, scenario_load, slot_cost,
+                    step_remaining)
 from .table import (ScheduleSolution, ScheduleTable, SolveConfig, TableEntry,
                     backward_recursion, expected_total_cost, extract_schedule,
                     load_table, model_fingerprint, open_table,
@@ -34,7 +34,7 @@ __all__ = [
     "PacesError", "ModelError", "ConfigError", "StateSpaceError",
     "InfeasibleError", "IntegrityError",
     "TimeGrid", "SchedulableAppliance", "NonSchedulableAppliance", "Battery",
-    "PriceSignal", "ReferenceSource", "PrivacyPolicy", "SystemState",
+    "PriceSignal", "PrivacyPolicy", "SystemState",
     "Decision", "PrivacyScenario", "ScenarioSet", "Instance",
     "step_remaining", "appliance_load", "scenario_load", "privacy_gap",
     "slot_cost",

@@ -8,7 +8,7 @@ exhaustive search), ``presets`` (list built-in instances).
 Exit codes: 0 success, 2 configuration or usage problem, 3 infeasible
 instance, 4 integrity failure (stale table, solver/oracle mismatch, an
 artifact holding a non-finite number).
-All artifacts are deterministic: same config and seed, same bytes.
+All artifacts are deterministic: same config, same bytes.
 """
 from __future__ import annotations
 
@@ -90,12 +90,11 @@ _SLOT_KEYS = ("slot", "price_per_wh", "base_load_w", "battery_wh",
 
 
 def _solution_payload(result: ScenarioSolveResult, report: SimulationReport,
-                      name: str, seed: int) -> dict:
+                      name: str) -> dict:
     """``solution.json``: the solve's summary and its quiet replay's rows."""
     sol = result.solution
     return {
         "config_name": name,
-        "seed": seed,
         "model_hash": result.table.model_hash,
         "objective_mode": result.config.objective_mode,
         "omega": [list(sc.starts) for sc in result.omega],
@@ -150,7 +149,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # the quiet replay's rows are the solved schedule's, slot by slot
     report = simulate(result.table, EventScript.scripted(()), result.config)
 
-    solution = _solution_payload(result, report, cfg.name, cfg.seed)
+    solution = _solution_payload(result, report, cfg.name)
     _write_json(solution, out / "solution.json")
     _write_json(_trace_payload(result), out / "trace.json")
     (out / "report.csv").write_text(report.csv_text(), encoding="utf-8")

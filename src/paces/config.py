@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ModelError
 from .model import (Battery, Instance, NonSchedulableAppliance, PriceSignal,
-                    PrivacyPolicy, ReferenceSource, SchedulableAppliance,
-                    TimeGrid)
+                    PrivacyPolicy, SchedulableAppliance, TimeGrid)
 from .scenarios import SOLVE_MODES, VIOLATION_METRICS, ScenarioSolveOptions
 from .simulate import EventScript, ScriptedStart
 from .table import DEFAULT_STATE_CAP, OBJECTIVE_MODES
@@ -103,13 +102,12 @@ class _Node:
 
 @dataclass(frozen=True)
 class InstanceConfig:
-    """Fully validated problem instance plus solver options and seed."""
+    """Fully validated problem instance plus its solver options."""
 
     name: str
     instance: Instance
     options: ScenarioSolveOptions
     state_cap: int = DEFAULT_STATE_CAP
-    seed: int = 0
 
 
 def parse_config(raw: dict, base_dir: Union[str, Path] = ".",
@@ -118,7 +116,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".",
     doc = _Node(raw, "config").keys(
         required=("grid", "appliances", "ns_appliances", "battery", "price",
                   "privacy"),
-        optional=("name", "units", "solver", "seed"))
+        optional=("name", "units", "solver"))
     base = Path(base_dir)
     units = doc.at("units", {}).keys(optional=("power", "energy", "price"))
     p_f = POWER_FACTORS[units.at("power", "W").enum(POWER_FACTORS)]
@@ -177,18 +175,14 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".",
             price = PriceSignal(tuple(v * c_f for v in loaded.values))
 
         pv = doc.at("privacy").keys(required=("lambda",),
-                                    optional=("reference_source",),
                                     one_of=("reference", "reference_csv"))
-        source = ReferenceSource(pv.at("reference_source", "config-constant")
-                                 .enum([s.value for s in ReferenceSource]))
         if "reference" in pv:
             l_bar = pv.at("reference").of("number") * p_f
         else:
             l_bar = load_historical_load_csv(
                 base / pv.at("reference_csv").of("string"))
-            source = ReferenceSource.HISTORICAL
         policy = PrivacyPolicy(lambda_w=pv.at("lambda").of("number") * p_f,
-                               l_bar_w=l_bar, l_bar_source=source)
+                               l_bar_w=l_bar)
 
         instance = Instance(grid=grid, appliances=tuple(appliances),
                             ns_appliances=tuple(ns_appliances),
@@ -212,8 +206,7 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".",
 
     return InstanceConfig(name=doc.at("name", default_name).of("string"),
                           instance=instance, options=options,
-                          state_cap=state_cap,
-                          seed=doc.at("seed", 0).of("integer"))
+                          state_cap=state_cap)
 
 
 def load_config(source: Union[str, Path]) -> InstanceConfig:
@@ -256,7 +249,6 @@ def serialize(config: InstanceConfig) -> dict:
         "privacy": {
             "lambda": inst.policy.lambda_w,
             "reference": inst.policy.l_bar_w,
-            "reference_source": inst.policy.l_bar_source.value,
         },
         "solver": {
             "mode": config.options.mode,
@@ -266,7 +258,6 @@ def serialize(config: InstanceConfig) -> dict:
             "max_solves": config.options.max_solves,
             "state_cap": config.state_cap,
         },
-        "seed": config.seed,
     }
     for a in inst.ns_appliances:
         entry = {"id": a.id, "power": a.power_w,
@@ -398,7 +389,6 @@ PRESETS: dict[str, dict] = {
                              0.030, 0.036, 0.042, 0.046, 0.043, 0.037]},
         "privacy": {"lambda": 80, "reference": 85},
         "solver": {"mode": "guaranteed", "objective": "expected"},
-        "seed": 0,
     },
     "motivating-example": {
         "name": "motivating-example",
@@ -416,7 +406,6 @@ PRESETS: dict[str, dict] = {
         "price": {"constant": 0.05},
         "privacy": {"lambda": 40, "reference": 35},
         "solver": {"mode": "guaranteed", "objective": "expected"},
-        "seed": 0,
     },
 }
 

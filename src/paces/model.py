@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -267,13 +266,6 @@ class PriceSignal:
         return len(self.values)
 
 
-class ReferenceSource(str, Enum):
-    """Provenance of the reference load the privacy bound is anchored to."""
-
-    CONFIG = "config-constant"
-    HISTORICAL = "historical-mean"
-
-
 @dataclass(frozen=True)
 class PrivacyPolicy:
     """Two-sided band the metered load must stay inside.
@@ -284,13 +276,10 @@ class PrivacyPolicy:
     Attributes:
         lambda_w: half-width of the allowed band, in W.
         l_bar_w: reference load level, in W.
-        l_bar_source: where the reference came from.  It never changes a
-            decision, but it is part of the model fingerprint.
     """
 
     lambda_w: float
     l_bar_w: float
-    l_bar_source: ReferenceSource = ReferenceSource.CONFIG
 
     def __post_init__(self):
         _require(math.isfinite(self.lambda_w) and self.lambda_w >= 0,
@@ -512,21 +501,33 @@ def scenario_draws(scenarios: Sequence[PrivacyScenario],
                    tau: int) -> np.ndarray:
     """Non-schedulable draw of each scenario at slots 1..tau, one row each.
 
-    Each slot sums its appliances in appliance order, so every entry is
-    bit-equal to :func:`scenario_load`.  Every placement must pass
+    Each entry is an :func:`in_order_sums` sum, so it is bit-equal to
+    :func:`scenario_load`.  Every placement must pass
     :func:`check_placement`.
     """
     # None becomes NaN, which no comparison accepts: an inactive
     # appliance draws nothing
     starts = np.array([sc.starts for sc in scenarios], dtype=float)
-    starts = starts.reshape(len(scenarios), len(ns_appliances))
+    first = starts.reshape(len(scenarios), len(ns_appliances)).T[:, :, None]
+    runtime = np.array([a.runtime_slots for a in ns_appliances],
+                       dtype=float).reshape(-1, 1, 1)
     slots = np.arange(1, tau + 1)
-    draws = np.zeros((len(starts), tau))
-    for j, app in enumerate(ns_appliances):
-        first = starts[:, j:j + 1]
-        active = (first <= slots) & (slots <= first + (app.runtime_slots - 1))
-        np.add(draws, app.power_w, out=draws, where=active)
-    return draws
+    active = (first <= slots) & (slots <= first + (runtime - 1))
+    return in_order_sums([a.power_w for a in ns_appliances], active)
+
+
+def in_order_sums(powers: Sequence[float], active: np.ndarray) -> np.ndarray:
+    """Per entry of ``active[0]``, the powers of the appliances active
+    there (one mask of ``active`` per appliance), summed from 0 in
+    appliance order.
+
+    The one summing code for placement draws: the DP's envelope and the
+    worst-case search agree bit for bit because both sum here.
+    """
+    total = np.zeros(active.shape[1:])
+    for power, on in zip(powers, active):
+        np.add(total, power, out=total, where=on)
+    return total
 
 
 def privacy_gap(load_w: float, policy: PrivacyPolicy) -> float:

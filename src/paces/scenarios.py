@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import InfeasibleError, ModelError
 from .model import (Instance, NonSchedulableAppliance, PrivacyScenario,
-                    ScenarioSet, TimeGrid, check_placement, scenario_draws)
+                    ScenarioSet, TimeGrid, check_placement, in_order_sums,
+                    scenario_draws)
 from .table import (DEFAULT_STATE_CAP, OBJECTIVE_MODES, ScheduleSolution,
                     ScheduleTable, SolveConfig, backward_recursion,
                     extract_schedule)
@@ -158,10 +159,8 @@ class PlacementProduct(Sequence[PrivacyScenario]):
 
     def at(self, picks: Sequence[int]) -> PrivacyScenario:
         """The placement that takes option ``picks[j]`` of appliance ``j``."""
-        i = 0
-        for opts, k in zip(self.options, picks):
-            i = i * len(opts) + k
-        return self[i]
+        return PrivacyScenario(tuple(opts[k] for opts, k
+                                     in zip(self.options, picks)))
 
 
 class _SlotExtremes:
@@ -197,8 +196,8 @@ class _SlotExtremes:
             self.first_in[j] = covers.argmax(axis=0)
             self.first_out[j] = (~covers).argmax(axis=0)
         self.powers = [app.power_w for app in ns_appliances]
-        self.bounds = np.stack((_in_order_sums(self.powers, self.must),
-                                _in_order_sums(self.powers, self.can)))
+        self.bounds = np.stack((in_order_sums(self.powers, self.must),
+                                in_order_sums(self.powers, self.can)))
         self._sets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def active_sets(self, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +215,7 @@ class _SlotExtremes:
             picks = np.where(active, self.first_in[:, t, None],
                              self.first_out[:, t, None])
             order = np.lexsort(picks[::-1])
-            self._sets[t] = (_in_order_sums(self.powers, active)[order],
+            self._sets[t] = (in_order_sums(self.powers, active)[order],
                              picks.T[order])
         return self._sets[t]
 
@@ -293,16 +292,6 @@ def _deviation(draws: np.ndarray, base: np.ndarray, instance: Instance,
     if metric == "two-sided":
         np.abs(dev, out=dev)
     return dev
-
-
-def _in_order_sums(powers: Sequence[float], active: np.ndarray) -> np.ndarray:
-    """Per column of ``active`` (appliances first), the powers of its
-    active appliances summed in appliance order, as
-    :func:`~paces.model.scenario_draws` sums them."""
-    total = np.zeros(active.shape[1:])
-    for power, on in zip(powers, active):
-        np.add(total, power, out=total, where=on)
-    return total
 
 
 def _worst_in_product(solution: ScheduleSolution, product: PlacementProduct,

@@ -135,7 +135,6 @@ class SimulationReport:
     total_cost: float
     max_abs_gap_w: float
     breach_count: int
-    negative_load_slots: int
     final_battery_wh: float
 
     CSV_HEADER = ("slot,price_per_wh,base_load_w,ns_load_w,load_w,battery_wh,"
@@ -197,7 +196,6 @@ def simulate(table: ScheduleTable, script: EventScript,
         rows=rows, scenario=scenario, total_cost=float(sum(costs)),
         max_abs_gap_w=float(max(map(abs, gaps))),
         breach_count=sum(r.breach for r in rows),
-        negative_load_slots=sum(load < 0 for load in loads),
         final_battery_wh=walk.states[-1].battery_wh)
 
 

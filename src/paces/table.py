@@ -204,7 +204,6 @@ class _SlotOptions:
     scenario set.  All arrays are read-only.
     """
 
-    r_idx: np.ndarray
     mask: np.ndarray
     y_w: np.ndarray
     r_next: np.ndarray
@@ -284,7 +283,6 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
         row_of = np.full((len(r_combos), 1 << n_app), -1, dtype=np.intp)
         row_of[r_idx, cols[1]] = np.arange(len(r_idx))
         slots.append(_SlotOptions(
-            r_idx=_read_only(r_idx, np.intp),
             mask=_read_only(cols[1], np.int32),
             y_w=_read_only(cols[3], np.float64),
             r_next=_read_only(cols[4], np.intp),
@@ -897,7 +895,7 @@ def expected_total_cost(config: SolveConfig, controllable_cost: float) -> float:
 # Table persistence
 
 _FORMAT_NAME = "paces-table"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 _HEADER_KEYS = ("format", "version", "model_hash", "body_sha256", "omega",
                 "weights", "objective_mode")

@@ -271,7 +271,8 @@ def test_batched_slot_matches_on_edge_cases(name):
         doomed = [r_i for r_i, combo in enumerate(eng.r_combos)
                   if reference_options(eng, combo, eng.tau) is None]
         assert doomed
-        assert not np.isin(doomed, eng.options(eng.tau).r_idx).any()
+        opts = eng.options(eng.tau)
+        assert not np.isin(doomed, opts.r_first[opts.block]).any()
     else:
         assert eng.k_rate_lo == eng.k_rate_hi == 0
     assert_every_slot_matches(config, np.random.default_rng(0))
@@ -423,7 +424,7 @@ def test_tie_key_fields_are_as_wide_as_the_engine_needs():
     # 4 * 5 * 6 = 120 rows per slot
     eng = _engine(SolveConfig(instance=load_config("section-iv-a").instance))
     assert (eng._k_shift, eng._n_shift) == (7, 11)
-    assert len(eng.options(1).r_idx) == 120
+    assert len(eng.options(1).mask) == 120
 
 
 def test_a_shape_whose_tie_key_overflows_exits_2_before_any_solve(
@@ -471,8 +472,8 @@ def test_option_tables_are_read_only():
     eng = _engine(SolveConfig(instance=load_config("table-ii").instance))
     opts = eng.options(1)
     names = [f.name for f in dataclasses.fields(opts)]
-    assert names == ["r_idx", "mask", "y_w", "r_next", "first", "block",
-                     "r_first", "n_starts", "order", "rank", "row_of"]
+    assert names == ["mask", "y_w", "r_next", "first", "block", "r_first",
+                     "n_starts", "order", "rank", "row_of"]
     for name in names:
         arr = getattr(opts, name)
         assert not arr.flags.writeable
@@ -484,7 +485,7 @@ def test_option_tables_hold_the_block_layout():
     eng = _engine(SolveConfig(instance=load_config("table-ii").instance))
     for t in range(1, eng.tau + 1):
         opts = eng.options(t)
-        n_rows = len(opts.r_idx)
+        n_rows = len(opts.mask)
         # the window order sorts the rows by draw, ties in row order
         assert opts.order.tolist() == sorted(range(n_rows),
                                              key=lambda i: opts.y_w[i])
@@ -492,7 +493,8 @@ def test_option_tables_hold_the_block_layout():
         assert opts.block.tolist() == [
             int(np.searchsorted(opts.first, i, side="right")) - 1
             for i in range(n_rows)]
-        assert opts.r_first.tolist() == opts.r_idx[opts.first].tolist()
+        # each block is one vector's, vectors ascending
+        assert (np.diff(opts.r_first) > 0).all()
 
 
 def section_iv_a(capacity_wh, lambda_w=100.0):
@@ -730,7 +732,7 @@ def test_option_rows_are_blocks_in_visit_order():
         starts = []
         for r_i, combo in enumerate(eng.r_combos):
             want = reference_options(eng, combo, t)
-            rows = np.flatnonzero(opts.r_idx == r_i)
+            rows = np.flatnonzero(opts.r_first[opts.block] == r_i)
             if want is None:
                 assert len(rows) == 0
                 continue

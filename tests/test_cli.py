@@ -24,6 +24,7 @@ from paces import (EventScript, IntegrityError, ScenarioSet, ScriptedStart,
                    SolveConfig, backward_recursion, load_config, load_table,
                    open_table, parse_config, serialize, simulate)
 from paces.cli import main
+from paces.config import PRESETS
 
 # a dump's arrays in body-hash order, and the motivating example's shape:
 # 4 slots x 12 remaining-work vectors x 3 battery levels. Its masks span
@@ -149,21 +150,46 @@ class TestSolveCommand:
         assert code == 0
         assert "breaches 0" in out
 
+    def test_a_dump_replays_under_a_reference_csv_of_the_same_mean(
+            self, tmp_path, capsys):
+        # the dump is built with the constant l_bar = 35 kW; the history's
+        # mean is the same l_bar, so the household is the same model
+        table = tmp_path / "final.table"
+        code, _, err = run(capsys, "solve", "--config", "motivating-example",
+                           "--out", str(tmp_path / "run"),
+                           "--table", str(table))
+        assert code == 0, err
+        (tmp_path / "history.csv").write_text(
+            "timestamp,load_w\nt0,30000\nt1,40000\n")
+        raw = json.loads(json.dumps(PRESETS["motivating-example"]))
+        raw["privacy"] = {"lambda": 40, "reference_csv": "history.csv"}
+        cfg = tmp_path / "history.json"
+        cfg.write_text(json.dumps(raw))
+        reports = []
+        for config in ("motivating-example", str(cfg)):
+            report = tmp_path / f"replay-{len(reports)}.csv"
+            code, out, err = run(capsys, "simulate", "--table", str(table),
+                                 "--config", config, "--sample-seed", "0",
+                                 "--out", str(report))
+            assert code == 0, err
+            reports.append((report.read_bytes(), out.splitlines()[1:]))
+        assert reports[0] == reports[1]
+
     # SHA-256 of each preset's `solve --table` dump, of its `solve` report
     # and of a sampled replay of the dump. The dump digest shows a change
     # to the backward pass that moves a single value, decision or tie;
     # the replay digest pins the non-schedulable load path of the replay
     DIGESTS = {
         "motivating-example": (
-            "d7eb860df087dc51e6d7bc00c584b49edf87de04dac4ec1ba311923e91a7b5fa",
+            "a07bc96e73fa137fcbfec0970534910f15a838338e26b2466f10210077b69248",
             "89111a09c462eeb773d74f4e3e2d27fb8231512dd4744de1231ba28622e85d27",
             "405590138b8b22eeb429d32d7406c700281cfd0b9dd98aff58ea5dfb96e1ac7a"),
         "table-ii": (
-            "49a316829132322bdbcf4c5cddaaeb68f60ead0353c1518800d811e57adb4a79",
+            "11e8c5c7e4bdce1337da0b38626bd8e7ab192517e3091cd470e93f6d26882d30",
             "a5c787633fbdd718c98c1763f9d7fd08a57ff81c5e55754298577b11c404730b",
             "5990bd4a0311ac4009c88d0490d1b98e59f4924139af11b82300ca0ee0220453"),
         "section-iv-a": (
-            "29e47c77b312c544f4876a622b211e3870b11c501046f806db3725e796128d4b",
+            "e5b1d4991c86eb5d1b008876eddce7e51a410d2d574970db5f9404e0eb9f7e58",
             "96737fe1cd89c1ad4c1725140a04e532994141e39b9eeeaa4de1b633647e498b",
             "bd86d6b3282905cf855a4b604cff1709137ba65205fa1c9dace88216bab005c9"),
     }
@@ -190,8 +216,8 @@ class TestSolveCommand:
     # appliances in zone [1, 12]: 47,916 and 527,076 placements. The pick
     # among those placements, ties included, is in both files
     USAGE_DIGESTS = {
-        5: "656228bb8d7be4f9cf1b96820e195f8aafc071fc9c13c4eff2e50eab929ab9be",
-        6: "9e92c410b0a889f28a7f0d15c0e917484a6eb7cfebe1086d33e490b907330be9",
+        5: "1021060d565507625f8b1394759797067f1acea5e4509a0a9d3a6fbad50aca32",
+        6: "dc927ea84f769891d392b38678695db28f80697a90b31222b4de527497217cb1",
     }
 
     @pytest.mark.parametrize("ns_count", sorted(USAGE_DIGESTS),
@@ -219,16 +245,31 @@ class TestSolveCommand:
         assert code == 2
         assert "neither a file nor a preset" in err
 
-    @pytest.mark.parametrize("field", ["seed", "state_cap"])
+    @pytest.mark.parametrize("field", ["state_cap"])
     def test_integral_float_fields_exit_2(self, tmp_path, capsys, field):
         raw = serialize(load_config("motivating-example"))
-        (raw["solver"] if field == "state_cap" else raw)[field] = 3.0
+        raw["solver"][field] = 3.0
         cfg = tmp_path / "floats.json"
         cfg.write_text(json.dumps(raw))
         code, out, err = run(capsys, "solve", "--config", str(cfg),
                              "--out", str(tmp_path / "x"))
         assert (code, out) == (2, "")
         assert f"/{field}: expected integer, got 3.0" in err
+
+    # keys that older configs carried and that changed no result
+    @pytest.mark.parametrize("key, section", [("seed", None),
+                                              ("reference_source", "privacy")],
+                             ids=["seed", "reference_source"])
+    def test_dropped_config_keys_exit_2(self, tmp_path, capsys, key,
+                                        section):
+        raw = serialize(load_config("motivating-example"))
+        (raw[section] if section else raw)[key] = 0
+        cfg = tmp_path / "dropped.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "solve", "--config", str(cfg),
+                             "--out", str(tmp_path / "x"))
+        assert (code, out) == (2, "")
+        assert f"/{section or ''}: unexpected key {key!r}" in err
 
     def test_infeasible_bounds_exit_3(self, tmp_path, capsys):
         raw = serialize(load_config("motivating-example"))
@@ -484,7 +525,7 @@ class TestBuildAndSimulate:
 
         code, _, err = self.simulate_corrupted(capsys, tmp_path, downgrade)
         assert code == 4
-        assert f"table version {version} unsupported, expected 4" in err
+        assert f"table version {version} unsupported, expected 5" in err
         return err
 
     def test_version_1_dumps_exit_4(self, tmp_path, capsys):
@@ -501,6 +542,12 @@ class TestBuildAndSimulate:
         # int32, so it is refused before its arrays are decoded
         err = self.simulate_version(capsys, tmp_path, 3)
         assert "is not base64" not in err and "holds" not in err
+
+    def test_version_4_dumps_exit_4(self, tmp_path, capsys):
+        # a version-4 model_hash also covered where the reference load
+        # came from, so the version is refused before any hash is compared
+        err = self.simulate_version(capsys, tmp_path, 4)
+        assert "different model" not in err
 
     # beta runs one slot in zone [2, 3]: each row breaks the rule that a
     # --scenarios file is held to, and the dump is re-signed for it

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from paces import (ConfigError, EventScript, ReferenceSource, ScriptedStart,
-                   SolveConfig, backward_recursion, load_config,
-                   load_event_script, load_historical_load_csv,
+from paces import (ConfigError, EventScript, ScriptedStart, SolveConfig,
+                   load_config, load_event_script, load_historical_load_csv,
                    load_price_csv, model_fingerprint, parse_config,
                    preset_names, random_small_instance, serialize,
                    state_count)
@@ -83,8 +82,8 @@ CONFIG_FAULTS = [
           "/solver/metric", "expected one of two-sided, upper-only, "
                             "got 'both'"),
     fault("bad-source",
-          lambda r: r["privacy"].update(reference_source="guess"),
-          "/privacy/reference_source", "got 'guess'"),
+          lambda r: r["privacy"].update(reference_source="historical-mean"),
+          "/privacy", "unexpected key 'reference_source'"),
     fault("empty-id", lambda r: r["appliances"][0].update(id=""),
           "/appliances/0/id", "expected a non-empty string"),
 ]
@@ -178,7 +177,7 @@ class TestParseAndSerialize:
 
     @pytest.mark.parametrize("where, value", [
         (("solver", "state_cap"), 2.0), (("solver", "state_cap"), 0),
-        (("seed",), 3.0)])
+        (("solver", "max_solves"), 3.0)])
     def test_integral_floats_and_zero_caps_are_refused(self, where, value):
         # an integer field holds an int: 2.0 is a float, as JSON writes it
         raw = motivating_raw()
@@ -225,11 +224,9 @@ class TestParseAndSerialize:
     def test_defaults_fill_missing_optional_blocks(self):
         raw = motivating_raw()
         del raw["solver"]
-        del raw["seed"]
         del raw["name"]
         config = parse_config(raw, default_name="fallback")
         assert config.name == "fallback"
-        assert config.seed == 0
         assert config.options.mode == "guaranteed"
         assert config.options.objective_mode == "expected"
 
@@ -386,35 +383,22 @@ class TestHistoricalCsv:
         # the historical mean is always W; lambda is in config power units
         assert policy.l_bar_w == 35000.0
         assert policy.lambda_w == 40000.0
-        assert policy.l_bar_source == ReferenceSource.HISTORICAL
 
-    def test_reference_source_is_hashed_only_next_to_a_constant(self,
-                                                                tmp_path):
+    def test_a_reference_csv_hashes_as_its_mean(self, tmp_path):
+        # the band reads l_bar's value only, so a CSV whose mean is the
+        # constant l_bar is the same model
         def solve_config(privacy):
             raw = motivating_raw()
             raw["privacy"] = privacy
             return SolveConfig(
                 instance=parse_config(raw, base_dir=tmp_path).instance)
 
-        constant = {"lambda": 40000, "reference": 35000}
-        plain = solve_config(constant)
-        tagged = solve_config({**constant,
-                               "reference_source": "historical-mean"})
-        assert tagged.instance.policy.l_bar_source == ReferenceSource.HISTORICAL
-        assert model_fingerprint(tagged) != model_fingerprint(plain)
-        assert model_fingerprint(plain) == model_fingerprint(solve_config(
-            {**constant, "reference_source": "config-constant"}))
-        # the tag changes no decision
-        a, b = backward_recursion(plain), backward_recursion(tagged)
-        assert (a.dec_mask == b.dec_mask).all()
-        assert (a.dec_step == b.dec_step).all()
-
         self.write(tmp_path, "timestamp,load_w\nt0,30000\nt1,40000\n")
-        history = {"lambda": 40000, "reference_csv": "history.csv"}
-        for source in ("config-constant", "historical-mean"):
-            assert model_fingerprint(solve_config(history)) == \
-                model_fingerprint(solve_config({**history,
-                                                "reference_source": source}))
+        constant = solve_config({"lambda": 40000, "reference": 35000})
+        history = solve_config({"lambda": 40000,
+                                "reference_csv": "history.csv"})
+        assert history == constant
+        assert model_fingerprint(history) == model_fingerprint(constant)
 
 
 class TestEventScriptLoader:

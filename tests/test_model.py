@@ -9,8 +9,8 @@ import pytest
 from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    IntegrityError, ModelError, NonSchedulableAppliance,
                    PacesError, PriceSignal, PrivacyPolicy, PrivacyScenario,
-                   ReferenceSource, ScenarioSet, SchedulableAppliance,
-                   SolveConfig, StateSpaceError, SystemState, TimeGrid,
+                   ScenarioSet, SchedulableAppliance, SolveConfig,
+                   StateSpaceError, SystemState, TimeGrid,
                    appliance_load, backward_recursion, extract_schedule,
                    privacy_gap, random_small_instance, scenario_load,
                    slot_cost, step_remaining)
@@ -202,11 +202,6 @@ class TestPriceSignal:
 
 
 class TestPrivacyPolicy:
-    def test_reference_source_values(self):
-        pol = PrivacyPolicy(lambda_w=80.0, l_bar_w=85.0)
-        assert pol.l_bar_source is ReferenceSource.CONFIG
-        assert ReferenceSource("historical-mean") is ReferenceSource.HISTORICAL
-
     def test_rejects_negative_bound(self):
         with pytest.raises(ModelError, match="privacy bound"):
             PrivacyPolicy(lambda_w=-1.0, l_bar_w=0.0)

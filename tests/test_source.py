@@ -108,6 +108,80 @@ def test_no_helper_is_read_by_the_tests_alone():
     assert unread_definitions(defining, reading) == []
 
 
+def fields_read(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree`` as an attribute or an
+    exact string, the two ways a dataclass field is read."""
+    read = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read[node.value] += 1
+    return read
+
+
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute)
+            and target.attr == "dataclass")
+
+
+def unread_fields(defining: list[str], reading: list[str]) -> list[str]:
+    """``Class.field`` of every ``@dataclass`` field of the ``defining``
+    sources that no source of either list reads, in definition order."""
+    trees = [ast.parse(source) for source in defining]
+    read = Counter()
+    for tree in trees + [ast.parse(source) for source in reading]:
+        read += fields_read(tree)
+    unread = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    map(is_dataclass_decorator, node.decorator_list)):
+                unread += [f"{node.name}.{stmt.target.id}"
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)
+                           and "ClassVar" not in ast.unparse(stmt.annotation)
+                           and not read[stmt.target.id]]
+    return unread
+
+
+def test_the_scan_sees_fields_no_source_reads():
+    source = ("import dataclasses\n"
+              "from dataclasses import dataclass\n"
+              "from typing import ClassVar\n"
+              "@dataclass(frozen=True)\n"
+              "class Report:\n"
+              "    total: float\n    by_name: int\n    written: int\n"
+              "    kept: int\n    shadowed: int\n    LIMIT: ClassVar[int] = 3\n"
+              "@dataclasses.dataclass\n"
+              "class Row:\n    cell: int\n"
+              "class Plain:\n    note: str\n"
+              "KEYS = ('by_name',)\n"
+              "def make(shadowed):\n"
+              "    r = Report(1.0, 2, 3, kept=4, shadowed=shadowed)\n"
+              "    r.written = 5\n"
+              "    return r.total, shadowed\n")
+    assert unread_fields([source], []) == [
+        "Report.written", "Report.kept", "Report.shadowed", "Row.cell"]
+    assert unread_fields([source], ["print(row.cell, report.kept)"]) == [
+        "Report.written", "Report.shadowed"]
+
+
+def test_no_dataclass_field_is_read_by_the_tests_alone():
+    # the oracle's result fields are the reference the tests compare with
+    defining = [path.read_text(encoding="utf-8")
+                for path in sorted(PACKAGE.glob("*.py"))
+                if path.name not in ("__init__.py", "oracle.py")]
+    perfbench = PACKAGE.parent.parent / "perfbench"
+    reading = [path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("oracle.py"))
+               + sorted(perfbench.glob("*.py"))]
+    assert unread_fields(defining, reading) == []
+
+
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 
 

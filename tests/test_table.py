@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    IntegrityError, ModelError, NonSchedulableAppliance,
-                   PriceSignal, PrivacyPolicy, PrivacyScenario,
-                   ReferenceSource, ScenarioSet,
+                   PriceSignal, PrivacyPolicy, PrivacyScenario, ScenarioSet,
                    SchedulableAppliance, ScheduleTable, SolveConfig,
                    StateSpaceError, SystemState, TimeGrid, appliance_load,
                    backward_recursion, brute_force_solve, candidate_scenarios,
@@ -216,7 +215,6 @@ class TestModelFingerprint:
         ("PriceSignal", "values"): (0.2, 0.1, 0.1, 0.1),
         ("PrivacyPolicy", "lambda_w"): 123.0,
         ("PrivacyPolicy", "l_bar_w"): 321.0,
-        ("PrivacyPolicy", "l_bar_source"): ReferenceSource.HISTORICAL,
     }
 
     def test_sensitive_to_every_ingredient(self):
@@ -355,7 +353,8 @@ class TestFeasibleDecisions:
         # the builder offers it too, with a non-empty battery window
         eng = _engine(config)
         opts = eng.options(2)
-        rows = (opts.r_idx == eng.r_index[state.remaining]) & (opts.mask == 3)
+        rows = ((opts.r_first[opts.block] == eng.r_index[state.remaining])
+                & (opts.mask == 3))
         k_lo, k_hi = eng.k_windows(opts.y_w[rows], config._band,
                                    config._envelope[2])
         assert rows.sum() == 1 and k_lo[0] <= k_hi[0]
@@ -885,7 +884,7 @@ class TestPersistence:
         header = read_table_header(path)
         assert header == {
             "format": "paces-table",
-            "version": 4,
+            "version": 5,
             "model_hash": table.model_hash,
             "body_sha256": hashlib.sha256(
                 b"".join(self.body(table))).hexdigest(),
@@ -984,10 +983,10 @@ class TestPersistence:
         path = tmp_path / "table.json"
         save_table(table, str(path))
         payload = json.loads(path.read_text())
-        for version in (1, 2, 3, 5):
+        for version in (1, 2, 3, 4, 6):
             payload["version"] = version
             path.write_text(json.dumps(payload))
-            message = f"table version {version} unsupported, expected 4"
+            message = f"table version {version} unsupported, expected 5"
             with pytest.raises(IntegrityError, match=message):
                 read_table_header(str(path))
             with pytest.raises(IntegrityError, match=message):
@@ -1030,7 +1029,7 @@ class TestPersistence:
                               for raw in body)
         return {
             "format": "paces-table",
-            "version": 4,
+            "version": 5,
             "model_hash": table.model_hash,
             "body_sha256": hashlib.sha256(b"".join(body)).hexdigest(),
             "omega": [list(sc.starts) for sc in table.config.scenarios],
