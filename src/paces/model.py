@@ -27,6 +27,15 @@ def _require(cond: bool, message: str) -> None:
         raise ModelError(message)
 
 
+def _require_id(id: str) -> None:
+    """An appliance id is non-empty and fits one field of ``report.csv``,
+    whose ``started`` column joins ids with ``;``."""
+    _require(bool(id), "appliance id must be non-empty")
+    _require(set(id).isdisjoint(',;"\r\n'),
+             f"appliance id {id!r} holds a comma, semicolon, double quote, "
+             f"CR or LF, which would split a report.csv row")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Discrete scheduling horizon of ``tau`` equal slots.
@@ -70,7 +79,7 @@ class SchedulableAppliance:
     duration_slots: int
 
     def __post_init__(self):
-        _require(bool(self.id), "appliance id must be non-empty")
+        _require_id(self.id)
         _require(math.isfinite(self.power_w) and self.power_w > 0,
                  f"appliance {self.id}: power must be positive and finite, "
                  f"got {self.power_w!r}")
@@ -124,7 +133,7 @@ class NonSchedulableAppliance:
     start_prob: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        _require(bool(self.id), "appliance id must be non-empty")
+        _require_id(self.id)
         _require(math.isfinite(self.power_w) and self.power_w > 0,
                  f"appliance {self.id}: power must be positive and finite, "
                  f"got {self.power_w!r}")

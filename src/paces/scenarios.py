@@ -6,19 +6,22 @@ cost-optimal table under the scenario set collected so far, then find
 the candidate placement that stresses the resulting schedule hardest.
 Violating placements are added to the set and the table is rebuilt; the
 feasible region can only shrink as the set grows, so the optimal cost is
-non-decreasing across iterations and the loop ends after at most one
-solve per candidate.
+non-decreasing across iterations.  A placement already in the set stops
+the loop, since a rebuild would reproduce the same table and propose it
+again, so the loop ends after at most one solve per candidate plus the
+first.
 
 Each appliance is placed on its own, so the candidates are a cross
 product of per-appliance options, a box uncertainty set.  The search
 reads the product through each slot's extreme draws, which are sums of
 per-appliance extremes, and never enumerates it.
 
-Two stop modes are supported.  ``guaranteed`` (default) stops only when
-no candidate placement violates the privacy band, so the final schedule
-is safe against every placement.  ``repeat-stop`` stops as soon as the
-proposed worst placement repeats the previous one, which can terminate
-earlier but leaves no exhaustive guarantee.
+Two stop modes are supported.  ``guaranteed`` (default) also stops when
+the worst placement violates the privacy band by no more than its
+roundoff tolerance, so the final schedule is safe against every
+placement.  ``repeat-stop`` stops only on a placement already in the
+set, so it keeps rebuilding for placements inside the band: its builds
+extend ``guaranteed``'s.
 """
 from __future__ import annotations
 
@@ -33,8 +36,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ModelError
 from .model import (Instance, NonSchedulableAppliance, PrivacyScenario,
-                    ScenarioSet, TimeGrid, check_placement, in_order_sums,
-                    scenario_draws)
+                    ScenarioSet, TimeGrid, check_placement, in_order_sums)
 from .table import (DEFAULT_STATE_CAP, OBJECTIVE_MODES, ScheduleSolution,
                     ScheduleTable, SolveConfig, backward_recursion,
                     extract_schedule)
@@ -256,32 +258,43 @@ def find_worst_scenario(solution: ScheduleSolution,
                         ) -> tuple[Optional[PrivacyScenario], float]:
     """Placement that stresses the schedule hardest, with its violation.
 
+    ``candidates`` is what :func:`candidate_scenarios` returns: a
+    :class:`PlacementProduct`, or ``[]``, which gives the sentinel
+    ``(None, NO_SCENARIOS)``.  Any other sequence raises
+    :class:`ModelError`, as does an option that breaks
+    :func:`~paces.model.check_placement`.
+
     The violation is the worst per-slot deviation of base load plus
     scenario draw from the reference level, minus the privacy bound;
     positive means the schedule breaches under that placement.  Ties keep
-    the earliest candidate in the given order.  With no candidates the
-    sentinel ``(None, NO_SCENARIOS)`` comes back.  A candidate that
-    breaks :func:`~paces.model.check_placement` raises :class:`ModelError`.
-
-    A :class:`PlacementProduct` is searched without enumerating it: the
-    worst violation comes from each slot's least and greatest draw, and
-    the pick from the placements that reach it at the binding slots.
+    the earliest placement in product order.  The product is never
+    enumerated.  The deviation is monotone in the draw, so one of a
+    slot's two extreme draws reaches its worst score, and the largest of
+    those is the product's.  A placement's score at a slot depends only
+    on which appliances it runs there.  So at each slot that reaches the
+    worst score, the first active set in product order that reaches it
+    gives that slot's first placement, and the first of those over all
+    binding slots is the pick.
     """
     if metric not in VIOLATION_METRICS:
         raise ModelError(f"metric must be one of {VIOLATION_METRICS}, "
                          f"got {metric!r}")
     if not candidates:
         return None, NO_SCENARIOS
-    if isinstance(candidates, PlacementProduct):
-        return _worst_in_product(solution, candidates, instance, metric)
-    for sc in candidates:
-        check_placement(sc.starts, instance.ns_appliances)
-    draws = scenario_draws(candidates, instance.ns_appliances,
+    if not isinstance(candidates, PlacementProduct):
+        raise ModelError(f"candidates must come from candidate_scenarios, "
+                         f"got a {type(candidates).__name__}")
+    slots = _slot_extremes(candidates.options, instance.ns_appliances,
                            instance.grid.tau)
-    scores = _deviation(draws, np.asarray(solution.base_load_w, dtype=float),
-                        instance, metric).max(axis=1)
-    best = int(np.argmax(scores))
-    return candidates[best], float(scores[best]) - instance.policy.lambda_w
+    base = np.asarray(solution.base_load_w, dtype=float)
+    scores = _deviation(slots.bounds, base, instance, metric).max(axis=0)
+    top = scores.max()
+    picks = []
+    for t in np.flatnonzero(scores == top):
+        draws, rows = slots.active_sets(t)
+        reached = _deviation(draws, base[t], instance, metric) == top
+        picks.append(tuple(rows[np.argmax(reached)].tolist()))
+    return candidates.at(min(picks)), float(top) - instance.policy.lambda_w
 
 
 def _deviation(draws: np.ndarray, base: np.ndarray, instance: Instance,
@@ -292,32 +305,6 @@ def _deviation(draws: np.ndarray, base: np.ndarray, instance: Instance,
     if metric == "two-sided":
         np.abs(dev, out=dev)
     return dev
-
-
-def _worst_in_product(solution: ScheduleSolution, product: PlacementProduct,
-                      instance: Instance, metric: str
-                      ) -> tuple[PrivacyScenario, float]:
-    """:func:`find_worst_scenario` over a product, bit for bit.
-
-    The deviation is monotone in the draw, so one of a slot's two
-    extreme draws reaches its worst score, and the largest of those is
-    the product's.  A placement's score at a slot depends only on which
-    appliances it runs there.  So at each slot that reaches the worst
-    score, the first active set in product order that reaches it gives
-    that slot's first placement, and the first of those over all binding
-    slots is the one the full scan picks.
-    """
-    slots = _slot_extremes(product.options, instance.ns_appliances,
-                           instance.grid.tau)
-    base = np.asarray(solution.base_load_w, dtype=float)
-    scores = _deviation(slots.bounds, base, instance, metric).max(axis=0)
-    top = scores.max()
-    picks = []
-    for t in np.flatnonzero(scores == top):
-        draws, rows = slots.active_sets(t)
-        reached = _deviation(draws, base[t], instance, metric) == top
-        picks.append(tuple(rows[np.argmax(reached)].tolist()))
-    return product.at(min(picks)), float(top) - instance.policy.lambda_w
 
 
 def solve_with_scenarios(instance: Instance,
@@ -357,29 +344,23 @@ def solve_with_scenarios(instance: Instance,
     table, solution, config = solve(
         ScenarioSet.base(len(instance.ns_appliances)))
     trace = IterationTrace()
-    if not candidates:
-        return ScenarioSolveResult(solution=solution, trace=trace, table=table,
-                                   omega=ScenarioSet.empty(), config=config)
-
-    trace.records.append(IterationRecord(
-        k=0, scenario=None, violation_w=None,
-        f1_cost=solution.controllable_cost, omega_size=0))
-
+    if candidates:
+        trace.records.append(IterationRecord(
+            k=0, scenario=None, violation_w=None,
+            f1_cost=solution.controllable_cost, omega_size=0))
     omega = ScenarioSet.empty()
-    cap = options.max_solves if options.max_solves is not None \
-        else len(candidates) + 1
-    while True:
+    while candidates:
         phi, violation = find_worst_scenario(solution, candidates, instance,
                                              options.metric)
         trace.final_scenario, trace.final_violation_w = phi, violation
-        if options.mode == "guaranteed":
-            if violation <= instance.policy.tolerance_w:
-                break
-        elif phi in omega:
-            # re-solving the unchanged set would reproduce this exact
-            # schedule and propose phi again; stop here instead
+        # a rebuild for a placement already in omega would reproduce this
+        # exact schedule and propose it again
+        if (options.mode == "guaranteed"
+                and violation <= instance.policy.tolerance_w) \
+                or phi in omega:
             break
-        if len(trace.records) >= cap:
+        if options.max_solves is not None \
+                and len(trace.records) >= options.max_solves:
             trace.capped = True
             break
         omega = omega.with_scenario(phi)

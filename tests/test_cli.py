@@ -90,6 +90,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_rows_fit_the_header(path):
+    """Every row of a CSV the CLI wrote has its header's column count."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows
+    assert all(len(row) == len(header) for row in rows), path.name
+
+
 def usage_error(capsys, *argv):
     """Exit code and stderr of a command line that argparse refuses."""
     with pytest.raises(SystemExit) as err:
@@ -210,6 +218,14 @@ class TestSolveCommand:
         report = tmp_path / "run" / "report.csv"
         assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
         assert hashlib.sha256(replay.read_bytes()).hexdigest() == replay_digest
+        sweep = tmp_path / "sweep.csv"
+        battery = load_config(preset).instance.battery
+        code, _, _ = run(capsys, "sweep", "--config", preset, "--capacities",
+                         f"0,{battery.grid_step_wh},{battery.b_max_wh}",
+                         "--out", str(sweep))
+        assert code == 0
+        for path in (report, replay, sweep):
+            assert_rows_fit_the_header(path)
 
     # SHA-256 of `solution.json` then `trace.json` from `solve` on
     # section-iv-a at lambda = 140 W plus three and four 10 W, 2-slot usage
@@ -271,6 +287,23 @@ class TestSolveCommand:
         assert (code, out) == (2, "")
         assert f"/{section or ''}: unexpected key {key!r}" in err
 
+    # report.csv joins the ids started in a slot with ";" into one
+    # unquoted field
+    @pytest.mark.parametrize("section", ["appliances", "ns_appliances"])
+    @pytest.mark.parametrize("char", [",", ";", '"', "\r", "\n"],
+                             ids=["comma", "semicolon", "quote", "cr", "lf"])
+    def test_ids_that_would_split_a_report_row_exit_2(self, tmp_path, capsys,
+                                                      section, char):
+        raw = serialize(load_config("motivating-example"))
+        raw[section][0]["id"] = f"alpha{char}1"
+        cfg = tmp_path / "ids.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "solve", "--config", str(cfg),
+                             "--out", str(tmp_path / "x"))
+        assert (code, out) == (2, "")
+        assert f"appliance id {f'alpha{char}1'!r} holds a comma" in err
+        assert not (tmp_path / "x").exists()
+
     def test_infeasible_bounds_exit_3(self, tmp_path, capsys):
         raw = serialize(load_config("motivating-example"))
         raw["privacy"]["lambda"] = 1000.0
@@ -331,6 +364,81 @@ class TestBandEdge:
         script = EventScript.scripted((ScriptedStart("n", 1),))
         report = simulate(loaded, script, loaded.config)
         assert report.breach_count == 0
+
+
+# A 1e-9 W usage appliance against a 1 W band: the worst placement
+# scores 1.000000082740371e-09 W, 8.3e-17 W past the 1e-9 W stop
+# tolerance, yet the table built against it admits it
+TOLERANCE_EDGE = {
+    "grid": {"tau": 2},
+    "appliances": [{"id": "a", "power": 1.0, "workload": 1.0}],
+    "ns_appliances": [{"id": "n", "power": 1e-9, "runtime_slots": 1,
+                       "zone": [1, 2]}],
+    "battery": {"capacity": 0, "initial": 0, "discharge_max": 0,
+                "charge_max": 0, "grid_step": 1},
+    "price": {"values": [1.0, 2.0]},
+    "privacy": {"lambda": 1.0, "reference": 0.0},
+}
+
+
+class TestToleranceEdge:
+    """A worst placement already in the scenario set stops the loop, in
+    ``guaranteed`` mode too, even when its violation is past the stop
+    tolerance: a rebuild would reproduce the same table."""
+
+    def config(self, tmp_path, **edits):
+        raw = json.loads(json.dumps(TOLERANCE_EDGE))
+        raw.update(edits)
+        cfg = tmp_path / "edge.json"
+        cfg.write_text(json.dumps(raw))
+        return cfg
+
+    def test_the_solve_stops_on_the_repeated_placement(self, tmp_path,
+                                                       capsys):
+        cfg = self.config(tmp_path)
+        table = tmp_path / "table.json"
+        code, out, err = run(capsys, "solve", "--config", str(cfg),
+                             "--out", str(tmp_path / "run"),
+                             "--table", str(table))
+        assert (code, err) == (0, "")
+        assert "solved in 2 table builds" in out
+        trace = json.loads((tmp_path / "run" / "trace.json").read_text())
+        assert len(trace["records"]) == 2
+        assert trace["capped"] is False
+        assert trace["final_scenario"] == [1]
+        assert trace["final_violation_w"] == 1.000000082740371e-09
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(
+            {"events": [{"appliance_id": "n", "slot": 1}]}))
+        code, out, err = run(capsys, "simulate", "--table", str(table),
+                             "--config", str(cfg), "--script", str(script))
+        assert (code, err) == (0, "")
+        assert "n@1" in out
+        assert "breaches 0" in out
+
+    def test_the_sweep_solves_every_capacity(self, tmp_path, capsys):
+        cfg = self.config(tmp_path)
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--config", str(cfg),
+                           "--capacities", "0,250,500", "--out", str(out))
+        assert (code, err) == (0, "")
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["feasible"], r["solves"]) for r in rows] == [("1", "2")] * 3
+
+    def test_one_slot_is_not_capped(self, tmp_path, capsys):
+        # the product holds one placement, which the second build adds;
+        # no max_solves is set, so the loop was not capped
+        cfg = self.config(
+            tmp_path, grid={"tau": 1}, price={"values": [1.0]},
+            ns_appliances=[{"id": "n", "power": 1e-9, "runtime_slots": 1,
+                            "zone": [1, 1]}])
+        code, _, err = run(capsys, "solve", "--config", str(cfg),
+                           "--out", str(tmp_path / "run"))
+        assert (code, err) == (0, "")
+        trace = json.loads((tmp_path / "run" / "trace.json").read_text())
+        assert len(trace["records"]) == 2
+        assert trace["capped"] is False
 
 
 class TestBuildAndSimulate:

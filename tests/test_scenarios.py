@@ -136,7 +136,9 @@ class TestFindWorstScenario:
         scenario, violation = find_worst_scenario(solution, cands, inst)
         assert scenario.starts == (1,)
         assert violation == pytest.approx(40.0, abs=1e-12)
-        scenario, _ = find_worst_scenario(solution, cands[::-1], inst)
+        # the earliest in product order, whatever the starts' order
+        reversed_starts = scenarios.PlacementProduct([(2, 1)])
+        scenario, _ = find_worst_scenario(solution, reversed_starts, inst)
         assert scenario.starts == (2,)
 
     def test_upper_only_metric_ignores_shortfalls(self):
@@ -310,10 +312,22 @@ class TestRefinementLoop:
                 # guaranteed mode only rebuilds for breaching placements
                 assert all(r.violation_w > 0 for r in records[1:])
             if mode == "guaranteed" and not result.trace.capped:
-                _, violation = find_worst_scenario(result.solution, cands,
-                                                   inst)
+                # the loop stops inside the band, or on a placement the
+                # table was already built against
+                phi, violation = find_worst_scenario(result.solution, cands,
+                                                     inst)
+                assert (phi, violation) == (result.trace.final_scenario,
+                                            result.trace.final_violation_w)
                 pol = inst.policy
-                assert violation <= 1e-9 * max(1.0, pol.lambda_w, pol.l_bar_w)
+                assert (violation <= 1e-9 * max(1.0, pol.lambda_w,
+                                                 pol.l_bar_w)
+                        or phi in result.omega)
+            if mode == "repeat-stop":
+                # one stop rule: guaranteed ends where the violation first
+                # falls inside the band, repeat-stop only on a repeat, so
+                # guaranteed's builds are the first of repeat-stop's
+                first = solve_with_scenarios(inst).trace.records
+                assert records[:len(first)] == first
         assert solved >= 20
 
     def test_unattainable_bound_reports_a_feasible_one(self):
@@ -455,7 +469,6 @@ class TestIncrementalRefinement:
             return scenario_draws(placements, *args)
 
         with solved as solve_slot, \
-                mock.patch.object(scenarios, "scenario_draws", counted), \
                 mock.patch.object(paces.table, "scenario_draws", counted):
             result = solve_with_scenarios(cfg.instance, cfg.options,
                                           cfg.state_cap)

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paces import (Battery, Instance, ModelError, NonSchedulableAppliance,
-                   PriceSignal, PrivacyPolicy, PrivacyScenario,
-                   ScheduleSolution, TimeGrid, candidate_scenarios,
-                   find_worst_scenario, load_config, scenario_load)
+                   PriceSignal, PrivacyPolicy, ScheduleSolution, TimeGrid,
+                   candidate_scenarios, find_worst_scenario, load_config,
+                   scenario_load)
+from paces.scenarios import PlacementProduct
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +88,10 @@ def search_cases(draw):
                  | st.floats(0.0, 500.0))
     lam = draw(st.sampled_from((0.0, 0.3, 10.0)) | st.floats(0.0, 500.0))
     inst = make_instance(tau, apps, lam=lam, l_bar=l_bar)
-    full = candidate_scenarios(inst.ns_appliances, inst.grid,
-                               include_inactive=draw(st.booleans()))
-    # the whole product, and a list of any of its placements in any
-    # order, repeats included
-    picks = draw(st.lists(st.integers(0, len(full) - 1),
-                          max_size=2 * len(full))) if full else []
+    candidates = candidate_scenarios(inst.ns_appliances, inst.grid,
+                                     include_inactive=draw(st.booleans()))
     metric = draw(st.sampled_from(("two-sided", "upper-only")))
-    return inst, solution_with(base), (full, [full[i] for i in picks]), metric
+    return inst, solution_with(base), candidates, metric
 
 
 def quiet_search(*args):
@@ -107,30 +104,13 @@ class TestAgainstTheLoop:
     @settings(max_examples=400, deadline=None)
     @given(search_cases())
     def test_same_pick_and_violation_bits(self, case):
-        inst, solution, lists, metric = case
-        for candidates in lists:
-            got = quiet_search(solution, candidates, inst, metric)
-            want = reference_worst_scenario(solution, candidates, inst,
-                                            metric)
-            if candidates is lists[0]:  # the product
-                # a product repeats no placement and decodes one on every
-                # read, so equality names one index
-                assert got[0] == want[0]
-            else:
-                # identity, not equality: a repeated candidate must
-                # resolve to its first occurrence
-                assert got[0] is want[0]
-            assert type(got[1]) is float
-            assert repr(got[1]) == repr(want[1])
-
-    @settings(max_examples=200, deadline=None)
-    @given(search_cases())
-    def test_the_product_searches_as_its_list(self, case):
-        inst, solution, (full, _), metric = case
-        got = quiet_search(solution, full, inst, metric)
-        want = quiet_search(solution, list(full), inst, metric)
-        # a product repeats no placement, so equality names one index
+        inst, solution, candidates, metric = case
+        got = quiet_search(solution, candidates, inst, metric)
+        want = reference_worst_scenario(solution, candidates, inst, metric)
+        # a product repeats no placement and decodes one on every read,
+        # so equality names one index
         assert got[0] == want[0]
+        assert type(got[1]) is float
         assert repr(got[1]) == repr(want[1])
 
     def test_draws_sum_in_appliance_order(self):
@@ -144,18 +124,18 @@ class TestAgainstTheLoop:
 
 
 class TestErrorContract:
-    # uniform lists reach the shape check, a ragged one fails in numpy
-    @pytest.mark.parametrize("starts", [[(1,)], [(1, 2, 1)], [()],
-                                        [(1, 2), (1,)]],
+    # per-appliance options for a two-appliance household
+    @pytest.mark.parametrize("options", [[(1, 2)], [(1,), (2,), (1,)], [],
+                                         [(1, 2), (1,), (2, 1, None)]],
                              ids=["short", "long", "empty", "ragged"])
-    def test_every_candidate_places_every_appliance(self, starts):
+    def test_every_candidate_places_every_appliance(self, options):
         apps = [NonSchedulableAppliance(id=f"n{j}", power_w=10.0,
                                         runtime_slots=1, zone=(1, 2))
                 for j in range(2)]
         inst = make_instance(2, apps)
         with pytest.raises(ModelError, match="2 appliances"):
             find_worst_scenario(solution_with((0.0, 0.0)),
-                                [PrivacyScenario(s) for s in starts], inst)
+                                PlacementProduct(options), inst)
 
     # motivating-example's beta runs one slot in zone [2, 3]
     @pytest.mark.parametrize("start", [99, True, 2.5],
@@ -164,10 +144,10 @@ class TestErrorContract:
         inst = load_config("motivating-example").instance
         solution = solution_with((0.0,) * inst.grid.tau)
         with pytest.raises(ModelError, match="does not fit zone"):
-            find_worst_scenario(solution, [PrivacyScenario((start,))], inst)
+            find_worst_scenario(solution, PlacementProduct([(start,)]), inst)
         with pytest.raises(ModelError, match=f"start {start!r} does not"):
-            find_worst_scenario(solution, [PrivacyScenario((2,)),
-                                           PrivacyScenario((start,))], inst)
+            find_worst_scenario(solution, PlacementProduct([(2, start)]),
+                                inst)
 
     def test_a_product_of_other_starts_is_refused(self):
         inst = load_config("motivating-example").instance
@@ -176,3 +156,21 @@ class TestErrorContract:
         with pytest.raises(ModelError, match="start 1 does not fit"):
             find_worst_scenario(solution_with((0.0,) * inst.grid.tau),
                                 product, inst)
+
+    def test_a_product_of_another_household_is_refused(self):
+        # motivating-example has one usage appliance, section-iv-a two
+        one = load_config("motivating-example").instance
+        two = load_config("section-iv-a").instance
+        product = candidate_scenarios(one.ns_appliances, one.grid)
+        with pytest.raises(ModelError, match="places 1 appliances, "
+                                             "instance has 2 appliances"):
+            find_worst_scenario(solution_with((0.0,) * two.grid.tau),
+                                product, two)
+
+    @pytest.mark.parametrize("wrap", [list, tuple])
+    def test_a_plain_sequence_is_refused(self, wrap):
+        inst = load_config("motivating-example").instance
+        product = candidate_scenarios(inst.ns_appliances, inst.grid)
+        with pytest.raises(ModelError, match="from candidate_scenarios"):
+            find_worst_scenario(solution_with((0.0,) * inst.grid.tau),
+                                wrap(product), inst)
