@@ -25,8 +25,8 @@ extend ``guaranteed``'s.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -38,8 +38,8 @@ from .errors import InfeasibleError, ModelError
 from .model import (Instance, NonSchedulableAppliance, PrivacyScenario,
                     ScenarioSet, TimeGrid, check_placement, in_order_sums)
 from .table import (DEFAULT_STATE_CAP, OBJECTIVE_MODES, ScheduleSolution,
-                    ScheduleTable, SolveConfig, backward_recursion,
-                    extract_schedule)
+                    ScheduleTable, SolveConfig, _FailedTail,
+                    backward_recursion, extract_schedule)
 
 SOLVE_MODES = ("guaranteed", "repeat-stop")
 VIOLATION_METRICS = ("two-sided", "upper-only")
@@ -222,8 +222,15 @@ class _SlotExtremes:
         return self._sets[t]
 
 
-#: one per product and household, as a sweep or a repeated solve meets them
-_slot_extremes = functools.lru_cache(maxsize=16)(_SlotExtremes)
+@functools.lru_cache(maxsize=16)
+def _slot_extremes(options: tuple[tuple[Optional[int], ...], ...],
+                   types: tuple[type, ...],
+                   ns_appliances: tuple[NonSchedulableAppliance, ...],
+                   tau: int) -> _SlotExtremes:
+    """One per product and household, as a sweep or a repeated solve
+    meets them.  ``types`` holds every option's type: ``2.0 == 2`` and
+    ``True == 1`` hash alike, and only the int passes the check."""
+    return _SlotExtremes(options, ns_appliances, tau)
 
 
 def candidate_scenarios(ns_appliances: Sequence[NonSchedulableAppliance],
@@ -284,7 +291,9 @@ def find_worst_scenario(solution: ScheduleSolution,
     if not isinstance(candidates, PlacementProduct):
         raise ModelError(f"candidates must come from candidate_scenarios, "
                          f"got a {type(candidates).__name__}")
-    slots = _slot_extremes(candidates.options, instance.ns_appliances,
+    options = candidates.options
+    types = tuple(map(type, itertools.chain(*options)))
+    slots = _slot_extremes(options, types, instance.ns_appliances,
                            instance.grid.tau)
     base = np.asarray(solution.base_load_w, dtype=float)
     scores = _deviation(slots.bounds, base, instance, metric).max(axis=0)
@@ -330,7 +339,7 @@ def solve_with_scenarios(instance: Instance,
         try:
             table = backward_recursion(config, previous)
         except InfeasibleError as err:
-            hint = _smallest_feasible_lambda(instance, omega, state_cap)
+            hint = _smallest_feasible_lambda(err._tail)
             if hint is None:
                 raise InfeasibleError(
                     f"{err}; no privacy bound makes this instance feasible, "
@@ -373,28 +382,31 @@ def solve_with_scenarios(instance: Instance,
                                omega=omega, config=config)
 
 
-def _smallest_feasible_lambda(instance: Instance, omega: ScenarioSet,
-                              state_cap: int) -> Optional[float]:
-    """Bisection probe: smallest privacy bound the scenario set admits.
+def _smallest_feasible_lambda(failed: _FailedTail) -> Optional[float]:
+    """Bisection probe: smallest privacy bound that the scenario set of
+    the failed build behind ``failed``, the tail it handed on, admits.
 
     Returns ``None`` when even an unbinding bound stays infeasible, i.e.
     the problem is structurally infeasible.  Resolution is
-    :data:`LAMBDA_PROBE_TOL_W`.  Each probe is handed the latest feasible
-    probe's table, whose slots it copies wherever their windows agree.
+    :data:`LAMBDA_PROBE_TOL_W`.  The probes differ from the failed build
+    only in their band, so they share its engine and envelope.  Each
+    probe is handed the latest feasible probe's table and the latest
+    failed build's tail, and copies the slots of whichever matches its
+    windows further back; a probe whose windows match a failed tail down
+    to the slot where it died fails without solving a slot.
     """
-    inst = instance
+    config = failed.config
+    inst = config.instance
     latest = None
 
     def feasible(lam: float) -> bool:
-        nonlocal latest
-        policy = dataclasses.replace(inst.policy, lambda_w=lam)
-        probe = dataclasses.replace(inst, policy=policy)
+        nonlocal latest, failed
         try:
-            latest = backward_recursion(
-                SolveConfig(instance=probe, scenarios=omega,
-                            state_cap=state_cap), latest)
+            latest = backward_recursion(config._at_lambda(lam), latest,
+                                        failed)
             return True
-        except InfeasibleError:
+        except InfeasibleError as err:
+            failed = err._tail
             return False
 
     total_power = (sum(a.power_w for a in inst.appliances)

@@ -20,7 +20,10 @@ so a build handed an earlier table of its engine (a refinement rebuild
 against a grown scenario set, or a lambda probe given the bisection's
 latest feasible table) copies every slot after the last one whose
 windows differ (each is bit-identical to the earlier build's) and
-re-solves only the slots up to it.
+re-solves only the slots up to it.  A failed build hands on the slots
+it solved through its :class:`InfeasibleError`, and a lambda probe may
+copy from that tail too: a probe whose windows match it down to the
+slot where it died fails at once, without solving a slot.
 
 The minimized objective is the controllable part of the bill: price
 times appliance-plus-battery energy.  Non-schedulable consumption is
@@ -42,7 +45,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -112,6 +115,15 @@ class SolveConfig:
         return (1.0 / n,) * n
 
     @functools.cached_property
+    def _engine(self) -> _Engine:
+        """The engine of the instance without its policy and usage
+        appliances, under the state cap: one per value of those
+        (:data:`_engines`), looked up once per config."""
+        inst = self.instance
+        return _engines(inst.grid, inst.appliances, inst.battery, inst.price,
+                        self.state_cap)
+
+    @functools.cached_property
     def _band(self) -> tuple[np.ndarray, np.ndarray]:
         """The band ``l_bar -+ lambda`` and its ``-+ tol``, (2, 1) columns."""
         pol = self.instance.policy
@@ -137,13 +149,23 @@ class SolveConfig:
         and envelope: ``(k_lo, k_hi)``, a read-only (2, rows) int64 array
         over the engine's :attr:`_Engine.window_rows`, slot 1 first.  A
         build reads its band and envelope only through it."""
-        eng = _engine(self)
+        eng = self._engine
         draws, offsets = eng.window_rows
         envelope = np.repeat(self._envelope[1:, :, 0], np.diff(offsets),
                              axis=0)
         windows = eng.k_windows(draws, self._band, envelope.T)
         windows.flags.writeable = False
         return windows
+
+    def _at_lambda(self, lambda_w: float) -> SolveConfig:
+        """This config under privacy bound ``lambda_w``.  The bound shapes
+        only the band, so the new config starts with this one's engine and
+        envelope."""
+        inst = self.instance
+        policy = replace(inst.policy, lambda_w=lambda_w)
+        config = replace(self, instance=replace(inst, policy=policy))
+        vars(config).update(_engine=self._engine, _envelope=self._envelope)
+        return config
 
 
 def model_fingerprint(config: SolveConfig) -> str:
@@ -326,9 +348,11 @@ class _Engine:
     vectors, the prices, the walk step and every slot's draws in window
     order (:attr:`window_rows`).  It is made from the instance's fields
     other than the policy and the non-schedulable appliances
-    (:func:`_engine`), so a build hands :meth:`solve_slot` its
-    :attr:`SolveConfig._windows`.  The start options come from
-    :func:`_option_tables`, once per instance shape.
+    (:attr:`SolveConfig._engine`), so a build hands :meth:`solve_slot`
+    its :attr:`SolveConfig._windows`.  The start options come from
+    :func:`_option_tables`, once per instance shape, and what the slot
+    solver reads of them in every build once per engine
+    (:attr:`_slot_rows`).
 
     Per slot, the continuation is padded with ``inf`` by the rate limit
     on both sides, so each battery move ``k`` is one column shift of it.
@@ -410,6 +434,21 @@ class _Engine:
         offsets = np.cumsum([0] + [len(opts.order) for opts in slots])
         return _read_only(draws, np.float64), _read_only(offsets, np.intp)
 
+    @functools.cached_property
+    def _slot_rows(self) -> tuple[tuple, ...]:
+        """Per slot ``t`` at index ``t - 1``, what :meth:`solve_slot` reads
+        of it in every build: its options, its rows' range in
+        :attr:`window_rows`, each row's next vector in window order and
+        each row's tie-key column ``(n_starts, row)`` in block order."""
+        slots = _option_tables(self.durations, self.powers, self.tau)
+        offsets = self.window_rows[1].tolist()
+        return tuple(
+            (opts, slice(offsets[i], offsets[i + 1]),
+             opts.r_next.take(opts.order),
+             ((opts.n_starts << self._n_shift)
+              | np.arange(len(opts.block)))[:, None])
+            for i, opts in enumerate(slots))
+
     def k_windows(self, y_w: np.ndarray, band: tuple,
                   envelope: np.ndarray) -> np.ndarray:
         """Battery-step range allowed by rate and privacy bounds.
@@ -448,27 +487,23 @@ class _Engine:
         return self.prices[t - 1] * (y_w * self.h + k * self.step)
 
     def solve_slot(self, t: int, f_next: np.ndarray, k_lo: np.ndarray,
-                   k_hi: np.ndarray):
+                   k_hi: np.ndarray, values: np.ndarray,
+                   dec_mask: np.ndarray, dec_step: np.ndarray) -> None:
         """One backward step: value and argmin decision for every state.
 
         ``f_next`` has shape (n_r, m) and holds the continuation values;
         ``k_lo`` and ``k_hi`` are the build's windows of every slot's rows
         (:attr:`SolveConfig._windows`), of which slot ``t``'s are read.
-        Returns ``(values, dec_mask, dec_step)`` of ``f_next``'s shape;
-        ``dec_mask`` is -1 where no decision is feasible.
+        Every cell of ``values``, ``dec_mask`` and ``dec_step``, each of
+        ``f_next``'s shape, is written; ``dec_mask`` is -1 where no
+        decision is feasible.
         """
         m = self.m
-        values = np.full((self.n_r, m), np.inf)
-        dec_mask = np.full((self.n_r, m), -1, dtype=np.int32)
-        dec_step = np.zeros((self.n_r, m), dtype=np.int32)
-        opts = self.options(t)
+        opts, rows, r_next, tie_key = self._slot_rows[t - 1]
 
         # rows in window order, where both bounds fall as the draw rises:
         # the rows that admit the i-th move are lo[i]:hi[i]
-        order = opts.order
-        draws, offsets = self.window_rows
-        rows = slice(offsets[t - 1], offsets[t])
-        y_w = draws[rows]
+        y_w = self.window_rows[0][rows]
         lo = np.searchsorted(-k_lo[rows], self._neg_moves,
                              side="left").tolist()
         hi = np.searchsorted(-k_hi[rows], self._neg_moves,
@@ -481,8 +516,8 @@ class _Engine:
         pad = -self.k_rate_lo
         padded = np.full((self.n_r, pad + m + self.k_rate_hi), np.inf)
         padded[:, pad:pad + m] = f_next
-        cont = padded.take(opts.r_next.take(order), 0)
-        best = np.full((len(order), m), np.inf)
+        cont = padded.take(r_next, 0)
+        best = np.full((len(r_next), m), np.inf)
         best_k = np.zeros(best.shape, dtype=np.int32)
         cand = np.empty(best.shape)
         better = np.empty(best.shape, dtype=bool)
@@ -506,15 +541,17 @@ class _Engine:
         low = np.minimum.reduceat(best, first)
         key = np.abs(best_k, dtype=np.int64)
         key <<= self._k_shift
-        key |= ((opts.n_starts << self._n_shift)
-                | np.arange(len(block)))[:, None]
+        key |= tie_key
         np.copyto(key, _NO_KEY, where=best != low.take(block, 0))
         pick = np.minimum.reduceat(key, first) & self._row_mask
+        # a doomed vector has no rows and keeps the dead cell
+        values.fill(np.inf)
+        dec_mask.fill(-1)
+        dec_step.fill(0)
         r, cols = opts.r_first, self._levels
         values[r] = best[pick, cols]
         dec_mask[r] = np.where(np.isfinite(low), opts.mask[pick], -1)
         dec_step[r] = best_k[pick, cols]
-        return values, dec_mask, dec_step
 
     def terminal_continuation(self) -> np.ndarray:
         """Continuation values past the horizon: 0 once all work is done."""
@@ -556,14 +593,6 @@ class _Engine:
 _engines = functools.lru_cache(maxsize=16)(_Engine)
 
 
-def _engine(config: SolveConfig) -> _Engine:
-    """The engine of the config's instance without its policy and usage
-    appliances, under its state cap, made on first use."""
-    inst = config.instance
-    return _engines(inst.grid, inst.appliances, inst.battery, inst.price,
-                    config.state_cap)
-
-
 # ---------------------------------------------------------------------------
 # Public table type
 
@@ -584,8 +613,8 @@ class ScheduleTable:
     Given as ``None`` it is computed when first read: the refinement
     loop's intermediate tables and the lambda bisection's probes are
     never saved or checked, so they never pay for it.  The grid is read
-    through the instance's shared engine (:func:`_engine`), and the
-    config keeps the envelope and the windows the table was built
+    through the instance's shared engine (:attr:`SolveConfig._engine`),
+    and the config keeps the envelope and the windows the table was built
     against.
 
     The arrays come from a build or a load and are not checked here: a
@@ -598,7 +627,7 @@ class ScheduleTable:
                  dec_mask: np.ndarray, dec_step: np.ndarray,
                  model_hash: Optional[str]):
         self.config = config
-        self._engine = _engine(config)
+        self._engine = config._engine
         for arr in (values, dec_mask, dec_step):
             arr.flags.writeable = False
         self.values = values
@@ -703,56 +732,98 @@ class ScheduleTable:
 # The backward pass
 
 
+@dataclass(frozen=True)
+class _FailedTail:
+    """The slots a failed build solved, handed on by its
+    :class:`InfeasibleError` as ``_tail``.
+
+    Not a :class:`ScheduleTable`, because the table is not closed.
+    Every slot after ``dies_at`` is as a build of ``config`` from scratch
+    makes it.  Slot ``dies_at`` is where every branch from the initial
+    state died: a slot with no feasible cell, or slot 1 when only the
+    start cell is dead.
+    """
+
+    config: SolveConfig
+    values: np.ndarray
+    dec_mask: np.ndarray
+    dec_step: np.ndarray
+    dies_at: int
+
+
+def _infeasible(tail: _FailedTail) -> InfeasibleError:
+    # the initial state is the only one reachable at slot 1, so slot 1 is
+    # where every branch from it has died
+    err = InfeasibleError(
+        "SP infeasible under the configured scenario set: every branch "
+        "from the initial state dies by slot 1")
+    err._tail = tail
+    return err
+
+
 def backward_recursion(config: SolveConfig,
-                       previous: Optional[ScheduleTable] = None
+                       previous: Optional[ScheduleTable] = None,
+                       failed: Optional[_FailedTail] = None
                        ) -> ScheduleTable:
     """Build the full table; raises when the initial state cannot finish.
 
     ``previous``, an earlier table of the same engine (any band, any
-    scenario set), lets the build reuse its tail.  Slot ``t`` is a
+    scenario set), and ``failed``, the tail an earlier failed build of
+    it handed on, let the build reuse their slots.  Slot ``t`` is a
     function of the engine, slot ``t``'s windows
     (:attr:`SolveConfig._windows`) and the slot after it, so every slot
-    after the last one whose windows differ from ``previous``'s is
-    bit-identical to ``previous``'s and is copied; the sweep starts at
-    that slot.  A ``previous`` of another engine is ignored.  A slot
-    with no feasible cell ends the sweep: every slot before it is dead
-    too, so the build raises there.  The windows are computed once per
-    build, the engine once per instance.
+    after the last one whose windows differ from a held build's is
+    bit-identical to that build's.  The build copies those slots from
+    the held build that matches further back and starts the sweep there.
+    A failed tail that matches down to the slot where it died proves
+    this build dead too, so the build raises at once.  A held build of
+    another engine is ignored.  A slot with no feasible cell ends the
+    sweep: every slot before it is dead too, so the build raises there
+    and hands on the slots it holds (:class:`_FailedTail`).  The windows
+    are computed once per build, the engine once per config.
     """
-    eng = _engine(config)
+    eng = config._engine
     windows = config._windows
-    values = np.empty((eng.tau, eng.n_r, eng.m))
-    dec_mask = np.empty((eng.tau, eng.n_r, eng.m), dtype=np.int32)
-    dec_step = np.empty((eng.tau, eng.n_r, eng.m), dtype=np.int32)
-    last = eng.tau  # the first slot the backward sweep solves
-    if previous is not None and previous._engine is eng:
+    shape = (eng.tau, eng.n_r, eng.m)
+    values = np.empty(shape)
+    dec_mask = np.empty(shape, dtype=np.int32)
+    dec_step = np.empty(shape, dtype=np.int32)
+    # the first slot the backward sweep solves, and the build whose slots
+    # after it are copied
+    last, source = eng.tau, None
+    for held in (failed, previous):
+        if held is None or held.config._engine is not eng:
+            continue
         changed = np.flatnonzero(
-            (windows != previous.config._windows).any(axis=0))
-        last = (int(np.searchsorted(eng.window_rows[1], changed[-1],
-                                    side="right"))
-                if len(changed) else 0)
-        values[last:] = previous.values[last:]
-        dec_mask[last:] = previous.dec_mask[last:]
-        dec_step[last:] = previous.dec_step[last:]
+            (windows != held.config._windows).any(axis=0))
+        match = (int(np.searchsorted(eng.window_rows[1], changed[-1],
+                                     side="right"))
+                 if len(changed) else 0)
+        if held is failed and match < failed.dies_at:
+            raise _infeasible(failed)
+        if match < last:
+            last, source = match, held
+    if source is not None:
+        values[last:] = source.values[last:]
+        dec_mask[last:] = source.dec_mask[last:]
+        dec_step[last:] = source.dec_step[last:]
     f_next = values[last] if last < eng.tau else eng.terminal_continuation()
     k_lo, k_hi = windows
     for t in range(last, 0, -1):
-        f_t, mask_t, step_t = eng.solve_slot(t, f_next, k_lo, k_hi)
-        if mask_t.max() < 0:
-            break  # a slot with no feasible cell leaves every earlier one dead
-        values[t - 1] = f_t
-        dec_mask[t - 1] = mask_t
-        dec_step[t - 1] = step_t
-        f_next = f_t
+        eng.solve_slot(t, f_next, k_lo, k_hi, values[t - 1],
+                       dec_mask[t - 1], dec_step[t - 1])
+        if dec_mask[t - 1].max() < 0:
+            # a slot with no feasible cell leaves every earlier one dead
+            dies_at = t
+            break
+        f_next = values[t - 1]
     else:
         init_r, init_b = eng.state_indices(config.instance.initial_state())
         if dec_mask[0, init_r, init_b] >= 0:
             return ScheduleTable(config, values, dec_mask, dec_step, None)
-    # the initial state is the only one reachable at slot 1, so slot 1 is
-    # where every branch from it has died
-    raise InfeasibleError(
-        "SP infeasible under the configured scenario set: every branch "
-        "from the initial state dies by slot 1")
+        dies_at = 1
+    raise _infeasible(_FailedTail(config, values, dec_mask, dec_step,
+                                  dies_at))
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1093,7 @@ def _bind(path: str, payload: dict, config: SolveConfig) -> ScheduleTable:
         raise IntegrityError(
             "table was built for a different model: hash "
             f"{str(payload['model_hash'])[:12]}... != config {expected[:12]}...")
-    eng = _engine(config)
+    eng = config._engine
     shape = (eng.tau, eng.n_r, eng.m)
     ranges = _decision_ranges(eng)
     digest = hashlib.sha256()

@@ -17,8 +17,8 @@ from paces import (Battery, InfeasibleError, Instance,
                    save_table, scenario_load, scenarios, sweep_battery)
 from paces import table as table_module
 from paces.cli import main
-from paces.table import (_Engine, _engine, _engines, _option_tables,
-                         _tie_key_shifts, _vectors)
+from paces.table import (_Engine, _engines, _option_tables, _tie_key_shifts,
+                         _vectors)
 from table_checks import assert_same_table
 
 
@@ -52,8 +52,13 @@ def reference_options(eng, r_combo, t):
 
 
 def solve_slot(eng, config, t, f_next):
-    """The engine's slot solve under ``config``'s windows."""
-    return eng.solve_slot(t, f_next, *config._windows)
+    """The engine's slot solve under ``config``'s windows, into arrays
+    that start as garbage, so a cell it leaves unwritten shows."""
+    out = (np.full(f_next.shape, np.nan),
+           np.full(f_next.shape, 7, dtype=np.int32),
+           np.full(f_next.shape, 7, dtype=np.int32))
+    eng.solve_slot(t, f_next, *config._windows, *out)
+    return out
 
 
 def reference_window(eng, config, t, y_w):
@@ -121,7 +126,7 @@ def assert_bit_identical(got, want):
 
 def assert_every_slot_matches(config, f_rng):
     """Random continuations at each slot, then the chained recursion."""
-    eng = _engine(config)
+    eng = config._engine
     for t in range(1, eng.tau + 1):
         f_next = random_continuation(f_rng, (eng.n_r, eng.m))
         assert_bit_identical(solve_slot(eng, config, t, f_next),
@@ -242,7 +247,7 @@ def tie_heavy(l_bar):
 @pytest.mark.parametrize("l_bar", [1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
 def test_ties_break_as_the_per_option_loop_breaks_them(l_bar):
     config = tie_heavy(l_bar)
-    eng = _engine(config)
+    eng = config._engine
     flat = np.zeros((eng.n_r, eng.m))
     tied = 0
     for t in range(1, eng.tau + 1):
@@ -261,7 +266,7 @@ def test_ties_break_as_the_per_option_loop_breaks_them(l_bar):
 @pytest.mark.parametrize("name", ["empty-window", "doomed", "zero-rate"])
 def test_batched_slot_matches_on_edge_cases(name):
     config = edge_case(name)
-    eng = _engine(config)
+    eng = config._engine
     if name == "empty-window":
         windows = [reference_window(eng, config, t, option[3])
                    for t in range(1, eng.tau + 1) for combo in eng.r_combos
@@ -285,7 +290,7 @@ def test_moves_on_the_band_edge_pass_within_its_tolerance():
     config = SolveConfig(instance=dataclasses.replace(config.instance,
                                                       policy=policy),
                          scenarios=config.scenarios)
-    eng = _engine(config)
+    eng = config._engine
     # idle at slot 1, one 2.5 Wh charge puts the load 0.5 W over 2 W
     assert reference_window(eng, config, 1, 0.0) == (1, 1)
     assert_every_slot_matches(config, np.random.default_rng(0))
@@ -330,7 +335,7 @@ def test_the_envelope_is_the_extreme_scenario_load(case):
        y_w=st.lists(st.floats(0.0, 1e12), min_size=1, max_size=6))
 def test_an_empty_scenario_set_leaves_the_rate_window(config, y_w):
     empty = SolveConfig(instance=config.instance)
-    eng = _engine(empty)
+    eng = empty._engine
     for t in range(1, eng.tau + 1):
         rows = np.concatenate((eng.options(t).y_w, y_w))
         k_lo, k_hi = eng.k_windows(rows, empty._band, empty._envelope[t])
@@ -372,7 +377,7 @@ def test_both_bounds_fall_along_the_window_order(case, extra):
     # the slot solver's row slices rest on this: the rows that admit a
     # move are the ones with k_lo <= k (a suffix) and k_hi >= k (a prefix)
     config, band, envelope = case
-    eng = _engine(config)
+    eng = config._engine
     for t in range(1, eng.tau + 1):
         opts = eng.options(t)
         y_w = np.sort(np.concatenate((opts.y_w, extra)), kind="stable")
@@ -422,7 +427,7 @@ def test_the_tie_key_fits_63_bits_and_no_more():
 def test_tie_key_fields_are_as_wide_as_the_engine_needs():
     # section-iv-a: 3 appliances, moves of up to 10 steps, at most
     # 4 * 5 * 6 = 120 rows per slot
-    eng = _engine(SolveConfig(instance=load_config("section-iv-a").instance))
+    eng = SolveConfig(instance=load_config("section-iv-a").instance)._engine
     assert (eng._k_shift, eng._n_shift) == (7, 11)
     assert len(eng.options(1).mask) == 120
 
@@ -463,13 +468,13 @@ def test_option_tables_are_built_once_per_instance_shape():
 def test_making_an_engine_builds_no_option_tables():
     _engines.cache_clear()
     _option_tables.cache_clear()
-    _engine(SolveConfig(instance=load_config("section-iv-a").instance))
+    SolveConfig(instance=load_config("section-iv-a").instance)._engine
     assert _engines.cache_info().misses == 1
     assert _option_tables.cache_info().currsize == 0
 
 
 def test_option_tables_are_read_only():
-    eng = _engine(SolveConfig(instance=load_config("table-ii").instance))
+    eng = SolveConfig(instance=load_config("table-ii").instance)._engine
     opts = eng.options(1)
     names = [f.name for f in dataclasses.fields(opts)]
     assert names == ["mask", "y_w", "r_next", "first", "block", "r_first",
@@ -482,7 +487,7 @@ def test_option_tables_are_read_only():
 
 
 def test_option_tables_hold_the_block_layout():
-    eng = _engine(SolveConfig(instance=load_config("table-ii").instance))
+    eng = SolveConfig(instance=load_config("table-ii").instance)._engine
     for t in range(1, eng.tau + 1):
         opts = eng.options(t)
         n_rows = len(opts.mask)
@@ -505,8 +510,8 @@ def section_iv_a(capacity_wh, lambda_w=100.0):
 
 
 def test_engines_of_one_shape_share_the_option_tables():
-    engines = [_engine(SolveConfig(instance=section_iv_a(cap, lam),
-                                   scenarios=ScenarioSet.base(2)))
+    engines = [SolveConfig(instance=section_iv_a(cap, lam),
+                           scenarios=ScenarioSet.base(2))._engine
                for cap in (0.0, 250.0, 750.0) for lam in (80.0, 200.0)]
     # one engine per capacity, whatever the lambda
     assert len({eng.m for eng in engines}) == len(set(map(id, engines))) == 3
@@ -565,9 +570,9 @@ def test_a_cold_sweep_makes_one_engine_per_capacity(monkeypatch):
     builds = []
     build = scenarios.backward_recursion
 
-    def traced(config, previous=None):
+    def traced(config, *held):
         builds.append(config.instance.policy.lambda_w)
-        return build(config, previous)
+        return build(config, *held)
 
     monkeypatch.setattr(scenarios, "backward_recursion", traced)
     made = count_engines(monkeypatch)
@@ -584,9 +589,9 @@ def test_usage_appliances_share_the_engine():
     # usage only through its config's envelope
     inst = load_config("section-iv-a").instance
     _engines.cache_clear()
-    with_ns = _engine(SolveConfig(instance=inst))
-    without = _engine(SolveConfig(
-        instance=dataclasses.replace(inst, ns_appliances=())))
+    with_ns = SolveConfig(instance=inst)._engine
+    without = SolveConfig(
+        instance=dataclasses.replace(inst, ns_appliances=()))._engine
     assert with_ns is without
     assert _engines.cache_info().misses == 1
 
@@ -718,7 +723,7 @@ HORIZON_DIGESTS = {
 def test_finer_slot_tables_keep_their_digests(factor, grid_step_wh):
     inst = finer_slots(load_config("section-iv-a").instance, factor,
                        grid_step_wh)
-    eng = _engine(SolveConfig(instance=inst))
+    eng = SolveConfig(instance=inst)._engine
     assert (eng.tau, eng.n_r) == {2: (24, 315), 4: (48, 1989)}[factor]
     table = backward_recursion(SolveConfig(instance=inst,
                                            scenarios=full_candidate_set(inst)))
@@ -726,7 +731,7 @@ def test_finer_slot_tables_keep_their_digests(factor, grid_step_wh):
 
 
 def test_option_rows_are_blocks_in_visit_order():
-    eng = _engine(SolveConfig(instance=load_config("table-ii").instance))
+    eng = SolveConfig(instance=load_config("table-ii").instance)._engine
     for t in range(1, eng.tau + 1):
         opts = eng.options(t)
         starts = []

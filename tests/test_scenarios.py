@@ -361,18 +361,20 @@ class TestRefinementLoop:
         printed = re.search(r"smallest feasible is about (\S+) W",
                             message).group(1)
         assert float(printed) == hint
-        _, omega, state_cap = probed.call_args.args
+        (failed,) = probed.call_args.args
+        omega, state_cap = failed.config.scenarios, failed.config.state_cap
         at_hint = dataclasses.replace(tight, policy=dataclasses.replace(
             tight.policy, lambda_w=float(printed)))
         backward_recursion(SolveConfig(instance=at_hint, scenarios=omega,
                                        state_cap=state_cap))
 
-    def test_the_lambda_probes_reuse_the_latest_feasible_table(self):
+    def test_lambda_probes_reuse_feasible_and_failed_builds(self):
         # section-iv-a at 0 Wh is infeasible: one build, then 15 probes,
-        # which would solve 182 slots from scratch.  A probe handed the
-        # latest feasible probe's table copies every slot after the last
-        # one whose windows differ.  A second call reuses nothing of the
-        # first, so it solves as many slots.
+        # which would solve 182 slots from scratch.  A probe is handed the
+        # latest feasible probe's table and the latest failed build's
+        # tail, and copies every slot after the last one whose windows
+        # differ from the one that matches further back.  A second call
+        # reuses nothing of the first, so it solves as many slots.
         cfg = load_config("section-iv-a")
         inst = dataclasses.replace(cfg.instance, battery=dataclasses.replace(
             cfg.instance.battery, b_max_wh=0.0))
@@ -391,7 +393,7 @@ class TestRefinementLoop:
                     pytest.raises(InfeasibleError) as err:
                 solve_with_scenarios(inst, cfg.options, cfg.state_cap)
             assert err.value.lambda_hint_w == 85.0284423828125
-            assert (len(builds), solved.call_count) == (16, 86)
+            assert (len(builds), solved.call_count) == (16, 46)
 
     def test_the_lambda_probe_ends_at_huge_powers(self, monkeypatch):
         # at 1e17 W the float midpoint collapses onto a bound long before
@@ -416,8 +418,17 @@ class TestRefinementLoop:
                                                         rel=1e-12)
 
 
+def assert_same_tail(got, want):
+    """Failed tails that die at one slot and agree on every slot after."""
+    assert got.dies_at == want.dies_at
+    for name in ("values", "dec_mask", "dec_step"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a[want.dies_at:].tobytes() == b[want.dies_at:].tobytes(), name
+
+
 class TestIncrementalRefinement:
-    """Each rebuild reuses the unchanged tail of the table before it."""
+    """Each rebuild reuses the unchanged tail of the table before it, and
+    each lambda probe those of the latest feasible and failed builds."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 399), scale=st.sampled_from((1.0, 0.5, 0.2)),
@@ -426,6 +437,9 @@ class TestIncrementalRefinement:
     # three and four builds that each re-solve part of the horizon
     @example(seed=12, scale=0.5, mode="repeat-stop", include_inactive=True)
     @example(seed=13, scale=0.5, mode="repeat-stop", include_inactive=False)
+    # 15 lambda probes handed a failed tail: 5 fail at once, 4 fail after
+    # solving slots and 6 build
+    @example(seed=14, scale=0.2, mode="guaranteed", include_inactive=False)
     def test_every_rebuild_equals_a_build_from_scratch(self, seed, scale,
                                                        mode,
                                                        include_inactive):
@@ -433,14 +447,17 @@ class TestIncrementalRefinement:
         inst = dataclasses.replace(base, policy=dataclasses.replace(
             base.policy, lambda_w=base.policy.lambda_w * scale))
 
-        def checked(config, previous=None):
+        # every lambda probe too: it raises where a build from scratch
+        # raises, handing on the same tail, and otherwise builds its table
+        def checked(config, previous=None, failed=None):
             try:
-                table = backward_recursion(config, previous)
-            except InfeasibleError:
-                with pytest.raises(InfeasibleError):
+                table = backward_recursion(config, previous, failed)
+            except InfeasibleError as err:
+                with pytest.raises(InfeasibleError) as scratch:
                     backward_recursion(config)
+                assert_same_tail(err._tail, scratch.value._tail)
                 raise
-            if previous is not None:
+            if previous is not None or failed is not None:
                 assert_same_table(table, backward_recursion(config))
             return table
 
@@ -451,6 +468,32 @@ class TestIncrementalRefinement:
                 solve_with_scenarios(inst, options)
             except InfeasibleError:
                 pass
+
+    def test_probes_that_repeat_the_failed_build_solve_no_slot(self):
+        # section-iv-a at 0 Wh: the loop's first build fails at 80 W, and
+        # 4 of the 15 probes fail with the same windows at every slot
+        cfg = load_config("section-iv-a")
+        inst = dataclasses.replace(cfg.instance, battery=dataclasses.replace(
+            cfg.instance.battery, b_max_wh=0.0))
+        builds = []
+
+        def counting(config, previous=None, failed=None):
+            before = solved.call_count
+            try:
+                table = backward_recursion(config, previous, failed)
+            except InfeasibleError:
+                builds.append((False, solved.call_count - before))
+                raise
+            builds.append((True, solved.call_count - before))
+            return table
+
+        with mock.patch.object(_Engine, "solve_slot", autospec=True,
+                               side_effect=_Engine.solve_slot) as solved, \
+                mock.patch.object(scenarios, "backward_recursion", counting), \
+                pytest.raises(InfeasibleError):
+            solve_with_scenarios(inst, cfg.options, cfg.state_cap)
+        assert builds[0] == (False, 10)
+        assert [n for ok, n in builds[1:] if not ok] == [0, 0, 0, 0]
 
     # a build from scratch solves every slot: 7 x 12 and 2 x 4 slots
     @pytest.mark.parametrize("preset, builds, slots", [
@@ -476,6 +519,42 @@ class TestIncrementalRefinement:
         assert solve_slot.call_count == slots
         # builds draw their scenario set; the search draws no candidates
         assert rows and max(rows) <= len(result.omega)
+
+    @pytest.mark.parametrize("run", ["solve", "sweep"])
+    def test_no_reuse_outlives_a_solve(self, run):
+        # a cache kept between solves would make a repeated solve cheaper
+        # in one process only: the solve is ns4's household (section-iv-a
+        # at 140 W plus two 10 W usage appliances), the sweep section-iv-a
+        # at 0 and 250 Wh, whose 0 Wh point runs the lambda bisection
+        raw = serialize(load_config("section-iv-a"))
+        if run == "solve":
+            raw["privacy"]["lambda"] = 140.0
+            for i in range(3, 5):
+                raw["ns_appliances"].append({
+                    "id": f"ns{i}", "power": 10.0, "runtime_slots": 2,
+                    "zone": [1, 12]})
+        cfg = parse_config(raw)
+        draws = []
+
+        def counted(*args):
+            draws.append(len(args[0]))
+            return scenario_draws(*args)
+
+        work = []
+        for _ in range(2):
+            draws.clear()
+            with mock.patch.object(_Engine, "solve_slot", autospec=True,
+                                   side_effect=_Engine.solve_slot) as solved, \
+                    mock.patch.object(paces.table, "scenario_draws", counted):
+                if run == "solve":
+                    solve_with_scenarios(cfg.instance, cfg.options,
+                                         cfg.state_cap)
+                else:
+                    sweep_battery(cfg.instance, (0.0, 250.0), cfg.options,
+                                  cfg.state_cap)
+            work.append((solved.call_count, len(draws)))
+        assert work[0] == work[1]
+        assert min(work[0]) > 0
 
     def test_a_usage_heavy_solve_makes_placements_per_build(self):
         # four 10 W usage appliances more: 527,076 placements, 9 builds

@@ -27,7 +27,7 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    random_small_instance, read_table_header, save_table,
                    scenario_load, slot_cost, solve_with_scenarios,
                    state_count, step_remaining, sweep_battery)
-from paces.table import (_HEADER_KEYS, OBJECTIVE_MODES, _Engine, _engine,
+from paces.table import (_HEADER_KEYS, OBJECTIVE_MODES, _Engine,
                          _nearest_feasible)
 from raw_model import all_states, reference_decisions
 from table_checks import assert_same_table, replay
@@ -351,7 +351,7 @@ class TestFeasibleDecisions:
         decisions = reference_decisions(state, 2, config)
         assert any(d.starts == (True, True) for d in decisions)
         # the builder offers it too, with a non-empty battery window
-        eng = _engine(config)
+        eng = config._engine
         opts = eng.options(2)
         rows = ((opts.r_first[opts.block] == eng.r_index[state.remaining])
                 & (opts.mask == 3))
@@ -747,7 +747,7 @@ class TestIncrementalRebuild:
             a = backward_recursion(a_config)
         except InfeasibleError:
             assume(False)
-        eng = _engine(b_config)
+        eng = b_config._engine
         assert a._engine is eng
         offsets = eng.window_rows[1].tolist()
         differ = [t for t in range(1, eng.tau + 1)

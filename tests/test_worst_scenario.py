@@ -149,6 +149,21 @@ class TestErrorContract:
             find_worst_scenario(solution, PlacementProduct([(2, start)]),
                                 inst)
 
+    # 2.0 == 2 and True == 1 hash alike; beta gets start 1 for the bool
+    @pytest.mark.parametrize("start, twin, zone", [(2.0, 2, (2, 3)),
+                                                   (True, 1, (1, 3))],
+                             ids=["float", "bool"])
+    def test_an_equal_int_product_searched_first_skips_no_check(
+            self, start, twin, zone):
+        inst = load_config("motivating-example").instance
+        beta = dataclasses.replace(inst.ns_appliances[0], zone=zone)
+        inst = dataclasses.replace(inst, ns_appliances=(beta,))
+        solution = solution_with((0.0,) * inst.grid.tau)
+        find_worst_scenario(solution, PlacementProduct([(twin, 3)]), inst)
+        with pytest.raises(ModelError, match=f"start {start!r} does not fit"):
+            find_worst_scenario(solution, PlacementProduct([(start, 3)]),
+                                inst)
+
     def test_a_product_of_other_starts_is_refused(self):
         inst = load_config("motivating-example").instance
         wider = dataclasses.replace(inst.ns_appliances[0], zone=(1, 4))
