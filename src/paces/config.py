@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, ModelError
 from .model import (Battery, Instance, NonSchedulableAppliance, PriceSignal,
-                    PrivacyPolicy, SchedulableAppliance, TimeGrid)
+                    PrivacyPolicy, SchedulableAppliance, TimeGrid,
+                    left_sum)
 from .scenarios import SOLVE_MODES, VIOLATION_METRICS, ScenarioSolveOptions
 from .simulate import EventScript, ScriptedStart
 from .table import DEFAULT_STATE_CAP, OBJECTIVE_MODES
@@ -77,7 +78,7 @@ class _Node:
         for key in required:
             if key not in self.value:
                 self.fail(f"missing key {key!r}")
-        if one_of and sum(key in self.value for key in one_of) != 1:
+        if one_of and left_sum(key in self.value for key in one_of) != 1:
             self.fail(f"needs exactly one of {', '.join(one_of)}")
         return self
 
@@ -345,7 +346,7 @@ def load_historical_load_csv(path: Union[str, Path]) -> float:
                 f"{path} line {line}: non-numeric load {row[1]!r}") from None
     if not loads:
         raise ConfigError(f"{path}: no data rows")
-    return sum(loads) / len(loads)
+    return left_sum(loads) / len(loads)
 
 
 def load_event_script(path: Union[str, Path]) -> EventScript:
@@ -468,8 +469,8 @@ def random_small_instance(seed: int,
     price = PriceSignal(tuple(
         float(np.round(v, 8)) for v in rng.uniform(1e-4, 5e-4, tau)))
 
-    total_power = (sum(a.power_w for a in appliances)
-                   + sum(a.power_w for a in ns_appliances))
+    total_power = (left_sum(a.power_w for a in appliances)
+                   + left_sum(a.power_w for a in ns_appliances))
     l_bar = float(np.round(rng.uniform(0.2, 0.6) * total_power, 2))
     rate_w = (battery.z_charge_max_wh + battery.z_discharge_max_wh) / h
     lam_safe = l_bar + total_power + rate_w

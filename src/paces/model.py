@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, fields
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -154,7 +155,7 @@ class NonSchedulableAppliance:
             _require(all(math.isfinite(p) and p >= 0 for p in self.start_prob),
                      f"appliance {self.id}: start probabilities must be finite "
                      f"and non-negative")
-            total = sum(self.start_prob)
+            total = left_sum(self.start_prob)
             _require(abs(total - 1.0) <= 1e-9,
                      f"appliance {self.id}: start probabilities sum to {total}, not 1")
 
@@ -414,7 +415,8 @@ class Instance:
         # form is bounded by one slot's largest energy, that energy in grid
         # steps, and the horizon's cost at that energy
         bat, h = self.battery, self.grid.slot_hours
-        slot_wh = ((sum(self.powers_w) + sum(a.power_w for a in self.ns_appliances)
+        slot_wh = ((left_sum(self.powers_w)
+                    + left_sum(a.power_w for a in self.ns_appliances)
                     + self.policy.l_bar_w) * h
                    + min(max(bat.z_charge_max_wh, bat.z_discharge_max_wh),
                          bat.b_max_wh))
@@ -422,7 +424,7 @@ class Instance:
                  f"the largest slot energy overflows: appliance powers and the "
                  f"reference load over {h!r} h, in {bat.grid_step_wh!r} Wh grid "
                  f"steps, exceed the float range")
-        _require(math.isfinite(sum(self.price.values) * slot_wh),
+        _require(math.isfinite(left_sum(self.price.values) * slot_wh),
                  f"the horizon cost overflows: prices times the largest slot "
                  f"energy of {slot_wh!r} Wh exceed the float range")
 
@@ -441,6 +443,17 @@ class Instance:
 
 # ---------------------------------------------------------------------------
 # Pure operations
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from ``0``.
+
+    The one sum of the package: the built-in ``sum`` adds this way up to
+    Python 3.11, but from 3.12 on it compensates float roundoff and
+    returns other bits, so a cost, a draw or a table would differ by
+    interpreter.  Exact on ints and bools.
+    """
+    return functools.reduce(operator.add, values, 0)
 
 
 def step_remaining(state: SystemState, decision: Decision,
@@ -472,8 +485,9 @@ def appliance_load(remaining_now: Sequence[int], remaining_next: Sequence[int],
         raise ModelError(
             f"remaining/power vectors disagree on appliance count: "
             f"{len(remaining_now)}/{len(remaining_next)}/{len(powers_w)}")
-    return float(sum(p * (rn - rx)
-                     for rn, rx, p in zip(remaining_now, remaining_next, powers_w)))
+    return float(left_sum(
+        p * (rn - rx)
+        for rn, rx, p in zip(remaining_now, remaining_next, powers_w)))
 
 
 def check_placement(starts: Sequence,
@@ -501,8 +515,9 @@ def scenario_load(scenario: PrivacyScenario,
                   t: int) -> float:
     """Non-schedulable power draw at slot ``t`` under one scenario."""
     check_placement(scenario.starts, ns_appliances)
-    return float(sum(a.power_w for a, s in zip(ns_appliances, scenario.starts)
-                     if s is not None and t - 1 in a.run_slots[s]))
+    return float(left_sum(
+        a.power_w for a, s in zip(ns_appliances, scenario.starts)
+        if s is not None and t - 1 in a.run_slots[s]))
 
 
 def scenario_draws(scenarios: Sequence[PrivacyScenario],

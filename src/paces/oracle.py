@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
+from .model import left_sum
 from .table import SolveConfig
 
 MAX_TAU = 8
@@ -100,14 +101,15 @@ def brute_force_solve(config: SolveConfig) -> OracleResult:
     # trajectory: runs are user-driven, so only their start distribution
     # (or the costliest placement) matters, never the decisions
     def run_price(app, start: int) -> float:
-        return sum(prices[t - 1] * app.power_w * h
-                   for t in range(start, start + app.runtime_slots))
+        return left_sum(prices[t - 1] * app.power_w * h
+                        for t in range(start, start + app.runtime_slots))
 
     if config.objective_mode == "worst-case-cost":
-        ns_term = sum(max(run_price(app, s) for s in app.feasible_starts())
-                      for app in inst.ns_appliances)
+        ns_term = left_sum(
+            max(run_price(app, s) for s in app.feasible_starts())
+            for app in inst.ns_appliances)
     else:
-        ns_term = sum(
+        ns_term = left_sum(
             prob * run_price(app, s)
             for app in inst.ns_appliances
             for s, prob in zip(app.feasible_starts(),

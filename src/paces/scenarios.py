@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import InfeasibleError, ModelError
 from .model import (Instance, NonSchedulableAppliance, PrivacyScenario,
-                    ScenarioSet, TimeGrid, check_placement, in_order_sums)
+                    ScenarioSet, TimeGrid, check_placement, in_order_sums,
+                    left_sum)
 from .table import (DEFAULT_STATE_CAP, OBJECTIVE_MODES, ScheduleSolution,
                     ScheduleTable, SolveConfig, _FailedTail,
                     backward_recursion, extract_schedule)
@@ -409,8 +410,8 @@ def _smallest_feasible_lambda(failed: _FailedTail) -> Optional[float]:
             failed = err._tail
             return False
 
-    total_power = (sum(a.power_w for a in inst.appliances)
-                   + sum(a.power_w for a in inst.ns_appliances))
+    total_power = (left_sum(a.power_w for a in inst.appliances)
+                   + left_sum(a.power_w for a in inst.ns_appliances))
     rate = (inst.battery.z_charge_max_wh
             + inst.battery.z_discharge_max_wh) / inst.grid.slot_hours
     lam_cap = inst.policy.l_bar_w + total_power + rate + 1.0

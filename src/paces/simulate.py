@@ -20,13 +20,13 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, IntegrityError, ModelError
-from .model import (Instance, PrivacyScenario, check_placement, privacy_gap,
-                    slot_cost)
+from .model import (Instance, PrivacyScenario, check_placement, left_sum,
+                    privacy_gap, slot_cost)
 from .scenarios import ScenarioSolveOptions, solve_with_scenarios
 from .table import (DEFAULT_STATE_CAP, ScheduleTable, SolveConfig,
                     expected_total_cost, model_fingerprint)
@@ -109,9 +109,13 @@ class EventScript:
             for app, u in zip(apps, uniforms.tolist())))
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    """Everything observed during one simulated slot."""
+class SlotRecord(NamedTuple):
+    """Everything observed during one simulated slot.
+
+    A named tuple, so a row is immutable and cheap to make: a replay
+    makes one per slot.  Its field order is the report's column order
+    (:attr:`SimulationReport.CSV_HEADER`).
+    """
 
     slot: int
     price_per_wh: float
@@ -137,11 +141,14 @@ class SimulationReport:
     breach_count: int
     final_battery_wh: float
 
-    CSV_HEADER = ("slot,price_per_wh,base_load_w,ns_load_w,load_w,battery_wh,"
-                  "battery_delta_wh,started,privacy_gap_w,breach,cost")
+    CSV_HEADER = ",".join(SlotRecord._fields)
 
     def csv_text(self) -> str:
-        """Full-precision CSV; aggregates reproduce exactly from the rows."""
+        """Full-precision CSV; aggregates reproduce exactly from the rows.
+
+        ``total_cost`` is the rows' costs added left to right from 0
+        (:func:`~paces.model.left_sum`), on every Python version.
+        """
         lines = [self.CSV_HEADER]
         for r in self.rows:
             lines.append(",".join([
@@ -193,9 +200,9 @@ def simulate(table: ScheduleTable, script: EventScript,
         in zip(walk.rows, (initial.battery_wh,) + walk.levels, ns, loads,
                gaps, costs)])
     return SimulationReport(
-        rows=rows, scenario=scenario, total_cost=float(sum(costs)),
+        rows=rows, scenario=scenario, total_cost=float(left_sum(costs)),
         max_abs_gap_w=float(max(map(abs, gaps))),
-        breach_count=sum(r.breach for r in rows),
+        breach_count=left_sum(r.breach for r in rows),
         final_battery_wh=walk.states[-1].battery_wh)
 
 

@@ -55,8 +55,8 @@ from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      StateSpaceError)
 from .model import (Battery, Decision, Instance, PrivacyScenario, ScenarioSet,
                     SchedulableAppliance, SystemState, appliance_load,
-                    check_placement, scenario_draws, slot_cost,
-                    step_remaining)
+                    check_placement, left_sum, scenario_draws,
+                    slot_cost, step_remaining)
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -97,7 +97,7 @@ class SolveConfig:
                 raise ModelError(
                     "scenario weights must be finite and non-negative")
             if self.objective_mode == "expected" and len(self.scenarios) > 0:
-                total = sum(self.scenario_weights)
+                total = left_sum(self.scenario_weights)
                 if abs(total - 1.0) > 1e-9:
                     raise ModelError(
                         f"scenario weights sum to {total}, expected 1")
@@ -280,13 +280,13 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
         options = []
         for size in range(len(startable) + 1):
             for subset in itertools.combinations(startable, size):
-                y = running_y + sum(powers[i] for i in subset)
+                y = running_y + left_sum(powers[i] for i in subset)
                 nxt = []
                 for i, (r, dur) in enumerate(zip(combo, durations)):
                     running = i in subset or 0 < r < dur
                     nxt.append(r - 1 if running and r > 0 else r)
-                mask = sum(1 << i for i in subset)
-                skey = sum(1 << (n_app - 1 - i) for i in subset)
+                mask = left_sum(1 << i for i in subset)
+                skey = left_sum(1 << (n_app - 1 - i) for i in subset)
                 options.append((size, skey,
                                 (r_i, mask, size, y, r_index[tuple(nxt)])))
         per_vector.append((last, [row for _, _, row in sorted(options)]))
@@ -719,8 +719,8 @@ class ScheduleTable:
             base_loads.append(base)
             rows.append((t, prices[t - 1], base, decision.battery_delta_wh,
                          started))
-        controllable = sum(slot_cost(b, prices[t - 1], eng.h)
-                           for t, b in enumerate(base_loads, start=1))
+        controllable = left_sum(slot_cost(b, prices[t - 1], eng.h)
+                                for t, b in enumerate(base_loads, start=1))
         walk = self._walks[start] = QuietWalk(
             decisions=tuple(decisions), states=tuple(states),
             base_load_w=tuple(base_loads), controllable_cost=float(controllable),
@@ -912,7 +912,7 @@ def _nearest_feasible(table: ScheduleTable, state: SystemState,
         combos = np.array(eng.r_combos, dtype=np.int64).reshape(eng.n_r,
                                                                  eng.n_app)
         work = np.abs(combos[r_idx] - near).sum(axis=1)
-        excess = sum(state.remaining) - sum(near)
+        excess = left_sum(state.remaining) - left_sum(near)
         score += (work.astype(object) + excess).astype(float) if excess else work
     else:
         score += 1e9
@@ -948,17 +948,17 @@ def expected_total_cost(config: SolveConfig, controllable_cost: float) -> float:
     h = inst.grid.slot_hours
 
     def run_price(app, start: int) -> float:
-        return sum(slot_cost(app.power_w, inst.price.values[i], h)
-                   for i in app.run_slots[start])
+        return left_sum(slot_cost(app.power_w, inst.price.values[i], h)
+                        for i in app.run_slots[start])
 
     if config.objective_mode == "worst-case-cost":
-        draw = sum(max(run_price(app, s) for s in app.run_slots)
-                   for app in inst.ns_appliances)
+        draw = left_sum(max(run_price(app, s) for s in app.run_slots)
+                        for app in inst.ns_appliances)
     else:
-        draw = sum(prob * run_price(app, s)
-                   for app in inst.ns_appliances
-                   for s, prob in zip(app.run_slots,
-                                      app.start_probabilities()))
+        draw = left_sum(prob * run_price(app, s)
+                        for app in inst.ns_appliances
+                        for s, prob in zip(app.run_slots,
+                                           app.start_probabilities()))
     return controllable_cost + float(draw)
 
 

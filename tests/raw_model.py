@@ -13,6 +13,16 @@ from paces import (Decision, SystemState, appliance_load, privacy_gap,
                    scenario_load, slot_cost, step_remaining)
 
 
+def sum_left_to_right(values):
+    """``values`` added left to right from 0, the order the package sums
+    in on every Python version; the built-in ``sum`` compensates float
+    roundoff from Python 3.12 on and would give other bits."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
 @dataclass(frozen=True)
 class ReferenceReplay:
     """A reference walk with its scenario scored, slot by slot."""
@@ -74,7 +84,7 @@ def reference_decisions(state, t, config):
              <= bat.z_charge_max_wh]
     draws = []
     for sc in config.scenarios:
-        draws.append(sum(
+        draws.append(sum_left_to_right(
             app.power_w for app, s in zip(inst.ns_appliances, sc.starts)
             if s is not None and s <= t <= s + app.runtime_slots - 1))
 
@@ -85,9 +95,10 @@ def reference_decisions(state, t, config):
         if any(s and not new for s, new in zip(starts, unstarted)):
             continue
         # a starting appliance and one part-way through its run both draw
-        y = sum(a.power_w for a, s, r in zip(inst.appliances, starts,
-                                             state.remaining)
-                if s or 0 < r < a.duration_slots)
+        y = sum_left_to_right(
+            a.power_w for a, s, r in zip(inst.appliances, starts,
+                                         state.remaining)
+            if s or 0 < r < a.duration_slots)
         for k in sorted(moves, key=lambda k: (abs(k), k)):
             delta = k * bat.grid_step_wh
             if all(abs(y + delta / h + w - pol.l_bar_w)
@@ -134,14 +145,15 @@ def reference_replay(table, initial_state, scenario):
         costs.append(slot_cost(load, inst.price.at(t), h))
         state = SystemState(battery_wh=level, remaining=remaining)
         states.append(state)
-    controllable = sum(slot_cost(b, inst.price.at(t), h)
-                       for t, b in enumerate(base_loads, start=1))
+    controllable = sum_left_to_right(
+        slot_cost(b, inst.price.at(t), h)
+        for t, b in enumerate(base_loads, start=1))
     return ReferenceReplay(
         decisions=tuple(decisions), states=tuple(states),
         base_load_w=tuple(base_loads), ns_load_w=tuple(ns_loads),
         load_w=tuple(loads), privacy_gap_w=tuple(gaps),
         slot_costs=tuple(costs), controllable_cost=float(controllable),
-        total_cost=float(sum(costs)))
+        total_cost=float(sum_left_to_right(costs)))
 
 
 def reference_report_csv(instance, solution):

@@ -19,6 +19,7 @@ from paces import table as table_module
 from paces.cli import main
 from paces.table import (_Engine, _engines, _option_tables, _tie_key_shifts,
                          _vectors)
+from raw_model import sum_left_to_right
 from table_checks import assert_same_table
 
 
@@ -40,7 +41,7 @@ def reference_options(eng, r_combo, t):
     options = []
     for size in range(len(startable) + 1):
         for subset in itertools.combinations(startable, size):
-            y = running_y + sum(eng.powers[i] for i in subset)
+            y = running_y + sum_left_to_right(eng.powers[i] for i in subset)
             nxt = []
             for i, (r, dur) in enumerate(zip(r_combo, eng.durations)):
                 running = i in subset or 0 < r < dur

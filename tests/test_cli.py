@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 import paces
 from paces import (EventScript, IntegrityError, ScenarioSet, ScriptedStart,
-                   SolveConfig, backward_recursion, load_config, load_table,
-                   open_table, parse_config, serialize, simulate)
+                   SimulationReport, SlotRecord, SolveConfig,
+                   backward_recursion, load_config, load_table, open_table,
+                   parse_config, serialize, simulate)
 from paces.cli import main
 from paces.config import PRESETS
 
@@ -918,6 +919,12 @@ def test_the_documented_scenario_file_builds(tmp_path, capsys):
                          "--scenarios", str(tmp_path / "omega.json"))
     assert code == 0, err
     assert "|omega|=3" in out
+
+
+def test_the_documented_report_header_is_the_row_fields():
+    example = documented_blocks("Simulation report (CSV, output)", "csv")[0]
+    assert example.split("\n")[0] == SimulationReport.CSV_HEADER \
+        == ",".join(SlotRecord._fields)
 
 
 @pytest.mark.parametrize("heading, lang, artifact", [

@@ -14,7 +14,7 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    appliance_load, backward_recursion, extract_schedule,
                    privacy_gap, random_small_instance, scenario_load,
                    slot_cost, step_remaining)
-from paces.model import check_placement
+from paces.model import check_placement, left_sum
 from table_checks import replay
 
 
@@ -442,6 +442,15 @@ class TestLoadsAndCosts:
         assert slot_cost(100.0, 0.2, 1.0) == 20.0
         assert slot_cost(100.0, 0.2, 0.5) == 10.0
         assert slot_cost(-100.0, 0.2, 1.0) == -20.0
+
+    def test_left_sum_adds_left_to_right_from_zero(self):
+        # a compensated sum, Python's built-in from 3.12 on, gives 1.0
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_sum([0.1] * 3) == 0.1 + 0.1 + 0.1 != 0.3
+        assert left_sum([]) == 0 and left_sum([-0.0]) == 0.0
+        assert math.copysign(1.0, left_sum([-0.0])) == 1.0
+        assert left_sum([2 ** 60, 1, True]) == 2 ** 60 + 2
+        assert type(left_sum([True, False])) is int
 
 
 class TestRandomWalkProperties:

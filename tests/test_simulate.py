@@ -4,6 +4,7 @@ import functools
 import hashlib
 import importlib
 import itertools
+import math
 import os
 import tempfile
 
@@ -21,6 +22,7 @@ from paces import (Battery, ConfigError, EventScript, InfeasibleError,
                    load_table, open_table, random_small_instance,
                    runtime_lookup, save_table, scenario_load, simulate,
                    solve_with_scenarios, sweep_battery)
+from paces.model import left_sum
 from raw_model import (all_states, reference_cell, reference_replay,
                        reference_report_csv)
 from table_checks import replay
@@ -414,6 +416,16 @@ def replay_digest(table, config, seeds):
     return digest.hexdigest()
 
 
+def test_a_replay_total_is_the_left_to_right_sum_of_its_rows():
+    # seed 0's twelve costs are one case where a compensated sum, Python's
+    # built-in sum from 3.12 on, rounds to other bits
+    result = replay_fine()
+    report = simulate(result.table, EventScript.sampled(0), result.config)
+    costs = [row.cost for row in report.rows]
+    assert report.total_cost == left_sum(costs) == 0.025841410000000006
+    assert math.fsum(costs) == 0.02584141
+
+
 class TestReplayDigest:
     # 500 sampled reports on a fine-grid table, pinned before the replay
     # cached its walk: the cache may change no byte of any report
@@ -552,7 +564,7 @@ class TestSimulate:
         h = config.instance.grid.slot_hours
         report = simulate(table, EventScript.scripted(
             (ScriptedStart("beta", 2),)), config)
-        assert report.total_cost == sum(r.cost for r in report.rows)
+        assert report.total_cost == left_sum(r.cost for r in report.rows)
         assert report.max_abs_gap_w == max(abs(r.privacy_gap_w)
                                            for r in report.rows)
         assert report.breach_count == sum(r.breach for r in report.rows)

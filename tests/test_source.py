@@ -182,6 +182,33 @@ def test_no_dataclass_field_is_read_by_the_tests_alone():
     assert unread_fields(defining, reading) == []
 
 
+def builtin_sum_reads(source: str) -> list[int]:
+    """Lines where ``source`` reads the name ``sum``, in line order.  A
+    method such as ``array.sum`` is an attribute, not the built-in."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == "sum"
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_the_scan_sees_every_read_of_the_builtin_sum():
+    source = ("import numpy as np\n"
+              "total = sum([0.1, 0.2])\n"
+              "cells = np.ones(3).sum(axis=0) + np.cumsum([1])[0]\n"
+              "rows = list(map(sum, [[1], [2]]))\n"
+              "def f(values):\n    return left_sum(values)\n")
+    assert builtin_sum_reads(source) == [2, 4]
+
+
+def test_the_package_never_uses_the_builtin_sum():
+    # from Python 3.12 on, sum compensates float roundoff and returns
+    # other bits than 3.10 and 3.11; model.left_sum adds the same way on
+    # every version
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line in builtin_sum_reads(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 
 
