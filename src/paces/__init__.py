@@ -11,8 +11,7 @@ from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
 from .model import (Battery, Decision, Instance, NonSchedulableAppliance,
                     PriceSignal, PrivacyPolicy, PrivacyScenario,
                     ScenarioSet, SchedulableAppliance, SystemState, TimeGrid,
-                    appliance_load, privacy_gap, scenario_load, slot_cost,
-                    step_remaining)
+                    privacy_gap, scenario_load, slot_cost)
 from .table import (ScheduleSolution, ScheduleTable, SolveConfig, TableEntry,
                     backward_recursion, expected_total_cost, extract_schedule,
                     load_table, model_fingerprint, open_table,
@@ -36,8 +35,7 @@ __all__ = [
     "TimeGrid", "SchedulableAppliance", "NonSchedulableAppliance", "Battery",
     "PriceSignal", "PrivacyPolicy", "SystemState",
     "Decision", "PrivacyScenario", "ScenarioSet", "Instance",
-    "step_remaining", "appliance_load", "scenario_load", "privacy_gap",
-    "slot_cost",
+    "scenario_load", "privacy_gap", "slot_cost",
     "SolveConfig", "ScheduleTable", "TableEntry", "ScheduleSolution",
     "model_fingerprint", "state_count", "backward_recursion",
     "extract_schedule", "expected_total_cost", "save_table", "load_table",

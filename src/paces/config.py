@@ -276,10 +276,20 @@ def _read_text(path: Path, what: str) -> str:
 
 
 def read_json(path: Union[str, Path], what: str) -> object:
-    """Parse a UTF-8 JSON input file; any unreadable content is a ConfigError."""
+    """Parse a UTF-8 JSON input file; any unreadable content, or an object
+    that repeats a key, is a ConfigError."""
     path = Path(path)
+
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(_read_text(path, what))
+        return json.loads(_read_text(path, what), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as err:
         raise ConfigError(f"{path}: not valid JSON: {err}") from None
 

@@ -456,40 +456,6 @@ def left_sum(values: Iterable[float]) -> float:
     return functools.reduce(operator.add, values, 0)
 
 
-def step_remaining(state: SystemState, decision: Decision,
-                   durations: Sequence[int]) -> tuple[int, ...]:
-    """Remaining-work vector at the next slot.
-
-    An appliance that starts this slot, or that has started earlier and
-    is still owed work, sheds one slot of work; everything else is
-    unchanged.
-    """
-    if not (len(state.remaining) == len(decision.starts) == len(durations)):
-        raise ModelError(
-            f"state/decision/durations disagree on appliance count: "
-            f"{len(state.remaining)}/{len(decision.starts)}/{len(durations)}")
-    out = []
-    for r, s, dur in zip(state.remaining, decision.starts, durations):
-        if s and r != dur:
-            raise ModelError(
-                f"cannot start an appliance with {r} of {dur} slots remaining")
-        running = s or r < dur
-        out.append(r - 1 if running and r > 0 else r)
-    return tuple(out)
-
-
-def appliance_load(remaining_now: Sequence[int], remaining_next: Sequence[int],
-                   powers_w: Sequence[float]) -> float:
-    """Schedulable-appliance power draw implied by the work decrement."""
-    if not (len(remaining_now) == len(remaining_next) == len(powers_w)):
-        raise ModelError(
-            f"remaining/power vectors disagree on appliance count: "
-            f"{len(remaining_now)}/{len(remaining_next)}/{len(powers_w)}")
-    return float(left_sum(
-        p * (rn - rx)
-        for rn, rx, p in zip(remaining_now, remaining_next, powers_w)))
-
-
 def check_placement(starts: Sequence,
                     ns_appliances: Sequence[NonSchedulableAppliance]) -> None:
     """Refuse anything but one start per appliance, each ``None`` (the

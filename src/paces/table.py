@@ -54,9 +54,8 @@ import numpy as np
 from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      StateSpaceError)
 from .model import (Battery, Decision, Instance, PrivacyScenario, ScenarioSet,
-                    SchedulableAppliance, SystemState, appliance_load,
-                    check_placement, left_sum, scenario_draws,
-                    slot_cost, step_remaining)
+                    SchedulableAppliance, SystemState, check_placement,
+                    left_sum, scenario_draws, slot_cost)
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -117,11 +116,14 @@ class SolveConfig:
     @functools.cached_property
     def _engine(self) -> _Engine:
         """The engine of the instance without its policy and usage
-        appliances, under the state cap: one per value of those
-        (:data:`_engines`), looked up once per config."""
+        appliances: one per value of those (:data:`_engines`), looked up
+        once per config.  A state space over the cap raises
+        :class:`StateSpaceError` before the lookup."""
         inst = self.instance
-        return _engines(inst.grid, inst.appliances, inst.battery, inst.price,
-                        self.state_cap)
+        n_states = state_count(inst.appliances, inst.battery)
+        if n_states > self.state_cap:
+            raise StateSpaceError(n_states, self.state_cap)
+        return _engines(inst.grid, inst.appliances, inst.battery, inst.price)
 
     @functools.cached_property
     def _band(self) -> tuple[np.ndarray, np.ndarray]:
@@ -207,13 +209,17 @@ def state_count(appliances: Sequence[SchedulableAppliance],
 class _SlotOptions:
     """Admissible start sets of every remaining vector at one slot.
 
-    One row per option.  Each vector's rows are one block, vectors
-    ascending, in visit order: by start-set size ``n_starts``, then by
-    ``skey``, which reads the start mask with the first appliance as the
-    most significant bit.  ``first`` holds each block's first row,
-    ``block`` each row's block and ``r_first`` each block's vector.  A
-    vector with an unstarted appliance that can no longer meet the
-    deadline has no rows: every continuation from it is doomed.
+    One row per option: its start ``mask``, its appliance draw ``y_w``
+    and the index ``r_next`` of the remaining vector it leads to.  The
+    rows are the one place a decision's draw and next vector are
+    computed; the slot solver, the table load and the walk all read them
+    here.  Each vector's rows are one block, vectors ascending, in visit
+    order: by start-set size ``n_starts``, then by ``skey``, which reads
+    the start mask with the first appliance as the most significant bit.
+    ``first`` holds each block's first row, ``block`` each row's block
+    and ``r_first`` each block's vector.  A vector with an unstarted
+    appliance that can no longer meet the deadline has no rows: every
+    continuation from it is doomed.
 
     ``order`` is the window order: the rows stably sorted by draw
     ``y_w``, along which every band's battery-move bounds fall (see
@@ -260,7 +266,9 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
 
     They depend on the appliances and the horizon only, so every build
     of one instance shape shares them: the refinement loop, each sweep
-    capacity and each probe of the lambda bisection.
+    capacity and each probe of the lambda bisection.  A row's draw is the
+    power of every appliance that starts or is still running, added from
+    0 in appliance order.
     """
     n_app = len(durations)
     r_combos, r_index, _ = _vectors(durations)
@@ -268,27 +276,21 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
     # (r_idx, mask, n_starts, y_w, r_next) in visit order
     per_vector = []
     for r_i, combo in enumerate(r_combos):
-        startable = []
-        last = tau
-        running_y = 0.0
-        for i, (r, dur, p) in enumerate(zip(combo, durations, powers)):
-            if 0 < r < dur:
-                running_y += p
-            elif r == dur:
-                startable.append(i)
-                last = min(last, tau - dur + 1)
+        startable = [i for i, (r, dur) in enumerate(zip(combo, durations))
+                     if r == dur]
+        last = min([tau] + [tau - durations[i] + 1 for i in startable])
         options = []
         for size in range(len(startable) + 1):
             for subset in itertools.combinations(startable, size):
-                y = running_y + left_sum(powers[i] for i in subset)
-                nxt = []
-                for i, (r, dur) in enumerate(zip(combo, durations)):
-                    running = i in subset or 0 < r < dur
-                    nxt.append(r - 1 if running and r > 0 else r)
+                # an appliance draws while it starts or is part-way through
+                on = [i in subset or 0 < r < dur
+                      for i, (r, dur) in enumerate(zip(combo, durations))]
+                y = left_sum(p for p, run in zip(powers, on) if run)
+                nxt = tuple(r - 1 if run else r for r, run in zip(combo, on))
                 mask = left_sum(1 << i for i in subset)
                 skey = left_sum(1 << (n_app - 1 - i) for i in subset)
                 options.append((size, skey,
-                                (r_i, mask, size, y, r_index[tuple(nxt)])))
+                                (r_i, mask, size, y, r_index[nxt])))
         per_vector.append((last, [row for _, _, row in sorted(options)]))
 
     # the all-done vector is never doomed, so no slot is empty
@@ -341,12 +343,12 @@ def _tie_key_shifts(n_app: int, n_rows: int, k_max: int) -> tuple[int, int]:
 
 
 class _Engine:
-    """One instance's slot solver and walk step, shared by all its builds.
+    """One instance's slot solver, shared by all its builds and walks.
 
     An engine holds only what no build changes: the battery moves in
     ``(|k|, k)`` order, the level index and rate limits, the remaining
-    vectors, the prices, the walk step and every slot's draws in window
-    order (:attr:`window_rows`).  It is made from the instance's fields
+    vectors, the prices and every slot's draws in window order
+    (:attr:`window_rows`).  It is made from the instance's fields
     other than the policy and the non-schedulable appliances
     (:attr:`SolveConfig._engine`), so a build hands :meth:`solve_slot`
     its :attr:`SolveConfig._windows`.  The start options come from
@@ -382,10 +384,7 @@ class _Engine:
     An int64 ``best_k`` in place of the int32 one made no difference.
     """
 
-    def __init__(self, grid, appliances, battery, price, state_cap: int):
-        n_states = state_count(appliances, battery)
-        if n_states > state_cap:
-            raise StateSpaceError(n_states, state_cap)
+    def __init__(self, grid, appliances, battery, price):
         self.tau = grid.tau
         self.h = grid.slot_hours
         self.durations = tuple(a.duration_slots for a in appliances)
@@ -559,22 +558,12 @@ class _Engine:
         f[self.done_idx, :] = 0.0
         return f
 
-    def walk_step(self, state: SystemState, mask: int,
-                  k: int) -> tuple[Decision, int, float]:
-        """What the decision cell ``(mask, k)`` does from grid ``state``.
-
-        Returns the decision, the next remaining vector's index and the
-        base load (appliance draw plus battery throughput), computed with
-        :func:`step_remaining` and :func:`appliance_load`, so every float
-        is summed as a per-slot computation sums it.  A mask that
-        restarts an appliance raises that function's :class:`ModelError`.
-        """
-        starts = tuple(bool(mask >> i & 1) for i in range(self.n_app))
-        decision = Decision(starts=starts, battery_delta_wh=float(k * self.step))
-        nxt = step_remaining(state, decision, self.durations)
-        base = (appliance_load(state.remaining, nxt, self.powers)
-                + decision.battery_delta_wh / self.h)
-        return decision, self.r_index[nxt], base
+    def decision(self, mask: int, k: int) -> Decision:
+        """The decision of a live cell ``(mask, k)``: start mask and
+        battery move in grid steps."""
+        return Decision(starts=tuple(bool(mask >> i & 1)
+                                     for i in range(self.n_app)),
+                        battery_delta_wh=float(k * self.step))
 
     def state_indices(self, state: SystemState) -> tuple[int, int]:
         if len(state.remaining) != self.n_app:
@@ -655,9 +644,8 @@ class ScheduleTable:
         mask = int(self.dec_mask[t - 1, r_idx, b_idx])
         if mask < 0:
             return TableEntry(decision=None, value=value, feasible=False)
-        starts = tuple(bool(mask >> i & 1) for i in range(self._engine.n_app))
-        delta = float(self.dec_step[t - 1, r_idx, b_idx] * self._engine.step)
-        return TableEntry(decision=Decision(starts=starts, battery_delta_wh=delta),
+        k = int(self.dec_step[t - 1, r_idx, b_idx])
+        return TableEntry(decision=self._engine.decision(mask, k),
                           value=value, feasible=True)
 
     def initial_value(self) -> float:
@@ -668,9 +656,11 @@ class ScheduleTable:
         """The walk from ``initial_state`` with no usage on top.
 
         The walk carries the state as grid indices and reads the decision
-        cells directly.  It is made on the first call from a start cell
-        and kept; a later call from the same cell returns it.  An
-        off-grid or dead start state raises :class:`IntegrityError`
+        cells directly.  Each cell's draw and next vector are its option
+        row's (:class:`_SlotOptions`), so a base load is the draw the
+        build priced plus the battery throughput.  The walk is made on the
+        first call from a start cell and kept; a later call from the same
+        cell returns it.  An off-grid or dead start state raises :class:`IntegrityError`
         through :func:`runtime_lookup`, which names the nearest feasible
         state.  Nothing else can: in a closed table every live cell's
         decision is an option of its vector and moves within the rate
@@ -695,8 +685,8 @@ class ScheduleTable:
         inst = self.config.instance
         step = eng.step
         prices = inst.price.values
-        # the steps read the start's grid twin; an idle run repeats one
-        # step, so a repeat reuses its results
+        # a row's draw and next vector depend on (r, mask) only, and an
+        # idle run repeats one cell, so a repeat reuses its results
         cell = SystemState(battery_wh=b_idx * step,
                            remaining=eng.r_combos[r_idx])
         last = None
@@ -706,7 +696,11 @@ class ScheduleTable:
             k = int(self.dec_step[t - 1, r_idx, b_idx])
             if (r_idx, mask, k) != last:
                 last = (r_idx, mask, k)
-                decision, r_next, base = eng.walk_step(cell, mask, k)
+                opts = eng.options(t)
+                row = opts.row_of[r_idx, mask]
+                r_next = int(opts.r_next[row])
+                decision = eng.decision(mask, k)
+                base = float(opts.y_w[row]) + decision.battery_delta_wh / eng.h
                 started = tuple(a.id for a, s in zip(inst.appliances,
                                                      decision.starts) if s)
             b_idx += k
@@ -1167,11 +1161,14 @@ def _refusal(path: str, eng: _Engine, t: int, r: int, b: int, mask: int,
     """Why slot ``t``'s live cell ``(r, b)`` cannot hold ``(mask, k)``."""
     state = SystemState(battery_wh=b * eng.step, remaining=eng.r_combos[r])
     where = f"{path}: table decision at slot {t} for {state!r}"
-    try:
-        _, r_next, _ = eng.walk_step(state, mask, k)
-    except ModelError as err:  # a start of an appliance already started
-        return IntegrityError(f"{where} cannot be applied: {err}")
-    if eng.options(t).row_of[r, mask] < 0:
+    for i, (rem, dur) in enumerate(zip(state.remaining, eng.durations)):
+        if mask >> i & 1 and rem != dur:
+            return IntegrityError(
+                f"{where} cannot be applied: cannot start an appliance with "
+                f"{rem} of {dur} slots remaining")
+    opts = eng.options(t)
+    row = opts.row_of[r, mask]
+    if row < 0:
         return IntegrityError(
             f"{where} leaves unfinished work past the horizon: an unstarted "
             f"appliance can no longer finish by slot {eng.tau}")
@@ -1179,6 +1176,7 @@ def _refusal(path: str, eng: _Engine, t: int, r: int, b: int, mask: int,
         return IntegrityError(
             f"{where} moves the battery to {(b + k) * eng.step!r} Wh, outside "
             f"[0, {eng.battery.b_max_wh!r}]")
+    r_next = int(opts.r_next[row])
     if t == eng.tau:
         return IntegrityError(
             f"{where} leaves unfinished work {eng.r_combos[r_next]!r} past "

@@ -2,15 +2,16 @@
 
 Nothing here touches the table builder's engine or its start options:
 the states, decisions and walks are re-derived from the instance's own
-fields and the table's public arrays, so a test that compares the
-package against them checks it against an independent reading of the
-model.
+fields and the table's public arrays, and a decision's next remaining
+vector and draw are computed here (:func:`step_remaining`,
+:func:`appliance_load`), so a test that compares the package against
+them checks it against an independent reading of the model.
 """
 import itertools
 from dataclasses import dataclass
 
-from paces import (Decision, SystemState, appliance_load, privacy_gap,
-                   scenario_load, slot_cost, step_remaining)
+from paces import (Decision, ModelError, SystemState, privacy_gap,
+                   scenario_load, slot_cost)
 
 
 def sum_left_to_right(values):
@@ -21,6 +22,32 @@ def sum_left_to_right(values):
     for value in values:
         total = total + value
     return total
+
+
+def step_remaining(state, decision, durations):
+    """Remaining-work vector at the next slot.
+
+    An appliance that starts this slot, or that has started earlier and
+    is still owed work, sheds one slot of work; everything else is
+    unchanged.  Starting an appliance already started raises
+    :class:`ModelError`.
+    """
+    out = []
+    for r, s, dur in zip(state.remaining, decision.starts, durations):
+        if s and r != dur:
+            raise ModelError(
+                f"cannot start an appliance with {r} of {dur} slots remaining")
+        running = s or r < dur
+        out.append(r - 1 if running and r > 0 else r)
+    return tuple(out)
+
+
+def appliance_load(remaining_now, remaining_next, powers_w):
+    """Schedulable draw implied by the work decrement, summed from 0 in
+    appliance order."""
+    return float(sum_left_to_right(
+        p * (rn - rx)
+        for rn, rx, p in zip(remaining_now, remaining_next, powers_w)))
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paces import (Battery, InfeasibleError, Instance,
+from paces import (Battery, Decision, InfeasibleError, Instance,
                    NonSchedulableAppliance, PriceSignal, PrivacyPolicy,
                    PrivacyScenario, ScenarioSet, SchedulableAppliance,
-                   SolveConfig, StateSpaceError, TimeGrid, backward_recursion,
-                   candidate_scenarios, load_config, load_table, open_table,
-                   save_table, scenario_load, scenarios, sweep_battery)
+                   SolveConfig, StateSpaceError, SystemState, TimeGrid,
+                   backward_recursion, candidate_scenarios, load_config,
+                   load_table, open_table, parse_config, save_table,
+                   scenario_load, scenarios, serialize, state_count,
+                   sweep_battery)
 from paces import table as table_module
 from paces.cli import main
 from paces.table import (_Engine, _engines, _option_tables, _tie_key_shifts,
                          _vectors)
-from raw_model import sum_left_to_right
+from raw_model import appliance_load, step_remaining, sum_left_to_right
 from table_checks import assert_same_table
 
 
@@ -28,20 +30,23 @@ from table_checks import assert_same_table
 
 
 def reference_options(eng, r_combo, t):
-    """Start options ``(mask, skey, n_starts, y_w, r_next)``, or ``None``."""
+    """Start options ``(mask, skey, n_starts, y_w, r_next)``, or ``None``.
+
+    ``y_w`` adds the power of every starting or running appliance from 0
+    in appliance order."""
     startable = []
-    running_y = 0.0
-    for i, (r, dur, p) in enumerate(zip(r_combo, eng.durations, eng.powers)):
-        if 0 < r < dur:
-            running_y += p
-        elif r == dur:
+    for i, (r, dur) in enumerate(zip(r_combo, eng.durations)):
+        if r == dur:
             if t + dur - 1 > eng.tau:
                 return None
             startable.append(i)
     options = []
     for size in range(len(startable) + 1):
         for subset in itertools.combinations(startable, size):
-            y = running_y + sum_left_to_right(eng.powers[i] for i in subset)
+            y = sum_left_to_right(
+                p for i, (r, dur, p) in enumerate(zip(r_combo, eng.durations,
+                                                      eng.powers))
+                if i in subset or 0 < r < dur)
             nxt = []
             for i, (r, dur) in enumerate(zip(r_combo, eng.durations)):
                 running = i in subset or 0 < r < dur
@@ -597,6 +602,19 @@ def test_usage_appliances_share_the_engine():
     assert _engines.cache_info().misses == 1
 
 
+def test_the_state_cap_shapes_no_engine():
+    # the cap is checked before the lookup, so it is no part of the key
+    inst = load_config("section-iv-a").instance
+    _engines.cache_clear()
+    tight = SolveConfig(instance=inst, state_cap=state_count(
+        inst.appliances, inst.battery))._engine
+    assert SolveConfig(instance=inst)._engine is tight
+    assert _engines.cache_info().misses == 1
+    with pytest.raises(StateSpaceError):
+        SolveConfig(instance=inst, state_cap=state_count(
+            inst.appliances, inst.battery) - 1)._engine
+
+
 def test_loading_a_dump_makes_no_engine(tmp_path, monkeypatch):
     config = SolveConfig(instance=section_iv_a(250.0, 80.0),
                          scenarios=ScenarioSet.base(2))
@@ -644,11 +662,11 @@ TABLE_DIGESTS = {
     ("motivating-example", 0.2):
         "5016da3f49f40805bba6c66a92f1ee84354c407f42b2783e3333693972fbaa67",
     ("section-iv-a", 1.0):
-        "0c13970db8d0aa85bbf631a7b53f3c89deee4f7724ec444f8af8dce086d7d513",
+        "64686df59a1fdb96a59882664da5c40aac6b5f08b726345bb8542451cbe9d40b",
     ("section-iv-a", 0.2):
-        "23f1cd8791475bc97400ce95aeb45a73cddfb328ed1e2a04aa6c9d2216c3cd6c",
+        "2168a2d3bd9617c4e1e5c1a075279cdc8df97382c153424c470d5b82ae5d4cee",
     ("section-iv-a", 0.04):
-        "7323cdfa86bfca01267c794babf00540e98c43bde456f318014b1d80456fa325",
+        "954bce91fc779ee1f297b4bfee3b80481aa408b56355436242bdcb7bbd0e3188",
     ("table-ii", 1.0):
         "1f980661d82855e27dbee53cbdd0900b2324343e7f4032080f8237925d877544",
     ("table-ii", 0.2):
@@ -714,9 +732,9 @@ def table_digest(table):
 #: (tau = 24 and 48), by factor and grid step
 HORIZON_DIGESTS = {
     (2, 25.0):
-        "f570808d1b1630feab820c0767d27d0245c400e20c653427e9e94f51ff5b0b4f",
+        "7377c4ffbc2be3c7398c4d34ac534ae792967133a03bdd0f6c37dfdee4232eed",
     (4, 15.625):
-        "ae2e9bbd15f40d635cfd396538ebe68f5a655e707c71d80a7805c5ef5a982671",
+        "9b9fcb8dcafd37d4de809a83695412c00725e8dfcdbd606c688d2491506776e2",
 }
 
 
@@ -729,6 +747,44 @@ def test_finer_slot_tables_keep_their_digests(factor, grid_step_wh):
     table = backward_recursion(SolveConfig(instance=inst,
                                            scenarios=full_candidate_set(inst)))
     assert table_digest(table) == HORIZON_DIGESTS[factor, grid_step_wh]
+
+
+def ns4_instance():
+    """solve-ns4's household: section-iv-a at 140 W plus two 10 W,
+    2-slot usage appliances in zone 1-12."""
+    raw = serialize(load_config("section-iv-a"))
+    raw["privacy"]["lambda"] = 140.0
+    for i in range(3, 5):
+        raw["ns_appliances"].append({"id": f"ns{i}", "power": 10.0,
+                                     "runtime_slots": 2, "zone": [1, 12]})
+    return parse_config(raw).instance
+
+
+@pytest.mark.parametrize("name", ["section-iv-a", "table-ii", "solve-ns4"])
+def test_option_rows_draw_as_the_raw_model_sums(name):
+    # every row's draw and next vector, bit for bit, as the raw model
+    # derives them from the row's vector and start mask
+    inst = (ns4_instance() if name == "solve-ns4"
+            else load_config(name).instance)
+    eng = SolveConfig(instance=inst)._engine
+    durations = tuple(a.duration_slots for a in inst.appliances)
+    powers = tuple(a.power_w for a in inst.appliances)
+    rows = 0
+    for t in range(1, eng.tau + 1):
+        opts = eng.options(t)
+        for row, (mask, block) in enumerate(zip(opts.mask.tolist(),
+                                                opts.block.tolist())):
+            now = SystemState(battery_wh=0.0,
+                              remaining=eng.r_combos[opts.r_first[block]])
+            decision = Decision(starts=tuple(bool(mask >> i & 1)
+                                             for i in range(len(durations))),
+                                battery_delta_wh=0.0)
+            nxt = step_remaining(now, decision, durations)
+            draw = appliance_load(now.remaining, nxt, powers)
+            assert opts.y_w[row].hex() == draw.hex(), (t, now, mask)
+            assert eng.r_combos[opts.r_next[row]] == nxt
+            rows += 1
+    assert rows == 1232
 
 
 def test_option_rows_are_blocks_in_visit_order():

@@ -262,6 +262,15 @@ class TestSolveCommand:
         assert code == 2
         assert "neither a file nor a preset" in err
 
+    def test_a_config_that_repeats_a_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(json.dumps(serialize(load_config("motivating-example")))
+                       .replace('"lambda": ', '"lambda": 10.0, "lambda": ', 1))
+        code, _, err = run(capsys, "solve", "--config", str(cfg),
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "duplicate key 'lambda'" in err
+
     @pytest.mark.parametrize("field", ["state_cap"])
     def test_integral_float_fields_exit_2(self, tmp_path, capsys, field):
         raw = serialize(load_config("motivating-example"))

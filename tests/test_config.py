@@ -257,6 +257,21 @@ class TestLoadConfigSources:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
+    def test_a_repeated_key_is_a_config_error(self, tmp_path):
+        # the parser would keep the last lambda and solve at 0.5 W
+        text = json.dumps(motivating_raw()).replace(
+            '"lambda": ', '"lambda": 10.0, "lambda": ', 1)
+        assert text.count('"lambda"') == 2
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: duplicate key 'lambda'"
+        script = tmp_path / "script.json"
+        script.write_text('{"sample_seed": 1, "sample_seed": 2}')
+        with pytest.raises(ConfigError, match="duplicate key 'sample_seed'"):
+            load_event_script(script)
+
     def test_non_object_top_level_is_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")

@@ -11,10 +11,10 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    PacesError, PriceSignal, PrivacyPolicy, PrivacyScenario,
                    ScenarioSet, SchedulableAppliance, SolveConfig,
                    StateSpaceError, SystemState, TimeGrid,
-                   appliance_load, backward_recursion, extract_schedule,
-                   privacy_gap, random_small_instance, scenario_load,
-                   slot_cost, step_remaining)
+                   backward_recursion, extract_schedule, privacy_gap,
+                   random_small_instance, scenario_load, slot_cost)
 from paces.model import check_placement, left_sum
+from raw_model import appliance_load, step_remaining
 from table_checks import replay
 
 

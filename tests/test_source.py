@@ -42,6 +42,18 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_all_names_exactly_what_the_package_imports():
+    # an export removed from the imports or from __all__ alone fails here
+    import paces
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = Counter(alias.asname or alias.name
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       and node.module != "__future__"
+                       for alias in node.names)
+    assert Counter(paces.__all__) == imported
+
+
 def names_read(tree: ast.AST) -> Counter:
     """How often each name is read in ``tree``: as a name, an attribute,
     an imported name or an exact string."""

@@ -20,16 +20,17 @@ from paces import (Battery, ConfigError, Decision, InfeasibleError, Instance,
                    IntegrityError, ModelError, NonSchedulableAppliance,
                    PriceSignal, PrivacyPolicy, PrivacyScenario, ScenarioSet,
                    SchedulableAppliance, ScheduleTable, SolveConfig,
-                   StateSpaceError, SystemState, TimeGrid, appliance_load,
+                   StateSpaceError, SystemState, TimeGrid,
                    backward_recursion, brute_force_solve, candidate_scenarios,
                    expected_total_cost, extract_schedule, load_config,
                    load_table, model_fingerprint, privacy_gap,
                    random_small_instance, read_table_header, save_table,
                    scenario_load, slot_cost, solve_with_scenarios,
-                   state_count, step_remaining, sweep_battery)
+                   state_count, sweep_battery)
 from paces.table import (_HEADER_KEYS, OBJECTIVE_MODES, _Engine,
                          _nearest_feasible)
-from raw_model import all_states, reference_decisions
+from raw_model import (all_states, appliance_load, reference_decisions,
+                       step_remaining)
 from table_checks import assert_same_table, replay
 
 
@@ -448,11 +449,18 @@ class TestBackwardRecursion:
     def test_table_decisions_are_admissible(self):
         instances = [motivating_instance()]
         instances += [random_small_instance(seed) for seed in range(60)]
-        for inst in instances:
-            config = SolveConfig(instance=inst, scenarios=full_omega(inst))
-            table = backward_recursion(config)
-            for t in range(1, inst.grid.tau + 1):
-                for state in all_states(inst):
+        tables = [backward_recursion(SolveConfig(instance=inst,
+                                                 scenarios=full_omega(inst)))
+                  for inst in instances]
+        # the seeds hold at most two schedulable appliances, where a draw
+        # sums alike in any order; table-ii's hardened table holds three
+        cfg = load_config("table-ii")
+        tables.append(solve_with_scenarios(cfg.instance, cfg.options,
+                                           cfg.state_cap).table)
+        for table in tables:
+            config = table.config
+            for t in range(1, config.instance.grid.tau + 1):
+                for state in all_states(config.instance):
                     entry = table.entry(t, state)
                     if entry.feasible:
                         assert entry.decision in reference_decisions(
