@@ -216,8 +216,8 @@ class _SlotOptions:
     here.  Each vector's rows are one block, vectors ascending, in visit
     order: by start-set size ``n_starts``, then by ``skey``, which reads
     the start mask with the first appliance as the most significant bit.
-    ``first`` holds each block's first row, ``block`` each row's block
-    and ``r_first`` each block's vector.  A vector with an unstarted
+    ``block`` holds each row's block and ``r_first`` each block's
+    vector.  A vector with an unstarted
     appliance that can no longer meet the deadline has no rows: every
     continuation from it is doomed.
 
@@ -235,7 +235,6 @@ class _SlotOptions:
     mask: np.ndarray
     y_w: np.ndarray
     r_next: np.ndarray
-    first: np.ndarray
     block: np.ndarray
     r_first: np.ndarray
     n_starts: np.ndarray
@@ -310,7 +309,6 @@ def _option_tables(durations: tuple[int, ...], powers: tuple[float, ...],
             mask=_read_only(cols[1], np.int32),
             y_w=_read_only(cols[3], np.float64),
             r_next=_read_only(cols[4], np.intp),
-            first=_read_only(first, np.intp),
             block=_read_only(np.repeat(np.arange(len(first)),
                                        np.diff(first, append=len(r_idx))),
                              np.intp),
@@ -365,23 +363,48 @@ class _Engine:
     to its slice only, in ``(|k|, k)`` order with a strict ``<`` running
     minimum, which keeps the first minimum exactly as a per-option
     ``argmin`` over the same order would; a row outside the slice could
-    only add ``inf``.  The rows then go back to block order once, and two
-    ``np.minimum.reduceat`` calls settle each vector's block: the least
-    value, then the least int64 key ``(n_starts, |k|, row)`` among the
-    rows that hold it (:func:`_tie_key_shifts`).
+    only add ``inf``.
 
-    Four alternatives were slower or not bit-equal.  The affine form
-    ``-c*step*b + min_j (f[j] + c*step*j)`` (a sliding-window minimum)
-    would save the move loop but adds the price term in another order,
-    which changes the rounding of the values and so which moves tie.
-    Stacking every move into one (moves x rows x m) array and taking one
-    ``argmin`` allocates that whole array per slot: on solve-ns4, on a
-    2-core VM, its slot solves took 25.0 ms per operation against the
-    dense move loop's 15.3 ms.  Gathering the shifted windows with ``sliding_window_view`` and
-    fancy indexing copied as much and was slower again.  Clipping each
-    move's level range to the grid as well as its rows turns a row into
-    a short strided loop, which was slower than the row slice alone.
-    An int64 ``best_k`` in place of the int32 one made no difference.
+    The rows then go once to the block layout (:attr:`_slot_rows`): the
+    blocks by size, largest first, ties by vector, each in visit order.
+    A vector with ``s`` appliances still startable has ``2**s`` rows, one
+    per start set, or none, so every block starts at a multiple of its
+    own size.  A strided min-tree settles all blocks at once (a reduction
+    tree over aligned segments, as in Blelloch's "Prefix sums and their
+    applications", 1990): for ``h = 1, 2, 4, ...`` one ``np.minimum``
+    folds row ``i + h`` into row ``i`` for every multiple ``i`` of ``2h``
+    among the rows of blocks of ``2h`` rows or more, each pair inside one
+    block, and in the end each block's head holds its minimum.  The tree
+    runs twice: on a copy of the values, then on the int64 key
+    ``(n_starts, |k|, place)`` of the rows that hold their block's least
+    value (:func:`_tie_key_shifts`).  A row's place in the layout keeps
+    visit order within its block, so the pick is the documented least
+    ``(value, n_starts, |k|, row)``.  Flat ``take`` calls then write
+    every vector's picked cell, and only the doomed vectors are filled.
+
+    These alternatives were slower, fatter or not bit-equal.  The affine
+    form ``-c*step*b + min_j (f[j] + c*step*j)`` (a sliding-window
+    minimum) would save the move loop but adds the price term in another
+    order, which changes the rounding of the values and so which moves
+    tie.  Stacking every move into one (moves x rows x m) array and
+    taking one ``argmin`` allocates that whole array per slot: on
+    solve-ns4, on a 2-core VM, its slot solves took 25.0 ms per operation
+    against the dense move loop's 15.3 ms.  Gathering the shifted windows
+    with ``sliding_window_view`` and fancy indexing copied as much and was
+    slower again; a compact 3-D ``argmin`` and flat pair gathers took
+    18.3 and 24.1 ms against the loop's 16.2 ms.  Clipping each move's
+    level range to the grid as well as its rows turns a row into a short
+    strided loop, which was slower than the row slice alone.  An int64
+    ``best_k`` in place of the int32 one made no difference.  Two
+    ``np.minimum.reduceat`` calls settled the blocks before the tree and
+    paid once per (block, level) segment: 28 us on the values and 23 us
+    on the keys of solve-ns4's 60 blocks x 31 levels.  Doubling with
+    ``where=`` masks in place of the size-sorted layout took about 8 us
+    per step, because of branchy masks, and halving each size class by
+    reshape added about 10 us per slot at one battery level and made
+    sweep-tight slower.  Caching each slot's stage matrix on the engine
+    raised replay-fine's peak RSS by 1.4-2.0 MB (101 moves x 120 rows x
+    12 slots).
     """
 
     def __init__(self, grid, appliances, battery, price):
@@ -436,17 +459,41 @@ class _Engine:
     @functools.cached_property
     def _slot_rows(self) -> tuple[tuple, ...]:
         """Per slot ``t`` at index ``t - 1``, what :meth:`solve_slot` reads
-        of it in every build: its options, its rows' range in
-        :attr:`window_rows`, each row's next vector in window order and
-        each row's tie-key column ``(n_starts, row)`` in block order."""
+        of it in every build.
+
+        Its rows' range in :attr:`window_rows` and each row's next vector
+        in window order; then the block layout: the blocks by size,
+        largest first, ties by vector, each in visit order.  Of the layout
+        it holds each row's window place (the ``take`` into it), its
+        tie-key column ``(n_starts, place)``, its start mask and its
+        block's head; each vector's head, -1 for a doomed one; the
+        min-tree steps ``(h, 2h, end_h)``, ``end_h`` being the rows in
+        blocks of ``2h`` rows or more; and the doomed vectors."""
         slots = _option_tables(self.durations, self.powers, self.tau)
         offsets = self.window_rows[1].tolist()
-        return tuple(
-            (opts, slice(offsets[i], offsets[i + 1]),
-             opts.r_next.take(opts.order),
-             ((opts.n_starts << self._n_shift)
-              | np.arange(len(opts.block)))[:, None])
-            for i, opts in enumerate(slots))
+        out = []
+        for i, opts in enumerate(slots):
+            sizes = np.bincount(opts.block)
+            # stable sorts keep vectors ascending within a size and each
+            # block in visit order
+            layout = np.argsort(-sizes[opts.block], kind="stable")
+            by_size = np.argsort(-sizes, kind="stable")
+            size = sizes[by_size]
+            heads = np.cumsum(size) - size
+            # a doomed vector's head is -1, a row that solve_slot overwrites
+            head = np.full(self.n_r, -1)
+            head[opts.r_first.take(by_size)] = heads
+            out.append((
+                slice(offsets[i], offsets[i + 1]),
+                opts.r_next.take(opts.order),
+                opts.rank.take(layout),
+                ((opts.n_starts.take(layout) << self._n_shift)
+                 | np.arange(len(layout)))[:, None],
+                opts.mask.take(layout), np.repeat(heads, size), head,
+                [(1 << j, 2 << j, int(size[size >= 2 << j].sum()))
+                 for j in range(int(size[0]).bit_length() - 1)],
+                np.flatnonzero(head < 0)))
+        return tuple(out)
 
     def k_windows(self, y_w: np.ndarray, band: tuple,
                   envelope: np.ndarray) -> np.ndarray:
@@ -498,7 +545,8 @@ class _Engine:
         decision is feasible.
         """
         m = self.m
-        opts, rows, r_next, tie_key = self._slot_rows[t - 1]
+        (rows, r_next, place, tie_key, mask, head_of, head, steps,
+         doomed) = self._slot_rows[t - 1]
 
         # rows in window order, where both bounds fall as the draw rises:
         # the rows that admit the i-th move are lo[i]:hi[i]
@@ -523,34 +571,48 @@ class _Engine:
         for k, stage_k, a, b in zip(self._moves, stage, lo, hi):
             if a >= b:
                 continue
+            cand_ab, best_ab, better_ab = cand[a:b], best[a:b], better[a:b]
             np.add(stage_k[a:b, None], cont[a:b, pad + k:pad + k + m],
-                   out=cand[a:b])
-            np.less(cand[a:b], best[a:b], out=better[a:b])
-            np.copyto(best[a:b], cand[a:b], where=better[a:b])
-            np.copyto(best_k[a:b], k, where=better[a:b])
+                   out=cand_ab)
+            np.less(cand_ab, best_ab, out=better_ab)
+            np.copyto(best_ab, cand_ab, where=better_ab)
+            np.copyto(best_k[a:b], k, where=better_ab)
 
-        # back in block order, a vector's rows are one block in visit order,
+        # in the block layout a vector's rows are one block in visit order,
         # so its documented tie-break is the least (value, n_starts, |k|,
-        # row) of the block, the last three as one key.
+        # row) of the block, the last three as one key.  Each tree step
+        # folds the upper half of every block of 2h rows or more into its
+        # lower half, so the block's head ends up holding its minimum.
         # == ties -0.0 with 0.0, so a cell takes its picked row's own value;
         # an all-inf block picks a row whose move stayed 0
-        best = best.take(opts.rank, 0)
-        best_k = best_k.take(opts.rank, 0)
-        first, block = opts.first, opts.block
-        low = np.minimum.reduceat(best, first)
+        best = best.take(place, 0)
+        best_k = best_k.take(place, 0)
+        low = best.copy()
+        for h, h2, end in steps:
+            lower = low[:end:h2]
+            np.minimum(lower, low[h:end:h2], out=lower)
         key = np.abs(best_k, dtype=np.int64)
         key <<= self._k_shift
         key |= tie_key
-        np.copyto(key, _NO_KEY, where=best != low.take(block, 0))
-        pick = np.minimum.reduceat(key, first) & self._row_mask
+        np.copyto(key, _NO_KEY, where=best != low.take(head_of, 0))
+        for h, h2, end in steps:
+            lower = key[:end:h2]
+            np.minimum(lower, key[h:end:h2], out=lower)
+        # every vector's pick, as a place and then as a flat (place, level);
+        # no pick is out of range, and "clip" lets take write to out unbuffered
+        pick = key.take(head, 0)
+        pick &= self._row_mask
+        mask.take(pick, out=dec_mask, mode="clip")
+        pick *= m
+        pick += self._levels
+        best.take(pick, out=values, mode="clip")
+        best_k.take(pick, out=dec_step, mode="clip")
+        np.copyto(dec_mask, -1, where=~np.isfinite(values))
         # a doomed vector has no rows and keeps the dead cell
-        values.fill(np.inf)
-        dec_mask.fill(-1)
-        dec_step.fill(0)
-        r, cols = opts.r_first, self._levels
-        values[r] = best[pick, cols]
-        dec_mask[r] = np.where(np.isfinite(low), opts.mask[pick], -1)
-        dec_step[r] = best_k[pick, cols]
+        if len(doomed):
+            values[doomed] = np.inf
+            dec_mask[doomed] = -1
+            dec_step[doomed] = 0
 
     def terminal_continuation(self) -> np.ndarray:
         """Continuation values past the horizon: 0 once all work is done."""

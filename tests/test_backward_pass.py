@@ -14,7 +14,8 @@ from paces import (Battery, Decision, InfeasibleError, Instance,
                    PrivacyScenario, ScenarioSet, SchedulableAppliance,
                    SolveConfig, StateSpaceError, SystemState, TimeGrid,
                    backward_recursion, candidate_scenarios, load_config,
-                   load_table, open_table, parse_config, save_table,
+                   load_table, open_table, parse_config, preset_names,
+                   random_small_instance, save_table,
                    scenario_load, scenarios, serialize, state_count,
                    sweep_battery)
 from paces import table as table_module
@@ -405,11 +406,20 @@ def with_grid_step(inst, grid_step_wh):
         inst.battery, grid_step_wh=grid_step_wh))
 
 
-@pytest.mark.parametrize("grid_step_wh", [25.0, 5.0, 2.5])
+# a 0 Wh battery has one level and one move: the path of a sweep's
+# infeasible point, where the fixed per-slot cost dominates
+@pytest.mark.parametrize("grid_step_wh, b_max_wh", [
+    pytest.param(25.0, None, id="25.0"), pytest.param(5.0, None, id="5.0"),
+    pytest.param(2.5, None, id="2.5"), pytest.param(25.0, 0.0, id="0Wh")])
 @pytest.mark.parametrize("preset", ["section-iv-a", "table-ii"])
-def test_batched_slot_matches_on_the_presets(preset, grid_step_wh):
+def test_batched_slot_matches_on_the_presets(preset, grid_step_wh, b_max_wh):
     inst = with_grid_step(load_config(preset).instance, grid_step_wh)
+    if b_max_wh is not None:
+        inst = dataclasses.replace(inst, battery=dataclasses.replace(
+            inst.battery, b_max_wh=b_max_wh))
     config = SolveConfig(instance=inst, scenarios=full_candidate_set(inst))
+    if b_max_wh == 0.0:
+        assert (config._engine.m, config._engine._moves) == (1, [0])
     assert_every_slot_matches(config, np.random.default_rng(0))
 
 
@@ -483,7 +493,7 @@ def test_option_tables_are_read_only():
     eng = SolveConfig(instance=load_config("table-ii").instance)._engine
     opts = eng.options(1)
     names = [f.name for f in dataclasses.fields(opts)]
-    assert names == ["mask", "y_w", "r_next", "first", "block", "r_first",
+    assert names == ["mask", "y_w", "r_next", "block", "r_first",
                      "n_starts", "order", "rank", "row_of"]
     for name in names:
         arr = getattr(opts, name)
@@ -501,11 +511,41 @@ def test_option_tables_hold_the_block_layout():
         assert opts.order.tolist() == sorted(range(n_rows),
                                              key=lambda i: opts.y_w[i])
         assert opts.rank[opts.order].tolist() == list(range(n_rows))
-        assert opts.block.tolist() == [
-            int(np.searchsorted(opts.first, i, side="right")) - 1
-            for i in range(n_rows)]
+        # blocks are numbered in row order, with no gap
+        assert opts.block[0] == 0
+        assert set(np.diff(opts.block).tolist()) <= {0, 1}
         # each block is one vector's, vectors ascending
         assert (np.diff(opts.r_first) > 0).all()
+
+
+@pytest.mark.parametrize("source", ["presets", "random", "tie-heavy"])
+def test_blocks_align_to_their_size_when_sorted_by_it(source):
+    # the slot solver's min-tree rests on this: a vector with s startable
+    # appliances has one row per start set, 2**s, or none when doomed, so
+    # with the blocks listed largest first each starts at a multiple of
+    # its own size
+    instances = {
+        "presets": lambda: [load_config(name).instance
+                            for name in preset_names()],
+        "random": lambda: [random_small_instance(seed) for seed in range(50)],
+        "tie-heavy": lambda: [tie_heavy(2.0).instance]}[source]()
+    largest = 0
+    for inst in instances:
+        durations = tuple(a.duration_slots for a in inst.appliances)
+        r_combos = _vectors(durations)[0]
+        for opts in _option_tables(durations,
+                                   tuple(a.power_w for a in inst.appliances),
+                                   inst.grid.tau):
+            sizes = np.bincount(opts.block)
+            for r_i, size in zip(opts.r_first.tolist(), sizes.tolist()):
+                startable = [r == d for r, d in zip(r_combos[r_i], durations)]
+                assert size == 1 << startable.count(True)
+            sizes = np.sort(sizes)[::-1]
+            assert ((np.cumsum(sizes) - sizes) % sizes == 0).all()
+            largest = max(largest, int(sizes[0]))
+    if source == "tie-heavy":
+        # four appliances, all startable at slot 1
+        assert largest == 16
 
 
 def section_iv_a(capacity_wh, lambda_w=100.0):
@@ -807,6 +847,7 @@ def test_option_rows_are_blocks_in_visit_order():
                            opts.r_next[rows].tolist()))
             assert got == [(m, n, y, r) for m, _, n, y, r in
                            sorted(want, key=lambda o: (o[2], o[1]))]
-        # vectors ascend, and first names each block's first row
+        # vectors ascend, and each block starts where block says
         assert starts == sorted(starts) and starts[0] == 0
-        assert opts.first.tolist() == starts
+        assert np.flatnonzero(np.diff(opts.block, prepend=-1)).tolist() \
+            == starts
