@@ -21,7 +21,7 @@ from .errors import ConfigError, ModelError
 from .model import (Battery, Instance, NonSchedulableAppliance, PriceSignal,
                     PrivacyPolicy, SchedulableAppliance, TimeGrid,
                     left_sum)
-from .scenarios import SOLVE_MODES, VIOLATION_METRICS, ScenarioSolveOptions
+from .scenarios import SOLVE_MODES, ScenarioSolveOptions
 from .simulate import EventScript, ScriptedStart
 from .table import DEFAULT_STATE_CAP, OBJECTIVE_MODES
 
@@ -190,12 +190,11 @@ def parse_config(raw: dict, base_dir: Union[str, Path] = ".",
                             battery=battery, price=price, policy=policy)
 
         s = doc.at("solver", {}).keys(optional=(
-            "mode", "objective", "metric", "include_inactive", "max_solves",
+            "mode", "objective", "include_inactive", "max_solves",
             "state_cap"))
         options = ScenarioSolveOptions(
             mode=s.at("mode", "guaranteed").enum(SOLVE_MODES),
             include_inactive=s.at("include_inactive", False).of("boolean"),
-            metric=s.at("metric", "two-sided").enum(VIOLATION_METRICS),
             objective_mode=s.at("objective", "expected").enum(OBJECTIVE_MODES),
             max_solves=s.at("max_solves").of("integer", "null"))
         state_cap = s.at("state_cap", DEFAULT_STATE_CAP).of("integer")
@@ -254,7 +253,6 @@ def serialize(config: InstanceConfig) -> dict:
         "solver": {
             "mode": config.options.mode,
             "objective": config.options.objective_mode,
-            "metric": config.options.metric,
             "include_inactive": config.options.include_inactive,
             "max_solves": config.options.max_solves,
             "state_cap": config.state_cap,

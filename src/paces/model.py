@@ -281,7 +281,11 @@ class PrivacyPolicy:
     """Two-sided band the metered load must stay inside.
 
     The metered load may deviate from the fixed reference level
-    ``l_bar_w`` by at most ``lambda_w`` in either direction.
+    ``l_bar_w`` by at most ``lambda_w`` in either direction, plus a
+    roundoff slack: a load is inside iff ``-bound_w <= privacy_gap(load)
+    <= bound_w`` (:func:`band_sides`).  The DP's windows, the loop's stop
+    and the replay's ``breach`` all test the walk's load bits
+    ``(y + (k * step) / h) + w``: appliance draw, battery move, usage.
 
     Attributes:
         lambda_w: half-width of the allowed band, in W.
@@ -301,8 +305,14 @@ class PrivacyPolicy:
 
     @property
     def tolerance_w(self) -> float:
-        """Roundoff slack past ``lambda_w`` that every band check admits."""
+        """Roundoff slack past ``lambda_w`` that the band admits."""
         return 1e-9 * max(1.0, self.lambda_w, self.l_bar_w)
+
+    @property
+    def bound_w(self) -> float:
+        """The largest ``|privacy_gap|`` inside the band: ``lambda_w`` plus
+        its slack."""
+        return self.lambda_w + self.tolerance_w
 
 
 @dataclass(frozen=True)
@@ -523,6 +533,14 @@ def in_order_sums(powers: Sequence[float], active: np.ndarray) -> np.ndarray:
 def privacy_gap(load_w: float, policy: PrivacyPolicy) -> float:
     """Signed deviation of the metered load from the reference level."""
     return load_w - policy.l_bar_w
+
+
+def band_sides(load_w, policy: PrivacyPolicy) -> tuple:
+    """The band test's two halves on ``load_w``, a float or an array:
+    whether its gap reaches ``-bound_w`` and whether it stays within
+    ``bound_w``.  ``load_w`` is inside the band iff both hold."""
+    gap = privacy_gap(load_w, policy)
+    return -policy.bound_w <= gap, gap <= policy.bound_w
 
 
 def slot_cost(load_w: float, price_per_wh: float, slot_hours: float) -> float:

@@ -17,11 +17,13 @@ reads the product through each slot's extreme draws, which are sums of
 per-appliance extremes, and never enumerates it.
 
 Two stop modes are supported.  ``guaranteed`` (default) also stops when
-the worst placement violates the privacy band by no more than its
-roundoff tolerance, so the final schedule is safe against every
-placement.  ``repeat-stop`` stops only on a placement already in the
-set, so it keeps rebuilding for placements inside the band: its builds
-extend ``guaranteed``'s.
+the worst placement is inside the privacy band, by the band test the
+replay's ``breach`` applies, so the final schedule is safe against every
+placement.  A placement in the set cannot breach the table built against
+it, so in this mode the band test alone decides the stop.
+``repeat-stop`` stops only on a placement already in the set, so it
+keeps rebuilding for placements inside the band: its builds extend
+``guaranteed``'s.
 """
 from __future__ import annotations
 
@@ -37,15 +39,14 @@ import numpy as np
 from .errors import InfeasibleError, ModelError
 from .model import (Instance, NonSchedulableAppliance, PrivacyScenario,
                     ScenarioSet, TimeGrid, check_placement, in_order_sums,
-                    left_sum)
+                    left_sum, privacy_gap)
 from .table import (DEFAULT_STATE_CAP, OBJECTIVE_MODES, ScheduleSolution,
                     ScheduleTable, SolveConfig, _FailedTail,
                     backward_recursion, extract_schedule)
 
 SOLVE_MODES = ("guaranteed", "repeat-stop")
-VIOLATION_METRICS = ("two-sided", "upper-only")
 
-#: Sentinel violation returned when there are no candidate scenarios.
+#: Sentinel gap returned when there are no candidate scenarios.
 NO_SCENARIOS = float("-inf")
 
 #: Absolute resolution of the bisection probe for the smallest feasible
@@ -59,7 +60,6 @@ class ScenarioSolveOptions:
 
     mode: str = "guaranteed"
     include_inactive: bool = False
-    metric: str = "two-sided"
     objective_mode: str = "expected"
     max_solves: Optional[int] = None
 
@@ -67,9 +67,6 @@ class ScenarioSolveOptions:
         if self.mode not in SOLVE_MODES:
             raise ModelError(f"mode must be one of {SOLVE_MODES}, "
                              f"got {self.mode!r}")
-        if self.metric not in VIOLATION_METRICS:
-            raise ModelError(f"metric must be one of {VIOLATION_METRICS}, "
-                             f"got {self.metric!r}")
         if self.objective_mode not in OBJECTIVE_MODES:
             raise ModelError(f"objective_mode must be one of {OBJECTIVE_MODES}, "
                              f"got {self.objective_mode!r}")
@@ -261,10 +258,9 @@ def candidate_scenarios(ns_appliances: Sequence[NonSchedulableAppliance],
 
 def find_worst_scenario(solution: ScheduleSolution,
                         candidates: Sequence[PrivacyScenario],
-                        instance: Instance,
-                        metric: str = "two-sided"
+                        instance: Instance
                         ) -> tuple[Optional[PrivacyScenario], float]:
-    """Placement that stresses the schedule hardest, with its violation.
+    """Placement that stresses the schedule hardest, with its gap.
 
     ``candidates`` is what :func:`candidate_scenarios` returns: a
     :class:`PlacementProduct`, or ``[]``, which gives the sentinel
@@ -272,10 +268,10 @@ def find_worst_scenario(solution: ScheduleSolution,
     :class:`ModelError`, as does an option that breaks
     :func:`~paces.model.check_placement`.
 
-    The violation is the worst per-slot deviation of base load plus
-    scenario draw from the reference level, minus the privacy bound;
-    positive means the schedule breaches under that placement.  Ties keep
-    the earliest placement in product order.  The product is never
+    The gap is the largest ``|privacy_gap|`` of base load plus draw over
+    the slots, with the replay's bits: the schedule breaches under that
+    placement iff it exceeds the policy's ``bound_w``.  Ties keep the
+    earliest placement in product order.  The product is never
     enumerated.  The deviation is monotone in the draw, so one of a
     slot's two extreme draws reaches its worst score, and the largest of
     those is the product's.  A placement's score at a slot depends only
@@ -284,9 +280,6 @@ def find_worst_scenario(solution: ScheduleSolution,
     gives that slot's first placement, and the first of those over all
     binding slots is the pick.
     """
-    if metric not in VIOLATION_METRICS:
-        raise ModelError(f"metric must be one of {VIOLATION_METRICS}, "
-                         f"got {metric!r}")
     if not candidates:
         return None, NO_SCENARIOS
     if not isinstance(candidates, PlacementProduct):
@@ -297,24 +290,14 @@ def find_worst_scenario(solution: ScheduleSolution,
     slots = _slot_extremes(options, types, instance.ns_appliances,
                            instance.grid.tau)
     base = np.asarray(solution.base_load_w, dtype=float)
-    scores = _deviation(slots.bounds, base, instance, metric).max(axis=0)
+    scores = np.abs(privacy_gap(slots.bounds + base, instance.policy)).max(0)
     top = scores.max()
     picks = []
     for t in np.flatnonzero(scores == top):
         draws, rows = slots.active_sets(t)
-        reached = _deviation(draws, base[t], instance, metric) == top
+        reached = np.abs(privacy_gap(draws + base[t], instance.policy)) == top
         picks.append(tuple(rows[np.argmax(reached)].tolist()))
-    return candidates.at(min(picks)), float(top) - instance.policy.lambda_w
-
-
-def _deviation(draws: np.ndarray, base: np.ndarray, instance: Instance,
-               metric: str) -> np.ndarray:
-    """``(draw + base) - l_bar`` per entry, its magnitude when two-sided."""
-    dev = draws + base
-    dev -= instance.policy.l_bar_w
-    if metric == "two-sided":
-        np.abs(dev, out=dev)
-    return dev
+    return candidates.at(min(picks)), float(top)
 
 
 def solve_with_scenarios(instance: Instance,
@@ -360,13 +343,12 @@ def solve_with_scenarios(instance: Instance,
             f1_cost=solution.controllable_cost, omega_size=0))
     omega = ScenarioSet.empty()
     while candidates:
-        phi, violation = find_worst_scenario(solution, candidates, instance,
-                                             options.metric)
+        phi, gap = find_worst_scenario(solution, candidates, instance)
+        violation = gap - instance.policy.lambda_w
         trace.final_scenario, trace.final_violation_w = phi, violation
         # a rebuild for a placement already in omega would reproduce this
         # exact schedule and propose it again
-        if (options.mode == "guaranteed"
-                and violation <= instance.policy.tolerance_w) \
+        if (options.mode == "guaranteed" and gap <= instance.policy.bound_w) \
                 or phi in omega:
             break
         if options.max_solves is not None \

@@ -192,7 +192,7 @@ def simulate(table: ScheduleTable, script: EventScript,
     gaps = [privacy_gap(load, inst.policy) for load in loads]
     costs = list(map(slot_cost, loads, inst.price.values,
                      itertools.repeat(inst.grid.slot_hours)))
-    bound_w = inst.policy.lambda_w + inst.policy.tolerance_w
+    bound_w = inst.policy.bound_w
     rows = tuple([
         SlotRecord(t, price, base, n, load, level, delta, started, gap,
                    abs(gap) > bound_w, cost)

@@ -53,9 +53,10 @@ import numpy as np
 
 from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
                      StateSpaceError)
-from .model import (Battery, Decision, Instance, PrivacyScenario, ScenarioSet,
-                    SchedulableAppliance, SystemState, check_placement,
-                    left_sum, scenario_draws, slot_cost)
+from .model import (Battery, Decision, Instance, PrivacyPolicy,
+                    PrivacyScenario, ScenarioSet, SchedulableAppliance,
+                    SystemState, band_sides, check_placement, left_sum,
+                    scenario_draws, slot_cost)
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -126,14 +127,6 @@ class SolveConfig:
         return _engines(inst.grid, inst.appliances, inst.battery, inst.price)
 
     @functools.cached_property
-    def _band(self) -> tuple[np.ndarray, np.ndarray]:
-        """The band ``l_bar -+ lambda`` and its ``-+ tol``, (2, 1) columns."""
-        pol = self.instance.policy
-        return (np.array([[pol.l_bar_w - pol.lambda_w],
-                          [pol.l_bar_w + pol.lambda_w]]),
-                np.array([[-pol.tolerance_w], [pol.tolerance_w]]))
-
-    @functools.cached_property
     def _envelope(self) -> np.ndarray:
         """Per slot ``t`` at index ``t``, the least and greatest draw over
         the scenario set, a (2, 1) column; ``(+inf, -inf)`` bounds nothing.
@@ -153,9 +146,9 @@ class SolveConfig:
         build reads its band and envelope only through it."""
         eng = self._engine
         draws, offsets = eng.window_rows
-        envelope = np.repeat(self._envelope[1:, :, 0], np.diff(offsets),
-                             axis=0)
-        windows = eng.k_windows(draws, self._band, envelope.T)
+        envelope = np.repeat(self._envelope[1:, :, 0].T, np.diff(offsets),
+                             axis=1)
+        windows = eng.k_windows(draws, self.instance.policy, envelope)
         windows.flags.writeable = False
         return windows
 
@@ -356,14 +349,14 @@ class _Engine:
 
     Per slot, the continuation is padded with ``inf`` by the rate limit
     on both sides, so each battery move ``k`` is one column shift of it.
-    The rows are scanned in window order (:class:`_SlotOptions`): every
-    step of :meth:`k_windows` is monotone in the draw, so both bounds fall
-    along that order, and the rows that admit ``k`` are one slice, found
-    for every move by two ``np.searchsorted`` calls.  Each move is added
-    to its slice only, in ``(|k|, k)`` order with a strict ``<`` running
-    minimum, which keeps the first minimum exactly as a per-option
-    ``argmin`` over the same order would; a row outside the slice could
-    only add ``inf``.
+    The rows are scanned in window order (:class:`_SlotOptions`): both
+    halves of the band test are monotone in the draw, so both bounds of
+    :meth:`k_windows` fall along that order, and the rows that admit ``k``
+    are one slice, found for every move by two ``np.searchsorted`` calls.
+    Each move is added to its slice only, in ``(|k|, k)`` order with a
+    strict ``<`` running minimum, which keeps the first minimum exactly as
+    a per-option ``argmin`` over the same order would; a row outside the
+    slice could only add ``inf``.
 
     The rows then go once to the block layout (:attr:`_slot_rows`): the
     blocks by size, largest first, ties by vector, each in visit order.
@@ -495,35 +488,67 @@ class _Engine:
                 np.flatnonzero(head < 0)))
         return tuple(out)
 
-    def k_windows(self, y_w: np.ndarray, band: tuple,
+    def k_windows(self, y_w: np.ndarray, policy: PrivacyPolicy,
                   envelope: np.ndarray) -> np.ndarray:
         """Battery-step range allowed by rate and privacy bounds.
 
         One ``(k_lo, k_hi)`` column per appliance draw in ``y_w``, each
         under its column of ``envelope``, the least and greatest draw of
-        its slot: a (2, rows) array, or one (2, 1) column for every row.
-        A move is admitted iff the build's ``band`` holds within its
-        tolerance, the slack the refinement loop and the replay allow
-        too.  Privacy bounds are clamped to one step past the rate range,
-        so an empty window stays empty and every bound fits an integer.
-        Both bounds are one (2, rows) int64 array, each in the order
-        ``((((l_bar -+ lambda) - y_w) - envelope) -+ tol) * h / step``,
-        element by element, so a row's window has the same bits whatever
-        rows are computed with it.
+        its slot: a (2, rows) int64 array, or one (2, 1) column for every
+        row.  A move ``k`` is admitted iff the load
+        ``(y_w + (k * step) / h) + w`` passes the lower half of the band
+        test (:func:`~paces.model.band_sides`) at the least draw ``w`` and
+        its upper half at the greatest.  Each half is monotone in ``k`` and
+        in the draw, so the admitted moves are one range.  Privacy bounds
+        are clamped to one step past the rate range, so an empty window
+        stays empty and every bound fits an integer.
+
+        Each bound is first guessed in closed form: the quotient
+        ``(((l_bar -+ bound_w) - y_w) - envelope) * h / step``, ceiled or
+        floored.  The guess and the test each round a few times, so they
+        can disagree only where the quotient lies within ``eps`` steps of
+        an integer.  Only those bounds are tested, and each is stepped
+        until the test flips between it and the move past it.  Every step
+        is element by element, so a row's window has the same bits
+        whatever rows are computed with it.
         """
-        bounds, tolerance = band
-        # an infinite envelope or an overflowed bound is +-inf, which the
-        # clamp maps exactly
-        with np.errstate(over="ignore"):
-            w = bounds - y_w
-            w -= envelope
-            w += tolerance
-            w *= self.h
-            w /= self.step
-        np.ceil(w[0], out=w[0])
-        np.floor(w[1], out=w[1])
-        np.maximum(w, self._clip_lo, out=w)
-        return np.minimum(w, self._clip_hi, out=w).astype(np.int64)
+        l_bar, bound = policy.l_bar_w, policy.bound_w
+        # an infinite envelope or an overflowed bound is +-inf, which is
+        # never near an integer and which the clamp maps exactly
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a few roundings of the largest magnitude either form adds,
+            # with a wide margin; draws are never negative
+            eps = 2.0 ** -48 * (
+                (l_bar + bound + y_w.max(initial=0.0)) * self.h / self.step
+                + max(-self.k_rate_lo, self.k_rate_hi) + 2)
+            q = np.array([[l_bar - bound], [l_bar + bound]]) - y_w
+            q -= envelope
+            q *= self.h
+            q /= self.step
+            near = np.abs(q - np.rint(q)) <= eps
+            np.ceil(q[0], out=q[0])
+            np.floor(q[1], out=q[1])
+            np.maximum(q, self._clip_lo, out=q)
+            k = np.minimum(q, self._clip_hi, out=q).astype(np.int64)
+            if near.any():
+                # a near bound steps out (-1 for k_lo, +1 for k_hi) while
+                # the move past it passes and in while it fails itself,
+                # within the clamp
+                side, row = np.nonzero(near)
+                out = 2 * side - 1
+                w = np.broadcast_to(envelope, k.shape)[side, row]
+                at, last = k[side, row], None
+                while last is None or (at != last).any():
+                    # the bound and the move past it, as the walk moves
+                    moves = np.stack((at, at + out)) * self.step
+                    lower, upper = band_sides((y_w[row] + moves / self.h) + w,
+                                              policy)
+                    passes = np.where(side, upper, lower)
+                    last, at = at, np.clip(
+                        at + out * passes[1] - out * ~passes[0],
+                        self._clip_lo[side, 0], self._clip_hi[side, 0])
+                k[side, row] = at
+        return k
 
     def stage_cost(self, t: int, y_w, k) -> np.ndarray:
         """Slot ``t``'s price of appliance draw ``y_w`` plus battery move
@@ -532,14 +557,15 @@ class _Engine:
         """
         return self.prices[t - 1] * (y_w * self.h + k * self.step)
 
-    def solve_slot(self, t: int, f_next: np.ndarray, k_lo: np.ndarray,
-                   k_hi: np.ndarray, values: np.ndarray,
+    def solve_slot(self, t: int, f_next: np.ndarray, neg_lo: np.ndarray,
+                   neg_hi: np.ndarray, values: np.ndarray,
                    dec_mask: np.ndarray, dec_step: np.ndarray) -> None:
         """One backward step: value and argmin decision for every state.
 
         ``f_next`` has shape (n_r, m) and holds the continuation values;
-        ``k_lo`` and ``k_hi`` are the build's windows of every slot's rows
-        (:attr:`SolveConfig._windows`), of which slot ``t``'s are read.
+        ``neg_lo`` and ``neg_hi`` are the build's windows of every slot's
+        rows (:attr:`SolveConfig._windows`), negated once per build so that
+        both rise along the window order, of which slot ``t``'s are read.
         Every cell of ``values``, ``dec_mask`` and ``dec_step``, each of
         ``f_next``'s shape, is written; ``dec_mask`` is -1 where no
         decision is feasible.
@@ -551,9 +577,9 @@ class _Engine:
         # rows in window order, where both bounds fall as the draw rises:
         # the rows that admit the i-th move are lo[i]:hi[i]
         y_w = self.window_rows[0][rows]
-        lo = np.searchsorted(-k_lo[rows], self._neg_moves,
+        lo = np.searchsorted(neg_lo[rows], self._neg_moves,
                              side="left").tolist()
-        hi = np.searchsorted(-k_hi[rows], self._neg_moves,
+        hi = np.searchsorted(neg_hi[rows], self._neg_moves,
                              side="right").tolist()
         stage = self.stage_cost(t, y_w, self._move_col)
 
@@ -864,9 +890,9 @@ def backward_recursion(config: SolveConfig,
         dec_mask[last:] = source.dec_mask[last:]
         dec_step[last:] = source.dec_step[last:]
     f_next = values[last] if last < eng.tau else eng.terminal_continuation()
-    k_lo, k_hi = windows
+    neg_lo, neg_hi = -windows
     for t in range(last, 0, -1):
-        eng.solve_slot(t, f_next, k_lo, k_hi, values[t - 1],
+        eng.solve_slot(t, f_next, neg_lo, neg_hi, values[t - 1],
                        dec_mask[t - 1], dec_step[t - 1])
         if dec_mask[t - 1].max() < 0:
             # a slot with no feasible cell leaves every earlier one dead

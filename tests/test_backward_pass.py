@@ -23,7 +23,8 @@ from paces.cli import main
 from paces.table import (_Engine, _engines, _option_tables, _tie_key_shifts,
                          _vectors)
 from raw_model import appliance_load, step_remaining, sum_left_to_right
-from table_checks import assert_same_table
+from table_checks import (assert_same_table, dense_windows,
+                          window_rows_envelope)
 
 
 # ---------------------------------------------------------------------------
@@ -64,24 +65,28 @@ def solve_slot(eng, config, t, f_next):
     out = (np.full(f_next.shape, np.nan),
            np.full(f_next.shape, 7, dtype=np.int32),
            np.full(f_next.shape, 7, dtype=np.int32))
-    eng.solve_slot(t, f_next, *config._windows, *out)
+    eng.solve_slot(t, f_next, *-config._windows, *out)
     return out
 
 
 def reference_window(eng, config, t, y_w):
-    # a move is admitted iff the band holds within the policy's tolerance;
-    # the empty scenario set's infinite envelope bounds nothing
+    # every move within the rate limits, scanned: the least whose load at
+    # the slot's least draw reaches the band's floor and the greatest whose
+    # load at its greatest draw stays under the band's ceiling, with the
+    # replay's bits; the empty scenario set's infinite envelope bounds
+    # nothing
     pol = config.instance.policy
-    tol = pol.tolerance_w
+    bound = pol.lambda_w + pol.tolerance_w
     (w_min,), (w_max,) = config._envelope[t]
-    k_lo, k_hi = eng.k_rate_lo, eng.k_rate_hi
-    lo_w = pol.l_bar_w - pol.lambda_w - y_w - w_min
-    hi_w = pol.l_bar_w + pol.lambda_w - y_w - w_max
-    if lo_w > -math.inf:
-        k_lo = max(k_lo, math.ceil((lo_w - tol) * eng.h / eng.step))
-    if hi_w < math.inf:
-        k_hi = min(k_hi, math.floor((hi_w + tol) * eng.h / eng.step))
-    return k_lo, k_hi
+
+    def gap(k, w):
+        return ((y_w + (k * eng.step) / eng.h) + w) - pol.l_bar_w
+
+    moves = range(eng.k_rate_lo, eng.k_rate_hi + 1)
+    return (min((k for k in moves if gap(k, w_min) >= -bound),
+                default=eng.k_rate_hi + 1),
+            max((k for k in moves if gap(k, w_max) <= bound),
+                default=eng.k_rate_lo - 1))
 
 
 def reference_solve_slot(eng, config, t, f_next):
@@ -345,7 +350,8 @@ def test_an_empty_scenario_set_leaves_the_rate_window(config, y_w):
     eng = empty._engine
     for t in range(1, eng.tau + 1):
         rows = np.concatenate((eng.options(t).y_w, y_w))
-        k_lo, k_hi = eng.k_windows(rows, empty._band, empty._envelope[t])
+        k_lo, k_hi = eng.k_windows(rows, empty.instance.policy,
+                                   empty._envelope[t])
         assert (k_lo == eng.k_rate_lo).all()
         assert (k_hi == eng.k_rate_hi).all()
 
@@ -354,18 +360,15 @@ def test_an_empty_scenario_set_leaves_the_rate_window(config, y_w):
 def bands_and_envelopes(draw):
     """An engine's config, any band and any per-slot envelope.
 
-    The bounds reach 1e308, so ``l_bar + lambda`` can overflow (no
-    instance validates with such a band, so it is made here as
-    :attr:`SolveConfig._band` makes it), and a slot's envelope is either
-    the empty set's ``(+inf, -inf)`` or two draws of any size.
+    The bounds reach 1e308, so ``l_bar + bound_w`` can overflow (no
+    instance validates with such a band, so the policy is made alone),
+    and a slot's envelope is either the empty set's ``(+inf, -inf)`` or
+    two draws of any size.
     """
     config = draw(instances())
     size = st.one_of(real_or_integer(0.0, 400.0),
                      st.floats(0.0, 1e308, allow_nan=False))
-    pol = PrivacyPolicy(lambda_w=draw(size), l_bar_w=draw(size))
-    band = (np.array([[pol.l_bar_w - pol.lambda_w],
-                      [pol.l_bar_w + pol.lambda_w]]),
-            np.array([[-pol.tolerance_w], [pol.tolerance_w]]))
+    band = PrivacyPolicy(lambda_w=draw(size), l_bar_w=draw(size))
     envelope = np.empty((config.instance.grid.tau + 1, 2, 1))
     envelope[0] = [[math.inf], [-math.inf]]
     for t in range(1, len(envelope)):
@@ -404,6 +407,44 @@ def full_candidate_set(inst):
 def with_grid_step(inst, grid_step_wh):
     return dataclasses.replace(inst, battery=dataclasses.replace(
         inst.battery, grid_step_wh=grid_step_wh))
+
+
+def closed_form_windows(config):
+    """Each bound's closed-form guess, rounded inwards and clamped."""
+    eng = config._engine
+    pol = config.instance.policy
+    y_w, envelope = window_rows_envelope(config)
+    band = np.array([[pol.l_bar_w - pol.bound_w], [pol.l_bar_w + pol.bound_w]])
+    q = (((band - y_w) - envelope.T) * eng.h) / eng.step
+    return np.stack((np.clip(np.ceil(q[0]), eng.k_rate_lo, eng.k_rate_hi + 1),
+                     np.clip(np.floor(q[1]), eng.k_rate_lo - 1, eng.k_rate_hi)))
+
+
+def assert_windows_are_the_band_test(inst, scenarios):
+    omega = (ScenarioSet.base(len(inst.ns_appliances)) if scenarios == "base"
+             else full_candidate_set(inst))
+    config = SolveConfig(instance=inst, scenarios=omega)
+    windows = config._windows
+    assert windows.tobytes() == dense_windows(config).tobytes()
+    assert np.abs(windows - closed_form_windows(config)).max() <= 1
+
+
+@pytest.mark.parametrize("scenarios", ["base", "full"])
+@pytest.mark.parametrize("grid_step_wh", [25.0, 5.0, 1.0])
+@pytest.mark.parametrize("preset", ["motivating-example", "section-iv-a",
+                                    "table-ii"])
+def test_windows_are_the_band_test_on_the_presets(preset, grid_step_wh,
+                                                  scenarios):
+    assert_windows_are_the_band_test(
+        with_grid_step(load_config(preset).instance, grid_step_wh),
+        scenarios)
+
+
+@pytest.mark.parametrize("scenarios", ["base", "full"])
+def test_windows_are_the_band_test_on_the_seeded_suite(scenarios):
+    for seed in range(60):
+        assert_windows_are_the_band_test(
+            random_small_instance(seed, ns_count=1 + seed % 2), scenarios)
 
 
 # a 0 Wh battery has one level and one move: the path of a sweep's

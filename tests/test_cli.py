@@ -284,8 +284,9 @@ class TestSolveCommand:
 
     # keys that older configs carried and that changed no result
     @pytest.mark.parametrize("key, section", [("seed", None),
-                                              ("reference_source", "privacy")],
-                             ids=["seed", "reference_source"])
+                                              ("reference_source", "privacy"),
+                                              ("metric", "solver")],
+                             ids=["seed", "reference_source", "metric"])
     def test_dropped_config_keys_exit_2(self, tmp_path, capsys, key,
                                         section):
         raw = serialize(load_config("motivating-example"))
@@ -345,8 +346,8 @@ BAND_EDGE = {
 
 
 class TestBandEdge:
-    """The solver admits a move within the same band tolerance that the
-    refinement loop's stop test and the replay's breach test allow."""
+    """The solver admits a move by the same band test that the refinement
+    loop's stop and the replay's breach apply."""
 
     def config(self, tmp_path, mode):
         raw = json.loads(json.dumps(BAND_EDGE))
@@ -377,8 +378,8 @@ class TestBandEdge:
 
 
 # A 1e-9 W usage appliance against a 1 W band: the worst placement
-# scores 1.000000082740371e-09 W, 8.3e-17 W past the 1e-9 W stop
-# tolerance, yet the table built against it admits it
+# scores 1.000000082740371e-09 W past lambda, under the 1e-9 W slack of
+# the band's bound_w, so it is inside the band
 TOLERANCE_EDGE = {
     "grid": {"tau": 2},
     "appliances": [{"id": "a", "power": 1.0, "workload": 1.0}],
@@ -392,9 +393,11 @@ TOLERANCE_EDGE = {
 
 
 class TestToleranceEdge:
-    """A worst placement already in the scenario set stops the loop, in
-    ``guaranteed`` mode too, even when its violation is past the stop
-    tolerance: a rebuild would reproduce the same table."""
+    """The loop stops on the band test the replay applies.  ``guaranteed``
+    mode stops after the first build, whose worst placement is inside the
+    band by that test, though only by 8.3e-17 W.  ``repeat-stop`` mode
+    adds that placement and stops when the rebuilt table proposes it
+    again: a rebuild would reproduce the same table."""
 
     def config(self, tmp_path, **edits):
         raw = json.loads(json.dumps(TOLERANCE_EDGE))
@@ -403,17 +406,15 @@ class TestToleranceEdge:
         cfg.write_text(json.dumps(raw))
         return cfg
 
-    def test_the_solve_stops_on_the_repeated_placement(self, tmp_path,
-                                                       capsys):
-        cfg = self.config(tmp_path)
+    def solve_and_replay(self, tmp_path, capsys, cfg, builds):
         table = tmp_path / "table.json"
         code, out, err = run(capsys, "solve", "--config", str(cfg),
                              "--out", str(tmp_path / "run"),
                              "--table", str(table))
         assert (code, err) == (0, "")
-        assert "solved in 2 table builds" in out
+        assert f"solved in {builds} table builds" in out
         trace = json.loads((tmp_path / "run" / "trace.json").read_text())
-        assert len(trace["records"]) == 2
+        assert len(trace["records"]) == builds
         assert trace["capped"] is False
         assert trace["final_scenario"] == [1]
         assert trace["final_violation_w"] == 1.000000082740371e-09
@@ -426,6 +427,14 @@ class TestToleranceEdge:
         assert "n@1" in out
         assert "breaches 0" in out
 
+    def test_guaranteed_mode_stops_inside_the_band(self, tmp_path, capsys):
+        self.solve_and_replay(tmp_path, capsys, self.config(tmp_path), 1)
+
+    def test_the_solve_stops_on_the_repeated_placement(self, tmp_path,
+                                                       capsys):
+        cfg = self.config(tmp_path, solver={"mode": "repeat-stop"})
+        self.solve_and_replay(tmp_path, capsys, cfg, 2)
+
     def test_the_sweep_solves_every_capacity(self, tmp_path, capsys):
         cfg = self.config(tmp_path)
         out = tmp_path / "sweep.csv"
@@ -434,11 +443,11 @@ class TestToleranceEdge:
         assert (code, err) == (0, "")
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert [(r["feasible"], r["solves"]) for r in rows] == [("1", "2")] * 3
+        assert [(r["feasible"], r["solves"]) for r in rows] == [("1", "1")] * 3
 
     def test_one_slot_is_not_capped(self, tmp_path, capsys):
-        # the product holds one placement, which the second build adds;
-        # no max_solves is set, so the loop was not capped
+        # the product holds one placement, inside the band after the
+        # first build; no max_solves is set, so the loop was not capped
         cfg = self.config(
             tmp_path, grid={"tau": 1}, price={"values": [1.0]},
             ns_appliances=[{"id": "n", "power": 1e-9, "runtime_slots": 1,
@@ -447,7 +456,7 @@ class TestToleranceEdge:
                            "--out", str(tmp_path / "run"))
         assert (code, err) == (0, "")
         trace = json.loads((tmp_path / "run" / "trace.json").read_text())
-        assert len(trace["records"]) == 2
+        assert len(trace["records"]) == 1
         assert trace["capped"] is False
 
 

@@ -78,9 +78,9 @@ CONFIG_FAULTS = [
           "/price/values", "expected length at least 1, got 0"),
     fault("bad-unit", lambda r: r.update(units={"power": "MW"}),
           "/units/power", "expected one of W, kW, got 'MW'"),
-    fault("bad-solver", lambda r: r["solver"].update(metric="both"),
-          "/solver/metric", "expected one of two-sided, upper-only, "
-                            "got 'both'"),
+    fault("bad-solver", lambda r: r["solver"].update(mode="both"),
+          "/solver/mode", "expected one of guaranteed, repeat-stop, "
+                          "got 'both'"),
     fault("bad-source",
           lambda r: r["privacy"].update(reference_source="historical-mean"),
           "/privacy", "unexpected key 'reference_source'"),

@@ -120,43 +120,45 @@ class TestFindWorstScenario:
         assert scenario is None
         assert violation == float("-inf")
 
-    def test_violation_is_the_worst_deviation_minus_the_bound(self):
+    def test_gap_is_the_worst_deviation(self):
         inst = make_instance(tau=2, ns_appliances=(ns("n"),), lam=10.0)
         solution = fake_solution((0.0, 30.0))
         cands = candidate_scenarios(inst.ns_appliances, inst.grid)
-        scenario, violation = find_worst_scenario(solution, cands, inst)
-        # start 2 stacks 50 W on the 30 W slot: deviation 80, bound 10
+        scenario, gap = find_worst_scenario(solution, cands, inst)
+        # start 2 stacks 50 W on the 30 W slot: deviation 80, whatever
+        # the bound
         assert scenario.starts == (2,)
-        assert violation == pytest.approx(70.0, abs=1e-12)
+        assert gap == 80.0
 
     def test_ties_keep_the_earliest_candidate(self):
         inst = make_instance(tau=2, ns_appliances=(ns("n"),), lam=10.0)
         solution = fake_solution((0.0, 0.0))
         cands = candidate_scenarios(inst.ns_appliances, inst.grid)
-        scenario, violation = find_worst_scenario(solution, cands, inst)
+        scenario, gap = find_worst_scenario(solution, cands, inst)
         assert scenario.starts == (1,)
-        assert violation == pytest.approx(40.0, abs=1e-12)
+        assert gap == 50.0
         # the earliest in product order, whatever the starts' order
         reversed_starts = scenarios.PlacementProduct([(2, 1)])
         scenario, _ = find_worst_scenario(solution, reversed_starts, inst)
         assert scenario.starts == (2,)
 
-    def test_upper_only_metric_ignores_shortfalls(self):
+    def test_shortfalls_count_as_much_as_excesses(self):
+        # the band has two sides: a load 50 W under the reference is as
+        # far out as one 50 W over it
         inst = make_instance(tau=2, ns_appliances=(ns("n", zone=(1, 1)),),
                              lam=10.0)
         solution = fake_solution((-100.0, 0.0))
         cands = candidate_scenarios(inst.ns_appliances, inst.grid)
-        _, two_sided = find_worst_scenario(solution, cands, inst)
-        _, upper = find_worst_scenario(solution, cands, inst,
-                                       metric="upper-only")
-        assert two_sided == pytest.approx(40.0, abs=1e-12)  # |-100 + 50| - 10
-        assert upper == pytest.approx(-10.0, abs=1e-12)     # max(-50, 0) - 10
+        assert find_worst_scenario(solution, cands, inst)[1] == 50.0
+        solution = fake_solution((0.0, 50.0))
+        assert find_worst_scenario(solution, cands, inst)[1] == 50.0
 
     def test_rejects_unknown_metrics(self):
+        # every metric is unknown: the band test is the only one
         inst = make_instance()
-        with pytest.raises(ModelError, match="metric"):
+        with pytest.raises(TypeError, match="metric"):
             find_worst_scenario(fake_solution((0.0,) * 4), [], inst,
-                                metric="sideways")
+                                metric="upper-only")
 
     @pytest.mark.parametrize("seed", [5, 9, 21])
     def test_agrees_with_direct_enumeration(self, seed):
@@ -165,7 +167,7 @@ class TestFindWorstScenario:
         table = backward_recursion(SolveConfig(instance=inst, scenarios=omega))
         solution = extract_schedule(table, inst.initial_state())
         cands = candidate_scenarios(inst.ns_appliances, inst.grid)
-        scenario, violation = find_worst_scenario(solution, cands, inst)
+        scenario, gap = find_worst_scenario(solution, cands, inst)
         pol = inst.policy
         scores = []
         for sc in cands:
@@ -173,8 +175,8 @@ class TestFindWorstScenario:
                         + scenario_load(sc, inst.ns_appliances, t)
                         - pol.l_bar_w)
                     for t in range(1, inst.grid.tau + 1)]
-            scores.append(max(devs) - pol.lambda_w)
-        assert violation == pytest.approx(max(scores), abs=1e-9)
+            scores.append(max(devs))
+        assert gap == max(scores)
         assert scenario == cands[int(np.argmax(scores))]
 
 
@@ -182,8 +184,9 @@ class TestSolveOptions:
     def test_rejects_unknown_modes_and_metrics(self):
         with pytest.raises(ModelError, match="mode"):
             ScenarioSolveOptions(mode="hopeful")
-        with pytest.raises(ModelError, match="metric"):
-            ScenarioSolveOptions(metric="sideways")
+        # every metric is unknown: the band test is the only one
+        with pytest.raises(TypeError, match="metric"):
+            ScenarioSolveOptions(metric="two-sided")
         with pytest.raises(ModelError, match="objective_mode"):
             ScenarioSolveOptions(objective_mode="bogus")
         for bad in (0, True, 2.5):
@@ -233,10 +236,8 @@ class TestRefinementLoop:
             inst = cfg.instance
             result = solve_with_scenarios(inst, state_cap=cfg.state_cap)
             cands = candidate_scenarios(inst.ns_appliances, inst.grid)
-            _, violation = find_worst_scenario(result.solution, cands, inst)
-            pol = inst.policy
-            stop_tol = 1e-9 * max(1.0, pol.lambda_w, pol.l_bar_w)
-            assert violation <= stop_tol
+            _, gap = find_worst_scenario(result.solution, cands, inst)
+            assert gap <= inst.policy.bound_w
 
     def test_trace_grows_one_scenario_per_rebuild(self):
         cfg = load_config("section-iv-a")
@@ -312,16 +313,14 @@ class TestRefinementLoop:
                 # guaranteed mode only rebuilds for breaching placements
                 assert all(r.violation_w > 0 for r in records[1:])
             if mode == "guaranteed" and not result.trace.capped:
-                # the loop stops inside the band, or on a placement the
-                # table was already built against
-                phi, violation = find_worst_scenario(result.solution, cands,
-                                                     inst)
-                assert (phi, violation) == (result.trace.final_scenario,
-                                            result.trace.final_violation_w)
+                # the loop stops inside the band, which a placement the
+                # table was built against cannot leave
+                phi, gap = find_worst_scenario(result.solution, cands, inst)
                 pol = inst.policy
-                assert (violation <= 1e-9 * max(1.0, pol.lambda_w,
-                                                 pol.l_bar_w)
-                        or phi in result.omega)
+                assert (phi, gap - pol.lambda_w) == (
+                    result.trace.final_scenario,
+                    result.trace.final_violation_w)
+                assert gap <= pol.bound_w
             if mode == "repeat-stop":
                 # one stop rule: guaranteed ends where the violation first
                 # falls inside the band, repeat-stop only on a repeat, so

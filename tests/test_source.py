@@ -221,6 +221,38 @@ def test_the_package_never_uses_the_builtin_sum():
     assert found == []
 
 
+def tolerance_reads(source: str) -> list[int]:
+    """Lines where ``source`` reads ``tolerance_w``: as an attribute, a
+    name or an exact string such as ``getattr``'s, in line order."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "tolerance_w"
+                  or isinstance(node, ast.Name) and node.id == "tolerance_w"
+                  or isinstance(node, ast.Constant)
+                  and node.value == "tolerance_w")
+
+
+def test_the_scan_sees_every_read_of_the_tolerance():
+    source = ("def bound(policy):\n"
+              "    slack = policy.tolerance_w\n"
+              "    return getattr(policy, 'tolerance_w') + slack\n"
+              "def tolerance_w():\n    return 1e-9\n"
+              "note = 'the tolerance_w of a policy'\n"
+              "tolerance = tolerance_w\n")
+    assert tolerance_reads(source) == [2, 3, 7]
+
+
+def test_only_the_model_reads_the_band_tolerance():
+    # the band's slack enters one test, through PrivacyPolicy.bound_w;
+    # the oracle is the reference the tests compare against, so it forms
+    # its own
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name not in ("model.py", "oracle.py")
+             for line in tolerance_reads(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 #: numpy's set routines, by the names a module reads them under
 SET_ROUTINES = {"unique", "setdiff1d", "intersect1d", "union1d", "setxor1d",
                 "isin", "in1d"}

@@ -356,7 +356,7 @@ class TestFeasibleDecisions:
         opts = eng.options(2)
         rows = ((opts.r_first[opts.block] == eng.r_index[state.remaining])
                 & (opts.mask == 3))
-        k_lo, k_hi = eng.k_windows(opts.y_w[rows], config._band,
+        k_lo, k_hi = eng.k_windows(opts.y_w[rows], inst.policy,
                                    config._envelope[2])
         assert rows.sum() == 1 and k_lo[0] <= k_hi[0]
 
