@@ -353,10 +353,18 @@ class _Engine:
     halves of the band test are monotone in the draw, so both bounds of
     :meth:`k_windows` fall along that order, and the rows that admit ``k``
     are one slice, found for every move by two ``np.searchsorted`` calls.
-    Each move is added to its slice only, in ``(|k|, k)`` order with a
-    strict ``<`` running minimum, which keeps the first minimum exactly as
-    a per-option ``argmin`` over the same order would; a row outside the
-    slice could only add ``inf``.
+    Each move is added to its slice only, in ``(|k|, k)`` order; a row
+    outside the slice could only add ``inf``.  The running minimum is one
+    ``np.minimum``, and a strict ``<`` mask marks where the move wins by
+    its rank in that order, one ``np.putmask`` into an array as narrow as
+    the move count allows (``uint8`` up to 255 moves).  That keeps the
+    first minimum exactly as a per-option ``argmin`` over the same order
+    would.  It is bit-equal because no cell is ever NaN or -0.0, so equal
+    values have equal bits: the terminal value is +0.0, and a sum is -0.0
+    only when both terms are, which a stage may be (price 0, a
+    discharge) but a continuation never is.  Move 0 is rank 0 and comes
+    first, against an all-``inf`` minimum, so it is added straight into
+    it.
 
     The rows then go once to the block layout (:attr:`_slot_rows`): the
     blocks by size, largest first, ties by vector, each in visit order.
@@ -370,8 +378,9 @@ class _Engine:
     block, and in the end each block's head holds its minimum.  The tree
     runs twice: on a copy of the values, then on the int64 key
     ``(n_starts, |k|, place)`` of the rows that hold their block's least
-    value (:func:`_tie_key_shifts`).  A row's place in the layout keeps
-    visit order within its block, so the pick is the documented least
+    value (:func:`_tie_key_shifts`), its ``|k|`` field read from the
+    rank.  A row's place in the layout keeps visit order within its
+    block, so the pick is the documented least
     ``(value, n_starts, |k|, row)``.  Flat ``take`` calls then write
     every vector's picked cell, and only the doomed vectors are filled.
 
@@ -387,9 +396,14 @@ class _Engine:
     slower again; a compact 3-D ``argmin`` and flat pair gathers took
     18.3 and 24.1 ms against the loop's 16.2 ms.  Clipping each move's
     level range to the grid as well as its rows turns a row into a short
-    strided loop, which was slower than the row slice alone.  An int64
-    ``best_k`` in place of the int32 one made no difference.  Two
-    ``np.minimum.reduceat`` calls settled the blocks before the tree and
+    strided loop, which was slower than the row slice alone.  Gathering
+    each window group's shifted continuations at once took 17.5 ms of
+    slot solves per solve-ns4 operation against the loop's 10.8 ms.  One
+    lexicographic ``np.minimum`` over complex128 ``(value, rank)`` pairs
+    took 8.0 us per move against 7.4 us for the minimum plus the rank
+    mask.  Reusing the held build's windows and one batched
+    ``searchsorted`` per build together saved under 1 % of an operation.
+    Two ``np.minimum.reduceat`` calls settled the blocks before the tree and
     paid once per (block, level) segment: 28 us on the values and 23 us
     on the keys of solve-ns4's 60 blocks x 31 levels.  Doubling with
     ``where=`` masks in place of the size-sorted layout took about 8 us
@@ -428,6 +442,12 @@ class _Engine:
                              key=lambda k: (abs(k), k))
         self._move_col = np.array(self._moves, dtype=np.int64)[:, None]
         self._neg_moves = -self._move_col[:, 0]
+        # the slot solver keeps a cell's move as its rank in _moves, in the
+        # narrowest dtype that holds every rank; per rank, the move as
+        # dec_step stores it and its |k| field of the tie key
+        self._rank_dtype = np.min_scalar_type(len(self._moves))
+        self._moves_i32 = self._move_col[:, 0].astype(np.int32)
+        self._k_key = np.abs(self._move_col[:, 0]) << self._k_shift
         self._levels = np.arange(self.m)
 
     def _rate_steps(self, rate_wh: float) -> int:
@@ -583,42 +603,46 @@ class _Engine:
                              side="right").tolist()
         stage = self.stage_cost(t, y_w, self._move_col)
 
-        # cheapest move per (option, level), first hit in (|k|, k) order;
-        # each admitted cell is the per-move float expression, so bit-equal
-        # to it
+        # cheapest move per (option, level), first hit in (|k|, k) order,
+        # kept as its rank in _moves; each admitted cell is the per-move
+        # float expression, so bit-equal to it.  With no -0.0 anywhere the
+        # value is a plain np.minimum, and only the rank needs the strict <
         pad = -self.k_rate_lo
         padded = np.full((self.n_r, pad + m + self.k_rate_hi), np.inf)
         padded[:, pad:pad + m] = f_next
         cont = padded.take(r_next, 0)
         best = np.full((len(r_next), m), np.inf)
-        best_k = np.zeros(best.shape, dtype=np.int32)
+        rank = np.zeros(best.shape, dtype=self._rank_dtype)
         cand = np.empty(best.shape)
         better = np.empty(best.shape, dtype=bool)
-        for k, stage_k, a, b in zip(self._moves, stage, lo, hi):
+        # move 0 comes first and is rank 0: against all-inf, it is the value
+        a, b = lo[0], hi[0]
+        if a < b:
+            np.add(cont[a:b, pad:pad + m], stage[0, a:b, None], out=best[a:b])
+        for i, k, stage_k, a, b in zip(range(1, len(lo)), self._moves[1:],
+                                       stage[1:], lo[1:], hi[1:]):
             if a >= b:
                 continue
             cand_ab, best_ab, better_ab = cand[a:b], best[a:b], better[a:b]
-            np.add(stage_k[a:b, None], cont[a:b, pad + k:pad + k + m],
+            np.add(cont[a:b, pad + k:pad + k + m], stage_k[a:b, None],
                    out=cand_ab)
             np.less(cand_ab, best_ab, out=better_ab)
-            np.copyto(best_ab, cand_ab, where=better_ab)
-            np.copyto(best_k[a:b], k, where=better_ab)
+            np.minimum(best_ab, cand_ab, out=best_ab)
+            np.putmask(rank[a:b], better_ab, i)
 
         # in the block layout a vector's rows are one block in visit order,
         # so its documented tie-break is the least (value, n_starts, |k|,
         # row) of the block, the last three as one key.  Each tree step
         # folds the upper half of every block of 2h rows or more into its
         # lower half, so the block's head ends up holding its minimum.
-        # == ties -0.0 with 0.0, so a cell takes its picked row's own value;
-        # an all-inf block picks a row whose move stayed 0
+        # An all-inf block picks a row whose rank stayed 0, which is move 0
         best = best.take(place, 0)
-        best_k = best_k.take(place, 0)
+        rank = rank.take(place, 0)
         low = best.copy()
         for h, h2, end in steps:
             lower = low[:end:h2]
             np.minimum(lower, low[h:end:h2], out=lower)
-        key = np.abs(best_k, dtype=np.int64)
-        key <<= self._k_shift
+        key = self._k_key.take(rank)
         key |= tie_key
         np.copyto(key, _NO_KEY, where=best != low.take(head_of, 0))
         for h, h2, end in steps:
@@ -632,7 +656,7 @@ class _Engine:
         pick *= m
         pick += self._levels
         best.take(pick, out=values, mode="clip")
-        best_k.take(pick, out=dec_step, mode="clip")
+        self._moves_i32.take(rank.take(pick), out=dec_step, mode="clip")
         np.copyto(dec_mask, -1, where=~np.isfinite(values))
         # a doomed vector has no rows and keeps the dead cell
         if len(doomed):

@@ -275,6 +275,41 @@ def test_ties_break_as_the_per_option_loop_breaks_them(l_bar):
         f_next = want[0]
 
 
+def built_tables(config, tmp_dir):
+    """Each table ``config`` makes: the build and its dump loaded back, or
+    the solved slots of a failed build."""
+    try:
+        table = backward_recursion(config)
+    except InfeasibleError as err:
+        return [err._tail.values[err._tail.dies_at - 1:]]
+    path = str(tmp_dir / "table.json")
+    save_table(table, path)
+    return [table.values, load_table(path, config).values]
+
+
+def assert_no_negative_zero(values):
+    # the slot solver's running minimum is np.minimum, which may return
+    # either of -0.0 and 0.0 where they meet: bit-equal only without -0.0
+    assert not (np.signbit(values) & (values == 0)).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=instances())
+def test_no_cell_of_a_table_is_negative_zero(config, tmp_path_factory):
+    for values in built_tables(config, tmp_path_factory.mktemp("dump")):
+        assert_no_negative_zero(values)
+
+
+@pytest.mark.parametrize("l_bar", [1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
+def test_no_cell_of_a_tie_heavy_table_is_negative_zero(l_bar, tmp_path):
+    config = tie_heavy(l_bar)
+    eng = config._engine
+    # price 0 and a discharge: the stage itself is -0.0
+    assert np.signbit(eng.stage_cost(1, 0.0, np.array(eng._moves))).any()
+    for values in built_tables(config, tmp_path):
+        assert_no_negative_zero(values)
+
+
 @pytest.mark.parametrize("name", ["empty-window", "doomed", "zero-rate"])
 def test_batched_slot_matches_on_edge_cases(name):
     config = edge_case(name)
@@ -462,6 +497,53 @@ def test_batched_slot_matches_on_the_presets(preset, grid_step_wh, b_max_wh):
     if b_max_wh == 0.0:
         assert (config._engine.m, config._engine._moves) == (1, [0])
     assert_every_slot_matches(config, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# The move rank
+
+
+def wide_moves():
+    """One appliance on a 300 Wh, 1 Wh grid battery with 150 Wh rates:
+    301 moves, under a band that admits every one of them."""
+    inst = Instance(
+        grid=TimeGrid(tau=3),
+        appliances=(SchedulableAppliance(id="a", power_w=10.0,
+                                         workload_wh=20.0, duration_slots=2),),
+        ns_appliances=(),
+        battery=Battery(b_max_wh=300.0, b_init_wh=0.0,
+                        z_discharge_max_wh=150.0, z_charge_max_wh=150.0,
+                        grid_step_wh=1.0),
+        price=PriceSignal((0.3, 0.1, 0.2)),
+        policy=PrivacyPolicy(lambda_w=1000.0, l_bar_w=0.0))
+    return SolveConfig(instance=inst,
+                       scenarios=ScenarioSet((PrivacyScenario.inactive(0),)))
+
+
+def assert_moves_in_rank_order(eng):
+    # rank 0 is move 0, which the slot solver adds without a compare
+    assert eng._moves[0] == 0
+    assert eng._moves == sorted(eng._moves, key=lambda k: (abs(k), k))
+    assert eng._moves_i32.tolist() == eng._moves
+
+
+def test_a_rank_wider_than_one_byte_matches_the_per_option_loop():
+    config = wide_moves()
+    eng = config._engine
+    assert len(eng._moves) == 301 and eng._rank_dtype == np.uint16
+    assert_moves_in_rank_order(eng)
+    assert_every_slot_matches(config, np.random.default_rng(0))
+    # some cell picks a move ranked past 255: |k| >= 128
+    f_next = random_continuation(np.random.default_rng(1), (eng.n_r, eng.m))
+    _, _, dec_step = solve_slot(eng, config, 1, f_next)
+    assert np.abs(dec_step).max() >= 128
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_preset_ranks_fit_one_byte(preset):
+    eng = SolveConfig(instance=load_config(preset).instance)._engine
+    assert eng._rank_dtype == np.uint8
+    assert_moves_in_rank_order(eng)
 
 
 # ---------------------------------------------------------------------------
@@ -839,6 +921,30 @@ def ns4_instance():
         raw["ns_appliances"].append({"id": f"ns{i}", "power": 10.0,
                                      "runtime_slots": 2, "zone": [1, 12]})
     return parse_config(raw).instance
+
+
+#: As TABLE_DIGESTS, for the refinement loop's final table of two
+#: benchmark instances: solve-ns4's household and section-iv-a at the
+#: sweep's 250 Wh point, with the loop's build count.  The artifact
+#: digests read only the walk; these read every cell
+WORKLOAD_TABLE_DIGESTS = {
+    "solve-ns4": (
+        8, "8b63175a0d103f2338d81904257c971501cf07b06d3160b2d0df0b704b41deef"),
+    "sweep-250Wh": (
+        7, "199088888214e0a0e49ce5d4fbc381891536b9a5dd19ff0aae3656b23a312641"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_TABLE_DIGESTS))
+def test_workload_tables_keep_their_digests(name):
+    if name == "solve-ns4":
+        inst = ns4_instance()
+    else:
+        inst = section_iv_a(250.0, load_config("section-iv-a")
+                            .instance.policy.lambda_w)
+    result = scenarios.solve_with_scenarios(inst)
+    assert (len(result.trace.records), table_digest(result.table)) \
+        == WORKLOAD_TABLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", ["section-iv-a", "table-ii", "solve-ns4"])
