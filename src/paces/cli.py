@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -281,7 +282,9 @@ def cmd_presets(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="paces",
         description="Privacy-aware cost-effective appliance scheduling.")

@@ -24,12 +24,13 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleError, IntegrityError, ModelError
+from .errors import (ConfigError, InfeasibleError, IntegrityError, ModelError,
+                     StateSpaceError)
 from .model import (Instance, PrivacyScenario, check_placement, left_sum,
                     privacy_gap, slot_cost)
 from .scenarios import ScenarioSolveOptions, solve_with_scenarios
 from .table import (DEFAULT_STATE_CAP, ScheduleTable, SolveConfig,
-                    expected_total_cost, model_fingerprint)
+                    expected_total_cost, model_fingerprint, state_count)
 
 
 @dataclass(frozen=True)
@@ -227,10 +228,10 @@ def sweep_battery(instance: Instance, capacities: Sequence[float],
                   state_cap: int = DEFAULT_STATE_CAP) -> list[SweepPoint]:
     """Re-run the whole pipeline at each capacity, in ascending order.
 
-    Every capacity's household is made before the first solve, so a
-    capacity the battery or the instance refuses raises
-    :class:`ConfigError` naming it.  Infeasible capacities are recorded,
-    not fatal.
+    Every capacity's household is made, and its state count checked
+    against ``state_cap``, before the first solve, so a capacity the
+    battery, the instance or the cap refuses raises :class:`ConfigError`
+    naming it.  Infeasible capacities are recorded, not fatal.
     """
     if not capacities:
         raise ConfigError("sweep needs at least one capacity")
@@ -248,6 +249,11 @@ def sweep_battery(instance: Instance, capacities: Sequence[float],
             instances.append(dataclasses.replace(instance, battery=battery))
         except ModelError as err:
             raise ConfigError(f"capacity {cap} Wh: {err}") from None
+        n_states = state_count(instance.appliances, battery)
+        if n_states > state_cap:
+            raise StateSpaceError(
+                n_states, state_cap, f"capacity {cap} Wh: state explosion, more than the cap "
+                f"of {state_cap} states")
 
     def run(cap: float, inst: Instance) -> SweepPoint:
         try:

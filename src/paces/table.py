@@ -345,7 +345,10 @@ class _Engine:
     its :attr:`SolveConfig._windows`.  The start options come from
     :func:`_option_tables`, once per instance shape, and what the slot
     solver reads of them in every build once per engine
-    (:attr:`_slot_rows`).
+    (:attr:`_slot_rows`).  The walks read their states and decisions
+    from the engine too (:meth:`state`, :meth:`decision`), each made
+    once by its own constructor and held in tables on the engine, so
+    they live exactly as long as it does.
 
     Per slot, the continuation is padded with ``inf`` by the rate limit
     on both sides, so each battery move ``k`` is one column shift of it.
@@ -412,6 +415,23 @@ class _Engine:
     sweep-tight slower.  Caching each slot's stage matrix on the engine
     raised replay-fine's peak RSS by 1.4-2.0 MB (101 moves x 120 rows x
     12 slots).
+
+    Two variants were timed on the recorded slot solves of one
+    operation, both versions per call, on a 2-core VM whose load varied
+    between runs (medians of 9 replays per run on solve-ns4, 25 on
+    sweep-tight, four runs).  One complex128 ``(value, key)`` min-tree in
+    place of the value tree and the key tree read 1-4 % less per slot on
+    solve-ns4 (226.9 against 223.1 us in one run) and 5-7 % less on
+    sweep-tight (86.8 against 80.6 us); it is bit-equal only while the
+    tie key fits float64's 53-bit significand, and
+    :func:`_tie_key_shifts` allows 63 bits.  A per-slot call diet
+    (``y_w * h`` held on the engine, one reused inf-framed ``padded``,
+    local ufunc bindings and ``values == inf`` as the dead mask) read
+    7-9 % less on solve-ns4 (224.3 against 204.0 us) and 7-8 % less on
+    sweep-tight (85.0 against 78.6 us), bit-equal.  An earlier harness
+    read 274.9 against 280.4 and 84.6 against 84.2 us for the tree, and
+    248.1 against 244.4 and 88.4 against 86.4 us for the diet, so
+    neither is taken until paired benchmark runs settle it.
     """
 
     def __init__(self, grid, appliances, battery, price):
@@ -449,6 +469,10 @@ class _Engine:
         self._moves_i32 = self._move_col[:, 0].astype(np.int32)
         self._k_key = np.abs(self._move_col[:, 0]) << self._k_shift
         self._levels = np.arange(self.m)
+        # the walks' states and decisions, each made once per engine
+        self._ids = tuple(a.id for a in appliances)
+        self._states = {}
+        self._decisions = {}
 
     def _rate_steps(self, rate_wh: float) -> int:
         """Grid steps one slot may move; no move crosses the whole pack."""
@@ -670,12 +694,26 @@ class _Engine:
         f[self.done_idx, :] = 0.0
         return f
 
-    def decision(self, mask: int, k: int) -> Decision:
-        """The decision of a live cell ``(mask, k)``: start mask and
-        battery move in grid steps."""
-        return Decision(starts=tuple(bool(mask >> i & 1)
-                                     for i in range(self.n_app)),
-                        battery_delta_wh=float(k * self.step))
+    def state(self, r: int, b: int) -> SystemState:
+        """The state of cell ``(r, b)``, made once per engine."""
+        state = self._states.get((r, b))
+        if state is None:
+            state = self._states[r, b] = SystemState(
+                battery_wh=b * self.step, remaining=self.r_combos[r])
+        return state
+
+    def decision(self, mask: int, k: int
+                 ) -> tuple[Decision, tuple[str, ...]]:
+        """The decision of a live cell ``(mask, k)``, start mask and
+        battery move in grid steps, with the ids it starts; made once per
+        engine."""
+        pair = self._decisions.get((mask, k))
+        if pair is None:
+            starts = tuple(bool(mask >> i & 1) for i in range(self.n_app))
+            pair = self._decisions[mask, k] = (
+                Decision(starts=starts, battery_delta_wh=float(k * self.step)),
+                tuple(i for i, s in zip(self._ids, starts) if s))
+        return pair
 
     def state_indices(self, state: SystemState) -> tuple[int, int]:
         if len(state.remaining) != self.n_app:
@@ -757,7 +795,7 @@ class ScheduleTable:
         if mask < 0:
             return TableEntry(decision=None, value=value, feasible=False)
         k = int(self.dec_step[t - 1, r_idx, b_idx])
-        return TableEntry(decision=self._engine.decision(mask, k),
+        return TableEntry(decision=self._engine.decision(mask, k)[0],
                           value=value, feasible=True)
 
     def initial_value(self) -> float:
@@ -794,13 +832,10 @@ class ScheduleTable:
             # a dead start: the lookup raises, naming the nearest
             runtime_lookup(self, initial_state, 1)
 
-        inst = self.config.instance
-        step = eng.step
-        prices = inst.price.values
+        prices = self.config.instance.price.values
         # a row's draw and next vector depend on (r, mask) only, and an
         # idle run repeats one cell, so a repeat reuses its results
-        cell = SystemState(battery_wh=b_idx * step,
-                           remaining=eng.r_combos[r_idx])
+        cell = eng.state(r_idx, b_idx)
         last = None
         decisions, states, base_loads, rows = [], [], [], []
         for t in range(1, eng.tau + 1):
@@ -811,14 +846,11 @@ class ScheduleTable:
                 opts = eng.options(t)
                 row = opts.row_of[r_idx, mask]
                 r_next = int(opts.r_next[row])
-                decision = eng.decision(mask, k)
+                decision, started = eng.decision(mask, k)
                 base = float(opts.y_w[row]) + decision.battery_delta_wh / eng.h
-                started = tuple(a.id for a, s in zip(inst.appliances,
-                                                     decision.starts) if s)
             b_idx += k
             if k or r_next != r_idx:
-                cell = SystemState(battery_wh=b_idx * step,
-                                   remaining=eng.r_combos[r_next])
+                cell = eng.state(r_next, b_idx)
                 r_idx = r_next
             decisions.append(decision)
             states.append(cell)

@@ -22,7 +22,8 @@ from paces import table as table_module
 from paces.cli import main
 from paces.table import (_Engine, _engines, _option_tables, _tie_key_shifts,
                          _vectors)
-from raw_model import appliance_load, step_remaining, sum_left_to_right
+from raw_model import (all_states, appliance_load, reference_cell,
+                       reference_replay, step_remaining, sum_left_to_right)
 from table_checks import (assert_same_table, dense_windows,
                           window_rows_envelope)
 
@@ -811,6 +812,98 @@ def test_a_dead_slot_ends_the_sweep(monkeypatch):
         "SP infeasible under the configured scenario set: every branch "
         "from the initial state dies by slot 1")
     assert solved == list(range(12, 2, -1))
+
+
+# ---------------------------------------------------------------------------
+# Interned walk objects
+
+
+def at_5_wh(inst):
+    return dataclasses.replace(inst, battery=dataclasses.replace(
+        inst.battery, grid_step_wh=5.0))
+
+
+def walked_instances():
+    """The presets as given and the 25 Wh ones at 5 Wh, seeds 0-49, and
+    the benchmark households: solve-ns4's, replay-fine's (the 5 Wh
+    section-iv-a) and sweep-tight's two capacities."""
+    presets = [load_config(name).instance for name in preset_names()]
+    yield from presets
+    yield from (at_5_wh(inst) for inst in presets
+                if inst.battery.grid_step_wh == 25.0)
+    for seed in range(50):
+        yield random_small_instance(seed, ns_count=1 + seed % 2)
+    yield ns4_instance()
+    for capacity in (0.0, 250.0):
+        yield section_iv_a(capacity,
+                           load_config("section-iv-a").instance.policy.lambda_w)
+
+
+def loose_table(inst):
+    """A build under a band that never binds."""
+    return backward_recursion(SolveConfig(instance=inst)._at_lambda(1e9))
+
+
+def engine_tables(inst):
+    """Two tables of one engine: :func:`loose_table` and, when the
+    instance solves, the refinement loop's table."""
+    tables = [loose_table(inst)]
+    try:
+        tables.append(scenarios.solve_with_scenarios(inst).table)
+    except InfeasibleError:
+        pass
+    assert tables[-1]._engine is tables[0]._engine
+    return tables
+
+
+def assert_walks_are_fresh(table, seen, most=100):
+    """Walk ``table`` from its live slot-1 cells, at most about ``most``
+    of them: every state, decision and started tuple equals the raw model's,
+    made afresh, and a state or decision equal to one in ``seen`` is that
+    object, a decision with that started tuple."""
+    inst = table.config.instance
+    quiet = PrivacyScenario((None,) * len(inst.ns_appliances))
+    starts = [state for state in all_states(inst)
+              if table.dec_mask[(0,) + reference_cell(inst, state)] >= 0]
+    assert starts
+    for state in starts[::max(1, len(starts) // most)]:
+        walk = table.walk(state)
+        want = reference_replay(table, state, quiet)
+        got = (walk.decisions, walk.states, tuple(row[4] for row in walk.rows))
+        started = tuple(tuple(a.id for a, s in zip(inst.appliances, d.starts)
+                              if s) for d in want.decisions)
+        # repr also tells -0.0 from 0.0
+        assert repr(got) == repr((want.decisions, want.states[1:], started))
+        for cell in walk.states:
+            assert seen.setdefault(cell, cell) is cell
+        for pair in zip(walk.decisions, got[2]):
+            held = seen.setdefault(pair[0], pair)
+            assert held[0] is pair[0] and held[1] is pair[1]
+
+
+def test_walks_share_their_engines_fresh_states_and_decisions():
+    # only the first instance's table is kept: the others' engines die
+    # once the cache drops them, and a new engine may reuse their ids
+    _engines.cache_clear()
+    first = None
+    for inst in walked_instances():
+        tables = engine_tables(inst)
+        seen = {}
+        for table in tables:
+            assert_walks_are_fresh(table, seen)
+        if first is None:
+            first, first_seen = tables[0], seen
+    assert _engines.cache_info().misses > _engines.cache_info().maxsize
+    # the first engine has left the cache but lives on in its table: a
+    # new table of its config walks with the objects its engine made
+    assert SolveConfig(instance=first.config.instance)._engine \
+        is not first._engine
+    assert_walks_are_fresh(backward_recursion(first.config), first_seen)
+    # many more engines, each dropped after its walks: a new engine often
+    # takes a dead one's id, so nothing may be interned by engine id
+    for seed in range(50, 250):
+        inst = random_small_instance(seed, ns_count=1 + seed % 2)
+        assert_walks_are_fresh(loose_table(inst), {}, most=10)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import importlib
 import json
 import math
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -24,7 +26,7 @@ from paces import (EventScript, IntegrityError, ScenarioSet, ScriptedStart,
                    SimulationReport, SlotRecord, SolveConfig,
                    backward_recursion, load_config, load_table, open_table,
                    parse_config, serialize, simulate)
-from paces.cli import main
+from paces.cli import _build_parser, main
 from paces.config import PRESETS
 
 # a dump's arrays in body-hash order, and the motivating example's shape:
@@ -1131,6 +1133,27 @@ class TestSweepCommand:
         assert code == 2
         assert "is not a finite number" in err
 
+    def test_capacities_over_the_state_cap_exit_2_before_any_solve(
+            self, tmp_path, capsys, monkeypatch):
+        # the package exports the function ``simulate`` over its module
+        sim = importlib.import_module("paces.simulate")
+        solved = []
+        solve = sim.solve_with_scenarios
+
+        def traced(inst, *args):
+            solved.append(inst.battery.b_max_wh)
+            return solve(inst, *args)
+
+        monkeypatch.setattr(sim, "solve_with_scenarios", traced)
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sweep", "--config", "section-iv-a",
+                           "--capacities", "0,250,1e300", "--out", str(out))
+        assert code == 2
+        assert err == ("config error: capacity 1e+300 Wh: state explosion, "
+                       "more than the cap of 2000000 states\n")
+        assert solved == []
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_solver_matches_the_oracle(self, capsys):
@@ -1150,6 +1173,53 @@ class TestVerifyCommand:
         code, err = usage_error(capsys, "verify", *argv)
         assert code == 2
         assert message in err
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its parser once per process, and a parse leaves
+    nothing behind that a later call could read."""
+
+    def calls(self, tmp_path):
+        dump = str(tmp_path / "table.json")
+        solve = ("solve", "--config", "motivating-example",
+                 "--out", str(tmp_path / "solve"), "--table", dump)
+        return [
+            solve,
+            ("sweep", "--config", "motivating-example",
+             "--capacities", "10000,20000"),
+            ("sweep", "--config", "motivating-example",
+             "--capacities", "10000,20000", "--out", str(tmp_path / "s.csv")),
+            ("simulate", "--table", dump, "--config", "motivating-example",
+             "--sample-seed", "1", "--out", str(tmp_path / "replay.csv")),
+            ("presets",),
+            solve,
+        ]
+
+    def call(self, capsys, tmp_path, argv):
+        """Exit code, stdout, stderr and every file under ``tmp_path``."""
+        try:
+            code = main(list(argv))
+        except SystemExit as err:
+            code = err.code
+        captured = capsys.readouterr()
+        files = {str(p.relative_to(tmp_path)): p.read_bytes()
+                 for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+        return code, captured.out, captured.err, files
+
+    def test_a_session_answers_as_fresh_parsers_do(self, tmp_path, capsys):
+        _build_parser.cache_clear()
+        session = [self.call(capsys, tmp_path, argv)
+                   for argv in self.calls(tmp_path)]
+        assert _build_parser.cache_info().misses == 1
+        assert [got[0] for got in session] == [0, 2, 0, 0, 0, 0]
+        assert "--out" in session[1][2]
+        # the same calls again from an empty directory, each one parsed
+        # by a parser of its own
+        shutil.rmtree(tmp_path)
+        tmp_path.mkdir()
+        for argv, got in zip(self.calls(tmp_path), session):
+            _build_parser.cache_clear()
+            assert self.call(capsys, tmp_path, argv) == got, argv
 
 
 class TestUsageErrors:
